@@ -18,12 +18,10 @@
 //!   `cell cache:` stderr line (and the `"cache"` member of `--json`
 //!   output) reports the hit/miss/invalidation traffic.
 //! - `--shard i/n` evaluates only the i-th of n contiguous slices of the
-//!   case grid and prints a self-describing shard artifact instead of
-//!   CSV/JSON; `--bin` switches the artifact to the compact
-//!   length-prefixed binary encoding.
-//! - `sweep merge SHARD...` re-assembles a complete artifact set (text
-//!   and binary shards mix freely) into output byte-identical to the
-//!   unsharded run.
+//!   case grid and writes a self-describing binary shard artifact
+//!   (`STGSHRD`) to stdout instead of CSV/JSON.
+//! - `sweep merge SHARD...` re-assembles a complete artifact set into
+//!   output byte-identical to the unsharded run.
 //!
 //! Graph-cache, cell-cache, and validation-timing statistics go to
 //! stderr, keeping stdout byte-stable; `--sim-timing` additionally
@@ -39,6 +37,8 @@
 //! cargo run --release --bin sweep -- --workload chain,fft --pes 32 --json
 //! cargo run --release --bin sweep -- --list-workloads --list-schedulers
 //! ```
+
+use std::io::Write;
 
 use stg_experiments::{Args, SweepSpec};
 
@@ -71,20 +71,13 @@ fn main() {
             std::process::exit(2);
         }
         let result = spec.run_shard(shard, store.as_ref());
-        let emitted = if args.bin {
-            result.artifact_bytes().map(|bytes| {
-                use std::io::Write;
-                std::io::stdout()
-                    .write_all(&bytes)
-                    .expect("write binary artifact to stdout");
-            })
-        } else {
-            result.artifact().map(|text| print!("{text}"))
-        };
-        if let Err(e) = emitted {
+        let bytes = result.artifact_bytes().unwrap_or_else(|e| {
             eprintln!("ERROR: cannot emit shard artifact: {e}");
             std::process::exit(2);
-        }
+        });
+        std::io::stdout()
+            .write_all(&bytes)
+            .expect("write shard artifact to stdout");
         eprintln!(
             "shard {shard}: cases {}..{} of {}; graph cache: {} hits, {} misses; \
              cell cache: {} hits, {} misses, {} invalidations, {} evicted, {} repaired",
@@ -103,10 +96,6 @@ fn main() {
         return;
     }
 
-    if args.bin {
-        eprintln!("--bin selects the binary shard artifact encoding and requires --shard i/n");
-        std::process::exit(2);
-    }
     if args.sim_timing && store.is_some() {
         eprintln!("note: --sim-timing bypasses the cell cache (cached cells cannot report fresh wall-clocks)");
     }
@@ -162,8 +151,10 @@ fn distributed_main(mut argv: Vec<String>, pos: usize) {
         eprintln!("--distributed N needs a worker count of at least 1");
         std::process::exit(2);
     }
-    if argv.iter().any(|a| a == "--shard" || a == "--bin") {
-        eprintln!("--distributed is incompatible with --shard/--bin: the fabric already partitions the grid");
+    if argv.iter().any(|a| a == "--shard") {
+        eprintln!(
+            "--distributed is incompatible with --shard: the fabric already partitions the grid"
+        );
         std::process::exit(2);
     }
     let fabric = std::env::current_exe()

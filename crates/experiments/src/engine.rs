@@ -18,9 +18,10 @@
 //!
 //! The same pipeline powers **sharded** execution: [`SweepSpec::run_shard`]
 //! evaluates one contiguous index-range slice of the grid and emits a
-//! self-describing shard artifact; [`SweepSpec::merge_shards`] re-assembles
-//! a full set of artifacts into a [`Sweep`] whose output is byte-identical
-//! to an unsharded run.
+//! self-describing binary shard artifact
+//! ([`ShardResult::artifact_bytes`]); [`SweepSpec::merge_shard_bytes`]
+//! re-assembles a full set of artifacts into a [`Sweep`] whose output is
+//! byte-identical to an unsharded run.
 //!
 //! Determinism contract: with an identical spec (including seed), the
 //! emitted CSV and JSON are byte-identical across runs, across worker
@@ -384,7 +385,7 @@ impl SweepSpec {
 
     /// A stable fingerprint of the whole expanded grid: the FNV-1a hash
     /// over every cell's canonical key, in case order. Shard artifacts
-    /// embed it so [`Self::merge_shards`] rejects artifacts produced by
+    /// embed it so [`Self::merge_shard_bytes`] rejects artifacts produced by
     /// different specs (or engine schema versions).
     pub fn grid_fingerprint(&self) -> u64 {
         // Folded incrementally (identical to hashing the concatenation of
@@ -656,41 +657,19 @@ impl SweepSpec {
         Ok(spec)
     }
 
-    /// Re-assembles a complete set of shard artifacts (one per shard of a
-    /// common spec, in any order) into a [`Sweep`] whose CSV/JSON output
-    /// is byte-identical to an unsharded run of that spec. Rejects
-    /// artifacts from different specs or schema versions, incomplete or
-    /// overlapping sets, and malformed payloads.
-    pub fn merge_shards(artifacts: &[String]) -> Result<Sweep, String> {
-        let parsed = artifacts
-            .iter()
-            .enumerate()
-            .map(|(i, text)| {
-                ParsedShard::parse(text).map_err(|e| format!("shard artifact {i}: {e}"))
-            })
-            .collect::<Result<_, _>>()?;
-        Self::merge_parsed(parsed)
-    }
-
-    /// [`Self::merge_shards`] over raw artifact bytes, auto-detecting the
-    /// format of each: binary artifacts (from `sweep --shard i/n --bin`)
-    /// by their magic prefix, anything else as text. Text and binary
-    /// shards of one sweep mix freely — both decode to the same rows, so
-    /// the merged CSV/JSON stays byte-identical either way.
+    /// Re-assembles a complete set of [`ShardResult::artifact_bytes`]
+    /// artifacts (one per shard of a common spec, in any order) into a
+    /// [`Sweep`] whose CSV/JSON output is byte-identical to an unsharded
+    /// run of that spec. Rejects artifacts from different specs or schema
+    /// versions, incomplete or overlapping sets, and malformed payloads.
     pub fn merge_shard_bytes(artifacts: &[Vec<u8>]) -> Result<Sweep, String> {
-        let parsed = artifacts
+        let mut parsed = artifacts
             .iter()
             .enumerate()
             .map(|(i, bytes)| {
-                ParsedShard::parse_any(bytes).map_err(|e| format!("shard artifact {i}: {e}"))
+                ParsedShard::parse_bytes(bytes).map_err(|e| format!("shard artifact {i}: {e}"))
             })
-            .collect::<Result<_, _>>()?;
-        Self::merge_parsed(parsed)
-    }
-
-    /// Cross-artifact consistency checks + reassembly shared by the text
-    /// and binary merge entry points.
-    fn merge_parsed(mut parsed: Vec<ParsedShard>) -> Result<Sweep, String> {
+            .collect::<Result<Vec<_>, _>>()?;
         if parsed.is_empty() {
             return Err("no shard artifacts to merge".to_string());
         }
@@ -860,15 +839,9 @@ pub struct ShardResult {
     pub leap: LeapStats,
 }
 
-/// First line of every text shard artifact; the version ties artifacts to
-/// the engine schema.
-fn shard_magic() -> String {
-    format!("stg-shard v{SCHEMA_VERSION}")
-}
-
-/// Magic prefix of binary shard artifacts (the schema version follows as
-/// a `u32`).
-const BIN_SHARD_MAGIC: &[u8] = b"STGSHRD";
+/// Magic prefix of shard artifacts (the schema version follows as a
+/// `u32`).
+const SHARD_MAGIC: &[u8] = b"STGSHRD";
 
 impl ShardResult {
     /// The evaluated runs of this slice, in global case order.
@@ -876,42 +849,17 @@ impl ShardResult {
         &self.runs
     }
 
-    /// Renders the self-describing shard artifact: a header binding the
-    /// slice to its spec (embedded verbatim) and grid fingerprint,
-    /// followed by one serialized outcome per case. Byte-deterministic,
-    /// like every other engine output.
-    pub fn artifact(&self) -> Result<String, String> {
-        let spec_block = self.spec.encode_spec()?;
-        let mut out = format!(
-            "{}\nshard {}\ncases {}..{} of {}\ngrid {:016x}\nspec-begin\n{spec_block}spec-end\n",
-            shard_magic(),
-            self.shard,
-            self.range.start,
-            self.range.end,
-            self.total,
-            self.spec.grid_fingerprint(),
-        );
-        for run in &self.runs {
-            out.push_str(&format!(
-                "row {} {}\n",
-                run.case.index,
-                crate::store::encode_outcome(&run.outcome)
-            ));
-        }
-        Ok(out)
-    }
-
-    /// The binary shard artifact (`sweep --shard i/n --bin`): same header
-    /// fields and row payloads as [`Self::artifact`], length-prefixed so
-    /// a merge parses it in one forward pass with zero line scanning or
-    /// integer re-parsing of the frame structure.
-    /// [`SweepSpec::merge_shard_bytes`] accepts either format, mixed
-    /// freely, with byte-identical merged output.
+    /// The self-describing shard artifact `sweep --shard i/n` writes: a
+    /// header binding the slice to its spec (embedded verbatim) and grid
+    /// fingerprint, then the [`put_rows`](crate::store::put_rows) section
+    /// with one serialized outcome per case. Length-prefixed, so
+    /// [`SweepSpec::merge_shard_bytes`] parses it in one forward pass.
+    /// Byte-deterministic, like every other engine output.
     pub fn artifact_bytes(&self) -> Result<Vec<u8>, String> {
-        use crate::store::{put_u32, put_u64};
+        use crate::store::{put_rows, put_u32, put_u64};
         let spec_block = self.spec.encode_spec()?;
         let mut out = Vec::with_capacity(64 + spec_block.len() + self.runs.len() * 48);
-        out.extend_from_slice(BIN_SHARD_MAGIC);
+        out.extend_from_slice(SHARD_MAGIC);
         put_u32(&mut out, SCHEMA_VERSION);
         put_u32(&mut out, self.shard.index as u32);
         put_u32(&mut out, self.shard.of as u32);
@@ -921,13 +869,10 @@ impl ShardResult {
         put_u64(&mut out, self.spec.grid_fingerprint());
         put_u32(&mut out, spec_block.len() as u32);
         out.extend_from_slice(spec_block.as_bytes());
-        put_u32(&mut out, self.runs.len() as u32);
-        for run in &self.runs {
-            let payload = crate::store::encode_outcome(&run.outcome);
-            put_u64(&mut out, run.case.index as u64);
-            put_u32(&mut out, payload.len() as u32);
-            out.extend_from_slice(payload.as_bytes());
-        }
+        put_rows(
+            &mut out,
+            self.runs.iter().map(|run| (run.case.index, &run.outcome)),
+        );
         Ok(out)
     }
 
@@ -984,26 +929,19 @@ struct ParsedShard {
 }
 
 impl ParsedShard {
-    /// Parses an artifact of either format, dispatching on the binary
-    /// magic prefix.
-    fn parse_any(bytes: &[u8]) -> Result<ParsedShard, String> {
-        if bytes.starts_with(BIN_SHARD_MAGIC) {
-            return ParsedShard::parse_bytes(bytes);
-        }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|_| "artifact is neither a binary shard nor UTF-8 text".to_string())?;
-        ParsedShard::parse(text)
-    }
-
-    /// Parses an [`ShardResult::artifact_bytes`] binary artifact.
+    /// Parses a [`ShardResult::artifact_bytes`] artifact.
     fn parse_bytes(bytes: &[u8]) -> Result<ParsedShard, String> {
-        use crate::store::{take_str, take_u32, take_u64};
-        let trunc = || "truncated binary shard artifact".to_string();
-        let rest = bytes.strip_prefix(BIN_SHARD_MAGIC).ok_or_else(trunc)?;
+        use crate::store::{take_rows, take_str, take_u32, take_u64};
+        let trunc = || "truncated shard artifact".to_string();
+        let rest = bytes.strip_prefix(SHARD_MAGIC).ok_or_else(|| {
+            "not a shard artifact: missing the STGSHRD magic (regenerate it with \
+             `sweep --shard i/n`)"
+                .to_string()
+        })?;
         let (version, rest) = take_u32(rest).ok_or_else(trunc)?;
         if version != SCHEMA_VERSION {
             return Err(format!(
-                "binary shard artifact v{version} (expected v{SCHEMA_VERSION}; \
+                "shard artifact v{version} (expected v{SCHEMA_VERSION}; \
                  regenerate shards after a schema bump)"
             ));
         }
@@ -1025,98 +963,8 @@ impl ParsedShard {
         let (fingerprint, rest) = take_u64(rest).ok_or_else(trunc)?;
         let (spec_len, rest) = take_u32(rest).ok_or_else(trunc)?;
         let (spec_block, rest) = take_str(rest, spec_len as usize).ok_or_else(trunc)?;
-        let (row_count, mut rest) = take_u32(rest).ok_or_else(trunc)?;
-        if row_count as u64 != end - start {
-            return Err(format!(
-                "shard {shard} carries {row_count} rows for a {}-case slice",
-                end - start
-            ));
-        }
-        let mut rows = Vec::with_capacity(row_count as usize);
-        for _ in 0..row_count {
-            let (case_index, r) = take_u64(rest).ok_or_else(trunc)?;
-            let (payload_len, r) = take_u32(r).ok_or_else(trunc)?;
-            let (payload, r) = take_str(r, payload_len as usize).ok_or_else(trunc)?;
-            let outcome = crate::store::decode_outcome(payload)
-                .ok_or_else(|| format!("undecodable row payload for case {case_index}"))?;
-            rows.push((case_index as usize, outcome));
-            rest = r;
-        }
-        if !rest.is_empty() {
-            return Err("trailing bytes after binary shard rows".to_string());
-        }
-        Ok(ParsedShard {
-            shard,
-            total: total as usize,
-            fingerprint,
-            spec_block: spec_block.to_string(),
-            rows,
-        })
-    }
-
-    fn parse(text: &str) -> Result<ParsedShard, String> {
-        let mut lines = text.lines();
-        let magic = lines.next().unwrap_or_default();
-        if magic != shard_magic() {
-            return Err(format!(
-                "bad magic {magic:?} (expected {:?}; regenerate shards after a schema bump)",
-                shard_magic()
-            ));
-        }
-        let field = |line: Option<&str>, name: &str| -> Result<String, String> {
-            let line = line.ok_or_else(|| format!("truncated header (missing {name})"))?;
-            line.strip_prefix(name)
-                .and_then(|r| r.strip_prefix(' '))
-                .map(str::to_string)
-                .ok_or_else(|| format!("expected {name:?} line, found {line:?}"))
-        };
-        let shard: Shard = field(lines.next(), "shard")?
-            .parse()
-            .map_err(|e| format!("{e}"))?;
-        let cases = field(lines.next(), "cases")?;
-        let (range, total) = cases
-            .split_once(" of ")
-            .ok_or_else(|| format!("malformed cases line {cases:?}"))?;
-        let (start, end) = range
-            .split_once("..")
-            .ok_or_else(|| format!("malformed case range {range:?}"))?;
-        let start: usize = start.parse().map_err(|_| "bad range start".to_string())?;
-        let end: usize = end.parse().map_err(|_| "bad range end".to_string())?;
-        let total: usize = total.parse().map_err(|_| "bad case total".to_string())?;
-        if start > end || end > total {
-            return Err(format!("malformed case range {start}..{end} of {total}"));
-        }
-        let grid = field(lines.next(), "grid")?;
-        let fingerprint =
-            u64::from_str_radix(&grid, 16).map_err(|_| format!("bad fingerprint {grid:?}"))?;
-        if lines.next() != Some("spec-begin") {
-            return Err("missing spec-begin".to_string());
-        }
-        let mut spec_block = String::new();
-        loop {
-            match lines.next() {
-                Some("spec-end") => break,
-                Some(line) => {
-                    spec_block.push_str(line);
-                    spec_block.push('\n');
-                }
-                None => return Err("missing spec-end".to_string()),
-            }
-        }
-        let mut rows = Vec::new();
-        for line in lines {
-            let rest = line
-                .strip_prefix("row ")
-                .ok_or_else(|| format!("expected row line, found {line:?}"))?;
-            let (index, payload) = rest
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed row {line:?}"))?;
-            let index: usize = index.parse().map_err(|_| "bad row index".to_string())?;
-            let outcome = crate::store::decode_outcome(payload)
-                .ok_or_else(|| format!("undecodable row payload for case {index}"))?;
-            rows.push((index, outcome));
-        }
-        if rows.len() != end - start {
+        let rows = take_rows(rest)?;
+        if rows.len() as u64 != end - start {
             return Err(format!(
                 "shard {shard} carries {} rows for a {}-case slice",
                 rows.len(),
@@ -1125,9 +973,9 @@ impl ParsedShard {
         }
         Ok(ParsedShard {
             shard,
-            total,
+            total: total as usize,
             fingerprint,
-            spec_block,
+            spec_block: spec_block.to_string(),
             rows,
         })
     }
@@ -2111,51 +1959,17 @@ mod tests {
         let unsharded = spec.run();
         let total = unsharded.runs.len();
         for of in [1usize, 2, 3, total, total + 3] {
-            let artifacts: Vec<String> = (0..of)
+            let artifacts: Vec<Vec<u8>> = (0..of)
                 .map(|index| {
                     spec.run_shard(Shard { index, of }, None)
-                        .artifact()
+                        .artifact_bytes()
                         .expect("registry workloads shard")
                 })
                 .collect();
-            let merged = SweepSpec::merge_shards(&artifacts).expect("complete shard set");
+            let merged = SweepSpec::merge_shard_bytes(&artifacts).expect("complete shard set");
             assert_eq!(merged.to_csv(), unsharded.to_csv(), "{of}-way");
             assert_eq!(merged.to_json(), unsharded.to_json(), "{of}-way");
         }
-    }
-
-    #[test]
-    fn binary_and_mixed_artifacts_merge_byte_identically() {
-        let mut spec = smoke_spec();
-        spec.seed = 0x5EED_CE15;
-        let unsharded = spec.run();
-        let of = 3;
-        let results: Vec<ShardResult> = (0..of)
-            .map(|index| spec.run_shard(Shard { index, of }, None))
-            .collect();
-        // All-binary merge.
-        let bins: Vec<Vec<u8>> = results
-            .iter()
-            .map(|r| r.artifact_bytes().expect("binary artifact"))
-            .collect();
-        let merged = SweepSpec::merge_shard_bytes(&bins).expect("binary shard set");
-        assert_eq!(merged.to_csv(), unsharded.to_csv());
-        assert_eq!(merged.to_json(), unsharded.to_json());
-        // Mixed text + binary merge (format is a per-artifact choice).
-        let mixed: Vec<Vec<u8>> = results
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                if i % 2 == 0 {
-                    r.artifact().expect("text artifact").into_bytes()
-                } else {
-                    r.artifact_bytes().expect("binary artifact")
-                }
-            })
-            .collect();
-        let merged = SweepSpec::merge_shard_bytes(&mixed).expect("mixed shard set");
-        assert_eq!(merged.to_csv(), unsharded.to_csv());
-        assert_eq!(merged.to_json(), unsharded.to_json());
     }
 
     #[test]
@@ -2177,7 +1991,7 @@ mod tests {
         }
         // A wrong schema version is rejected with the regenerate hint.
         let mut stale = b1.clone();
-        stale[BIN_SHARD_MAGIC.len()] ^= 0xff;
+        stale[SHARD_MAGIC.len()] ^= 0xff;
         let err = match SweepSpec::merge_shard_bytes(&[b0.clone(), stale]) {
             Err(e) => e,
             Ok(_) => panic!("stale version must be rejected"),
@@ -2195,36 +2009,50 @@ mod tests {
         spec.seed = 0x5EED_CE14;
         let shard = |spec: &SweepSpec, index, of| {
             spec.run_shard(Shard { index, of }, None)
-                .artifact()
+                .artifact_bytes()
                 .unwrap()
+        };
+        let merge_err = |artifacts: &[Vec<u8>]| match SweepSpec::merge_shard_bytes(artifacts) {
+            Err(e) => e,
+            Ok(_) => panic!("merge must be rejected"),
         };
         let a0 = shard(&spec, 0, 2);
         let a1 = shard(&spec, 1, 2);
         // Complete set merges; incomplete or duplicated sets do not.
-        assert!(SweepSpec::merge_shards(&[a1.clone(), a0.clone()]).is_ok());
-        assert!(SweepSpec::merge_shards(std::slice::from_ref(&a0)).is_err());
-        assert!(SweepSpec::merge_shards(&[a0.clone(), a0.clone()]).is_err());
-        assert!(SweepSpec::merge_shards(&[]).is_err());
+        assert!(SweepSpec::merge_shard_bytes(&[a1.clone(), a0.clone()]).is_ok());
+        merge_err(std::slice::from_ref(&a0));
+        merge_err(&[a0.clone(), a0.clone()]);
+        merge_err(&[]);
         // A shard of a different spec (seed) cannot join the set.
         let mut other = spec.clone();
         other.seed += 1;
         let foreign = shard(&other, 1, 2);
-        assert!(SweepSpec::merge_shards(&[a0.clone(), foreign]).is_err());
-        // Corrupted rows are rejected outright.
-        let corrupt = a1.replace("row", "rwo");
-        assert!(SweepSpec::merge_shards(&[a0.clone(), corrupt]).is_err());
+        merge_err(&[a0.clone(), foreign]);
+        // Header layout: magic, u32 version, u32 index, u32 of, u64 case
+        // range start/end/total, u64 fingerprint, u32 spec length, the
+        // spec block, then the row section (u32 count; per row a u64
+        // index and u32 length before the payload).
+        let range_at = SHARD_MAGIC.len() + 12;
+        let spec_len_at = range_at + 32;
+        let spec_len = u32::from_le_bytes(a1[spec_len_at..spec_len_at + 4].try_into().unwrap());
+        let first_payload_at = spec_len_at + 4 + spec_len as usize + 4 + 12;
+        // Corrupted rows are rejected outright: a garbage payload byte
+        // with intact framing.
+        let mut corrupt = a1.clone();
+        corrupt[first_payload_at] = b'#';
+        let err = merge_err(&[a0.clone(), corrupt]);
+        assert!(err.contains("undecodable row payload"), "{err}");
         // A reversed or out-of-bounds case range is a malformed artifact,
         // not an arithmetic panic.
-        let cases_line = a1
-            .lines()
-            .find(|l| l.starts_with("cases "))
-            .expect("header")
-            .to_string();
-        for bad in ["cases 12..0 of 12", "cases 0..99 of 12"] {
-            let reversed = a1.replace(&cases_line, bad);
+        let total = spec.total_cases() as u64;
+        for (start, end) in [(total, 0), (0, total + 87)] {
+            let mut bad = a1.clone();
+            bad[range_at..range_at + 8].copy_from_slice(&start.to_le_bytes());
+            bad[range_at + 8..range_at + 16].copy_from_slice(&end.to_le_bytes());
+            let err = merge_err(&[a0.clone(), bad]);
             assert!(
-                SweepSpec::merge_shards(&[a0.clone(), reversed]).is_err(),
-                "{bad}"
+                err.contains("malformed case range"),
+                "{start}..{end}: {err}"
             );
         }
     }
@@ -2255,7 +2083,7 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert!(spec
             .run_shard(Shard { index: 0, of: 1 }, None)
-            .artifact()
+            .artifact_bytes()
             .is_err());
     }
 

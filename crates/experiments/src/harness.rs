@@ -51,9 +51,6 @@ pub struct Args {
     /// Evaluate only one index-range slice of the grid (`--shard i/n`,
     /// `sweep` binary only) and emit a shard artifact.
     pub shard: Option<Shard>,
-    /// Emit the shard artifact in the compact binary encoding (`--bin`,
-    /// with `--shard`); `sweep merge` accepts both encodings, mixed.
-    pub bin: bool,
 }
 
 impl Default for Args {
@@ -75,7 +72,6 @@ impl Default for Args {
             list_schedulers: false,
             cache_dir: None,
             shard: None,
-            bin: false,
         }
     }
 }
@@ -83,7 +79,7 @@ impl Default for Args {
 impl Args {
     /// Parses `--graphs N --seed S --timeout-ms T --csv --json --validate
     /// --sim KIND --sim-timing --threads N --workload LIST --pes LIST
-    /// --scheduler LIST --cache-dir DIR --shard I/N --bin --list-workloads
+    /// --scheduler LIST --cache-dir DIR --shard I/N --list-workloads
     /// --list-schedulers` from `std::env`. List flags take comma-separated
     /// values and may repeat; `--topology` is an alias of `--workload`.
     /// `--sim` takes `reference` (default), `batched` (the bit-identical
@@ -133,13 +129,11 @@ impl Args {
                     args.cache_dir = Some(dir.into());
                 }
                 "--shard" => args.shard = Some(next_parsed(&mut it, "--shard")),
-                "--bin" => args.bin = true,
                 other => {
                     eprintln!(
                         "unknown flag {other}; supported: --graphs --seed --timeout-ms --csv \
                          --json --validate --sim --sim-timing --threads --workload --pes \
-                         --scheduler --cache-dir --shard --bin --list-workloads \
-                         --list-schedulers"
+                         --scheduler --cache-dir --shard --list-workloads --list-schedulers"
                     );
                     std::process::exit(2);
                 }
@@ -189,18 +183,14 @@ impl Args {
         })
     }
 
-    /// Exits with usage error when `--shard` (or `--bin`) was passed to a
-    /// binary that does not emit shard artifacts (everything but `sweep`).
+    /// Exits with usage error when `--shard` was passed to a binary that
+    /// does not emit shard artifacts (everything but `sweep`).
     pub fn reject_shard(&self, bin: &str) {
         if let Some(shard) = self.shard {
             eprintln!(
                 "--shard {shard} is only supported by the sweep binary; {bin} has no \
                  mergeable artifact format"
             );
-            std::process::exit(2);
-        }
-        if self.bin {
-            eprintln!("--bin is only supported by the sweep binary (with --shard)");
             std::process::exit(2);
         }
     }

@@ -18,43 +18,37 @@
 //!
 //! Invalidation is structural, not temporal: the canonical key string is
 //! embedded in every cache entry and verified on load, so a hash
-//! collision, a truncated file, or an entry written by an older
+//! collision, a corrupt payload, or an entry written by an older
 //! [`SCHEMA_VERSION`] is detected, counted in
-//! [`StoreStats::invalidations`], and transparently re-evaluated. An
-//! invalid **disk** artifact is additionally *deleted* (counted in
-//! [`StoreStats::evicted`]) so corruption heals instead of re-triggering
-//! an invalidation in every future process. Bump [`SCHEMA_VERSION`]
+//! [`StoreStats::invalidations`], and transparently re-evaluated. A
+//! segment file that does not even parse is additionally *deleted*
+//! (counted in [`StoreStats::evicted`]) so corruption heals instead of
+//! re-triggering in every future process. Bump [`SCHEMA_VERSION`]
 //! whenever the meaning of a cell changes — new record fields, changed
 //! scheduler/simulator semantics, changed workload generators — and
 //! every old entry misses.
 //!
-//! ## Disk layout: per-cell files and batched segments
+//! ## Disk layout: segment files
 //!
-//! Two artifact kinds coexist under a `--cache-dir`:
+//! A `--cache-dir` holds one artifact kind: `seg-{hash:016x}.cells`, a
+//! length-prefixed binary segment of many entries, written by
+//! [`ResultStore::insert_batched`] + [`ResultStore::flush`]. One `fsync`
+//! per [`FLUSH_THRESHOLD`] cells (or per flush). On the first disk lookup
+//! the store memory-maps every segment and builds a per-entry *offset
+//! index* — entries are **not** copied into the in-memory map; lookups
+//! verify the embedded canonical key and decode the payload straight out
+//! of the mapped bytes. A segment that fails to parse (truncation, stale
+//! schema) is deleted as one eviction. Where `mmap(2)` is unavailable
+//! (non-Linux platforms) or fails, and for empty files, the segment is
+//! read into an owned buffer instead; everything downstream sees the same
+//! byte slice.
 //!
-//! - `{hash:016x}.cell` — one entry per file (canonical-key line +
-//!   payload line), written by [`ResultStore::insert`]. One `fsync` +
-//!   rename per cell: right for incremental writers like the service
-//!   daemon, far too slow for million-cell sweeps.
-//! - `seg-{hash:016x}.cells` — a length-prefixed binary segment holding
-//!   many entries, written by [`ResultStore::insert_batched`] +
-//!   [`ResultStore::flush`] (the sweep engine's persist path). One
-//!   `fsync` per [`FLUSH_THRESHOLD`] cells. On the first disk lookup the
-//!   store memory-maps every segment and builds a per-entry *offset
-//!   index* — entries are **not** copied into the in-memory map; lookups
-//!   verify the embedded canonical key and decode the payload straight
-//!   out of the mapped bytes. A segment that fails to parse (truncation,
-//!   stale schema) is deleted as one eviction. Setting `STG_STORE_MMAP=0`
-//!   (or running on a platform without `mmap`) falls back to reading each
-//!   segment into an owned buffer; the index, verification, and every
-//!   observable byte and counter are identical on both paths.
-//!
-//! Both kinds are written atomically (unique temp file + rename), so a
-//! killed sweep never leaves a half-written artifact a later reader
-//! would trip over — at worst an orphaned `*.tmp` that no lookup ever
-//! matches.
+//! Segments are written atomically (a temp file unique per process and
+//! write, then rename), so a killed sweep or two threads flushing the
+//! same cells never leave a half-written segment a later reader would
+//! trip over — at worst an orphaned `.seg-*.tmp` that no lookup reads.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -76,9 +70,9 @@ pub const SCHEMA_VERSION: u32 = 2;
 
 /// Pending batched inserts are flushed into a segment file once this
 /// many accumulate (and finally on [`ResultStore::flush`]/drop). Each
-/// flush costs one `fsync` + rename — amortized, ~4000× fewer syncs than
-/// the per-cell path. Pending entries are a few hundred bytes each, so
-/// the queue tops out well under a megabyte before flushing.
+/// flush costs one `fsync` + rename, amortized over up to this many
+/// cells. Pending entries are a few hundred bytes each, so the queue tops
+/// out well under a megabyte before flushing.
 pub const FLUSH_THRESHOLD: usize = 4096;
 
 /// A cell outcome as the engine records it: a scheduling error is data,
@@ -139,7 +133,8 @@ impl CellKey {
         CellKey { canonical, hash }
     }
 
-    /// The content hash (also the disk file name stem).
+    /// The content hash (the entry's index key in memory and in
+    /// segment files).
     pub fn hash(&self) -> u64 {
         self.hash
     }
@@ -148,11 +143,6 @@ impl CellKey {
     /// every cache entry and verified on load.
     pub fn canonical(&self) -> &str {
         &self.canonical
-    }
-
-    /// The file this key persists under inside a `--cache-dir`.
-    pub fn file_name(&self) -> String {
-        format!("{:016x}.cell", self.hash)
     }
 
     /// A *semantic* cell key: identifies a cell by the structural
@@ -208,10 +198,10 @@ impl CellKey {
 ///
 /// `misses` counts every lookup that forced an evaluation, including the
 /// `invalidations` subset (entries that existed but failed verification —
-/// canonical-key mismatch, truncation, undecodable payload). `evicted`
-/// counts disk artifacts *deleted* because they were invalid: corrupt or
-/// truncated per-cell files, and whole segment files that failed to
-/// parse. `repaired` counts nominal misses subsequently served from a
+/// canonical-key mismatch, undecodable payload). `evicted` counts
+/// segment files *deleted* because they failed to parse as a whole
+/// (truncation, stale schema, foreign bytes). `repaired` counts nominal
+/// misses subsequently served from a
 /// semantic (fingerprint-keyed) entry via
 /// [`ResultStore::lookup_repaired`] — repaired cells are *not* hits (the
 /// nominal lookup missed) and probing a semantic key never counts a miss.
@@ -223,8 +213,7 @@ pub struct StoreStats {
     pub misses: u64,
     /// Entries found but rejected by verification (subset of `misses`).
     pub invalidations: u64,
-    /// Invalid disk artifacts deleted (corrupt cell files, unparseable
-    /// segment files).
+    /// Unparseable segment files deleted.
     pub evicted: u64,
     /// Nominal misses repaired from a semantic (graph-fingerprint) entry.
     pub repaired: u64,
@@ -254,11 +243,11 @@ impl StoreStats {
 /// on-disk directory shared across processes.
 ///
 /// Thread-safe; lookups and inserts from concurrent shards of one grid
-/// are fine. Disk writes are atomic (temp file + rename), so concurrent
-/// writers of the same cell race benignly — both write identical content.
-/// Disk I/O errors degrade to cache misses (with a once-per-store
-/// warning) rather than failing the sweep: the cache is an accelerator,
-/// never a correctness dependency.
+/// are fine. Segment writes are atomic (unique temp file + rename), so
+/// concurrent writers of the same cells race benignly — both publish
+/// identical content. Disk I/O errors degrade to cache misses (with a
+/// once-per-store warning) rather than failing the sweep: the cache is an
+/// accelerator, never a correctness dependency.
 pub struct ResultStore {
     mem: Mutex<HashMap<u64, Arc<Entry>>>,
     dir: Option<PathBuf>,
@@ -267,9 +256,6 @@ pub struct ResultStore {
     /// The lazily built zero-copy index over the directory's `seg-*.cells`
     /// files (built once, on the first disk lookup).
     segments: OnceLock<SegmentIndex>,
-    /// Whether segment files are memory-mapped (`STG_STORE_MMAP` gate,
-    /// resolved at construction; overridable for tests).
-    use_mmap: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -283,22 +269,13 @@ struct Entry {
     payload: String,
 }
 
-/// What probing the backing directory for a key finds.
-enum DiskEntry {
-    /// No file (or no directory configured).
-    Absent,
-    /// A file that does not even split into (canonical, payload) lines.
-    Malformed,
-    /// A structurally intact entry, still to be verified against the key.
-    Entry(String, String),
-}
-
-/// A read-only view of one segment file's bytes: memory-mapped when the
-/// platform supports it and `STG_STORE_MMAP` is not `0`, otherwise an
-/// owned buffer read in whole. Both variants expose the identical byte
-/// slice, so every parse/verify path downstream is shared.
+/// A read-only view of one segment file's bytes: memory-mapped on
+/// Linux, otherwise an owned buffer read in whole. Both variants expose
+/// the identical byte slice, so every parse/verify path downstream is
+/// shared.
 enum Mapping {
-    /// The copying fallback (and the only variant off Linux).
+    /// The fallback for platforms without `mmap(2)`, empty files, and
+    /// failed maps.
     Owned(Vec<u8>),
     /// A `PROT_READ`/`MAP_PRIVATE` file mapping, unmapped on drop.
     #[cfg(target_os = "linux")]
@@ -311,17 +288,14 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    /// Opens `path` for reading, mapping it when `use_mmap` allows.
+    /// Opens `path` for reading, mapping it where the platform allows.
     /// A failed map silently degrades to the owned read — the two are
     /// byte-identical.
-    fn open(path: &Path, use_mmap: bool) -> std::io::Result<Mapping> {
+    fn open(path: &Path) -> std::io::Result<Mapping> {
         #[cfg(target_os = "linux")]
-        if use_mmap {
-            if let Ok(m) = Mapping::map_file(path) {
-                return Ok(m);
-            }
+        if let Ok(m) = Mapping::map_file(path) {
+            return Ok(m);
         }
-        let _ = use_mmap;
         Ok(Mapping::Owned(std::fs::read(path)?))
     }
 
@@ -397,8 +371,7 @@ impl Drop for Mapping {
 
 /// Where one entry's strings live inside a mapped segment: byte ranges,
 /// not copies. UTF-8 validity was checked once at index build, and the
-/// canonical key + payload decode are re-verified on every probe — the
-/// same verification the copying path performs.
+/// canonical key + payload decode are re-verified on every probe.
 struct SegRef {
     seg: u32,
     canonical: (u32, u32),
@@ -412,51 +385,13 @@ struct SegRef {
 /// [`Mapping`] per segment plus a hash → [`SegRef`] table. Built once per
 /// store on the first disk lookup; unparseable segments are deleted
 /// (whole-file eviction) during the build.
+#[derive(Default)]
 struct SegmentIndex {
     maps: Vec<Mapping>,
     refs: HashMap<u64, SegRef>,
-    /// Negative cache over per-cell `{hash:016x}.cell` files: the hashes
-    /// whose files existed when the directory was scanned, kept current
-    /// with this process's own writes and evictions. Lets a cold sweep
-    /// skip one failed `open(2)` per missing cell. `None` when the scan
-    /// failed — then every probe falls through to the filesystem.
-    cell_files: Option<Mutex<HashSet<u64>>>,
 }
 
 impl SegmentIndex {
-    fn empty() -> SegmentIndex {
-        SegmentIndex {
-            maps: Vec::new(),
-            refs: HashMap::new(),
-            cell_files: None,
-        }
-    }
-
-    /// Records that a per-cell file for `hash` now exists (a
-    /// [`ResultStore::insert`] write landed after the scan).
-    fn note_cell_file(&self, hash: u64) {
-        if let Some(files) = &self.cell_files {
-            files.lock().expect("cell file set").insert(hash);
-        }
-    }
-
-    /// Records that the per-cell file for `hash` is gone (evicted).
-    fn forget_cell_file(&self, hash: u64) {
-        if let Some(files) = &self.cell_files {
-            files.lock().expect("cell file set").remove(&hash);
-        }
-    }
-
-    /// Whether a per-cell file for `hash` may exist on disk. `true` when
-    /// the negative cache is disabled (failed scan) — absence can only be
-    /// trusted from a complete scan.
-    fn may_have_cell_file(&self, hash: u64) -> bool {
-        match &self.cell_files {
-            Some(files) => files.lock().expect("cell file set").contains(&hash),
-            None => true,
-        }
-    }
-
     /// The (canonical, payload) string views of `r`. The slices were
     /// UTF-8-checked when the index was built.
     fn strings(&self, r: &SegRef) -> (&str, &str) {
@@ -477,7 +412,6 @@ impl ResultStore {
             dir: None,
             pending: Mutex::new(Vec::new()),
             segments: OnceLock::new(),
-            use_mmap: mmap_enabled(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -487,22 +421,12 @@ impl ResultStore {
         }
     }
 
-    /// A store persisting under `dir` (created if absent), as `--cache-dir`
-    /// opens it. Segment files are memory-mapped unless the
-    /// `STG_STORE_MMAP=0` escape hatch (or a non-Linux platform) selects
-    /// the byte-identical copying fallback.
+    /// A store persisting segment files under `dir` (created if absent),
+    /// as `--cache-dir` opens it.
     pub fn at_dir(dir: impl AsRef<Path>) -> std::io::Result<ResultStore> {
-        ResultStore::at_dir_with_mmap(dir, mmap_enabled())
-    }
-
-    /// As [`ResultStore::at_dir`], but pinning the segment-mapping mode
-    /// explicitly instead of consulting `STG_STORE_MMAP` — lets tests
-    /// compare the mapped and copying paths within one process.
-    pub fn at_dir_with_mmap(dir: impl AsRef<Path>, use_mmap: bool) -> std::io::Result<ResultStore> {
         std::fs::create_dir_all(dir.as_ref())?;
         let mut store = ResultStore::in_memory();
         store.dir = Some(dir.as_ref().to_path_buf());
-        store.use_mmap = use_mmap;
         Ok(store)
     }
 
@@ -542,13 +466,12 @@ impl ResultStore {
     }
 
     /// The lookup mechanics without hit/miss accounting: memory, then the
-    /// zero-copy segment index, then per-cell files with promotion —
-    /// verification and invalidation/eviction of unverifiable entries
-    /// happen at every layer (those structural counters always tick
-    /// here).
+    /// zero-copy segment index — verification and invalidation of
+    /// unverifiable entries happen at both layers (that structural
+    /// counter always ticks here).
     fn probe(&self, key: &CellKey) -> Option<Outcome> {
-        // 1. In-memory entries: this process's inserts and promoted
-        //    per-cell files. An `Arc` clone, not a string copy.
+        // 1. In-memory entries: this process's inserts. An `Arc` clone,
+        //    not a string copy.
         let mem_entry = {
             let mem = self.mem.lock().expect("result store lock");
             mem.get(&key.hash).cloned()
@@ -559,14 +482,13 @@ impl ResultStore {
                     return Some(o);
                 }
             }
-            // Present but unverifiable: collision or a stale format. Drop
-            // it from memory and disk; the evaluation that follows
-            // re-inserts a fresh entry.
+            // Present but unverifiable: a hash collision. Drop it from
+            // memory; the evaluation that follows re-inserts a fresh
+            // entry.
             self.mem
                 .lock()
                 .expect("result store lock")
                 .remove(&key.hash);
-            self.evict_cell_file(key);
             self.invalidations.fetch_add(1, Ordering::Relaxed);
             return None;
         }
@@ -574,64 +496,30 @@ impl ResultStore {
         //    nothing is promoted or copied; re-probes re-verify the same
         //    bytes in place.
         let segs = self.segment_index();
-        if let Some(r) = segs.refs.get(&key.hash) {
-            if !r.dead.load(Ordering::Relaxed) {
-                let (canonical, payload) = segs.strings(r);
-                if canonical == key.canonical() {
-                    if let Some(o) = decode_outcome(payload) {
-                        return Some(o);
-                    }
-                }
-                // Unverifiable segment entry (hash collision): tombstone
-                // it so later probes miss cleanly. The segment file itself
-                // stays — only whole-segment parse failures evict
-                // segments.
-                r.dead.store(true, Ordering::Relaxed);
-                self.evict_cell_file(key);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                return None;
+        let r = segs.refs.get(&key.hash)?;
+        if r.dead.load(Ordering::Relaxed) {
+            return None;
+        }
+        let (canonical, payload) = segs.strings(r);
+        if canonical == key.canonical() {
+            if let Some(o) = decode_outcome(payload) {
+                return Some(o);
             }
         }
-        // 3. Per-cell files (the service daemon's incremental artifacts).
-        match self.read_disk(key) {
-            DiskEntry::Absent => None,
-            DiskEntry::Malformed => {
-                // A file exists but cannot even be split into an entry:
-                // truncation or foreign content. Delete it so the next
-                // process misses cleanly instead of re-invalidating.
-                self.evict_cell_file(key);
-                self.invalidations.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            DiskEntry::Entry(canonical, payload) => {
-                let outcome = (canonical == key.canonical())
-                    .then(|| decode_outcome(&payload))
-                    .flatten();
-                match outcome {
-                    Some(o) => {
-                        // Promote verified per-cell disk hits into memory
-                        // so repeat lookups skip the file re-read.
-                        self.mem
-                            .lock()
-                            .expect("result store lock")
-                            .insert(key.hash, Arc::new(Entry { canonical, payload }));
-                        Some(o)
-                    }
-                    None => {
-                        self.evict_cell_file(key);
-                        self.invalidations.fetch_add(1, Ordering::Relaxed);
-                        None
-                    }
-                }
-            }
-        }
+        // Unverifiable segment entry (hash collision, corrupt payload):
+        // tombstone it so later probes miss cleanly. The segment file
+        // itself stays — only whole-segment parse failures evict
+        // segments.
+        r.dead.store(true, Ordering::Relaxed);
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        None
     }
 
     /// Looks up a batch of keys with `threads` workers, in a single
     /// parallel pass (`None` key slots pass through as `None`) over the
     /// persistent worker pool. This is the sweep engine's prefetch path:
-    /// per-cell disk reads dominate a warm cold-start, and they
-    /// parallelize perfectly. The result vector is index-aligned with
+    /// verifying and decoding entries dominates a warm start, and it
+    /// parallelizes perfectly. The result vector is index-aligned with
     /// `keys` and independent of `threads`.
     pub fn lookup_many(&self, keys: &[Option<CellKey>], threads: usize) -> Vec<Option<Outcome>> {
         // Build the segment index before fanning out, so the workers
@@ -643,27 +531,10 @@ impl ResultStore {
         })
     }
 
-    /// Inserts the outcome of an evaluated cell (memory always, disk when
-    /// configured). The disk write is immediate — one fsync'd per-cell
-    /// file — which suits incremental writers like the service daemon.
-    /// Bulk writers should prefer [`ResultStore::insert_batched`].
-    pub fn insert(&self, key: &CellKey, outcome: &Outcome) {
-        let payload = encode_outcome(outcome);
-        self.write_disk(key, &payload);
-        self.mem.lock().expect("result store lock").insert(
-            key.hash,
-            Arc::new(Entry {
-                canonical: key.canonical().to_string(),
-                payload,
-            }),
-        );
-    }
-
     /// Inserts an outcome into memory immediately and queues the disk
     /// write; queued entries are persisted into one binary segment file
     /// per [`FLUSH_THRESHOLD`] accumulated cells (and on
-    /// [`ResultStore::flush`]/drop). ~500× fewer fsyncs than
-    /// [`ResultStore::insert`] on large sweeps.
+    /// [`ResultStore::flush`]/drop).
     pub fn insert_batched(&self, key: &CellKey, outcome: &Outcome) {
         // One shared entry feeds both the in-memory map and the pending
         // segment queue — a single allocation of each string per insert.
@@ -723,105 +594,26 @@ impl ResultStore {
         self.len() == 0
     }
 
-    fn read_disk(&self, key: &CellKey) -> DiskEntry {
-        let Some(dir) = self.dir.as_ref() else {
-            return DiskEntry::Absent;
-        };
-        // The scan-time snapshot answers "no such file" without a syscall
-        // — the common case for every cell of a cold sweep.
-        if !self.segment_index().may_have_cell_file(key.hash) {
-            return DiskEntry::Absent;
-        }
-        let Ok(text) = std::fs::read_to_string(dir.join(key.file_name())) else {
-            return DiskEntry::Absent;
-        };
-        // Entry layout: canonical key line, payload line.
-        let mut lines = text.lines();
-        match (lines.next(), lines.next()) {
-            (Some(canonical), Some(payload)) => {
-                DiskEntry::Entry(canonical.to_string(), payload.to_string())
-            }
-            _ => DiskEntry::Malformed,
-        }
-    }
-
-    fn write_disk(&self, key: &CellKey, payload: &str) {
-        let Some(dir) = self.dir.as_ref() else {
-            return;
-        };
-        let tmp = dir.join(format!(".{}.{}.tmp", key.file_name(), std::process::id()));
-        let result = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            writeln!(f, "{}", key.canonical())?;
-            writeln!(f, "{payload}")?;
-            f.sync_data()?;
-            std::fs::rename(&tmp, dir.join(key.file_name()))
-        })();
-        match result {
-            Ok(()) => {
-                // Keep the negative cache current when the file lands
-                // after the directory scan already ran.
-                if let Some(index) = self.segments.get() {
-                    index.note_cell_file(key.hash);
-                }
-            }
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                self.warn_io(dir, &e);
-            }
-        }
-    }
-
-    /// Deletes the per-cell disk file for `key`, counting an eviction if a
-    /// file was actually removed. A no-op for in-memory stores and for
-    /// keys that only ever lived in a segment.
-    fn evict_cell_file(&self, key: &CellKey) {
-        let Some(dir) = self.dir.as_ref() else {
-            return;
-        };
-        if std::fs::remove_file(dir.join(key.file_name())).is_ok() {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(index) = self.segments.get() {
-            index.forget_cell_file(key.hash);
-        }
-    }
-
     /// The zero-copy segment index, built on first use: every
-    /// `seg-*.cells` file in the backing directory is mapped (or read, on
-    /// the fallback path) and indexed by entry hash — entry bytes are
-    /// never copied into the in-memory map. A segment that fails to parse
-    /// — truncation, stale schema, foreign bytes — is deleted whole and
-    /// counted as one eviction during the build. The same scan snapshots
-    /// the existing per-cell `*.cell` files into a negative cache, so
-    /// lookups of never-persisted keys skip the filesystem.
+    /// `seg-*.cells` file in the backing directory is mapped and indexed
+    /// by entry hash — entry bytes are never copied into the in-memory
+    /// map. A segment that fails to parse — truncation, stale schema,
+    /// foreign bytes — is deleted whole and counted as one eviction
+    /// during the build.
     fn segment_index(&self) -> &SegmentIndex {
         self.segments.get_or_init(|| {
-            let Some(dir) = self.dir.as_ref() else {
-                return SegmentIndex::empty();
+            let mut index = SegmentIndex::default();
+            let Some(listing) = self.dir.as_ref().and_then(|d| std::fs::read_dir(d).ok()) else {
+                return index;
             };
-            let Ok(listing) = std::fs::read_dir(dir) else {
-                return SegmentIndex::empty();
-            };
-            let mut index = SegmentIndex::empty();
-            // The same scan snapshots which per-cell files exist, so cold
-            // misses can skip the per-key filesystem probe entirely.
-            let mut cell_files = HashSet::new();
             for dirent in listing.flatten() {
                 let name = dirent.file_name();
                 let Some(name) = name.to_str() else { continue };
                 if !name.starts_with("seg-") || !name.ends_with(".cells") {
-                    if let Some(stem) = name.strip_suffix(".cell") {
-                        if stem.len() == 16 {
-                            if let Ok(hash) = u64::from_str_radix(stem, 16) {
-                                cell_files.insert(hash);
-                            }
-                        }
-                    }
                     continue;
                 }
                 let path = dirent.path();
-                let Ok(map) = Mapping::open(&path, self.use_mmap) else {
+                let Ok(map) = Mapping::open(&path) else {
                     continue;
                 };
                 let seg = index.maps.len() as u32;
@@ -843,16 +635,19 @@ impl ResultStore {
                     }
                 }
             }
-            index.cell_files = Some(Mutex::new(cell_files));
             index
         })
     }
 
     /// Writes `entries` as one atomic binary segment file. The file name
     /// is content-derived (FNV-1a over the entry hashes), so concurrent
-    /// shards persisting the same cells race benignly onto the same name
-    /// with identical bytes.
+    /// writers persisting the same cells — shards, or service workers
+    /// that evaluated one shared cell — race benignly onto the same name
+    /// with identical bytes. Each write stages through its own temp file
+    /// (unique per process and call), so racing writers never share an
+    /// inode and a reader can only ever map a complete segment.
     fn write_segment(&self, entries: &[(u64, Arc<Entry>)]) {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let Some(dir) = self.dir.as_ref() else {
             return;
         };
@@ -870,7 +665,12 @@ impl ResultStore {
             name_hash.extend_from_slice(&hash.to_le_bytes());
         }
         let file = format!("seg-{:016x}.cells", fnv1a(&name_hash));
-        let tmp = dir.join(format!(".{file}.{}.tmp", std::process::id()));
+        // The leading dot keeps temp files out of every `seg-*` listing.
+        let tmp = dir.join(format!(
+            ".{file}.{}.{}.tmp",
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
         let result = (|| -> std::io::Result<()> {
             let mut f = std::fs::File::create(&tmp)?;
             f.write_all(&body)?;
@@ -883,10 +683,14 @@ impl ResultStore {
         }
     }
 
+    /// Reports the first failed segment write of this store. The failed
+    /// batch stays served from memory for this process only; later
+    /// flushes still try the disk.
     fn warn_io(&self, dir: &Path, e: &std::io::Error) {
         if !self.warned_io.swap(true, Ordering::Relaxed) {
             eprintln!(
-                "warning: cell cache writes to {} failing ({e}); continuing uncached",
+                "warning: cell cache write to {} failed ({e}); those cells stay in memory \
+                 only (later write failures are not reported)",
                 dir.display()
             );
         }
@@ -901,15 +705,6 @@ impl Drop for ResultStore {
 
 /// Magic prefix of binary segment files.
 const SEGMENT_MAGIC: &[u8] = b"STGCELLS";
-
-/// Whether segment mapping is enabled for new stores: the
-/// `STG_STORE_MMAP=0` escape hatch selects the copying fallback, any
-/// other value (or its absence) keeps mmap on. Resolved per store at
-/// construction, so a long-lived process honors the environment it was
-/// launched with.
-fn mmap_enabled() -> bool {
-    !matches!(std::env::var("STG_STORE_MMAP").as_deref(), Ok("0"))
-}
 
 /// Walks a binary segment file and records every entry's byte ranges —
 /// the zero-copy analogue of parsing it into owned entries. `None` on any
@@ -951,8 +746,8 @@ fn index_segment(bytes: &[u8], seg: u32) -> Option<Vec<(u64, SegRef)>> {
 }
 
 /// Little-endian `u32` writer for the binary wire/disk formats (segment
-/// files here, shard artifacts in [`crate::engine`], lease row frames in
-/// the fabric crate).
+/// files and the [`put_rows`] section here, shard artifact headers in
+/// [`crate::engine`]).
 pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -978,6 +773,53 @@ pub fn take_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
 pub fn take_str(bytes: &[u8], len: usize) -> Option<(&str, &[u8])> {
     let (head, rest) = bytes.split_at_checked(len)?;
     Some((std::str::from_utf8(head).ok()?, rest))
+}
+
+/// Appends the `(case index, outcome)` row section — the one row
+/// encoding shared by binary shard artifacts and fabric `rows` frames: a
+/// `u32` row count, then per row a `u64` case index, a `u32` payload
+/// length, and the [`encode_outcome`] payload. One payload buffer serves
+/// every row of the call.
+pub fn put_rows<'a, I>(out: &mut Vec<u8>, rows: I)
+where
+    I: IntoIterator<Item = (usize, &'a Outcome)>,
+    I::IntoIter: ExactSizeIterator,
+{
+    let rows = rows.into_iter();
+    put_u32(out, rows.len() as u32);
+    let mut payload = String::with_capacity(96);
+    for (index, outcome) in rows {
+        payload.clear();
+        encode_outcome_into(&mut payload, outcome);
+        put_u64(out, index as u64);
+        put_u32(out, payload.len() as u32);
+        out.extend_from_slice(payload.as_bytes());
+    }
+}
+
+/// Decodes a [`put_rows`] section that runs to the end of `bytes`.
+/// Truncation, an undecodable payload, or trailing bytes are errors,
+/// never panics.
+pub fn take_rows(bytes: &[u8]) -> Result<Vec<(usize, Outcome)>, String> {
+    /// Bytes of one row's framing: its `u64` index and `u32` length.
+    const ROW_FRAME: usize = 12;
+    let trunc = || "truncated row section".to_string();
+    let (count, mut rest) = take_u32(bytes).ok_or_else(trunc)?;
+    // A forged count cannot reserve more rows than the input could hold.
+    let mut rows = Vec::with_capacity((count as usize).min(rest.len() / ROW_FRAME));
+    for _ in 0..count {
+        let (index, r) = take_u64(rest).ok_or_else(trunc)?;
+        let (len, r) = take_u32(r).ok_or_else(trunc)?;
+        let (payload, r) = take_str(r, len as usize).ok_or_else(trunc)?;
+        let outcome = decode_outcome(payload)
+            .ok_or_else(|| format!("undecodable row payload for case {index}"))?;
+        rows.push((index as usize, outcome));
+        rest = r;
+    }
+    if !rest.is_empty() {
+        return Err("trailing bytes after the row section".to_string());
+    }
+    Ok(rows)
 }
 
 // Floats are rendered with `{:?}` (the shortest round-trip
@@ -1212,7 +1054,7 @@ mod tests {
         // Identical components reproduce the identical key.
         let again = CellKey::new(SCHEMA_VERSION, "chain:8", 7, 4, "sb-lts", "off");
         assert_eq!(again, base);
-        assert_eq!(again.file_name(), base.file_name());
+        assert_eq!(again.hash(), base.hash());
     }
 
     #[test]
@@ -1220,7 +1062,7 @@ mod tests {
         let store = ResultStore::in_memory();
         let key = CellKey::new(SCHEMA_VERSION, "chain:8", 1, 2, "sb-lts", "off");
         assert_eq!(store.lookup(&key), None);
-        store.insert(&key, &Ok(sample_record(true)));
+        store.insert_batched(&key, &Ok(sample_record(true)));
         assert_eq!(store.lookup(&key), Some(Ok(sample_record(true))));
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.invalidations), (1, 1, 0));
@@ -1256,53 +1098,29 @@ mod tests {
     }
 
     #[test]
-    fn disk_store_round_trips_across_instances_and_invalidates_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "stg-store-unit-{}-{:x}",
-            std::process::id(),
-            fnv1a(b"disk_store_round_trips")
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let key = CellKey::new(SCHEMA_VERSION, "fft:8", 3, 8, "sb-rlx", "batched");
-        {
-            let store = ResultStore::at_dir(&dir).expect("create cache dir");
-            store.insert(&key, &Ok(sample_record(false)));
+    fn rows_section_round_trips_and_rejects_malformed_input() {
+        let rows: Vec<(usize, Outcome)> = vec![
+            (3, Ok(sample_record(true))),
+            (4, Err(ScheduleError::Cyclic)),
+            (9, Ok(sample_record(false))),
+        ];
+        let mut bytes = Vec::new();
+        put_rows(&mut bytes, rows.iter().map(|(i, o)| (*i, o)));
+        assert_eq!(take_rows(&bytes), Ok(rows));
+        // Every strict prefix is truncated, one more byte is trailing
+        // junk, and a forged count larger than the input is rejected
+        // without reserving for it.
+        for len in 0..bytes.len() {
+            assert!(take_rows(&bytes[..len]).is_err(), "prefix {len}");
         }
-        // A fresh store (fresh process, conceptually) reads it back.
-        let store = ResultStore::at_dir(&dir).expect("open cache dir");
-        assert_eq!(store.lookup(&key), Some(Ok(sample_record(false))));
-        assert_eq!(store.stats().hits, 1);
-        // Corrupt the payload: the entry invalidates AND the file is
-        // evicted, so the next lookup is a clean miss.
-        let store2 = ResultStore::at_dir(&dir).expect("open cache dir");
-        std::fs::write(
-            dir.join(key.file_name()),
-            format!("{}\nok 1 garbage\n", key.canonical()),
-        )
-        .expect("corrupt entry");
-        assert_eq!(store2.lookup(&key), None);
-        let s = store2.stats();
-        assert_eq!((s.hits, s.misses, s.invalidations, s.evicted), (0, 1, 1, 1));
-        assert!(!dir.join(key.file_name()).exists(), "corrupt file deleted");
-        assert_eq!(store2.lookup(&key), None);
-        let s = store2.stats();
-        assert_eq!((s.misses, s.invalidations, s.evicted), (2, 1, 1));
-        // A canonical mismatch (hash collision / stale schema) also
-        // invalidates and evicts.
-        let store3 = ResultStore::at_dir(&dir).expect("open cache dir");
-        std::fs::write(
-            dir.join(key.file_name()),
-            format!(
-                "v0|other|0|0|x|off\n{}\n",
-                encode_outcome(&Ok(sample_record(false)))
-            ),
-        )
-        .expect("mismatched entry");
-        assert_eq!(store3.lookup(&key), None);
-        let s = store3.stats();
-        assert_eq!((s.invalidations, s.evicted), (1, 1));
-        assert!(!dir.join(key.file_name()).exists());
-        let _ = std::fs::remove_dir_all(&dir);
+        bytes.push(0);
+        assert!(take_rows(&bytes).is_err());
+        assert!(take_rows(&u32::MAX.to_le_bytes()).is_err());
+        // An empty section is a count of zero and nothing else.
+        let mut empty = Vec::new();
+        put_rows(&mut empty, std::iter::empty());
+        assert_eq!(empty, 0u32.to_le_bytes());
+        assert_eq!(take_rows(&empty), Ok(Vec::new()));
     }
 
     #[test]
@@ -1325,13 +1143,13 @@ mod tests {
             assert_eq!(store.lookup(&keys[0]), Some(Ok(sample_record(true))));
             // Drop flushes the pending batch into a segment.
         }
-        let segs: Vec<_> = std::fs::read_dir(&dir)
+        let files: Vec<String> = std::fs::read_dir(&dir)
             .expect("read dir")
             .flatten()
-            .filter(|d| d.file_name().to_string_lossy().ends_with(".cells"))
+            .map(|d| d.file_name().to_string_lossy().into_owned())
             .collect();
-        assert_eq!(segs.len(), 1, "one segment file, no per-cell files");
-        assert!(!dir.join(keys[0].file_name()).exists());
+        assert_eq!(files.len(), 1, "one segment file, nothing else: {files:?}");
+        assert!(files[0].starts_with("seg-") && files[0].ends_with(".cells"));
         // A fresh store folds the segment in and serves every key.
         let store = ResultStore::at_dir(&dir).expect("open cache dir");
         for k in &keys {
@@ -1387,19 +1205,25 @@ mod tests {
             writer.insert_batched(&key, &Ok(sample_record(false)));
             writer.flush();
         }
-        let seg = std::fs::read_dir(&dir)
-            .expect("read dir")
-            .flatten()
-            .find(|d| d.file_name().to_string_lossy().ends_with(".cells"))
-            .expect("segment written");
-        let mut bytes = std::fs::read(seg.path()).expect("read segment");
+        let seg = segment_in(&dir);
+        let mut bytes = std::fs::read(&seg).expect("read segment");
         bytes[SEGMENT_MAGIC.len()] ^= 0xff; // flip the version field
-        std::fs::write(seg.path(), &bytes).expect("rewrite segment");
+        std::fs::write(&seg, &bytes).expect("rewrite segment");
         let store = ResultStore::at_dir(&dir).expect("open cache dir");
         assert_eq!(store.lookup(&key), None);
         assert_eq!(store.stats().evicted, 1);
-        assert!(!seg.path().exists());
+        assert!(!seg.exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The first segment file in `dir`.
+    fn segment_in(dir: &Path) -> PathBuf {
+        std::fs::read_dir(dir)
+            .expect("read dir")
+            .flatten()
+            .map(|d| d.path())
+            .find(|p| p.extension().is_some_and(|e| e == "cells"))
+            .expect("segment written")
     }
 
     #[test]
@@ -1410,28 +1234,75 @@ mod tests {
             fnv1a(b"crash_simulation")
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mkdir");
         let key = CellKey::new(SCHEMA_VERSION, "fft:4", 9, 2, "sb-lts", "off");
+        {
+            let writer = ResultStore::at_dir(&dir).expect("open cache dir");
+            writer.insert_batched(&key, &Ok(sample_record(false)));
+        }
+        let seg = segment_in(&dir);
+        let bytes = std::fs::read(&seg).expect("read segment");
         // Simulate a crash mid-write: an orphaned temp file (never
-        // renamed) plus a truncated per-cell file (as if the rename landed
-        // but an older non-atomic writer died — the worst case the atomic
-        // protocol is designed to rule out).
-        std::fs::write(
-            dir.join(format!(".{}.12345.tmp", key.file_name())),
-            b"half-written",
-        )
-        .expect("orphan tmp");
-        std::fs::write(dir.join(key.file_name()), key.canonical()).expect("truncated cell");
+        // renamed) plus a truncated segment (as if the rename landed but
+        // a non-atomic writer died — the worst case the atomic protocol is
+        // designed to rule out).
+        let orphan = dir.join(format!(
+            ".{}.12345.0.tmp",
+            seg.file_name().unwrap().to_string_lossy()
+        ));
+        std::fs::write(&orphan, &bytes[..bytes.len() / 3]).expect("orphan tmp");
+        std::fs::write(&seg, &bytes[..bytes.len() - 1]).expect("truncate segment");
         let store = ResultStore::at_dir(&dir).expect("open cache dir");
-        // The truncated file is malformed -> invalidated, evicted.
+        // The truncated segment fails to parse -> evicted whole.
         assert_eq!(store.lookup(&key), None);
         let s = store.stats();
-        assert_eq!((s.invalidations, s.evicted), (1, 1));
+        assert_eq!((s.misses, s.evicted), (1, 1));
+        assert!(!seg.exists(), "truncated segment deleted");
         // Re-inserting heals; the orphan tmp never matches any lookup.
-        store.insert(&key, &Ok(sample_record(false)));
+        store.insert_batched(&key, &Ok(sample_record(false)));
+        store.flush();
         assert_eq!(store.lookup(&key), Some(Ok(sample_record(false))));
         let reopened = ResultStore::at_dir(&dir).expect("open cache dir");
         assert_eq!(reopened.lookup(&key), Some(Ok(sample_record(false))));
+        assert_eq!(reopened.stats().evicted, 0);
+        assert!(
+            orphan.exists(),
+            "temp files are never read, so never evicted"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The owned-buffer fallback (non-Linux platforms, failed maps) sees
+    /// exactly the bytes and index the mapping does.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn mapped_and_owned_reads_index_identically() {
+        let dir = std::env::temp_dir().join(format!(
+            "stg-store-unit-{}-{:x}",
+            std::process::id(),
+            fnv1a(b"mapped_vs_owned")
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let writer = ResultStore::at_dir(&dir).expect("open cache dir");
+            for seed in 0..8 {
+                let key = CellKey::new(SCHEMA_VERSION, "chain:8", seed, 4, "sb-lts", "off");
+                writer.insert_batched(&key, &Ok(sample_record(seed % 2 == 0)));
+            }
+        }
+        let seg = segment_in(&dir);
+        let mapped = Mapping::map_file(&seg).expect("map segment");
+        assert!(matches!(mapped, Mapping::Mapped { .. }));
+        let owned = Mapping::Owned(std::fs::read(&seg).expect("read segment"));
+        assert_eq!(mapped.bytes(), owned.bytes());
+        let ranges = |m: &Mapping| {
+            index_segment(m.bytes(), 0)
+                .expect("segment parses")
+                .into_iter()
+                .map(|(hash, r)| (hash, r.seg, r.canonical, r.payload))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(ranges(&mapped).len(), 8);
+        assert_eq!(ranges(&mapped), ranges(&owned));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,30 +5,49 @@
 //! the mapped segment index, and encoding rows into a reused buffer,
 //! perform **no per-cell heap allocation** — the measured totals stay
 //! far below one allocation per cell.
+//!
+//! The count is per thread and only runs inside [`count_allocs`], so the
+//! test harness running these tests (and its own bookkeeping) in
+//! parallel cannot leak allocations into a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use stg_experiments::store::{encode_outcome_into, CellKey, Outcome, SCHEMA_VERSION};
 use stg_experiments::ResultStore;
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations this thread made while a measurement is active;
+    /// `None` outside [`count_allocs`]. `const`-initialised and free of
+    /// destructors, so touching it from the allocator never allocates.
+    static MEASURED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // `try_with`: the allocator also runs while threads tear down their
+    // locals.
+    let _ = MEASURED.try_with(|m| {
+        if let Some(n) = m.get() {
+            m.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
@@ -40,14 +59,21 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTER: Counting = Counting;
 
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+/// Runs `f` and returns its result with the number of allocations the
+/// calling thread made meanwhile.
+fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    MEASURED.with(|m| m.set(Some(0)));
+    let out = f();
+    let spent = MEASURED.with(|m| m.take()).expect("measurement active");
+    (out, spent)
 }
 
 /// Serving a warm grid from the mapped segment index allocates nothing
 /// per cell: probes borrow verified views of the mapping, and decoded
 /// records carry no heap. The whole `lookup_many` pass stays under a
 /// small constant, orders of magnitude below one allocation per cell.
+/// With one thread `lookup_many` runs inline on the calling thread, so
+/// the per-thread count sees every probe.
 #[test]
 fn warm_mapped_lookups_do_not_allocate_per_cell() {
     let dir = std::env::temp_dir().join(format!("stg-alloc-disc-{}", std::process::id()));
@@ -78,19 +104,17 @@ fn warm_mapped_lookups_do_not_allocate_per_cell() {
         sim: None,
     });
     {
-        let store = ResultStore::at_dir_with_mmap(&dir, true).expect("create dir");
+        let store = ResultStore::at_dir(&dir).expect("create dir");
         for key in keys.iter().flatten() {
             store.insert_batched(key, &outcome);
         }
         store.flush();
     }
-    let store = ResultStore::at_dir_with_mmap(&dir, true).expect("reopen");
+    let store = ResultStore::at_dir(&dir).expect("reopen");
     // Warm-up builds the lazy segment index and any thread-local state.
     let warmup = store.lookup_many(&keys, 1);
     assert!(warmup.iter().all(Option::is_some), "grid must be warm");
-    let before = allocs();
-    let served = store.lookup_many(&keys, 1);
-    let spent = allocs() - before;
+    let (served, spent) = count_allocs(|| store.lookup_many(&keys, 1));
     assert!(served.iter().all(Option::is_some));
     assert!(
         spent < 16,
@@ -125,12 +149,12 @@ fn row_encoding_into_a_reused_buffer_does_not_allocate() {
     });
     let mut buf = String::with_capacity(256);
     encode_outcome_into(&mut buf, &outcome); // warm-up sizes the buffer
-    let before = allocs();
-    for _ in 0..1_000 {
-        buf.clear();
-        encode_outcome_into(&mut buf, &outcome);
-    }
-    let spent = allocs() - before;
+    let ((), spent) = count_allocs(|| {
+        for _ in 0..1_000 {
+            buf.clear();
+            encode_outcome_into(&mut buf, &outcome);
+        }
+    });
     assert_eq!(
         spent, 0,
         "1000 row encodes into a warmed buffer must not allocate"

@@ -1,7 +1,8 @@
 //! CLI validation for the sweep frontend: junk `--threads`, out-of-range
-//! `--shard i/n` selectors, and malformed `--distributed` worker counts
-//! all exit with code 2 and a clear usage message up front — instead of
-//! panicking, silently clamping, or burning a full sweep first.
+//! `--shard i/n` selectors, retired flags, unmergeable artifacts, and
+//! malformed `--distributed` worker counts all exit with code 2 and a
+//! clear usage message up front — instead of panicking, silently
+//! clamping, or burning a full sweep first.
 
 use std::process::Command;
 
@@ -57,6 +58,26 @@ fn sweep_rejects_junk_shards() {
 fn sweep_accepts_valid_shard() {
     let (code, stderr) = run(&["--shard", "0/2", "--workload", "chain", "--pes", "2"]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn sweep_rejects_a_bin_flag() {
+    // Shard artifacts are always binary; `--bin` is an unknown flag.
+    let (code, stderr) = run(&["--shard", "0/2", "--bin"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --bin"), "{stderr}");
+}
+
+#[test]
+fn sweep_merge_rejects_text_artifacts() {
+    // A well-formed text-format shard artifact (`stg-shard v2` header).
+    let text = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/text_shard_v2.txt"
+    );
+    let (code, stderr) = run(&["merge", text]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("STGSHRD"), "{stderr}");
 }
 
 #[test]

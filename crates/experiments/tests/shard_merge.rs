@@ -13,9 +13,12 @@ use std::sync::OnceLock;
 
 use common::FIXTURE;
 use proptest::prelude::*;
+use stg_analysis::ScheduleError;
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
+use stg_experiments::store::{put_rows, take_rows};
 use stg_experiments::{ResultStore, Shard, SweepSpec};
+use stg_graph::NodeId;
 
 /// The golden grid, validated by the reference simulator (the mode the
 /// fixture was blessed under).
@@ -41,45 +44,63 @@ proptest! {
     fn merged_shards_byte_equal_the_golden_fixture(n in 1usize..9) {
         let golden = std::fs::read_to_string(FIXTURE).expect("fixture checked in");
         let spec = golden_spec();
-        let artifacts: Vec<String> = (0..n)
+        let artifacts: Vec<Vec<u8>> = (0..n)
             .map(|index| {
                 spec.run_shard(Shard { index, of: n }, Some(shared_store()))
-                    .artifact()
+                    .artifact_bytes()
                     .expect("registry workloads shard")
             })
             .collect();
-        let merged = SweepSpec::merge_shards(&artifacts).expect("complete shard set");
+        let merged = SweepSpec::merge_shard_bytes(&artifacts).expect("complete shard set");
         prop_assert_eq!(merged.errors(), 0);
         prop_assert_eq!(merged.deadlocks(), 0);
         prop_assert!(merged.to_csv() == golden, "{}-way shard/merge drifted from the fixture", n);
     }
 }
 
-/// Artifact text is itself deterministic, and shard slices tile the grid:
-/// re-emitting the same shard twice is byte-identical, and concatenating
-/// every slice's rows yields each case exactly once in order (the merge
-/// invariant the proptest exercises end to end).
+/// Artifact bytes are themselves deterministic: re-emitting the same
+/// shard twice (the second time served from the store) is byte-identical.
 #[test]
 fn artifacts_are_deterministic() {
     let spec = golden_spec();
     let shard = Shard { index: 1, of: 3 };
     let a = spec
         .run_shard(shard, Some(shared_store()))
-        .artifact()
+        .artifact_bytes()
         .unwrap();
     let b = spec
         .run_shard(shard, Some(shared_store()))
-        .artifact()
+        .artifact_bytes()
         .unwrap();
     assert_eq!(a, b);
+}
+
+/// A complete, well-formed text-format shard artifact (`stg-shard v2`
+/// header) — not a binary `STGSHRD` artifact.
+const TEXT_SHARD_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/text_shard_v2.txt"
+);
+
+/// A text artifact is rejected with an error naming the missing binary
+/// magic — never misparsed, never merged.
+#[test]
+fn text_artifacts_are_rejected() {
+    let text = std::fs::read(TEXT_SHARD_FIXTURE).expect("fixture checked in");
+    assert!(text.starts_with(b"stg-shard v2\n"));
+    let err = match SweepSpec::merge_shard_bytes(&[text]) {
+        Err(e) => e,
+        Ok(_) => panic!("a text artifact must not merge"),
+    };
+    assert!(err.contains("STGSHRD"), "{err}");
 }
 
 /// Merged sweeps preserve the full failure-accounting surface: an `err`
 /// row in an artifact decodes back into a scheduling-error outcome (data,
 /// not a lost row) and renders through the merged CSV/JSON emitters. No
 /// registered preset errors on these grids, so the row is injected into
-/// the artifact text — exactly what a shard of a failing grid would
-/// carry.
+/// the artifact's row section — exactly what a shard of a failing grid
+/// would carry.
 #[test]
 fn error_rows_survive_the_shard_round_trip() {
     let spec = SweepSpec {
@@ -97,15 +118,23 @@ fn error_rows_survive_the_shard_round_trip() {
     };
     let artifact = spec
         .run_shard(Shard { index: 0, of: 1 }, None)
-        .artifact()
+        .artifact_bytes()
         .unwrap();
-    let (ok_line, _) = artifact
-        .lines()
-        .find(|l| l.starts_with("row 1 "))
-        .map(|l| (l.to_string(), ()))
-        .expect("second row present");
-    let hacked = artifact.replace(&ok_line, "row 1 err block-order-violation(3->1)");
-    let merged = SweepSpec::merge_shards(&[hacked]).expect("artifact still well-formed");
+    // The row section follows the header: the 7-byte magic, u32 version,
+    // index and count, u64 case range start/end/total and fingerprint,
+    // then the u32 spec length and the spec block.
+    let spec_len_at = 7 + 3 * 4 + 4 * 8;
+    let spec_len = u32::from_le_bytes(artifact[spec_len_at..spec_len_at + 4].try_into().unwrap());
+    let (header, row_section) = artifact.split_at(spec_len_at + 4 + spec_len as usize);
+    let mut rows = take_rows(row_section).expect("row section decodes");
+    assert!(rows[1].1.is_ok(), "second row present and ok");
+    rows[1].1 = Err(ScheduleError::BlockOrderViolation {
+        producer: NodeId(3),
+        consumer: NodeId(1),
+    });
+    let mut hacked = header.to_vec();
+    put_rows(&mut hacked, rows.iter().map(|(i, o)| (*i, o)));
+    let merged = SweepSpec::merge_shard_bytes(&[hacked]).expect("artifact still well-formed");
     assert_eq!(merged.errors(), 1);
     let csv = merged.to_csv();
     assert!(

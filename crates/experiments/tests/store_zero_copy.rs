@@ -1,14 +1,15 @@
 //! Zero-copy store properties.
 //!
 //! The mmap'd segment path is an *implementation* of the store contract,
-//! not a new contract: for any store directory, the mapped path and the
-//! copying fallback (`STG_STORE_MMAP=0`) must serve byte-identical
-//! entries with identical counters. Corrupt or truncated segments under
-//! mmap are verified before use and evicted — a bad mapping is a clean
-//! miss, never undefined behavior.
+//! not a new contract: for any store directory, every entry served out of
+//! the mapped segments must be byte-identical to what was inserted.
+//! Corrupt or truncated segments are verified before use and evicted — a
+//! bad mapping is a clean miss, never undefined behavior — and writers
+//! racing on the same cells never expose a partial segment to readers.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Barrier;
 
 use proptest::prelude::*;
 use stg_analysis::ScheduleError;
@@ -88,36 +89,36 @@ fn gen_entries(seed: u64, count: usize) -> Vec<(CellKey, Outcome)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For a random persisted store, every entry served through the mmap
-    /// path is byte-identical to the copying path's, and the two stores
-    /// report identical counters afterwards.
+    /// For a random persisted store, every entry a fresh store serves
+    /// through the mapped segments is byte-identical to the outcome that
+    /// was inserted, and every lookup counts as a plain hit.
     #[test]
-    fn mmap_and_copying_paths_serve_identical_entries(
+    fn mapped_lookups_serve_exactly_the_inserted_entries(
         seed in any::<u64>(),
         count in 1usize..120,
     ) {
         let entries = gen_entries(seed, count);
         let dir = scratch_dir("prop");
         {
-            let store = ResultStore::at_dir_with_mmap(&dir, true).expect("create dir");
+            let store = ResultStore::at_dir(&dir).expect("create dir");
             for (k, o) in &entries {
                 store.insert_batched(k, o);
             }
             store.flush();
         }
-        let mapped = ResultStore::at_dir_with_mmap(&dir, true).expect("reopen mapped");
-        let copied = ResultStore::at_dir_with_mmap(&dir, false).expect("reopen copying");
-        for (k, _) in &entries {
-            let a = mapped.lookup(k);
-            let b = copied.lookup(k);
-            prop_assert!(a.is_some(), "persisted key must be served");
+        let mapped = ResultStore::at_dir(&dir).expect("reopen");
+        for (k, o) in &entries {
+            let served = mapped.lookup(k);
+            prop_assert!(served.is_some(), "persisted key must be served");
             prop_assert_eq!(
-                a.as_ref().map(encode_outcome),
-                b.as_ref().map(encode_outcome),
-                "mapped and copied entries must be byte-identical"
+                served.as_ref().map(encode_outcome),
+                Some(encode_outcome(o)),
+                "mapped entry must be byte-identical to the inserted one"
             );
         }
-        prop_assert_eq!(mapped.stats(), copied.stats());
+        let stats = mapped.stats();
+        prop_assert_eq!(stats.hits, entries.len() as u64);
+        prop_assert_eq!((stats.misses, stats.invalidations, stats.evicted), (0, 0, 0));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -128,7 +129,7 @@ fn seeded_segment(dir: &PathBuf) -> (PathBuf, CellKey) {
     let key = CellKey::new(SCHEMA_VERSION, "chain:4", 7, 4, "str-sch-1", "off");
     let outcome: Outcome = Err(ScheduleError::Cyclic);
     {
-        let store = ResultStore::at_dir_with_mmap(dir, true).expect("create dir");
+        let store = ResultStore::at_dir(dir).expect("create dir");
         store.insert_batched(&key, &outcome);
         store.flush();
     }
@@ -154,7 +155,7 @@ fn truncated_segment_under_mmap_is_evicted() {
     let (seg, key) = seeded_segment(&dir);
     let bytes = std::fs::read(&seg).expect("segment bytes");
     std::fs::write(&seg, &bytes[..bytes.len() / 2]).expect("truncate");
-    let store = ResultStore::at_dir_with_mmap(&dir, true).expect("reopen");
+    let store = ResultStore::at_dir(&dir).expect("reopen");
     assert_eq!(store.lookup(&key), None, "truncated entry must miss");
     let stats = store.stats();
     assert_eq!(stats.evicted, 1, "the corrupt segment is evicted");
@@ -163,30 +164,117 @@ fn truncated_segment_under_mmap_is_evicted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A bit-flip inside a mapped entry's canonical key fails verification:
-/// the entry is invalidated (tombstoned) rather than trusted, and the
-/// *second* probe is a plain miss — no repeated invalidation, no
-/// promotion of corrupt bytes into memory.
+/// A mapped entry that fails verification — a bit-flip inside its
+/// canonical key, or a garbage payload — is invalidated (tombstoned)
+/// rather than trusted, and the *second* probe is a plain miss — no
+/// repeated invalidation, no promotion of corrupt bytes into memory.
 #[test]
 fn corrupt_mapped_entry_invalidates_once_then_misses() {
-    let dir = scratch_dir("flip");
-    let (seg, key) = seeded_segment(&dir);
-    let mut bytes = std::fs::read(&seg).expect("segment bytes");
     // Layout: 8B magic + 4B version + 4B count, then per entry 8B hash +
-    // 4B clen + 4B plen + canonical bytes. Flipping the canonical's
-    // first byte to another ASCII value keeps the framing and UTF-8
-    // intact while breaking verification.
+    // 4B clen + 4B plen + canonical bytes + payload bytes. Overwriting one
+    // byte with another ASCII value keeps the framing and UTF-8 intact
+    // while breaking verification.
     let canonical_at = 8 + 4 + 4 + 8 + 4 + 4;
-    bytes[canonical_at] = b'x';
-    std::fs::write(&seg, &bytes).expect("rewrite");
-    let store = ResultStore::at_dir_with_mmap(&dir, true).expect("reopen");
-    assert_eq!(store.lookup(&key), None, "mismatched canonical must miss");
-    let stats = store.stats();
-    assert_eq!(stats.invalidations, 1);
-    assert_eq!(stats.misses, 1);
-    assert_eq!(store.lookup(&key), None);
-    let stats = store.stats();
-    assert_eq!(stats.invalidations, 1, "tombstoned entry invalidates once");
-    assert_eq!(stats.misses, 2);
+    for what in ["canonical", "payload"] {
+        let dir = scratch_dir("flip");
+        let (seg, key) = seeded_segment(&dir);
+        let mut bytes = std::fs::read(&seg).expect("segment bytes");
+        if what == "canonical" {
+            bytes[canonical_at] = b'x';
+        } else {
+            bytes[canonical_at + key.canonical().len()] = b'#';
+        }
+        std::fs::write(&seg, &bytes).expect("rewrite");
+        let store = ResultStore::at_dir(&dir).expect("reopen");
+        assert_eq!(store.lookup(&key), None, "corrupt {what} must miss");
+        let stats = store.stats();
+        assert_eq!(stats.invalidations, 1, "{what}");
+        assert_eq!(stats.misses, 1, "{what}");
+        assert_eq!(store.lookup(&key), None);
+        let stats = store.stats();
+        assert_eq!(stats.invalidations, 1, "tombstoned {what} invalidates once");
+        assert_eq!(stats.misses, 2, "{what}");
+        assert_eq!(
+            stats.evicted, 0,
+            "entry corruption never evicts the segment"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Writers of one process that flush the same cells at once — two
+/// service workers that both evaluated a shared cell — each stage through
+/// their own temp file, so readers reopening the directory meanwhile only
+/// ever map complete segments: every lookup hits, nothing is evicted, and
+/// no temp file is left behind.
+#[test]
+fn concurrent_same_cell_flushes_never_expose_partial_segments() {
+    const WRITERS: usize = 4;
+    const READERS: usize = 2;
+    const FLUSHES: usize = 150;
+    let dir = scratch_dir("race");
+    let (_, key) = seeded_segment(&dir);
+    let outcome: Outcome = Err(ScheduleError::Cyclic);
+    // Every thread starts its loop at once, so the flushes overlap.
+    let start = Barrier::new(WRITERS + READERS);
+    let done = AtomicBool::new(false);
+    let (lookups, misses, evicted) = std::thread::scope(|s| {
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let store = ResultStore::at_dir(&dir).expect("open dir");
+                    start.wait();
+                    for _ in 0..FLUSHES {
+                        store.insert_batched(&key, &outcome);
+                        store.flush();
+                    }
+                })
+            })
+            .collect();
+        let readers: Vec<_> = (0..READERS)
+            .map(|_| {
+                s.spawn(|| {
+                    let (mut lookups, mut misses, mut evicted) = (0u64, 0u64, 0u64);
+                    start.wait();
+                    // At least one pass, and keep re-reading while any
+                    // writer is still flushing.
+                    loop {
+                        let finished = done.load(Ordering::Acquire);
+                        let store = ResultStore::at_dir(&dir).expect("open dir");
+                        lookups += 1;
+                        misses += u64::from(store.lookup(&key).is_none());
+                        evicted += store.stats().evicted;
+                        if finished {
+                            return (lookups, misses, evicted);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join().expect("writer");
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .map(|r| r.join().expect("reader"))
+            .fold((0, 0, 0), |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2))
+    });
+    assert!(lookups >= READERS as u64);
+    assert_eq!(
+        misses, 0,
+        "{misses} of {lookups} lookups missed a published cell"
+    );
+    assert_eq!(evicted, 0, "a reader evicted a half-written segment");
+    let leftovers: Vec<String> = std::fs::read_dir(&dir)
+        .expect("cache dir")
+        .flatten()
+        .map(|d| d.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".tmp"))
+        .collect();
+    assert!(
+        leftovers.is_empty(),
+        "temp files left behind: {leftovers:?}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

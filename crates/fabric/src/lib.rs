@@ -11,8 +11,8 @@
 //! The moving parts:
 //!
 //! - [`protocol`] — the request/response frames (`hello`/`next`/`rows`/
-//!   `ping`/`stats`) and the hex-encoded binary row blob, reusing the
-//!   shard frame's row encoding.
+//!   `ping`/`stats`); a `rows` frame carries the shard artifact's row
+//!   section ([`stg_experiments::store::put_rows`]) in a hex wrapper.
 //! - [`coordinator`] — lease queue, work-stealing splits, deadline and
 //!   connection-drop re-queue, and the drain phase.
 //! - [`worker`] — lease/evaluate/report loop over the shared engine

@@ -12,16 +12,13 @@
 //! | `{"op":"stats"}` | `{"ok":"stats",..}` |
 //!
 //! Any malformed request draws `{"ok":"error","error":..}`. Row payloads
-//! travel as a hex-encoded binary blob (the row section of the `STGSHRD`
-//! artifact format: a `u32` count, then per row a `u64` case index, `u32`
-//! payload length, and the canonical outcome serialization), so one frame
-//! carries a bounded batch of rows without JSON-escaping every payload.
+//! travel as the hex-encoded row section of the `STGSHRD` shard artifact,
+//! coded by [`put_rows`]/[`take_rows`] — the workspace's one row codec —
+//! so one frame carries a bounded batch of rows without JSON-escaping
+//! every payload. This module adds only the hex wrapper.
 
 use stg_des::LeapStats;
-use stg_experiments::store::Outcome;
-use stg_experiments::store::{
-    decode_outcome, encode_outcome_into, put_u32, put_u64, take_str, take_u32, take_u64,
-};
+use stg_experiments::store::{put_rows, take_rows, Outcome};
 use stg_service::json::Json;
 
 /// Frame bound for fabric connections: row batches are larger than the
@@ -321,19 +318,13 @@ impl FabricResponse {
 
 /// Encodes a row batch as the hex blob of the `rows` frame.
 pub fn encode_rows(rows: &[(usize, Outcome)]) -> String {
-    // One payload buffer serves every row, and the hex rendering pushes
-    // nibbles directly — the only allocations are the two buffers, not
-    // one per row (or, worse, per byte).
-    let mut payload = String::with_capacity(96);
+    // Two buffers (plus the codec's one payload buffer), none per row or,
+    // worse, per byte: the hex rendering pushes nibbles directly.
     let mut bytes = Vec::with_capacity(8 + rows.len() * 48);
-    put_u32(&mut bytes, rows.len() as u32);
-    for (index, outcome) in rows {
-        payload.clear();
-        encode_outcome_into(&mut payload, outcome);
-        put_u64(&mut bytes, *index as u64);
-        put_u32(&mut bytes, payload.len() as u32);
-        bytes.extend_from_slice(payload.as_bytes());
-    }
+    put_rows(
+        &mut bytes,
+        rows.iter().map(|(index, outcome)| (*index, outcome)),
+    );
     const HEX: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
     for b in bytes {
@@ -351,22 +342,7 @@ pub fn decode_rows(blob: &str) -> Result<Vec<(usize, Outcome)>, String> {
     let bytes: Vec<u8> = (0..blob.len() / 2)
         .map(|i| u8::from_str_radix(&blob[2 * i..2 * i + 2], 16).expect("hex checked"))
         .collect();
-    let trunc = || "truncated rows blob".to_string();
-    let (count, mut rest) = take_u32(&bytes).ok_or_else(trunc)?;
-    let mut rows = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let (index, r) = take_u64(rest).ok_or_else(trunc)?;
-        let (len, r) = take_u32(r).ok_or_else(trunc)?;
-        let (payload, r) = take_str(r, len as usize).ok_or_else(trunc)?;
-        let outcome = decode_outcome(payload)
-            .ok_or_else(|| format!("undecodable row payload for case {index}"))?;
-        rows.push((index as usize, outcome));
-        rest = r;
-    }
-    if !rest.is_empty() {
-        return Err("trailing bytes after rows".to_string());
-    }
-    Ok(rows)
+    take_rows(&bytes)
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ fn fixture() -> &'static Fixture {
         let spec = spec();
         let sweep = spec.run();
         // Pin the shard/merge path to the same bytes, so stream-merge ==
-        // unsharded == merge_shards all hold transitively.
+        // unsharded == merge_shard_bytes all hold transitively.
         let shards: Vec<Vec<u8>> = (0..3)
             .map(|index| {
                 spec.run_shard(Shard { index, of: 3 }, None)

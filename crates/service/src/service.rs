@@ -177,9 +177,8 @@ impl Service {
     /// shared store: the engine does the cache lookup, falls back to the
     /// semantic (fingerprint-keyed) entry for plan-repair reuse on a
     /// nominal miss, evaluates only when both miss, and persists through
-    /// the batched insert + flush path — never the per-cell fsync'd
-    /// [`ResultStore::insert`] files. Returns (frames, eval_micros,
-    /// sched_errors).
+    /// the store's batched insert + flush path (one segment file per
+    /// request that missed). Returns (frames, eval_micros, sched_errors).
     fn plan(&self, req: &PlanRequest) -> (Vec<String>, u64, u64) {
         if !self.config.eval_delay.is_zero() {
             std::thread::sleep(self.config.eval_delay);
@@ -389,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_misses_persist_through_segments_never_per_cell_files() {
+    fn plan_misses_persist_through_segment_files_only() {
         let dir = std::env::temp_dir().join(format!(
             "stg-service-unit-{}-batched-plan",
             std::process::id()
@@ -412,16 +411,14 @@ mod tests {
             .map(|d| d.file_name().to_string_lossy().into_owned())
             .collect();
         // The plan path persists through the engine's batched insert +
-        // flush: segment files only, never the per-cell fsync'd format.
-        assert!(
-            names.iter().all(|n| !n.ends_with(".cell")),
-            "per-cell files written: {names:?}"
-        );
+        // flush: one segment file per missed request, and no temp file
+        // left behind.
+        assert_eq!(names.len(), 3, "{names:?}");
         assert!(
             names
                 .iter()
-                .any(|n| n.starts_with("seg-") && n.ends_with(".cells")),
-            "no segment files written: {names:?}"
+                .all(|n| n.starts_with("seg-") && n.ends_with(".cells")),
+            "only segment files written: {names:?}"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
