@@ -2,9 +2,9 @@
 //! workspace — the paper's STR-SCH variants, the appendix partitioners,
 //! and the buffered NSTR-SCH baseline — implements one [`Scheduler`]
 //! trait producing one [`Plan`] type. The experiment binaries, the sweep
-//! engine (`stg_experiments::engine`), the benchmarks, and the examples
-//! all talk to schedulers exclusively through this boundary, so new
-//! schedulers plug into every figure, bench, and service frontend by
+//! engine (`stg_experiments::engine`), perfbench, and the examples all
+//! talk to schedulers exclusively through this boundary, so new
+//! schedulers plug into every figure and service frontend by
 //! implementing a single method.
 
 use std::str::FromStr;

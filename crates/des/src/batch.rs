@@ -84,7 +84,7 @@ const MAP_CAP: usize = 32_768;
 /// Cumulative epoch-leap telemetry for the current thread, accumulated
 /// across [`BatchedSim`] runs until collected with
 /// [`take_leap_telemetry`]. A pure observability side channel for
-/// benches and tests: it never feeds back into simulation results.
+/// perfbench and tests: it never feeds back into simulation results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LeapStats {
     /// Successful epoch leaps applied.

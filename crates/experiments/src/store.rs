@@ -718,7 +718,9 @@ fn index_segment(bytes: &[u8], seg: u32) -> Option<Vec<(u64, SegRef)>> {
         return None;
     }
     let (count, mut rest) = take_u32(rest)?;
-    let mut entries = Vec::with_capacity(count as usize);
+    // A forged count cannot reserve more entries than the file could hold
+    // (each takes at least its 16-byte hash and lengths).
+    let mut entries = Vec::with_capacity((count as usize).min(rest.len() / 16));
     let offset_of = |slice: &[u8]| (slice.as_ptr() as usize - bytes.as_ptr() as usize) as u32;
     for _ in 0..count {
         let (hash, r) = take_u64(rest)?;

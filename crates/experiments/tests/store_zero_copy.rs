@@ -164,6 +164,21 @@ fn truncated_segment_under_mmap_is_evicted() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A segment whose entry count is forged to `u32::MAX` is evicted like a
+/// truncated one; the index build never reserves space for the count.
+#[test]
+fn forged_entry_count_is_evicted() {
+    let dir = scratch_dir("count");
+    let (seg, key) = seeded_segment(&dir);
+    let mut bytes = std::fs::read(&seg).expect("segment bytes");
+    // The count follows the 8-byte magic and the 4-byte version.
+    bytes[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&seg, &bytes).expect("rewrite");
+    let store = ResultStore::at_dir(&dir).expect("reopen");
+    assert_eq!((store.lookup(&key), store.stats().evicted), (None, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A mapped entry that fails verification — a bit-flip inside its
 /// canonical key, or a garbage payload — is invalidated (tombstoned)
 /// rather than trusted, and the *second* probe is a plain miss — no

@@ -308,7 +308,7 @@ impl Coordinator {
                     .wait_timeout(state, Duration::from_millis(100))
                     .expect("fabric state lock");
                 state = s;
-                expire_leases(&mut state, &shared.counters, shared.lease_timeout);
+                expire_leases(&mut state, &shared.counters);
             }
             if let Some(e) = state.merge_error.take() {
                 Err(e)
@@ -331,7 +331,7 @@ impl Coordinator {
 }
 
 /// Re-queues every outstanding lease whose deadline passed.
-fn expire_leases<W: Write>(state: &mut State<W>, counters: &FabricCounters, _timeout: Duration) {
+fn expire_leases<W: Write>(state: &mut State<W>, counters: &FabricCounters) {
     let now = Instant::now();
     let expired: Vec<u64> = state
         .outstanding
@@ -360,7 +360,7 @@ fn requeue<W: Write>(state: &mut State<W>, counters: &FabricCounters, range: Ran
 }
 
 /// Advances every outstanding lease past its merged prefix; fully merged
-/// leases complete. Returns whether `lease_id` is still outstanding.
+/// leases complete.
 fn advance_leases<W: Write>(state: &mut State<W>, counters: &FabricCounters) {
     let ids: Vec<u64> = state.outstanding.keys().copied().collect();
     for id in ids {
@@ -449,7 +449,7 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
         },
         FabricRequest::Stats => FabricResponse::Stats(counters.snapshot()),
         FabricRequest::Next { .. } => {
-            expire_leases(&mut state, counters, shared.lease_timeout);
+            expire_leases(&mut state, counters);
             if state.done() {
                 return FabricResponse::Drain;
             }

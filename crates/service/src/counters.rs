@@ -104,7 +104,7 @@ impl Counters {
 
     /// Folds one sweep's aggregated [`LeapStats`] into the service-wide
     /// leap counters, so the batched simulator's epoch-leap behaviour is
-    /// observable from the `stats` frame without the bench harness.
+    /// observable from the `stats` frame without a perfbench run.
     pub fn record_leap(&self, leap: LeapStats) {
         self.leap_leaps.fetch_add(leap.leaps, Ordering::Relaxed);
         self.leap_cycles
@@ -248,7 +248,8 @@ impl Snapshot {
 
     /// Reads a `"stats"` frame (as parsed by
     /// [`crate::protocol::parse_response`]) back into a snapshot plus the
-    /// store counters. `None` if the frame is not a stats frame.
+    /// store counters. `None` if the frame is not a stats frame, or if it
+    /// reports more requests queued than accepted.
     pub fn from_json(v: &Json) -> Option<(Snapshot, stg_experiments::StoreStats)> {
         if v.get("status")?.as_str()? != "stats" {
             return None;
@@ -285,7 +286,7 @@ impl Snapshot {
                 malformed: n("malformed")?,
                 // queued/in_flight are derived on the wire; reconstruct
                 // dispatched from them.
-                dispatched: n("accepted")? - n("queued")?,
+                dispatched: n("accepted")?.checked_sub(n("queued")?)?,
                 completed: n("completed")?,
                 sched_errors: n("sched_errors")?,
                 eval_micros: n("eval_micros")?,
@@ -379,5 +380,14 @@ mod tests {
         let (back, back_store) = Snapshot::from_json(&v).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back_store, store);
+    }
+
+    #[test]
+    fn forged_frame_queueing_more_than_it_accepted_is_undecodable() {
+        let frame = Counters::new().snapshot().frame(1, Default::default());
+        let forged = frame.replace("\"queued\":0", "\"queued\":1");
+        assert_ne!(forged, frame);
+        let v = crate::json::parse(&forged).unwrap();
+        assert!(Snapshot::from_json(&v).is_none());
     }
 }
