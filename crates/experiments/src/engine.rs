@@ -11,7 +11,9 @@
 //!    [`CellKey`] ([`SweepSpec::cell_key`]);
 //! 3. **lookup / evaluate / persist** — cells found in an optional
 //!    [`ResultStore`] are reused; the rest are evaluated on the
-//!    scoped-thread pool ([`par_map_with`]) and persisted back;
+//!    scoped-thread pool ([`par_map_with`]), each distinct graph
+//!    structure at most once ([`ResultStore::evaluate_once`]), and
+//!    persisted back;
 //! 4. **merge** — outcomes are assembled back into index order, so the
 //!    resulting [`Sweep`] emits byte-stable CSV/JSON regardless of which
 //!    cells came from the cache, which were computed, and in what order.
@@ -422,15 +424,12 @@ impl SweepSpec {
     /// Output is byte-identical to a storeless run; the store traffic is
     /// reported in [`Sweep::cell_cache`].
     pub fn run_with(&self, store: Option<&ResultStore>) -> Sweep {
-        let cases = self.cases();
-        let before = store.map(|s| s.stats()).unwrap_or_default();
-        let result = self.run_cases(cases, store);
-        let cell_cache = store.map(|s| s.stats().since(&before)).unwrap_or_default();
+        let result = self.run_cases(self.cases(), store);
         Sweep {
             spec: self.clone(),
             runs: result.runs,
             cache: result.cache,
-            cell_cache,
+            cell_cache: result.cell_cache,
             leap: result.leap,
         }
     }
@@ -442,9 +441,7 @@ impl SweepSpec {
     pub fn run_shard(&self, shard: Shard, store: Option<&ResultStore>) -> ShardResult {
         let total = self.total_cases();
         let range = shard.slice(total);
-        let before = store.map(|s| s.stats()).unwrap_or_default();
         let result = self.run_cases(self.cases_slice(range.clone()), store);
-        let cell_cache = store.map(|s| s.stats().since(&before)).unwrap_or_default();
         ShardResult {
             spec: self.clone(),
             shard,
@@ -452,16 +449,18 @@ impl SweepSpec {
             total,
             runs: result.runs,
             cache: result.cache,
-            cell_cache,
+            cell_cache: result.cell_cache,
             leap: result.leap,
         }
     }
 
     /// Stages 3–4 of the pipeline over an arbitrary case list (the full
     /// grid, one shard slice, or one fabric lease): look every cacheable
-    /// case up, evaluate the misses in parallel, persist them, and merge
-    /// the outcomes back into the input order. Fabric workers call this
-    /// directly with a [`Self::cases_slice`] of their lease range.
+    /// case up, evaluate the misses in parallel — each semantic key at
+    /// most once, shared with concurrent callers of the same store —
+    /// persist them, and merge the outcomes back into the input order.
+    /// Fabric workers call this directly with a [`Self::cases_slice`] of
+    /// their lease range.
     pub fn run_cases(&self, cases: Vec<Case>, store: Option<&ResultStore>) -> CasesResult {
         let validate = self.validate;
         let sim = self.sim;
@@ -506,15 +505,26 @@ impl SweepSpec {
             }
             None => vec![None; cases.len()],
         };
+        // This call's own store traffic: the store's counters are shared
+        // by every concurrent caller, so they cannot tell it apart.
+        let keyed = keys.iter().filter(|k| k.is_some()).count() as u64;
+        let hits = slots.iter().filter(|o| o.is_some()).count() as u64;
+        let mut cell_cache = StoreStats {
+            hits,
+            misses: keyed - hits,
+            ..StoreStats::default()
+        };
         // Stage evaluate: only the missing cells touch a graph or
         // scheduler (so a fully warm rerun does no instantiation at all).
-        // Nominal misses get one more chance before paying an evaluation:
-        // a *semantic* probe keyed by the instantiated graph's structural
-        // fingerprint (see [`CellKey::semantic`]), which repairs cells
-        // whose spec delta (e.g. a reseed of a seed-invariant workload)
-        // changed the nominal key but not the graph. Schedulers are
-        // name-blind and deterministic, so a repaired outcome is
-        // byte-identical to evaluating.
+        // A nominal miss evaluates through its *semantic* key, built from
+        // the instantiated graph's structural fingerprint (see
+        // [`CellKey::semantic`]): the store evaluates each semantic key at
+        // most once, and every other miss on it — a spec delta that left
+        // the graph unchanged, a repeated structure elsewhere in this
+        // batch, or a concurrent caller's cell — takes that outcome,
+        // counted as repaired. Schedulers are name-blind and
+        // deterministic, so a repaired outcome is byte-identical to
+        // evaluating.
         let todo: Vec<usize> = (0..cases.len()).filter(|&i| slots[i].is_none()).collect();
         let threads = self
             .threads
@@ -523,54 +533,51 @@ impl SweepSpec {
             let i = todo[j as usize];
             let case = &cases[i];
             let (g, hit) = case.workload.instantiate_traced(case.seed);
-            let semantic = match (store, &keys[i]) {
-                (Some(_), Some(_)) => Some(CELL_SCRATCH.with(|cell| {
-                    CellKey::semantic_with(
-                        &mut cell.borrow_mut().spec_buf,
-                        SCHEMA_VERSION,
-                        g.fingerprint(),
-                        case.pes,
-                        case.scheduler.alias(),
-                        &sim_mode,
-                    )
-                })),
-                _ => None,
-            };
-            if let (Some(store), Some(sem)) = (store, &semantic) {
-                if let Some(outcome) = store.lookup_repaired(sem) {
-                    // Repaired: the nominal key is re-inserted by the
-                    // merge stage; the semantic entry already exists.
-                    return (outcome, hit, take_leap_telemetry(), None);
+            let eval = || evaluate(case, &g, validate, sim);
+            let (outcome, repaired) = match (store, &keys[i]) {
+                (Some(store), Some(_)) => {
+                    let sem = CELL_SCRATCH.with(|cell| {
+                        CellKey::semantic_with(
+                            &mut cell.borrow_mut().spec_buf,
+                            SCHEMA_VERSION,
+                            g.fingerprint(),
+                            case.pes,
+                            case.scheduler.alias(),
+                            &sim_mode,
+                        )
+                    });
+                    store.evaluate_once(&sem, eval)
                 }
-            }
-            let outcome = evaluate(case, &g, validate, sim);
+                _ => (eval(), false),
+            };
             // Leap telemetry is thread-local and reset-on-take: collect
             // the delta on the worker thread, per case, so the batched
             // simulator's epoch leaps aggregate into a per-sweep block
             // instead of evaporating with the scoped threads.
-            (outcome, hit, take_leap_telemetry(), semantic)
+            (outcome, repaired, hit, take_leap_telemetry())
         });
         // Stage persist + merge: order-insensitive assembly back into the
         // byte-stable emission order. Persisting goes through the batched
         // segment path — one fsync per FLUSH_THRESHOLD cells instead of
-        // one per cell. Evaluated cells persist under both their nominal
-        // and semantic keys so future deltas can repair from them.
+        // one per cell. Only nominal keys persist here: the semantic
+        // entry was inserted by the evaluation that produced it.
         let mut cache = CacheStats::default();
         let mut leap = LeapStats::default();
-        for (j, (outcome, hit, case_leap, semantic)) in evaluated.into_iter().enumerate() {
+        for (j, (outcome, repaired, hit, case_leap)) in evaluated.into_iter().enumerate() {
             let i = todo[j];
             cache.record(hit);
             leap.absorb(case_leap);
+            cell_cache.repaired += u64::from(repaired);
             if let (Some(store), Some(key)) = (store, &keys[i]) {
                 store.insert_batched(key, &outcome);
-                if let Some(sem) = &semantic {
-                    store.insert_batched(sem, &outcome);
-                }
             }
             slots[i] = Some(outcome);
         }
         if let Some(store) = store {
             store.flush();
+            let lifetime = store.stats();
+            cell_cache.invalidations = lifetime.invalidations;
+            cell_cache.evicted = lifetime.evicted;
         }
         let runs = cases
             .into_iter()
@@ -580,7 +587,12 @@ impl SweepSpec {
                 outcome: outcome.expect("every slot filled by lookup or evaluation"),
             })
             .collect();
-        CasesResult { runs, cache, leap }
+        CasesResult {
+            runs,
+            cache,
+            cell_cache,
+            leap,
+        }
     }
 
     /// Serializes the spec for embedding in shard artifacts (and the
@@ -746,14 +758,19 @@ impl SweepSpec {
 }
 
 /// The outcome of [`SweepSpec::run_cases`] over one case list: the
-/// evaluated runs (in input order) plus the graph-cache traffic and the
-/// aggregated [`BatchedSim`](stg_des::BatchedSim) epoch-leap telemetry
-/// those evaluations produced.
+/// evaluated runs (in input order) plus the graph-cache and result-store
+/// traffic and the aggregated [`BatchedSim`](stg_des::BatchedSim)
+/// epoch-leap telemetry those evaluations produced.
 pub struct CasesResult {
     /// Evaluated runs, one per input case, in input order.
     pub runs: Vec<Run>,
     /// Graph-cache hit/miss counts of the evaluations.
     pub cache: CacheStats,
+    /// Result-store traffic (zero without a store). `hits`, `misses` and
+    /// `repaired` count this call's cells only, however many callers
+    /// share the store. `invalidations` and `evicted` describe the store
+    /// itself, so they are its lifetime totals.
+    pub cell_cache: StoreStats,
     /// Aggregated epoch-leap telemetry (zero unless the batched
     /// simulator validated cells).
     pub leap: LeapStats,
@@ -833,7 +850,8 @@ pub struct ShardResult {
     runs: Vec<Run>,
     /// Graph-cache traffic of this slice's evaluations.
     pub cache: CacheStats,
-    /// Result-store traffic of this slice (zero without a store).
+    /// Result-store traffic of this slice (zero without a store; see
+    /// [`CasesResult::cell_cache`]).
     pub cell_cache: StoreStats,
     /// Aggregated epoch-leap telemetry of this slice's validations.
     pub leap: LeapStats,
@@ -1259,7 +1277,8 @@ pub struct Sweep {
     /// rerun reports zero traffic here.
     pub cache: CacheStats,
     /// Result-store (cell cache) traffic this sweep incurred: zero when
-    /// no store was passed to [`SweepSpec::run_with`].
+    /// no store was passed to [`SweepSpec::run_with`] (see
+    /// [`CasesResult::cell_cache`] for which counters are per call).
     pub cell_cache: StoreStats,
     /// Aggregated [`BatchedSim`](stg_des::BatchedSim) epoch-leap
     /// telemetry of this sweep's validations. Like the cache counters it
@@ -1950,6 +1969,46 @@ mod tests {
         let warm = spec.run_with(Some(&store));
         assert_eq!(warm.cell_cache.hits, n);
         assert_eq!(warm.cell_cache.repaired, 0);
+    }
+
+    #[test]
+    fn cold_pass_evaluates_each_repeated_structure_once() {
+        // `chain:8` draws edge volumes from a small alphabet, so some of
+        // its seeds build structurally identical graphs. The first cell on
+        // each distinct (structure, PEs, scheduler) evaluates; every other
+        // cell takes that outcome within the same cold pass, whichever of
+        // the 2 threads reaches the key first.
+        let spec = SweepSpec {
+            workloads: vec![WorkloadSpec {
+                workload: "chain:8".parse().unwrap(),
+                pes: vec![2, 4],
+            }],
+            graphs: 100,
+            seed: 1,
+            schedulers: vec![SchedulerKind::StreamingLts, SchedulerKind::NonStreaming],
+            validate: false,
+            sim: SimChoice::Batched,
+            timing: false,
+            threads: Some(2),
+        };
+        let distinct = spec
+            .cases()
+            .iter()
+            .map(|c| {
+                let (g, _) = c.workload.instantiate_traced(c.seed);
+                (g.fingerprint(), c.pes, c.scheduler)
+            })
+            .collect::<std::collections::HashSet<_>>()
+            .len() as u64;
+        let store = ResultStore::in_memory();
+        let cold = spec.run_with(Some(&store));
+        let n = cold.runs.len() as u64;
+        assert!(distinct < n, "the grid repeats structures");
+        assert_eq!((cold.cell_cache.hits, cold.cell_cache.misses), (0, n));
+        assert_eq!(cold.cell_cache.repaired, n - distinct);
+        assert_eq!(cold.to_csv(), spec.run().to_csv());
+        let warm = spec.run_with(Some(&store));
+        assert_eq!((warm.cell_cache.hits, warm.cell_cache.repaired), (n, 0));
     }
 
     #[test]

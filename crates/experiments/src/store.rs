@@ -16,6 +16,16 @@
 //! when timing capture is on, keeping cached and fresh rows
 //! indistinguishable on the byte-stable output path.
 //!
+//! Every nominal miss is evaluated through
+//! [`ResultStore::evaluate_once`] on the cell's semantic key
+//! ([`CellKey::semantic`], the graph's structure rather than its spec):
+//! the first thread to miss on a semantic key evaluates it, and every
+//! other miss on that key — a structure repeated later in the same
+//! batch, or a concurrent caller's cell — takes the owner's outcome,
+//! counted in [`StoreStats::repaired`]. Processes sharing one directory
+//! do not coordinate: each evaluates its own misses, and their segment
+//! writes race benignly.
+//!
 //! Invalidation is structural, not temporal: the canonical key string is
 //! embedded in every cache entry and verified on load, so a hash
 //! collision, a corrupt payload, or an entry written by an older
@@ -52,7 +62,7 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use stg_analysis::ScheduleError;
 use stg_graph::NodeId;
@@ -196,26 +206,30 @@ impl CellKey {
 
 /// Hit/miss/invalidation/eviction counters of a [`ResultStore`].
 ///
-/// `misses` counts every lookup that forced an evaluation, including the
-/// `invalidations` subset (entries that existed but failed verification —
-/// canonical-key mismatch, undecodable payload). `evicted` counts
-/// segment files *deleted* because they failed to parse as a whole
+/// `misses` counts every nominal lookup that found no entry, including
+/// the `invalidations` subset (entries that existed but failed
+/// verification — canonical-key mismatch, undecodable payload). `evicted`
+/// counts segment files *deleted* because they failed to parse as a whole
 /// (truncation, stale schema, foreign bytes). `repaired` counts nominal
-/// misses subsequently served from a
-/// semantic (fingerprint-keyed) entry via
-/// [`ResultStore::lookup_repaired`] — repaired cells are *not* hits (the
-/// nominal lookup missed) and probing a semantic key never counts a miss.
+/// misses that [`ResultStore::evaluate_once`] (or
+/// [`ResultStore::lookup_repaired`]) answered from their semantic
+/// (fingerprint-keyed) key without evaluating: either the entry was
+/// already stored, or another thread was evaluating that key and handed
+/// its outcome over. So in the engine a miss forced an evaluation exactly
+/// when it was not repaired. Repaired cells are *not* hits (the nominal
+/// lookup missed), and probing a semantic key never counts a miss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups served from the store.
     pub hits: u64,
-    /// Lookups that forced an evaluation.
+    /// Nominal lookups that found no entry.
     pub misses: u64,
     /// Entries found but rejected by verification (subset of `misses`).
     pub invalidations: u64,
     /// Unparseable segment files deleted.
     pub evicted: u64,
-    /// Nominal misses repaired from a semantic (graph-fingerprint) entry.
+    /// Nominal misses answered from a semantic (graph-fingerprint) key:
+    /// a stored entry, or an evaluation another thread was running.
     pub repaired: u64,
 }
 
@@ -224,18 +238,6 @@ impl StoreStats {
     /// counted misses, not extra lookups).
     pub fn total(&self) -> u64 {
         self.hits + self.misses
-    }
-
-    /// Counter-wise difference against an earlier snapshot (for per-sweep
-    /// deltas on a long-lived store).
-    pub fn since(&self, earlier: &StoreStats) -> StoreStats {
-        StoreStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            invalidations: self.invalidations - earlier.invalidations,
-            evicted: self.evicted - earlier.evicted,
-            repaired: self.repaired - earlier.repaired,
-        }
     }
 }
 
@@ -256,6 +258,12 @@ pub struct ResultStore {
     /// The lazily built zero-copy index over the directory's `seg-*.cells`
     /// files (built once, on the first disk lookup).
     segments: OnceLock<SegmentIndex>,
+    /// Semantic keys whose evaluation is running right now, each owned by
+    /// the thread that missed on it first (see
+    /// [`ResultStore::evaluate_once`]). A key leaves the table when its
+    /// evaluation ends, so it never holds more than one key per
+    /// evaluating thread.
+    inflight: Mutex<HashMap<CellKey, Arc<Flight>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -267,6 +275,74 @@ pub struct ResultStore {
 struct Entry {
     canonical: String,
     payload: String,
+}
+
+/// One running evaluation of a semantic key. Its owner hands the outcome
+/// over here; threads that missed on the same key meanwhile wait on
+/// `landed`.
+#[derive(Default)]
+struct Flight {
+    state: Mutex<FlightState>,
+    landed: Condvar,
+}
+
+/// What the waiters of a [`Flight`] see: still running, or how it ended.
+#[derive(Default)]
+enum FlightState {
+    #[default]
+    Running,
+    Done(Outcome),
+    /// The owner unwound out of its evaluation; waiters start over.
+    Abandoned,
+}
+
+impl Flight {
+    /// Blocks until the owner hands over: its outcome, or `None` when it
+    /// unwound instead.
+    fn wait(&self) -> Option<Outcome> {
+        let state = self.state.lock().expect("flight lock");
+        let state = self
+            .landed
+            .wait_while(state, |s| matches!(s, FlightState::Running))
+            .expect("flight lock");
+        match &*state {
+            FlightState::Done(outcome) => Some(outcome.clone()),
+            _ => None,
+        }
+    }
+}
+
+/// An owner's registration in the in-flight table. Dropping it — after
+/// the evaluation, or while unwinding out of it — removes the key from
+/// the table and hands `outcome` (`None`: there is none) to every waiter.
+struct Owner<'a> {
+    store: &'a ResultStore,
+    key: &'a CellKey,
+    flight: Arc<Flight>,
+    outcome: Option<Outcome>,
+}
+
+impl Drop for Owner<'_> {
+    fn drop(&mut self) {
+        // This runs while unwinding too, so it must not panic. Each lock
+        // guards data that every update leaves valid, so a poisoned lock
+        // is safe to recover.
+        self.store
+            .inflight
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(self.key);
+        let mut state = self
+            .flight
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        *state = match self.outcome.take() {
+            Some(outcome) => FlightState::Done(outcome),
+            None => FlightState::Abandoned,
+        };
+        self.flight.landed.notify_all();
+    }
 }
 
 /// A read-only view of one segment file's bytes: memory-mapped on
@@ -412,6 +488,7 @@ impl ResultStore {
             dir: None,
             pending: Mutex::new(Vec::new()),
             segments: OnceLock::new(),
+            inflight: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
@@ -454,15 +531,86 @@ impl ResultStore {
     /// Probes a *semantic* key (see [`CellKey::semantic`]) after a
     /// nominal [`ResultStore::lookup`] missed. A hit counts in
     /// [`StoreStats::repaired`] — not `hits` — and a probe that finds
-    /// nothing counts nowhere: the forced evaluation was already counted
-    /// by the nominal miss, and repaired cells must stay distinguishable
-    /// from plain warm hits in every stats surface.
+    /// nothing counts nowhere: the nominal miss was already counted, and
+    /// repaired cells must stay distinguishable from plain warm hits in
+    /// every stats surface. This is step 1 of
+    /// [`ResultStore::evaluate_once`], which the engine calls instead: a
+    /// probe alone cannot see an evaluation of the key that is still
+    /// running.
     pub fn lookup_repaired(&self, key: &CellKey) -> Option<Outcome> {
         let found = self.probe(key);
         if found.is_some() {
             self.repaired.fetch_add(1, Ordering::Relaxed);
         }
         found
+    }
+
+    /// Single-flight evaluation of the *semantic* key `sem`: `eval` runs
+    /// only if no thread has stored the key's outcome or is producing it.
+    /// Returns the outcome and whether another evaluation supplied it
+    /// (then it also counts in [`StoreStats::repaired`]):
+    ///
+    /// 1. a stored entry, probed as [`ResultStore::lookup_repaired`] does;
+    /// 2. else the outcome of the thread evaluating `sem` right now,
+    ///    waited for;
+    /// 3. else this thread registers as the key's owner, runs `eval`,
+    ///    inserts the semantic entry, hands the outcome to any waiters,
+    ///    and deregisters.
+    ///
+    /// The owner inserts before it deregisters, and a new owner probes
+    /// again after registering, so no second evaluation slips in between.
+    /// A segment flush the insert makes due runs after the hand-over, so
+    /// waiters never wait on an fsync. If `eval` unwinds, the waiters
+    /// start over at step 1 and one of them evaluates. Owners never wait
+    /// on another key, so waits cannot form a cycle. Schedulers and
+    /// simulators are deterministic and blind to workload names, so the
+    /// shared outcome is the one each caller would have computed.
+    pub fn evaluate_once(&self, sem: &CellKey, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+        loop {
+            if let Some(outcome) = self.lookup_repaired(sem) {
+                return (outcome, true);
+            }
+            let (flight, owned) = {
+                let mut inflight = self.inflight.lock().expect("in-flight table lock");
+                match inflight.get(sem) {
+                    Some(flight) => (Arc::clone(flight), false),
+                    None => {
+                        let flight = Arc::<Flight>::default();
+                        inflight.insert(sem.clone(), Arc::clone(&flight));
+                        (flight, true)
+                    }
+                }
+            };
+            if !owned {
+                match flight.wait() {
+                    Some(outcome) => {
+                        self.repaired.fetch_add(1, Ordering::Relaxed);
+                        return (outcome, true);
+                    }
+                    None => continue,
+                }
+            }
+            let mut owner = Owner {
+                store: self,
+                key: sem,
+                flight,
+                outcome: None,
+            };
+            // An owner that finished between step 1 and this registration
+            // inserted its entry before deregistering: probe again.
+            if let Some(outcome) = self.lookup_repaired(sem) {
+                owner.outcome = Some(outcome.clone());
+                return (outcome, true);
+            }
+            let outcome = eval();
+            let flush_due = self.insert_pending(sem, &outcome);
+            owner.outcome = Some(outcome.clone());
+            drop(owner);
+            if flush_due {
+                self.flush();
+            }
+            return (outcome, false);
+        }
     }
 
     /// The lookup mechanics without hit/miss accounting: memory, then the
@@ -536,6 +684,15 @@ impl ResultStore {
     /// per [`FLUSH_THRESHOLD`] accumulated cells (and on
     /// [`ResultStore::flush`]/drop).
     pub fn insert_batched(&self, key: &CellKey, outcome: &Outcome) {
+        if self.insert_pending(key, outcome) {
+            self.flush();
+        }
+    }
+
+    /// [`ResultStore::insert_batched`] without the flush: true when the
+    /// pending queue reached [`FLUSH_THRESHOLD`] and the caller should
+    /// [`ResultStore::flush`].
+    fn insert_pending(&self, key: &CellKey, outcome: &Outcome) -> bool {
         // One shared entry feeds both the in-memory map and the pending
         // segment queue — a single allocation of each string per insert.
         let entry = Arc::new(Entry {
@@ -547,16 +704,11 @@ impl ResultStore {
             .expect("result store lock")
             .insert(key.hash, Arc::clone(&entry));
         if self.dir.is_none() {
-            return;
+            return false;
         }
-        let flush_now = {
-            let mut pending = self.pending.lock().expect("pending lock");
-            pending.push((key.hash, entry));
-            pending.len() >= FLUSH_THRESHOLD
-        };
-        if flush_now {
-            self.flush();
-        }
+        let mut pending = self.pending.lock().expect("pending lock");
+        pending.push((key.hash, entry));
+        pending.len() >= FLUSH_THRESHOLD
     }
 
     /// Persists all queued [`ResultStore::insert_batched`] entries into a
@@ -572,8 +724,9 @@ impl ResultStore {
         self.write_segment(&entries);
     }
 
-    /// The counters accumulated over this store's lifetime. Use
-    /// [`StoreStats::since`] for per-sweep deltas.
+    /// The counters accumulated over this store's lifetime, across every
+    /// caller. The engine counts one call's hits, misses and repairs
+    /// itself (see [`crate::engine::CasesResult::cell_cache`]).
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             hits: self.hits.load(Ordering::Relaxed),
@@ -969,6 +1122,7 @@ pub fn parse_error_code(s: &str) -> Option<ScheduleError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ScopedJoinHandle;
     use stg_sched::Metrics;
 
     fn sample_record(sim: bool) -> Record {
@@ -1096,6 +1250,94 @@ mod tests {
         assert_ne!(
             CellKey::new(SCHEMA_VERSION, "chain:8", 0, 4, "sb-lts", "off").hash(),
             sem.hash()
+        );
+    }
+
+    /// Blocks until `waiter` has joined the flight of `sem` (the table,
+    /// the owner and this probe hold one reference each, the waiter the
+    /// fourth) or has returned without joining it.
+    fn await_waiter<T>(store: &ResultStore, sem: &CellKey, waiter: &ScopedJoinHandle<'_, T>) {
+        let flight = Arc::clone(&store.inflight.lock().expect("in-flight table lock")[sem]);
+        while Arc::strong_count(&flight) < 4 && !waiter.is_finished() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn concurrent_misses_on_one_semantic_key_evaluate_once() {
+        let store = ResultStore::in_memory();
+        let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f117, 4, "sb-lts", "off");
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let (store, sem) = (&store, &sem);
+            let owner = s.spawn(move || {
+                store.evaluate_once(sem, || {
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx.recv().expect("released by the test thread");
+                    Ok(sample_record(true))
+                })
+            });
+            // The owner is registered and inside its evaluation; hold it
+            // there until the second caller waits on its flight.
+            started_rx.recv().expect("owner started");
+            let waiter =
+                s.spawn(|| store.evaluate_once(sem, || panic!("a waiter must not evaluate")));
+            await_waiter(store, sem, &waiter);
+            release_tx.send(()).expect("owner alive");
+            let (owned, owner_repaired) = owner.join().expect("owner evaluates");
+            let (waited, waiter_repaired) = waiter.join().expect("waiter never evaluates");
+            assert_eq!(owned, Ok(sample_record(true)));
+            assert_eq!(waited, owned);
+            assert_eq!((owner_repaired, waiter_repaired), (false, true));
+        });
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 1));
+        assert!(store
+            .inflight
+            .lock()
+            .expect("in-flight table lock")
+            .is_empty());
+        // The owner stored the semantic entry: a later caller probes it.
+        let (again, repaired) = store.evaluate_once(&sem, || panic!("stored, not evaluated"));
+        assert_eq!((again, repaired), (Ok(sample_record(true)), true));
+        assert_eq!(store.stats().repaired, 2);
+    }
+
+    #[test]
+    fn a_waiter_evaluates_when_the_owner_unwinds() {
+        let store = ResultStore::in_memory();
+        let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f118, 4, "sb-lts", "off");
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let (store, sem) = (&store, &sem);
+            let owner = s.spawn(move || {
+                store.evaluate_once(sem, || {
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx.recv().expect("released by the test thread");
+                    panic!("the owner's evaluation fails")
+                })
+            });
+            started_rx.recv().expect("owner started");
+            let waiter = s.spawn(|| store.evaluate_once(sem, || Err(ScheduleError::Cyclic)));
+            await_waiter(store, sem, &waiter);
+            release_tx.send(()).expect("owner alive");
+            assert!(owner.join().is_err(), "the owner panicked");
+            // The waiter started over, found no entry and no flight, and
+            // evaluated itself.
+            let taken_over = waiter.join().expect("waiter returns");
+            assert_eq!(taken_over, (Err(ScheduleError::Cyclic), false));
+        });
+        assert_eq!(store.stats().repaired, 0);
+        assert!(store
+            .inflight
+            .lock()
+            .expect("in-flight table lock")
+            .is_empty());
+        assert_eq!(
+            store.lookup_repaired(&sem),
+            Some(Err(ScheduleError::Cyclic))
         );
     }
 

@@ -191,9 +191,7 @@ fn serve_lease(
             // Deterministic straggler/kill window for the fault tests.
             std::thread::sleep(config.eval_delay * (chunk_end - pos) as u32);
         }
-        let before = store.map(|s| s.stats()).unwrap_or_default();
         let result = spec.run_cases(spec.cases_slice(pos..chunk_end), store);
-        let delta = store.map(|s| s.stats().since(&before)).unwrap_or_default();
         let rows: Vec<_> = result
             .runs
             .into_iter()
@@ -203,8 +201,8 @@ fn serve_lease(
         let req = FabricRequest::Rows {
             lease,
             rows,
-            hits: delta.hits,
-            misses: delta.misses,
+            hits: result.cell_cache.hits,
+            misses: result.cell_cache.misses,
             leap: result.leap,
         };
         match exchange(stream, reader, &req) {

@@ -12,12 +12,14 @@
 //! Warm requests never re-schedule: a plan request runs as a one-cell
 //! engine sweep over the shared store, keyed by the same
 //! content-addressed `CellKey` the sweep engine uses. On a nominal miss
-//! the engine falls back to the semantic (graph-fingerprint) key, so a
-//! spec delta that leaves the graph unchanged — e.g. a seed change on a
+//! the engine evaluates through the semantic (graph-fingerprint) key, so
+//! a spec delta that leaves the graph unchanged — e.g. a seed change on a
 //! seed-invariant workload — is repaired from cache instead of
-//! re-evaluated (`cache_repaired` in the stats frame counts these).
-//! Responses are byte-identical either way — the `outcome` payload is
-//! the engine's canonical serialization, which stores no wall-clocks.
+//! re-evaluated, and two workers that miss on one semantic key at once
+//! evaluate it once: the second waits for the first's outcome
+//! (`cache_repaired` in the stats frame counts both kinds). Responses are
+//! byte-identical either way — the `outcome` payload is the engine's
+//! canonical serialization, which stores no wall-clocks.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -175,10 +177,12 @@ impl Service {
 
     /// Evaluates one plan request as a one-cell engine run over the
     /// shared store: the engine does the cache lookup, falls back to the
-    /// semantic (fingerprint-keyed) entry for plan-repair reuse on a
-    /// nominal miss, evaluates only when both miss, and persists through
-    /// the store's batched insert + flush path (one segment file per
-    /// request that missed). Returns (frames, eval_micros, sched_errors).
+    /// semantic (fingerprint-keyed) entry on a nominal miss, evaluates
+    /// only when both miss and no other worker is evaluating the same
+    /// semantic key (else it takes that worker's outcome), and persists
+    /// through the store's batched insert + flush path (one segment file
+    /// per request that missed). Returns (frames, eval_micros,
+    /// sched_errors).
     fn plan(&self, req: &PlanRequest) -> (Vec<String>, u64, u64) {
         if !self.config.eval_delay.is_zero() {
             std::thread::sleep(self.config.eval_delay);
@@ -195,8 +199,10 @@ impl Service {
         let sweep = spec.run_with(Some(&self.store));
         let micros = t0.elapsed().as_micros() as u64;
         self.counters.record_leap(sweep.leap);
-        // Warm cells — nominal hits and semantic repairs alike — never
-        // re-schedule, so they report no evaluation wall-clock.
+        // Warm cells — nominal hits and semantic repairs alike, including
+        // an outcome taken over from another worker's evaluation — never
+        // re-schedule, so they report no evaluation wall-clock. The
+        // counts are this request's own, not the shared store's.
         let warm = sweep.cell_cache.hits > 0 || sweep.cell_cache.repaired > 0;
         let eval_micros = if warm { 0 } else { micros };
         let outcome = sweep
@@ -285,6 +291,8 @@ impl Service {
 mod tests {
     use super::*;
     use crate::protocol::{parse_response, Response};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::sync::Barrier;
 
     fn service() -> Service {
         Service::new(ServiceConfig::default()).expect("in-memory service")
@@ -453,6 +461,71 @@ mod tests {
             r#"{"workload":"transformer","seed":3,"pes":4,"scheduler":"sb-lts"}"#,
         );
         assert_eq!(s.counters().snapshot().eval_micros, before);
+    }
+
+    /// Runs `call` and reports whether the warm thread finished at least
+    /// one whole hit meanwhile (`served` rose twice: the first step may
+    /// belong to a hit that began before the call).
+    fn during<T>(served: &AtomicU64, call: impl FnOnce() -> T) -> (T, bool) {
+        let before = served.load(SeqCst);
+        let out = call();
+        (out, served.load(SeqCst) >= before + 2)
+    }
+
+    #[test]
+    fn concurrent_warm_hits_stay_out_of_a_cold_call() {
+        let s = service();
+        let warm = r#"{"workload":"chain:8","seed":1,"pes":4,"scheduler":"sb-lts"}"#;
+        s.handle(1, warm);
+        // `fft:32` repeats no structure over these seeds, so every cold
+        // call evaluates.
+        let cold = |seed: u64| {
+            format!(r#"{{"workload":"fft:32","seed":{seed},"pes":32,"scheduler":"sb-rlx"}}"#)
+        };
+        let (served, done, start) = (AtomicU64::new(0), AtomicBool::new(false), Barrier::new(2));
+        let (mut calls, mut overlapped) = (Vec::new(), false);
+        std::thread::scope(|scope| {
+            let warm_thread = scope.spawn(|| {
+                start.wait();
+                while !done.load(SeqCst) {
+                    s.handle(2, warm);
+                    served.fetch_add(1, SeqCst);
+                }
+            });
+            start.wait();
+            // Warm hits run from before each cold call starts until it
+            // returns; retry until both calls saw one land meanwhile.
+            while served.load(SeqCst) == 0 && !warm_thread.is_finished() {
+                std::thread::yield_now();
+            }
+            for seed in (0..40).step_by(2) {
+                let (stats, engine_overlapped) = during(&served, || {
+                    let Ok(Request::Plan(req)) = protocol::parse_request(&cold(seed)) else {
+                        unreachable!("a plan request")
+                    };
+                    req.spec().run_with(Some(s.store())).cell_cache
+                });
+                let (eval_micros, service_overlapped) = during(&served, || {
+                    let before = s.counters().snapshot().eval_micros;
+                    s.handle(1, &cold(seed + 1));
+                    s.counters().snapshot().eval_micros - before
+                });
+                calls.push((stats, eval_micros));
+                overlapped = engine_overlapped && service_overlapped;
+                if overlapped {
+                    break;
+                }
+            }
+            done.store(true, SeqCst);
+        });
+        assert!(overlapped, "warm hits never overlapped both cold calls");
+        for (stats, eval_micros) in calls {
+            assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 1, 0));
+            assert!(
+                eval_micros > 0,
+                "a cold plan request reports its evaluation"
+            );
+        }
     }
 
     #[test]

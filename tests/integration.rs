@@ -138,3 +138,36 @@ fn utilization_is_higher_for_streaming_than_buffered() {
     let n = NonStreamingScheduler::new(p).run(&g);
     assert!(s.metrics().utilization > n.metrics.utilization);
 }
+
+#[test]
+fn fig13_simulation_never_exceeds_the_analysis_on_the_paper_grid() {
+    // Figure 13: the relative error (simulated − analytic) / analytic is
+    // bounded above by zero, so the analysis is a safe upper bound for
+    // every topology at its paper size and PE counts, under every
+    // scheduler. Only this side is bounded: at these sizes the analytic
+    // makespan can exceed the simulated one by 30% (`fft:32`, P = 128,
+    // SB-RLX), beyond the 25% that `simulation_validates_every_plan`
+    // allows on its smaller graphs.
+    let mut spec = stg_experiments::SweepSpec::paper(3, 0xC0FFEE);
+    spec.validate = true;
+    spec.sim = stg_experiments::SimChoice::Batched;
+    let sweep = spec.run();
+    assert_eq!(sweep.runs.len(), 4 * 4 * 3 * 3, "the whole paper grid");
+    for run in &sweep.runs {
+        let c = &run.case;
+        let what = format!("{} P={} {} seed {}", c.workload, c.pes, c.scheduler, c.seed);
+        let record = run
+            .outcome
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let sim = record.sim.expect("validated");
+        assert!(sim.completed, "{what}: simulation deadlocked");
+        assert!(
+            sim.makespan <= record.metrics.makespan && sim.rel_err_pct <= 0.0,
+            "{what}: simulated {} exceeds the analytic {} ({}%)",
+            sim.makespan,
+            record.metrics.makespan,
+            sim.rel_err_pct
+        );
+    }
+}
