@@ -33,12 +33,10 @@
 
 pub mod pipeline;
 pub mod prelude;
-pub mod repair;
 pub mod scheduler;
 
 pub use pipeline::{
     MultiplexScheduler, NonStreamingPlan, NonStreamingScheduler, Partitioner, StreamingPlan,
     StreamingScheduler,
 };
-pub use repair::{RepairReuse, Repaired};
-pub use scheduler::{ParseSchedulerError, Plan, PlanDetail, Scheduler, SchedulerKind};
+pub use scheduler::{ParseSchedulerError, Plan, Scheduler, SchedulerKind};

@@ -5,8 +5,7 @@ pub use crate::pipeline::{
     MultiplexScheduler, NonStreamingPlan, NonStreamingScheduler, Partitioner, StreamingPlan,
     StreamingScheduler,
 };
-pub use crate::repair::{RepairReuse, Repaired};
-pub use crate::scheduler::{Plan, PlanDetail, Scheduler, SchedulerKind};
+pub use crate::scheduler::{Plan, Scheduler, SchedulerKind};
 pub use stg_analysis::{
     generalized_levels, non_streaming_depth, schedule, schedule_with, streaming_depth,
     streaming_depth_bound, work_depth, BlockStartRule, Partition, Schedule, ScheduleError,

@@ -60,7 +60,7 @@ pub trait Scheduler: Send + Sync {
 
 /// The scheduler-specific parts of a [`Plan`].
 #[derive(Clone, Debug)]
-pub enum PlanDetail {
+enum PlanDetail {
     /// A pipelined spatial-block plan (partition, `ST/FO/LO` schedule,
     /// sized FIFO channels). Boxed: streaming plans are much larger than
     /// the baseline's.
@@ -211,11 +211,6 @@ impl Plan {
                 }
             }
         }
-    }
-
-    /// The scheduler-specific plan details.
-    pub fn detail(&self) -> &PlanDetail {
-        &self.detail
     }
 }
 

@@ -8,7 +8,7 @@
 //! 1. **expand** — a declarative [`SweepSpec`] expands into the
 //!    deterministic, ordered list of [`Case`]s ([`SweepSpec::cases`]);
 //! 2. **key** — every case gets a content-addressed
-//!    [`CellKey`] ([`SweepSpec::cell_key`]);
+//!    [`CellKey`] ([`SweepSpec::run_cases`]);
 //! 3. **lookup / evaluate / persist** — cells found in an optional
 //!    [`ResultStore`] are reused; the rest are evaluated on the
 //!    scoped-thread pool ([`par_map_with`]), each distinct graph
@@ -266,12 +266,20 @@ impl SweepSpec {
 
     /// Case count of the full expanded grid, computed arithmetically —
     /// no per-case allocation, so coordinators sizing lease queues over
-    /// million-cell grids stay O(workloads).
+    /// million-cell grids stay O(workloads). Saturates at `usize::MAX`
+    /// instead of wrapping, so no spec, however large, counts as a small
+    /// grid.
     pub fn total_cases(&self) -> usize {
         self.workloads
             .iter()
-            .map(|w| w.pes.len() * self.schedulers.len() * self.runs_per_cell(&w.workload) as usize)
-            .sum()
+            .map(|w| {
+                let runs = usize::try_from(self.runs_per_cell(&w.workload)).unwrap_or(usize::MAX);
+                w.pes
+                    .len()
+                    .saturating_mul(self.schedulers.len())
+                    .saturating_mul(runs)
+            })
+            .fold(0, usize::saturating_add)
     }
 
     /// Materializes only the cases of one contiguous index range of the
@@ -312,34 +320,15 @@ impl SweepSpec {
         &self,
         f: impl Fn(&Case, &CanonicalGraph) -> T + Sync,
     ) -> Vec<(Case, T)> {
-        self.run_map_traced(f).0
-    }
-
-    /// [`Self::run_map`] plus the graph-cache hit/miss statistics this
-    /// grid incurred.
-    pub fn run_map_traced<T: Send>(
-        &self,
-        f: impl Fn(&Case, &CanonicalGraph) -> T + Sync,
-    ) -> (Vec<(Case, T)>, CacheStats) {
         let cases = self.cases();
         let threads = self
             .threads
             .unwrap_or_else(|| default_threads(cases.len() as u64));
         let out = par_map_with(cases.len() as u64, threads, |i| {
             let case = &cases[i as usize];
-            let (g, hit) = case.workload.instantiate_traced(case.seed);
-            (f(case, &g), hit)
+            f(case, &case.graph())
         });
-        let mut cache = CacheStats::default();
-        let out = cases
-            .into_iter()
-            .zip(out)
-            .map(|(case, (result, hit))| {
-                cache.record(hit);
-                (case, result)
-            })
-            .collect();
-        (out, cache)
+        cases.into_iter().zip(out).collect()
     }
 
     /// Runs the full sweep: every case through its scheduler (plus the
@@ -360,20 +349,6 @@ impl SweepSpec {
         } else {
             "off".to_string()
         }
-    }
-
-    /// Stage 2 of the pipeline: the content-addressed identity of one
-    /// cell of this grid (see [`crate::store`] for the key contents and
-    /// invalidation rules).
-    pub fn cell_key(&self, case: &Case) -> CellKey {
-        CellKey::new(
-            SCHEMA_VERSION,
-            &case.workload.spec(),
-            case.seed,
-            case.pes,
-            case.scheduler.alias(),
-            &self.sim_mode(),
-        )
     }
 
     /// True when `case` may be served from / persisted to a result store.
@@ -707,45 +682,45 @@ impl SweepSpec {
             }
         }
         let spec = SweepSpec::decode_spec(&first.spec_block)?;
-        if spec.grid_fingerprint() != first.fingerprint {
-            return Err("grid fingerprint mismatch: artifacts were produced by a \
-                        different engine schema or workload registry"
-                .to_string());
-        }
-        let cases = spec.cases();
-        if cases.len() != first.total {
+        // Bound the work by the input before walking the grid: the spec
+        // must expand to the header's case count, and the rows must cover
+        // that count exactly once. The fingerprint walk and the expansion
+        // below then cost O(rows carried), whatever grid a forged spec
+        // block claims.
+        let total = spec.total_cases();
+        if total != first.total {
             return Err(format!(
-                "grid expands to {} cases but artifacts claim {}",
-                cases.len(),
+                "grid expands to {total} cases but artifacts claim {}",
                 first.total
             ));
         }
-        let mut outcomes: Vec<Option<Outcome>> = vec![None; cases.len()];
         for (position, p) in parsed.iter().enumerate() {
             // Sorted by index, a complete set has artifact i at position i;
             // anything else is a duplicate (and a hole elsewhere).
             if p.shard.index != position {
                 return Err(format!("duplicate shard index {}", p.shard.index));
             }
-            let expect = p.shard.slice(cases.len());
-            let indices: Vec<usize> = p.rows.iter().map(|(i, _)| *i).collect();
-            if indices != expect.clone().collect::<Vec<_>>() {
+            let expect = p.shard.slice(total);
+            if !p.rows.iter().map(|(i, _)| *i).eq(expect.clone()) {
+                let indices: Vec<usize> = p.rows.iter().map(|(i, _)| *i).collect();
                 return Err(format!(
                     "shard {} rows cover {indices:?}, expected {expect:?}",
                     p.shard.index
                 ));
             }
-            for (i, outcome) in &p.rows {
-                outcomes[*i] = Some(outcome.clone());
-            }
         }
-        let runs = cases
+        if spec.grid_fingerprint() != first.fingerprint {
+            return Err("grid fingerprint mismatch: artifacts were produced by a \
+                        different engine schema or workload registry"
+                .to_string());
+        }
+        // Coverage is exact and in shard order, so the rows, concatenated,
+        // are the outcomes in case order.
+        let runs = spec
+            .cases()
             .into_iter()
-            .zip(outcomes)
-            .map(|(case, outcome)| Run {
-                outcome: outcome.expect("full coverage checked above"),
-                case,
-            })
+            .zip(parsed.into_iter().flat_map(|p| p.rows))
+            .map(|(case, (_, outcome))| Run { case, outcome })
             .collect();
         Ok(Sweep {
             spec,
@@ -1045,7 +1020,9 @@ pub struct SimRecord {
     pub completed: bool,
     /// Simulated makespan (meaningful when `completed`).
     pub makespan: u64,
-    /// `100 · |analytic − simulated| / simulated` (0 when not completed).
+    /// `100 · (simulated − analytic) / analytic`, Figure 13's signed
+    /// error: negative when the analysis over-estimates (0 when not
+    /// completed).
     pub rel_err_pct: f64,
     /// Element beats executed by the validation run — identical across
     /// simulators (the batched epochs count their coalesced beats).

@@ -216,7 +216,7 @@ impl CellKey {
 /// (fingerprint-keyed) key without evaluating: either the entry was
 /// already stored, or another thread was evaluating that key and handed
 /// its outcome over. So in the engine a miss forced an evaluation exactly
-/// when it was not repaired. Repaired cells are *not* hits (the nominal
+/// when it was not repaired. A repaired cell is *not* a hit (the nominal
 /// lookup missed), and probing a semantic key never counts a miss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {

@@ -4,12 +4,16 @@
 //! backing medium must never change a byte of sweep output. These tests
 //! pin that from the outside — a warm-cache rerun of a random filtered
 //! spec is byte-identical to the cold run (with every cell served from
-//! the store), and changing any `CellKey` component forces misses.
+//! the store), changing any `CellKey` component forces misses, and every
+//! preset schedules name-blind, which is what lets graphs that differ
+//! only in node names share one semantic key.
 
 use proptest::prelude::*;
 use stg_core::SchedulerKind;
+use stg_des::SimKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
 use stg_experiments::{ResultStore, SweepSpec};
+use stg_model::{Builder, CanonicalGraph};
 
 /// A small spec assembled from proptest-chosen grid dimensions. Bitmasks
 /// select non-empty subsets of workloads and schedulers; everything stays
@@ -110,6 +114,56 @@ proptest! {
         let rerun = changed.run_with(Some(&store));
         prop_assert_eq!(rerun.cell_cache.hits, 0, "component {} must key the cell", component);
         prop_assert_eq!(rerun.cell_cache.misses, rerun.runs.len() as u64);
+    }
+}
+
+/// `chains` disjoint task chains (so the multiplex preset sees several
+/// tenants), `tasks` long, with per-chain volumes scaled off `volume`.
+/// Node names carry `prefix`, so two prefixes build two graphs that
+/// differ only in names.
+fn multi_chain(chains: usize, tasks: usize, volume: u64, prefix: &str) -> CanonicalGraph {
+    let mut b = Builder::new();
+    for c in 0..chains {
+        let t: Vec<_> = (0..tasks)
+            .map(|i| b.compute(format!("{prefix}{c}_{i}")))
+            .collect();
+        b.chain(&t, volume * (c as u64 + 1));
+    }
+    b.finish().expect("disjoint chains are acyclic")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Semantic cell keys are built from `CanonicalGraph::fingerprint`,
+    /// which ignores node names, so a graph and its renamed copy share
+    /// one stored outcome. That is sound only if every preset schedules
+    /// name-blind: equal fingerprints, the same plan or error, and the
+    /// same batched validation. `Debug` rendering is the byte-identity
+    /// proxy for plans: it prints every field, including the exact bits
+    /// of the f64 metrics.
+    #[test]
+    fn renamed_graphs_share_a_fingerprint_and_schedule_identically(
+        chains in 1usize..4,
+        tasks in 2usize..6,
+        volume in 1u64..200,
+        pes in 2usize..6,
+    ) {
+        let g = multi_chain(chains, tasks, volume, "t");
+        let renamed = multi_chain(chains, tasks, volume, "renamed");
+        prop_assert_eq!(g.fingerprint(), renamed.fingerprint());
+        for kind in SchedulerKind::ALL.into_iter().chain([SchedulerKind::Multiplex(3)]) {
+            let scheduler = kind.build(pes);
+            let (plan, renamed_plan) = (scheduler.schedule(&g), scheduler.schedule(&renamed));
+            prop_assert_eq!(format!("{plan:?}"), format!("{renamed_plan:?}"), "{}", kind);
+            if let (Ok(plan), Ok(renamed_plan)) = (plan, renamed_plan) {
+                prop_assert_eq!(
+                    plan.validate_with(&g, SimKind::Batched),
+                    renamed_plan.validate_with(&renamed, SimKind::Batched),
+                    "{}", kind
+                );
+            }
+        }
     }
 }
 

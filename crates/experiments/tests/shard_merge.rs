@@ -95,14 +95,8 @@ fn text_artifacts_are_rejected() {
     assert!(err.contains("STGSHRD"), "{err}");
 }
 
-/// Merged sweeps preserve the full failure-accounting surface: an `err`
-/// row in an artifact decodes back into a scheduling-error outcome (data,
-/// not a lost row) and renders through the merged CSV/JSON emitters. No
-/// registered preset errors on these grids, so the row is injected into
-/// the artifact's row section — exactly what a shard of a failing grid
-/// would carry.
-#[test]
-fn error_rows_survive_the_shard_round_trip() {
+/// The one-way artifact of a two-case `chain:4` grid.
+fn two_case_artifact() -> Vec<u8> {
     let spec = SweepSpec {
         workloads: vec![WorkloadSpec {
             workload: "chain:4".parse().unwrap(),
@@ -116,16 +110,34 @@ fn error_rows_survive_the_shard_round_trip() {
         timing: false,
         threads: Some(1),
     };
-    let artifact = spec
-        .run_shard(Shard { index: 0, of: 1 }, None)
+    spec.run_shard(Shard { index: 0, of: 1 }, None)
         .artifact_bytes()
-        .unwrap();
-    // The row section follows the header: the 7-byte magic, u32 version,
-    // index and count, u64 case range start/end/total and fingerprint,
-    // then the u32 spec length and the spec block.
-    let spec_len_at = 7 + 3 * 4 + 4 * 8;
-    let spec_len = u32::from_le_bytes(artifact[spec_len_at..spec_len_at + 4].try_into().unwrap());
-    let (header, row_section) = artifact.split_at(spec_len_at + 4 + spec_len as usize);
+        .unwrap()
+}
+
+/// Header offsets: the 7-byte magic, u32 version, index and count, u64
+/// case range start/end, then the u64 total at `TOTAL_AT`, the u64
+/// fingerprint, and the u32 spec length at `SPEC_LEN_AT`, followed by
+/// the spec block and the row section.
+const TOTAL_AT: usize = 7 + 3 * 4 + 2 * 8;
+const SPEC_LEN_AT: usize = TOTAL_AT + 2 * 8;
+
+/// The byte range of an artifact's spec block.
+fn spec_block(artifact: &[u8]) -> std::ops::Range<usize> {
+    let len = u32::from_le_bytes(artifact[SPEC_LEN_AT..SPEC_LEN_AT + 4].try_into().unwrap());
+    SPEC_LEN_AT + 4..SPEC_LEN_AT + 4 + len as usize
+}
+
+/// Merged sweeps preserve the full failure-accounting surface: an `err`
+/// row in an artifact decodes back into a scheduling-error outcome (data,
+/// not a lost row) and renders through the merged CSV/JSON emitters. No
+/// registered preset errors on these grids, so the row is injected into
+/// the artifact's row section — exactly what a shard of a failing grid
+/// would carry.
+#[test]
+fn error_rows_survive_the_shard_round_trip() {
+    let artifact = two_case_artifact();
+    let (header, row_section) = artifact.split_at(spec_block(&artifact).end);
     let mut rows = take_rows(row_section).expect("row section decodes");
     assert!(rows[1].1.is_ok(), "second row present and ok");
     rows[1].1 = Err(ScheduleError::BlockOrderViolation {
@@ -144,4 +156,37 @@ fn error_rows_survive_the_shard_round_trip() {
     assert!(merged.to_json().contains("\"block-order-violation(3->1)\""));
     // The intact first row still carries its real record.
     assert!(csv.lines().nth(1).unwrap().contains(",ok,"));
+}
+
+/// A forged spec block cannot make a merge walk a grid larger than the
+/// artifacts: the spec's case count is checked against the header total,
+/// and the rows against that total, before the fingerprint walks the
+/// grid. Claiming two million graphs fails at once on the case count,
+/// and a header total forged to match fails on the rows.
+#[test]
+fn forged_grid_sizes_are_rejected_before_the_fingerprint_walk() {
+    let artifact = two_case_artifact();
+    let block = spec_block(&artifact);
+    let text = std::str::from_utf8(&artifact[block.clone()]).unwrap();
+    let forged_text = text.replace("\ngraphs 2\n", "\ngraphs 2000000\n");
+    assert_ne!(forged_text, text, "the spec block names its graph count");
+    let mut forged = artifact[..SPEC_LEN_AT].to_vec();
+    forged.extend_from_slice(&(forged_text.len() as u32).to_le_bytes());
+    forged.extend_from_slice(forged_text.as_bytes());
+    forged.extend_from_slice(&artifact[block.end..]);
+    let merge_err = |artifact: &[u8]| match SweepSpec::merge_shard_bytes(&[artifact.to_vec()]) {
+        Err(e) => e,
+        Ok(_) => panic!("a forged artifact must not merge"),
+    };
+    let err = merge_err(&forged);
+    assert!(
+        err.contains("grid expands to 2000000 cases but artifacts claim 2"),
+        "{err}"
+    );
+    forged[TOTAL_AT..TOTAL_AT + 8].copy_from_slice(&2_000_000u64.to_le_bytes());
+    let err = merge_err(&forged);
+    assert!(
+        err.contains("rows cover [0, 1], expected 0..2000000"),
+        "{err}"
+    );
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! serve [--addr 127.0.0.1:7171] [--workers N] [--queue-bound N]
 //!       [--tenant-quota N] [--cache-dir DIR] [--max-tasks N]
-//!       [--eval-delay-ms N] [--sweep-threads N]
+//!       [--eval-delay-ms N]
 //! ```
 //!
 //! Binds the address (`:0` picks an ephemeral port), prints one
@@ -21,8 +21,7 @@ fn fail(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--queue-bound N] \
-         [--tenant-quota N] [--cache-dir DIR] [--max-tasks N] [--eval-delay-ms N] \
-         [--sweep-threads N]"
+         [--tenant-quota N] [--cache-dir DIR] [--max-tasks N] [--eval-delay-ms N]"
     );
     exit(2);
 }
@@ -68,7 +67,6 @@ fn main() {
                 });
                 config.eval_delay = Duration::from_millis(ms);
             }
-            "--sweep-threads" => config.sweep_threads = count("--sweep-threads", &mut it),
             other => fail(&format!("unknown flag {other:?}")),
         }
     }

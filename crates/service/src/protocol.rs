@@ -162,7 +162,8 @@ pub struct SweepRequest {
     /// Client-chosen correlation id, echoed on every response frame.
     pub id: u64,
     /// The grid to evaluate. `timing` is always false (wall-clocks are
-    /// not part of the protocol) and `threads` is chosen by the service.
+    /// not part of the protocol) and `threads` is 1, as for a plan
+    /// request.
     pub spec: SweepSpec,
 }
 
@@ -458,7 +459,7 @@ fn parse_sweep_spec(v: &Json, id: u64) -> Result<SweepSpec, ProtoError> {
         validate: sim.validates(),
         sim: sim.choice(),
         timing: false,
-        threads: None, // the service chooses
+        threads: Some(1),
     })
 }
 

@@ -39,18 +39,16 @@ pub struct ServiceConfig {
     /// Persist the cell cache under this directory (`--cache-dir`); warm
     /// requests survive daemon restarts. `None`: in-memory only.
     pub cache_dir: Option<PathBuf>,
-    /// Reject plan/sweep workloads above this task count with a 400 frame
-    /// instead of instantiating them (an admission-control bound on
-    /// per-request memory, not a scheduling limit).
+    /// Reject a request whose grid totals more tasks than this with a 400
+    /// frame instead of expanding it. The total sums, over workloads,
+    /// task count × PE counts × schedulers × runs per cell, so it bounds
+    /// a whole sweep request, not one workload (an admission-control
+    /// bound on per-request work, not a scheduling limit).
     pub max_tasks: usize,
     /// Artificial per-request service time, applied before evaluation.
     /// Zero in production; the overload and fairness tests (and load
     /// experiments) use it to hold workers busy deterministically.
     pub eval_delay: Duration,
-    /// Worker threads a single sweep request may use (plan requests are
-    /// always single-threaded — the daemon's worker pool is the
-    /// concurrency unit).
-    pub sweep_threads: usize,
 }
 
 impl Default for ServiceConfig {
@@ -59,7 +57,6 @@ impl Default for ServiceConfig {
             cache_dir: None,
             max_tasks: 1_000_000,
             eval_delay: Duration::ZERO,
-            sweep_threads: 1,
         }
     }
 }
@@ -187,10 +184,10 @@ impl Service {
         if !self.config.eval_delay.is_zero() {
             std::thread::sleep(self.config.eval_delay);
         }
-        if let Err(frame) = self.check_size(req.id, &req.spec()) {
+        let spec = req.spec();
+        if let Err(frame) = self.check_size(req.id, &spec) {
             return (vec![frame], 0, 0);
         }
-        let spec = req.spec();
         let case = spec
             .cases()
             .pop()
@@ -225,7 +222,9 @@ impl Service {
     }
 
     /// Evaluates a sweep request through the shared store, streaming one
-    /// record frame per case plus the final done frame.
+    /// record frame per case plus the final done frame. Like a plan
+    /// request, it runs on the worker thread that took it: the daemon's
+    /// worker pool is the concurrency unit.
     fn sweep(&self, req: &SweepRequest) -> (Vec<String>, u64, u64) {
         if !self.config.eval_delay.is_zero() {
             std::thread::sleep(self.config.eval_delay);
@@ -233,10 +232,8 @@ impl Service {
         if let Err(frame) = self.check_size(req.id, &req.spec) {
             return (vec![frame], 0, 0);
         }
-        let mut spec = req.spec.clone();
-        spec.threads = Some(self.config.sweep_threads.max(1));
         let t0 = Instant::now();
-        let sweep = spec.run_with(Some(&self.store));
+        let sweep = req.spec.run_with(Some(&self.store));
         let eval_micros = t0.elapsed().as_micros() as u64;
         self.counters.record_leap(sweep.leap);
         let errors = sweep.errors() as u64;
@@ -266,24 +263,39 @@ impl Service {
         (frames, eval_micros, errors)
     }
 
-    /// Rejects specs whose largest workload exceeds the configured task
-    /// bound. `Err` is the 400 frame.
+    /// Rejects a spec before anything expands it: when its seed range
+    /// overflows `u64`, or when its whole grid totals more tasks than the
+    /// configured bound (checked arithmetic, so no product wraps under
+    /// the bound). `Err` is the 400 frame.
     fn check_size(&self, id: u64, spec: &SweepSpec) -> Result<(), String> {
-        for w in &spec.workloads {
-            let tasks = w.workload.task_count();
-            if tasks > self.config.max_tasks {
-                return Err(ProtoError::bad(
-                    id,
-                    format!(
-                        "workload {} has {tasks} tasks, above the service bound of {}",
-                        w.workload.spec(),
-                        self.config.max_tasks
-                    ),
-                )
-                .frame());
-            }
+        let bad = |msg: String| Err(ProtoError::bad(id, msg).frame());
+        if spec
+            .seed
+            .checked_add(spec.graphs.saturating_sub(1))
+            .is_none()
+        {
+            return bad(format!(
+                "seeds {}.. for {} graphs overflow u64",
+                spec.seed, spec.graphs
+            ));
         }
-        Ok(())
+        let tasks = spec.workloads.iter().try_fold(0usize, |sum, w| {
+            let runs = usize::try_from(spec.runs_per_cell(&w.workload)).ok()?;
+            w.workload
+                .task_count()
+                .checked_mul(w.pes.len())?
+                .checked_mul(spec.schedulers.len())?
+                .checked_mul(runs)?
+                .checked_add(sum)
+        });
+        match tasks {
+            Some(tasks) if tasks <= self.config.max_tasks => Ok(()),
+            _ => bad(format!(
+                "request totals {} tasks, above the service bound of {}",
+                tasks.map_or_else(|| "more than usize::MAX".to_string(), |t| t.to_string()),
+                self.config.max_tasks
+            )),
+        }
     }
 }
 
@@ -374,6 +386,18 @@ mod tests {
         assert_eq!(s.counters().snapshot().malformed, 4);
     }
 
+    /// The one 400 frame `frames` must consist of, for request id 8.
+    fn rejection(frames: &[String]) -> ProtoError {
+        assert_eq!(frames.len(), 1, "{frames:?}");
+        match parse_response(&frames[0]).unwrap() {
+            Response::Error(e) => {
+                assert_eq!((e.code, e.id), (protocol::CODE_BAD_REQUEST, 8));
+                e
+            }
+            other => panic!("not an error: {other:?}"),
+        }
+    }
+
     #[test]
     fn oversized_workloads_are_rejected_without_instantiation() {
         let s = Service::new(ServiceConfig {
@@ -381,18 +405,66 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        let frames = s.handle(
+        let e = rejection(&s.handle(
             1,
             r#"{"id":8,"workload":"stencil2d:64x64","seed":0,"pes":16,"scheduler":"sb-lts"}"#,
+        ));
+        assert!(e.error.contains("above the service bound"), "{}", e.error);
+        // The bound is on the whole grid: an 8-task workload fits, but
+        // 8 tasks × 2 PE counts × 2 schedulers × 4 graphs = 128 do not.
+        let e = rejection(&s.handle(
+            1,
+            r#"{"id":8,"sweep":{"workloads":[{"workload":"chain:8","pes":[2,4]}],"graphs":4,"schedulers":["sb-lts","sb-rlx"]}}"#,
+        ));
+        assert!(e.error.contains("totals 128 tasks"), "{}", e.error);
+        assert_eq!(s.store_stats().misses, 0, "nothing evaluated");
+    }
+
+    #[test]
+    fn oversized_sweep_grids_are_rejected_before_expansion() {
+        let s = service();
+        let e = rejection(&s.handle(
+            1,
+            r#"{"id":8,"sweep":{"workloads":[{"workload":"chain:8","pes":[2]}],"graphs":100000000000}}"#,
+        ));
+        assert!(e.error.contains("above the service bound"), "{}", e.error);
+        // A product past usize::MAX is rejected too, not wrapped under
+        // the bound.
+        let e = rejection(&s.handle(
+            1,
+            r#"{"id":8,"sweep":{"workloads":[{"workload":"chain:8","pes":[2,4,8,16]}],"graphs":9223372036854775807}}"#,
+        ));
+        assert!(e.error.contains("above the service bound"), "{}", e.error);
+        assert_eq!(s.store_stats().misses, 0, "nothing evaluated");
+        // The service still answers.
+        let frames = s.handle(
+            1,
+            r#"{"workload":"chain:8","seed":1,"pes":2,"scheduler":"sb-lts"}"#,
         );
-        match parse_response(&frames[0]).unwrap() {
-            Response::Error(e) => {
-                assert_eq!(e.code, protocol::CODE_BAD_REQUEST);
-                assert_eq!(e.id, 8);
-                assert!(e.error.contains("above the service bound"), "{}", e.error);
-            }
-            other => panic!("{other:?}"),
-        }
+        assert!(
+            matches!(parse_response(&frames[0]).unwrap(), Response::Ok(_)),
+            "{frames:?}"
+        );
+    }
+
+    #[test]
+    fn seed_ranges_overflowing_u64_are_rejected() {
+        let s = service();
+        let e = rejection(&s.handle(
+            1,
+            r#"{"id":8,"sweep":{"workloads":[{"workload":"chain:8","pes":[2]}],"seed":18446744073709551615,"graphs":2}}"#,
+        ));
+        assert!(e.error.contains("overflow u64"), "{}", e.error);
+        assert_eq!(s.store_stats().misses, 0, "nothing evaluated");
+        // The largest seed alone is a valid one-graph range.
+        let frames = s.handle(
+            1,
+            r#"{"workload":"chain:8","seed":18446744073709551615,"pes":2,"scheduler":"sb-lts"}"#,
+        );
+        assert!(
+            matches!(parse_response(&frames[0]).unwrap(), Response::Ok(_)),
+            "{frames:?}"
+        );
     }
 
     #[test]

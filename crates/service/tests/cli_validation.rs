@@ -24,10 +24,6 @@ fn serve_rejects_zero_and_junk_counts() {
             &["--queue-bound", "0"][..],
             "--queue-bound must be at least 1",
         ),
-        (
-            &["--sweep-threads", "0"][..],
-            "--sweep-threads must be at least 1",
-        ),
         (&["--max-tasks", "0"][..], "--max-tasks must be at least 1"),
         (&["--workers", "lots"][..], "positive integer"),
         (&["--workers", "-3"][..], "positive integer"),
