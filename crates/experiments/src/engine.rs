@@ -12,8 +12,10 @@
 //! 3. **lookup / evaluate / persist** — cells found in an optional
 //!    [`ResultStore`] are reused; the rest are evaluated on the
 //!    scoped-thread pool ([`par_map_with`]), each distinct graph
-//!    structure at most once ([`ResultStore::evaluate_once`]), and
-//!    persisted back;
+//!    structure at most once: through the store's
+//!    [`ResultStore::evaluate_once`] when there is a store, else through
+//!    a [`SemanticTable`] that lives for the call (or, in a fabric
+//!    worker, for one lease). Only a store persists them;
 //! 4. **merge** — outcomes are assembled back into index order, so the
 //!    resulting [`Sweep`] emits byte-stable CSV/JSON regardless of which
 //!    cells came from the cache, which were computed, and in what order.
@@ -45,10 +47,13 @@ use stg_sched::Metrics;
 use stg_workloads::{paper_suite, CacheStats, WorkloadFamily, WorkloadKind};
 
 use crate::harness::{default_threads, par_map_with, Args};
-use crate::store::{error_code, CellKey, Outcome, ResultStore, StoreStats, SCHEMA_VERSION};
+use crate::store::{
+    error_code, CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats,
+    SCHEMA_VERSION,
+};
 
 /// Which validation simulator(s) a sweep runs when `validate` is set.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SimChoice {
     /// The per-beat reference simulator.
     #[default]
@@ -240,6 +245,18 @@ impl SweepSpec {
         }
     }
 
+    /// Checks that the seeds `seed..seed + graphs` all fit in `u64`. Every
+    /// outside input runs it before anything expands a grid: the command
+    /// line ([`Args::parse_from`]), decoded spec blocks
+    /// ([`Self::decode_spec`]: shard artifacts and fabric handshakes), and
+    /// service requests. `Err` names the overflowing range.
+    pub fn check_seed_range(seed: u64, graphs: u64) -> Result<(), String> {
+        match seed.checked_add(graphs.saturating_sub(1)) {
+            Some(_) => Ok(()),
+            None => Err(format!("seeds {seed}.. for {graphs} graphs overflow u64")),
+        }
+    }
+
     /// Expands the grid into cases, in the deterministic order the
     /// engine evaluates and emits them: workload → PE count → scheduler
     /// → seed (so each consecutive run of [`Self::runs_per_cell`] cases
@@ -332,9 +349,9 @@ impl SweepSpec {
     }
 
     /// Runs the full sweep: every case through its scheduler (plus the
-    /// simulator when `validate` is set), in parallel, with
-    /// deterministic, index-ordered results. Equivalent to
-    /// [`Self::run_with`] without a result store.
+    /// simulator when `validate` is set), each distinct graph structure
+    /// once, in parallel, with deterministic, index-ordered results.
+    /// Equivalent to [`Self::run_with`] without a result store.
     pub fn run(&self) -> Sweep {
         self.run_with(None)
     }
@@ -430,21 +447,44 @@ impl SweepSpec {
     }
 
     /// Stages 3–4 of the pipeline over an arbitrary case list (the full
-    /// grid, one shard slice, or one fabric lease): look every cacheable
-    /// case up, evaluate the misses in parallel — each semantic key at
-    /// most once, shared with concurrent callers of the same store —
-    /// persist them, and merge the outcomes back into the input order.
-    /// Fabric workers call this directly with a [`Self::cases_slice`] of
-    /// their lease range.
+    /// grid or one shard slice): [`Self::run_cases_on`] through the
+    /// caller's store, or, without one, through a [`SemanticTable`] that
+    /// lives for this call — so every pass evaluates each distinct
+    /// (structure, PEs, scheduler, sim mode) once.
     pub fn run_cases(&self, cases: Vec<Case>, store: Option<&ResultStore>) -> CasesResult {
+        match store {
+            Some(store) => self.run_cases_on(cases, SingleFlight::Store(store)),
+            None => {
+                let keys = cases.iter().filter(|c| self.cacheable(c)).count();
+                let table = SemanticTable::with_capacity(keys);
+                self.run_cases_on(cases, SingleFlight::Table(&table))
+            }
+        }
+    }
+
+    /// [`Self::run_cases`] through a caller-chosen single-flight table:
+    /// with a store, look every cacheable case up, evaluate the misses in
+    /// parallel — each semantic key at most once, shared with concurrent
+    /// callers of the same store — persist them, and merge the outcomes
+    /// back into the input order. With a [`SemanticTable`], every
+    /// cacheable case evaluates through the table, and nothing is looked
+    /// up or persisted. Fabric workers call this with a
+    /// [`Self::cases_slice`] of each chunk of their lease, all chunks of
+    /// one lease sharing one table.
+    pub fn run_cases_on(&self, cases: Vec<Case>, flight: SingleFlight<'_>) -> CasesResult {
         let validate = self.validate;
         let sim = self.sim;
         let sim_mode = self.sim_mode();
-        // Stage key + prefetch: expand every cacheable case into its cell
-        // key and look the whole batch up in one parallel pass (per-cell
-        // disk reads on a warm directory dominate otherwise). The grid is
-        // workload-major, so the spec string is rendered once per run of
-        // cases sharing a workload, not once per cell.
+        let store = match flight {
+            SingleFlight::Store(store) => Some(store),
+            SingleFlight::Table(_) => None,
+        };
+        // Stage key + prefetch, store only: expand every cacheable case
+        // into its cell key and look the whole batch up in one parallel
+        // pass (per-cell disk reads on a warm directory dominate
+        // otherwise). The grid is workload-major, so the spec string is
+        // rendered once per run of cases sharing a workload, not once per
+        // cell.
         let mut keys: Vec<Option<CellKey>> = Vec::with_capacity(cases.len());
         match store {
             Some(_) => {
@@ -491,15 +531,15 @@ impl SweepSpec {
         };
         // Stage evaluate: only the missing cells touch a graph or
         // scheduler (so a fully warm rerun does no instantiation at all).
-        // A nominal miss evaluates through its *semantic* key, built from
-        // the instantiated graph's structural fingerprint (see
-        // [`CellKey::semantic`]): the store evaluates each semantic key at
-        // most once, and every other miss on it — a spec delta that left
-        // the graph unchanged, a repeated structure elsewhere in this
-        // batch, or a concurrent caller's cell — takes that outcome,
-        // counted as repaired. Schedulers are name-blind and
-        // deterministic, so a repaired outcome is byte-identical to
-        // evaluating.
+        // Every cacheable miss evaluates through its *semantic* key, built
+        // from the instantiated graph's structural fingerprint (see
+        // `SemanticKey`): the single-flight table evaluates each
+        // semantic key at most once, and every other miss on it — a spec
+        // delta that left the graph unchanged, a repeated structure
+        // elsewhere in this batch or lease, or a concurrent caller's cell
+        // — takes that outcome, counted as repaired. Schedulers are
+        // name-blind and deterministic, so a repaired outcome is
+        // byte-identical to evaluating.
         let todo: Vec<usize> = (0..cases.len()).filter(|&i| slots[i].is_none()).collect();
         let threads = self
             .threads
@@ -509,21 +549,16 @@ impl SweepSpec {
             let case = &cases[i];
             let (g, hit) = case.workload.instantiate_traced(case.seed);
             let eval = || evaluate(case, &g, validate, sim);
-            let (outcome, repaired) = match (store, &keys[i]) {
-                (Some(store), Some(_)) => {
-                    let sem = CELL_SCRATCH.with(|cell| {
-                        CellKey::semantic_with(
-                            &mut cell.borrow_mut().spec_buf,
-                            SCHEMA_VERSION,
-                            g.fingerprint(),
-                            case.pes,
-                            case.scheduler.alias(),
-                            &sim_mode,
-                        )
-                    });
-                    store.evaluate_once(&sem, eval)
-                }
-                _ => (eval(), false),
+            let (outcome, repaired) = if self.cacheable(case) {
+                let key = SemanticKey {
+                    fingerprint: g.fingerprint(),
+                    pes: case.pes,
+                    scheduler: case.scheduler,
+                    sim: validate.then_some(sim),
+                };
+                flight.evaluate_once(key, &sim_mode, eval)
+            } else {
+                (eval(), false)
             };
             // Leap telemetry is thread-local and reset-on-take: collect
             // the delta on the worker thread, per case, so the batched
@@ -600,6 +635,8 @@ impl SweepSpec {
     /// Parses an [`Self::encode_spec`] block back into a spec. Worker
     /// threads default and timing is off — merged sweeps never evaluate
     /// or time anything (fabric workers override `threads` themselves).
+    /// A seed range that overflows `u64` is an error
+    /// ([`Self::check_seed_range`]).
     pub fn decode_spec(block: &str) -> Result<SweepSpec, String> {
         let mut spec = SweepSpec {
             workloads: Vec::new(),
@@ -641,6 +678,7 @@ impl SweepSpec {
                 other => return Err(format!("unknown spec field {other:?}")),
             }
         }
+        SweepSpec::check_seed_range(spec.seed, spec.graphs)?;
         Ok(spec)
     }
 
@@ -732,6 +770,47 @@ impl SweepSpec {
     }
 }
 
+/// Where [`SweepSpec::run_cases_on`] single-flights its cacheable misses
+/// on their semantic keys.
+#[derive(Clone, Copy)]
+pub enum SingleFlight<'a> {
+    /// The caller's result store: semantic entries persist with it, and
+    /// concurrent callers of the store share its evaluations.
+    Store(&'a ResultStore),
+    /// An in-memory table the caller owns and sizes: one pass, or one
+    /// fabric lease.
+    Table(&'a SemanticTable),
+}
+
+impl SingleFlight<'_> {
+    /// Evaluates `key` at most once across this table's callers;
+    /// `sim_mode` is its [`SweepSpec::sim_mode`] rendering. Returns the
+    /// outcome and whether another evaluation supplied it.
+    fn evaluate_once(
+        self,
+        key: SemanticKey,
+        sim_mode: &str,
+        eval: impl FnOnce() -> Outcome,
+    ) -> (Outcome, bool) {
+        match self {
+            SingleFlight::Store(store) => {
+                let sem = CELL_SCRATCH.with(|cell| {
+                    CellKey::semantic_with(
+                        &mut cell.borrow_mut().spec_buf,
+                        SCHEMA_VERSION,
+                        key.fingerprint,
+                        key.pes,
+                        key.scheduler.alias(),
+                        sim_mode,
+                    )
+                });
+                store.evaluate_once(&sem, eval)
+            }
+            SingleFlight::Table(table) => table.evaluate_once(key, eval),
+        }
+    }
+}
+
 /// The outcome of [`SweepSpec::run_cases`] over one case list: the
 /// evaluated runs (in input order) plus the graph-cache and result-store
 /// traffic and the aggregated [`BatchedSim`](stg_des::BatchedSim)
@@ -741,10 +820,13 @@ pub struct CasesResult {
     pub runs: Vec<Run>,
     /// Graph-cache hit/miss counts of the evaluations.
     pub cache: CacheStats,
-    /// Result-store traffic (zero without a store). `hits`, `misses` and
-    /// `repaired` count this call's cells only, however many callers
-    /// share the store. `invalidations` and `evicted` describe the store
-    /// itself, so they are its lifetime totals.
+    /// Cell reuse. `hits`, `misses` and `repaired` count this call's
+    /// cells only, however many callers share the store or table;
+    /// `repaired` counts the cells a store or [`SemanticTable`] answered
+    /// without evaluating, so it is non-zero without a store too. `hits`,
+    /// `misses`, `invalidations` and `evicted` need a store (zero without
+    /// one); the last two describe the store itself, so they are its
+    /// lifetime totals.
     pub cell_cache: StoreStats,
     /// Aggregated epoch-leap telemetry (zero unless the batched
     /// simulator validated cells).
@@ -825,8 +907,7 @@ pub struct ShardResult {
     runs: Vec<Run>,
     /// Graph-cache traffic of this slice's evaluations.
     pub cache: CacheStats,
-    /// Result-store traffic of this slice (zero without a store; see
-    /// [`CasesResult::cell_cache`]).
+    /// Cell reuse of this slice (see [`CasesResult::cell_cache`]).
     pub cell_cache: StoreStats,
     /// Aggregated epoch-leap telemetry of this slice's validations.
     pub leap: LeapStats,
@@ -1253,9 +1334,10 @@ pub struct Sweep {
     /// Cell-cache hits skip graph instantiation entirely, so a fully warm
     /// rerun reports zero traffic here.
     pub cache: CacheStats,
-    /// Result-store (cell cache) traffic this sweep incurred: zero when
-    /// no store was passed to [`SweepSpec::run_with`] (see
-    /// [`CasesResult::cell_cache`] for which counters are per call).
+    /// Cell reuse this sweep incurred: store traffic when a store was
+    /// passed to [`SweepSpec::run_with`], and the cells its store or pass
+    /// table repaired (see [`CasesResult::cell_cache`] for which counters
+    /// need a store and which are per call).
     pub cell_cache: StoreStats,
     /// Aggregated [`BatchedSim`](stg_des::BatchedSim) epoch-leap
     /// telemetry of this sweep's validations. Like the cache counters it
@@ -1986,6 +2068,99 @@ mod tests {
         assert_eq!(cold.to_csv(), spec.run().to_csv());
         let warm = spec.run_with(Some(&store));
         assert_eq!((warm.cell_cache.hits, warm.cell_cache.repaired), (n, 0));
+    }
+
+    #[test]
+    fn reuse_matches_direct_evaluation_of_every_case() {
+        // The oracle that reuses nothing: every case through a fresh
+        // scheduler, scheduled, then validated by the batched simulator.
+        // Every pass single-flights, so the byte checks elsewhere compare
+        // reuse with reuse; this one compares it with evaluation.
+        let spec = SweepSpec {
+            workloads: vec![WorkloadSpec {
+                workload: "chain:8".parse().unwrap(),
+                pes: vec![2, 4],
+            }],
+            graphs: 300,
+            seed: 1,
+            schedulers: vec![
+                SchedulerKind::StreamingLts,
+                SchedulerKind::StreamingRlx,
+                SchedulerKind::NonStreaming,
+            ],
+            validate: true,
+            sim: SimChoice::Batched,
+            timing: false,
+            threads: Some(2),
+        };
+        let cases = spec.cases();
+        let direct: Vec<String> = cases
+            .iter()
+            .map(|case| {
+                let g = case.graph();
+                let outcome = case.build_scheduler().schedule(&g).map(|plan| {
+                    let s = plan.validate_with(&g, SimKind::Batched);
+                    let rel_err_pct = match s.completed() {
+                        true => 100.0 * relative_error(plan.makespan(), s.makespan),
+                        false => 0.0,
+                    };
+                    Record {
+                        metrics: *plan.metrics(),
+                        buffer_elements: plan.buffers().map_or(0, |b| b.total_elements),
+                        sim: Some(SimRecord {
+                            completed: s.completed(),
+                            makespan: s.makespan,
+                            rel_err_pct,
+                            beats: s.beats,
+                            diverged: false,
+                            micros: SimMicros::default(),
+                        }),
+                    }
+                });
+                crate::store::encode_outcome(&outcome)
+            })
+            .collect();
+        let distinct = cases
+            .iter()
+            .map(|c| (c.graph().fingerprint(), c.pes, c.scheduler))
+            .collect::<std::collections::HashSet<_>>()
+            .len();
+        assert_eq!((cases.len(), cases.len() - distinct), (1800, 330));
+        // One table for the pass; hits and misses need a store.
+        let pass = spec.run();
+        let stats = pass.cell_cache;
+        assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 330));
+        // 32-cell chunks sharing one table, as a fabric worker runs a
+        // lease: the table evaluates exactly the distinct keys.
+        let table = SemanticTable::with_capacity(cases.len());
+        let mut chunked = Vec::new();
+        let mut repaired = 0;
+        for start in (0..cases.len()).step_by(32) {
+            let chunk = spec.cases_slice(start..(start + 32).min(cases.len()));
+            let result = spec.run_cases_on(chunk, SingleFlight::Table(&table));
+            repaired += result.cell_cache.repaired;
+            chunked.extend(result.runs);
+        }
+        assert_eq!((table.len(), repaired), (distinct, 330));
+        for (i, want) in direct.iter().enumerate() {
+            for (path, runs) in [("pass", &pass.runs), ("chunked", &chunked)] {
+                let got = crate::store::encode_outcome(&runs[i].outcome);
+                assert_eq!(&got, want, "{path} case {i}");
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_specs_reject_seed_ranges_overflowing_u64() {
+        let mut spec = smoke_spec();
+        spec.seed = u64::MAX;
+        spec.graphs = 2;
+        let block = spec.encode_spec().unwrap();
+        let err = SweepSpec::decode_spec(&block).expect_err("seed u64::MAX + 1 is rejected");
+        assert!(err.contains("overflow u64"), "{err}");
+        // The last seed may be u64::MAX itself.
+        spec.graphs = 1;
+        assert!(SweepSpec::decode_spec(&spec.encode_spec().unwrap()).is_ok());
     }
 
     #[test]

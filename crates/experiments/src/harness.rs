@@ -7,7 +7,7 @@ use stg_core::SchedulerKind;
 use stg_des::SimKind;
 use stg_workloads::{WorkloadFamily, WorkloadKind};
 
-use crate::engine::{Shard, SimChoice};
+use crate::engine::{Shard, SimChoice, SweepSpec};
 use crate::store::ResultStore;
 
 /// Common experiment options, parsed from the command line.
@@ -149,6 +149,10 @@ impl Args {
                 print_scheduler_registry();
             }
             std::process::exit(0);
+        }
+        if let Err(e) = SweepSpec::check_seed_range(args.seed, args.graphs) {
+            eprintln!("--seed {} with --graphs {}: {e}", args.seed, args.graphs);
+            std::process::exit(2);
         }
         args
     }

@@ -32,11 +32,12 @@ pub mod store;
 
 pub use engine::{
     csv_header, csv_row, json_epilogue, json_prelude, json_row, Case, CasesResult, Cell, Record,
-    Run, Shard, ShardResult, SimChoice, SimMicros, SimRecord, Sweep, SweepSpec, WorkloadSpec,
+    Run, Shard, ShardResult, SimChoice, SimMicros, SimRecord, SingleFlight, Sweep, SweepSpec,
+    WorkloadSpec,
 };
 pub use harness::{
     default_threads, par_map, par_map_with, print_scheduler_registry, print_workload_registry, Args,
 };
 pub use stats::{summary, Summary};
 pub use stg_workloads::{WorkloadFamily, WorkloadKind};
-pub use store::{CellKey, ResultStore, StoreStats, SCHEMA_VERSION};
+pub use store::{CellKey, ResultStore, SemanticTable, StoreStats, SCHEMA_VERSION};

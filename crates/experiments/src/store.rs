@@ -24,7 +24,10 @@
 //! batch, or a concurrent caller's cell — takes the owner's outcome,
 //! counted in [`StoreStats::repaired`]. Processes sharing one directory
 //! do not coordinate: each evaluates its own misses, and their segment
-//! writes race benignly.
+//! writes race benignly. Passes without a store single-flight the same
+//! way through a [`SemanticTable`], an in-memory table that lives for
+//! one pass or one fabric lease; both run the one protocol of
+//! `OnceLock::get_or_init`.
 //!
 //! Invalidation is structural, not temporal: the canonical key string is
 //! embedded in every cache entry and verified on load, so a hash
@@ -62,12 +65,13 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use stg_analysis::ScheduleError;
+use stg_core::SchedulerKind;
 use stg_graph::NodeId;
 
-use crate::engine::{Record, SimMicros, SimRecord};
+use crate::engine::{Record, SimChoice, SimMicros, SimRecord};
 
 /// The engine result-schema version, embedded in every [`CellKey`].
 /// Bumping it invalidates every previously cached cell (the canonical key
@@ -210,14 +214,16 @@ impl CellKey {
 /// the `invalidations` subset (entries that existed but failed
 /// verification — canonical-key mismatch, undecodable payload). `evicted`
 /// counts segment files *deleted* because they failed to parse as a whole
-/// (truncation, stale schema, foreign bytes). `repaired` counts nominal
-/// misses that [`ResultStore::evaluate_once`] (or
-/// [`ResultStore::lookup_repaired`]) answered from their semantic
-/// (fingerprint-keyed) key without evaluating: either the entry was
-/// already stored, or another thread was evaluating that key and handed
-/// its outcome over. So in the engine a miss forced an evaluation exactly
-/// when it was not repaired. A repaired cell is *not* a hit (the nominal
-/// lookup missed), and probing a semantic key never counts a miss.
+/// (truncation, stale schema, foreign bytes). `repaired` counts cells
+/// answered from their semantic (fingerprint-keyed) key without
+/// evaluating: by [`ResultStore::evaluate_once`] (or
+/// [`ResultStore::lookup_repaired`]) after a nominal miss, when the entry
+/// was already stored or another thread handed its outcome over; and, in
+/// a pass without a store, by its [`SemanticTable`], which hands over
+/// the outcome of the cell that first evaluated the key. So in the
+/// engine a cacheable cell was evaluated exactly when it was neither a
+/// hit nor repaired. A repaired cell is *not* a hit (no nominal lookup
+/// found it), and probing a semantic key never counts a miss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StoreStats {
     /// Lookups served from the store.
@@ -228,8 +234,8 @@ pub struct StoreStats {
     pub invalidations: u64,
     /// Unparseable segment files deleted.
     pub evicted: u64,
-    /// Nominal misses answered from a semantic (graph-fingerprint) key:
-    /// a stored entry, or an evaluation another thread was running.
+    /// Cells answered from a semantic (graph-fingerprint) key: a stored
+    /// entry, or an evaluation another cell ran.
     pub repaired: u64,
 }
 
@@ -258,12 +264,13 @@ pub struct ResultStore {
     /// The lazily built zero-copy index over the directory's `seg-*.cells`
     /// files (built once, on the first disk lookup).
     segments: OnceLock<SegmentIndex>,
-    /// Semantic keys whose evaluation is running right now, each owned by
-    /// the thread that missed on it first (see
-    /// [`ResultStore::evaluate_once`]). A key leaves the table when its
-    /// evaluation ends, so it never holds more than one key per
-    /// evaluating thread.
-    inflight: Mutex<HashMap<CellKey, Arc<Flight>>>,
+    /// Semantic keys whose evaluation is running right now, each filled
+    /// by the thread that missed on it first (see
+    /// [`ResultStore::evaluate_once`]). A key leaves the table once its
+    /// outcome is stored, so it never holds more than one key per
+    /// evaluating thread (plus any whose evaluation unwound and that no
+    /// caller has retried yet).
+    inflight: Mutex<HashMap<CellKey, Arc<OnceLock<Outcome>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalidations: AtomicU64,
@@ -277,71 +284,108 @@ struct Entry {
     payload: String,
 }
 
-/// One running evaluation of a semantic key. Its owner hands the outcome
-/// over here; threads that missed on the same key meanwhile wait on
-/// `landed`.
-#[derive(Default)]
-struct Flight {
-    state: Mutex<FlightState>,
-    landed: Condvar,
-}
-
-/// What the waiters of a [`Flight`] see: still running, or how it ended.
-#[derive(Default)]
-enum FlightState {
-    #[default]
-    Running,
-    Done(Outcome),
-    /// The owner unwound out of its evaluation; waiters start over.
-    Abandoned,
-}
-
-impl Flight {
-    /// Blocks until the owner hands over: its outcome, or `None` when it
-    /// unwound instead.
-    fn wait(&self) -> Option<Outcome> {
-        let state = self.state.lock().expect("flight lock");
-        let state = self
-            .landed
-            .wait_while(state, |s| matches!(s, FlightState::Running))
-            .expect("flight lock");
-        match &*state {
-            FlightState::Done(outcome) => Some(outcome.clone()),
-            _ => None,
+/// The single-flight protocol behind [`ResultStore::evaluate_once`] and
+/// [`SemanticTable::evaluate_once`], which is `OnceLock::get_or_init`'s:
+/// the first caller to reach the empty `cell` owns it and runs `eval`;
+/// callers arriving meanwhile block and take its outcome; if `eval`
+/// unwinds, the cell stays empty and one of them evaluates instead.
+/// Returns the outcome and whether another caller's `eval` supplied it.
+/// A handed-over outcome carries no validation wall-clock, like a stored
+/// one: this caller ran no simulator.
+fn single_flight(cell: &OnceLock<Outcome>, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+    let mut owned = false;
+    let mut outcome = cell
+        .get_or_init(|| {
+            owned = true;
+            eval()
+        })
+        .clone();
+    if !owned {
+        if let Ok(Record { sim: Some(s), .. }) = &mut outcome {
+            s.micros = SimMicros::default();
         }
     }
+    (outcome, !owned)
 }
 
-/// An owner's registration in the in-flight table. Dropping it — after
-/// the evaluation, or while unwinding out of it — removes the key from
-/// the table and hands `outcome` (`None`: there is none) to every waiter.
-struct Owner<'a> {
-    store: &'a ResultStore,
-    key: &'a CellKey,
-    flight: Arc<Flight>,
-    outcome: Option<Outcome>,
+/// A semantic cell key as typed parts (compare [`CellKey::semantic`],
+/// its string form in the store): the structural fingerprint of the
+/// instantiated graph, the machine size, the scheduler preset, and the
+/// simulation mode (`None` when validation is off). [`SemanticTable`]
+/// entries are keyed by it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct SemanticKey {
+    /// [`CanonicalGraph::fingerprint`](stg_model::CanonicalGraph::fingerprint)
+    /// of the cell's graph.
+    pub(crate) fingerprint: u64,
+    pub(crate) pes: usize,
+    pub(crate) scheduler: SchedulerKind,
+    /// The validating simulator choice, or `None` without validation.
+    pub(crate) sim: Option<SimChoice>,
 }
 
-impl Drop for Owner<'_> {
-    fn drop(&mut self) {
-        // This runs while unwinding too, so it must not panic. Each lock
-        // guards data that every update leaves valid, so a poisoned lock
-        // is safe to recover.
-        self.store
-            .inflight
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .remove(self.key);
-        let mut state = self
-            .flight
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *state = match self.outcome.take() {
-            Some(outcome) => FlightState::Done(outcome),
-            None => FlightState::Abandoned,
+/// An in-memory single-flight table on semantic cell keys (graph
+/// structure, PEs, scheduler and sim mode): what a pass without a
+/// [`ResultStore`] evaluates its cells through, so each
+/// distinct (structure, PEs, scheduler, sim mode) is evaluated once per
+/// table and every other cell on it takes that outcome. The engine keeps
+/// one per pass (or shard); a fabric worker keeps one per lease, so
+/// reuse spans the lease's chunks and the table stays bounded by the
+/// lease size.
+///
+/// Entries are typed outcomes held inline: one slot per claimed key in a
+/// slot array allocated once, no encoding and no allocation per entry.
+/// The table never persists or forgets an entry; it lives as long as its
+/// owner keeps it.
+pub struct SemanticTable {
+    /// Each claimed key's position in `slots`, in claim order.
+    index: Mutex<HashMap<SemanticKey, usize>>,
+    slots: Box<[OnceLock<Outcome>]>,
+}
+
+impl SemanticTable {
+    /// A table with room for `keys` distinct keys — the number of cells
+    /// that will go through it is always enough. A key claimed after the
+    /// table is full is evaluated without reuse.
+    pub fn with_capacity(keys: usize) -> SemanticTable {
+        SemanticTable {
+            index: Mutex::new(HashMap::new()),
+            slots: (0..keys).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// Single-flight evaluation of `key`: `eval` runs only if no caller
+    /// has filled the key's slot or is filling it. Returns the outcome and
+    /// whether another caller's evaluation supplied it (the engine counts
+    /// those in [`StoreStats::repaired`]). If `eval` unwinds, a caller
+    /// waiting on the key evaluates instead. Schedulers and simulators
+    /// are deterministic and blind to workload names, so the shared
+    /// outcome is the one each caller would have computed.
+    pub(crate) fn evaluate_once(
+        &self,
+        key: SemanticKey,
+        eval: impl FnOnce() -> Outcome,
+    ) -> (Outcome, bool) {
+        let slot = {
+            let mut index = self.index.lock().expect("semantic table lock");
+            let next = index.len();
+            if next < self.slots.len() {
+                Some(*index.entry(key).or_insert(next))
+            } else {
+                index.get(&key).copied()
+            }
         };
-        self.flight.landed.notify_all();
+        match slot {
+            Some(slot) => single_flight(&self.slots[slot], eval),
+            None => (eval(), false),
+        }
+    }
+
+    /// Number of distinct keys claimed so far: each was evaluated once
+    /// (or is being evaluated now).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.index.lock().expect("semantic table lock").len()
     }
 }
 
@@ -551,66 +595,56 @@ impl ResultStore {
     /// (then it also counts in [`StoreStats::repaired`]):
     ///
     /// 1. a stored entry, probed as [`ResultStore::lookup_repaired`] does;
-    /// 2. else the outcome of the thread evaluating `sem` right now,
-    ///    waited for;
-    /// 3. else this thread registers as the key's owner, runs `eval`,
-    ///    inserts the semantic entry, hands the outcome to any waiters,
-    ///    and deregisters.
+    /// 2. else the key's in-flight cell, joined or registered, filled
+    ///    under the single-flight protocol [`SemanticTable`] shares: the
+    ///    first caller probes again, then runs `eval` and inserts the
+    ///    semantic entry; callers that joined meanwhile take its outcome;
+    /// 3. the caller that filled the cell deregisters it.
     ///
-    /// The owner inserts before it deregisters, and a new owner probes
-    /// again after registering, so no second evaluation slips in between.
-    /// A segment flush the insert makes due runs after the hand-over, so
-    /// waiters never wait on an fsync. If `eval` unwinds, the waiters
-    /// start over at step 1 and one of them evaluates. Owners never wait
-    /// on another key, so waits cannot form a cycle. Schedulers and
-    /// simulators are deterministic and blind to workload names, so the
-    /// shared outcome is the one each caller would have computed.
+    /// The filler inserts before it deregisters, and it probes again
+    /// after registering, so no second evaluation slips in between. A
+    /// segment flush the insert makes due runs after the hand-over, so
+    /// waiters never wait on an fsync. If `eval` unwinds, the cell stays
+    /// registered and empty, and a caller that joined it (or a later one)
+    /// evaluates. Fillers never wait on another key, so waits cannot form
+    /// a cycle. Schedulers and simulators are deterministic and blind to
+    /// workload names, so the shared outcome is the one each caller would
+    /// have computed.
     pub fn evaluate_once(&self, sem: &CellKey, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
-        loop {
-            if let Some(outcome) = self.lookup_repaired(sem) {
-                return (outcome, true);
-            }
-            let (flight, owned) = {
-                let mut inflight = self.inflight.lock().expect("in-flight table lock");
-                match inflight.get(sem) {
-                    Some(flight) => (Arc::clone(flight), false),
-                    None => {
-                        let flight = Arc::<Flight>::default();
-                        inflight.insert(sem.clone(), Arc::clone(&flight));
-                        (flight, true)
-                    }
-                }
-            };
-            if !owned {
-                match flight.wait() {
-                    Some(outcome) => {
-                        self.repaired.fetch_add(1, Ordering::Relaxed);
-                        return (outcome, true);
-                    }
-                    None => continue,
-                }
-            }
-            let mut owner = Owner {
-                store: self,
-                key: sem,
-                flight,
-                outcome: None,
-            };
-            // An owner that finished between step 1 and this registration
-            // inserted its entry before deregistering: probe again.
-            if let Some(outcome) = self.lookup_repaired(sem) {
-                owner.outcome = Some(outcome.clone());
-                return (outcome, true);
-            }
-            let outcome = eval();
-            let flush_due = self.insert_pending(sem, &outcome);
-            owner.outcome = Some(outcome.clone());
-            drop(owner);
-            if flush_due {
-                self.flush();
-            }
-            return (outcome, false);
+        if let Some(outcome) = self.lookup_repaired(sem) {
+            return (outcome, true);
         }
+        let flight = Arc::clone(
+            self.inflight
+                .lock()
+                .expect("in-flight table lock")
+                .entry(sem.clone())
+                .or_default(),
+        );
+        let (mut evaluated, mut flush_due) = (false, false);
+        let (outcome, joined) = single_flight(&flight, || {
+            // A filler that finished between step 1 and this registration
+            // inserted its entry before deregistering: probe again.
+            self.probe(sem).unwrap_or_else(|| {
+                evaluated = true;
+                let outcome = eval();
+                flush_due = self.insert_pending(sem, &outcome);
+                outcome
+            })
+        });
+        if !joined {
+            self.inflight
+                .lock()
+                .expect("in-flight table lock")
+                .remove(sem);
+        }
+        if !evaluated {
+            self.repaired.fetch_add(1, Ordering::Relaxed);
+        }
+        if flush_due {
+            self.flush();
+        }
+        (outcome, !evaluated)
     }
 
     /// The lookup mechanics without hit/miss accounting: memory, then the
@@ -1253,92 +1287,175 @@ mod tests {
         );
     }
 
-    /// Blocks until `waiter` has joined the flight of `sem` (the table,
-    /// the owner and this probe hold one reference each, the waiter the
-    /// fourth) or has returned without joining it.
-    fn await_waiter<T>(store: &ResultStore, sem: &CellKey, waiter: &ScopedJoinHandle<'_, T>) {
-        let flight = Arc::clone(&store.inflight.lock().expect("in-flight table lock")[sem]);
-        while Arc::strong_count(&flight) < 4 && !waiter.is_finished() {
-            std::thread::yield_now();
+    /// One key of a single-flight table under test: a semantic key of a
+    /// store, or a typed key of a [`SemanticTable`]. The contract tests
+    /// below run against both.
+    trait Flights: Sync {
+        fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool);
+        /// Blocks until `waiter` has joined the key's flight, or has
+        /// returned without joining it.
+        fn await_waiter<T>(&self, waiter: &ScopedJoinHandle<'_, T>);
+    }
+
+    impl Flights for (&ResultStore, &CellKey) {
+        fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+            self.0.evaluate_once(self.1, eval)
         }
+
+        /// The in-flight table, the owner and this probe hold one
+        /// reference to the flight each; the waiter holds the fourth.
+        fn await_waiter<T>(&self, waiter: &ScopedJoinHandle<'_, T>) {
+            let flight = Arc::clone(&self.0.inflight.lock().expect("in-flight table lock")[self.1]);
+            while Arc::strong_count(&flight) < 4 && !waiter.is_finished() {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    impl Flights for (&SemanticTable, SemanticKey) {
+        fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+            self.0.evaluate_once(self.1, eval)
+        }
+
+        /// A table never drops a claimed key, so the waiter joins the
+        /// owner's slot whenever it arrives, and the contract's
+        /// assertions hold at any arrival time. Nothing shows a thread
+        /// blocked inside `get_or_init`, so this pause only makes the
+        /// blocked path the one a run exercises.
+        fn await_waiter<T>(&self, _waiter: &ScopedJoinHandle<'_, T>) {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+    }
+
+    /// Holds a first caller inside `owner_eval` until a second caller,
+    /// with `waiter_eval`, has joined its flight, then releases it.
+    /// Returns the owner's thread result (it may panic) and the waiter's
+    /// result.
+    fn owner_and_waiter(
+        flights: &impl Flights,
+        owner_eval: impl FnOnce() -> Outcome + Send,
+        waiter_eval: impl FnOnce() -> Outcome + Send,
+    ) -> (std::thread::Result<(Outcome, bool)>, (Outcome, bool)) {
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let owner = s.spawn(move || {
+                flights.evaluate_once(|| {
+                    started_tx.send(()).expect("test thread alive");
+                    release_rx.recv().expect("released by the test thread");
+                    owner_eval()
+                })
+            });
+            started_rx.recv().expect("owner started");
+            let waiter = s.spawn(|| flights.evaluate_once(waiter_eval));
+            flights.await_waiter(&waiter);
+            assert!(
+                !waiter.is_finished(),
+                "the waiter blocks while the owner evaluates"
+            );
+            release_tx.send(()).expect("owner alive");
+            (owner.join(), waiter.join().expect("the waiter returns"))
+        })
+    }
+
+    fn concurrent_misses_evaluate_once(flights: &impl Flights) {
+        let (owner, waiter) = owner_and_waiter(
+            flights,
+            || Ok(sample_record(true)),
+            || panic!("a waiter must not evaluate"),
+        );
+        let owned = owner.expect("the owner evaluates");
+        assert_eq!(owned, (Ok(sample_record(true)), false));
+        assert_eq!(waiter, (owned.0, true));
+        // The outcome stays: a later caller takes it without evaluating.
+        let again = flights.evaluate_once(|| panic!("stored, not evaluated"));
+        assert_eq!(again, (Ok(sample_record(true)), true));
+    }
+
+    fn waiter_evaluates_after_the_owner_unwinds(flights: &impl Flights) {
+        let (owner, waiter) = owner_and_waiter(
+            flights,
+            || panic!("the owner's evaluation fails"),
+            || Err(ScheduleError::Cyclic),
+        );
+        assert!(owner.is_err(), "the owner panicked");
+        // The key stayed empty, so the waiter evaluated it.
+        assert_eq!(waiter, (Err(ScheduleError::Cyclic), false));
+        let again = flights.evaluate_once(|| panic!("stored, not evaluated"));
+        assert_eq!(again, (Err(ScheduleError::Cyclic), true));
     }
 
     #[test]
     fn concurrent_misses_on_one_semantic_key_evaluate_once() {
         let store = ResultStore::in_memory();
         let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f117, 4, "sb-lts", "off");
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            let (store, sem) = (&store, &sem);
-            let owner = s.spawn(move || {
-                store.evaluate_once(sem, || {
-                    started_tx.send(()).expect("test thread alive");
-                    release_rx.recv().expect("released by the test thread");
-                    Ok(sample_record(true))
-                })
-            });
-            // The owner is registered and inside its evaluation; hold it
-            // there until the second caller waits on its flight.
-            started_rx.recv().expect("owner started");
-            let waiter =
-                s.spawn(|| store.evaluate_once(sem, || panic!("a waiter must not evaluate")));
-            await_waiter(store, sem, &waiter);
-            release_tx.send(()).expect("owner alive");
-            let (owned, owner_repaired) = owner.join().expect("owner evaluates");
-            let (waited, waiter_repaired) = waiter.join().expect("waiter never evaluates");
-            assert_eq!(owned, Ok(sample_record(true)));
-            assert_eq!(waited, owned);
-            assert_eq!((owner_repaired, waiter_repaired), (false, true));
-        });
+        concurrent_misses_evaluate_once(&(&store, &sem));
         let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 1));
+        assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 2));
         assert!(store
             .inflight
             .lock()
             .expect("in-flight table lock")
             .is_empty());
-        // The owner stored the semantic entry: a later caller probes it.
-        let (again, repaired) = store.evaluate_once(&sem, || panic!("stored, not evaluated"));
-        assert_eq!((again, repaired), (Ok(sample_record(true)), true));
-        assert_eq!(store.stats().repaired, 2);
+        let table = SemanticTable::with_capacity(1);
+        concurrent_misses_evaluate_once(&(&table, table_key(0x5eed_f117)));
+        assert_eq!(table.len(), 1);
     }
 
     #[test]
     fn a_waiter_evaluates_when_the_owner_unwinds() {
         let store = ResultStore::in_memory();
         let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f118, 4, "sb-lts", "off");
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (release_tx, release_rx) = std::sync::mpsc::channel();
-        std::thread::scope(|s| {
-            let (store, sem) = (&store, &sem);
-            let owner = s.spawn(move || {
-                store.evaluate_once(sem, || {
-                    started_tx.send(()).expect("test thread alive");
-                    release_rx.recv().expect("released by the test thread");
-                    panic!("the owner's evaluation fails")
-                })
-            });
-            started_rx.recv().expect("owner started");
-            let waiter = s.spawn(|| store.evaluate_once(sem, || Err(ScheduleError::Cyclic)));
-            await_waiter(store, sem, &waiter);
-            release_tx.send(()).expect("owner alive");
-            assert!(owner.join().is_err(), "the owner panicked");
-            // The waiter started over, found no entry and no flight, and
-            // evaluated itself.
-            let taken_over = waiter.join().expect("waiter returns");
-            assert_eq!(taken_over, (Err(ScheduleError::Cyclic), false));
-        });
-        assert_eq!(store.stats().repaired, 0);
+        waiter_evaluates_after_the_owner_unwinds(&(&store, &sem));
+        assert_eq!(store.stats().repaired, 1);
         assert!(store
             .inflight
             .lock()
             .expect("in-flight table lock")
             .is_empty());
+        let table = SemanticTable::with_capacity(1);
+        waiter_evaluates_after_the_owner_unwinds(&(&table, table_key(0x5eed_f118)));
+        assert_eq!(table.len(), 1);
+    }
+
+    fn table_key(fingerprint: u64) -> SemanticKey {
+        SemanticKey {
+            fingerprint,
+            pes: 4,
+            scheduler: SchedulerKind::StreamingLts,
+            sim: None,
+        }
+    }
+
+    #[test]
+    fn a_full_table_evaluates_without_reuse() {
+        let table = SemanticTable::with_capacity(1);
+        let first = table.evaluate_once(table_key(1), || Ok(sample_record(false)));
+        assert_eq!(first, (Ok(sample_record(false)), false));
+        // Past capacity a new key is evaluated every time; claimed keys
+        // are still served.
+        for _ in 0..2 {
+            let other = table.evaluate_once(table_key(2), || Err(ScheduleError::Cyclic));
+            assert_eq!(other, (Err(ScheduleError::Cyclic), false));
+        }
+        let again = table.evaluate_once(table_key(1), || panic!("claimed, not evaluated"));
+        assert_eq!(again, (Ok(sample_record(false)), true));
+        assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn handed_over_outcomes_carry_no_wall_clock() {
+        let table = SemanticTable::with_capacity(1);
+        let mut timed = sample_record(true);
+        timed.sim.as_mut().expect("validated").micros.batched = Some(42);
+        let owned = table.evaluate_once(table_key(3), || Ok(timed.clone()));
         assert_eq!(
-            store.lookup_repaired(&sem),
-            Some(Err(ScheduleError::Cyclic))
+            owned,
+            (Ok(timed), false),
+            "the evaluating caller keeps its timing"
         );
+        let handed = table.evaluate_once(table_key(3), || panic!("claimed, not evaluated"));
+        assert_eq!(handed, (Ok(sample_record(true)), true));
     }
 
     #[test]

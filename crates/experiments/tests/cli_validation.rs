@@ -1,6 +1,7 @@
 //! CLI validation for the sweep frontend: junk `--threads`, out-of-range
-//! `--shard i/n` selectors, retired flags, unmergeable artifacts, and
-//! malformed `--distributed` worker counts all exit with code 2 and a
+//! `--shard i/n` selectors, retired flags, unmergeable artifacts,
+//! malformed `--distributed` worker counts, and seed ranges past `u64`
+//! all exit with code 2 and a
 //! clear usage message up front — instead of panicking, silently
 //! clamping, or burning a full sweep first.
 
@@ -114,4 +115,33 @@ fn sweep_accepts_positive_threads() {
         "--csv",
     ]);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+#[test]
+fn sweep_rejects_seed_ranges_overflowing_u64() {
+    // The second seed would be u64::MAX + 1: rejected before any row is
+    // emitted, instead of wrapping to seed 0.
+    let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+        .args([
+            "--workload",
+            "chain:8",
+            "--pes",
+            "2",
+            "--scheduler",
+            "sb-lts",
+        ])
+        .args(["--seed", "18446744073709551615", "--graphs", "2"])
+        .output()
+        .expect("sweep launches");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "no rows: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(
+        stderr.contains("--seed") && stderr.contains("--graphs"),
+        "{stderr}"
+    );
 }

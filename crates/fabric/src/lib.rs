@@ -16,8 +16,8 @@
 //! - [`coordinator`] — lease queue, work-stealing splits, deadline and
 //!   connection-drop re-queue, and the drain phase.
 //! - [`worker`] — lease/evaluate/report loop over the shared engine
-//!   ([`stg_experiments::SweepSpec::run_cases`]), honoring steal
-//!   truncation acks.
+//!   ([`stg_experiments::SweepSpec::run_cases_on`], one single-flight
+//!   table per lease without a store), honoring steal truncation acks.
 //! - [`merge`] — the bounded-memory [`merge::StreamMerger`] folding rows
 //!   into the artifact in case-index order.
 //! - [`counters`] — monotonic fabric counters (`leases_issued`,

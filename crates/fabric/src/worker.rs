@@ -2,11 +2,17 @@
 //! evaluates them in small chunks through the shared sweep engine, and
 //! reports rows back until told to drain.
 //!
+//! Cells single-flight on their semantic key like every engine pass:
+//! through the result store when the worker has one, else through a
+//! [`SemanticTable`] that lives for one lease. A lease table lets reuse
+//! span the lease's chunks, and the lease size cap bounds it on any grid,
+//! where a table kept for the worker's lifetime would grow with the grid.
+//!
 //! Workers are expendable by design: any post-handshake I/O failure is a
 //! graceful drain (the coordinator re-queues whatever this worker held),
 //! and a `gone` ack makes the worker abandon the lease immediately. The
-//! only hard errors are connect/handshake failures and a spec whose
-//! fingerprint disagrees with the coordinator's — evaluating under a
+//! only hard errors are connect/handshake failures and a spec whose size
+//! or fingerprint disagrees with the coordinator's — evaluating under a
 //! mismatched grid would silently corrupt the merge.
 
 use std::io::{BufReader, Write};
@@ -14,10 +20,11 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use stg_experiments::store::ResultStore;
-use stg_experiments::SweepSpec;
+use stg_experiments::store::{ResultStore, SemanticTable};
+use stg_experiments::{SingleFlight, SweepSpec};
 use stg_service::read_frame;
 
+use crate::coordinator::LeaseTuner;
 use crate::protocol::{FabricRequest, FabricResponse, MAX_FRAME_BYTES, MAX_ROWS_PER_FRAME};
 
 /// Cells evaluated (and reported) per chunk: small enough that steals and
@@ -106,17 +113,19 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, String> {
             cache_dir,
         } => {
             let spec = SweepSpec::decode_spec(&spec)?;
-            if spec.grid_fingerprint() != fingerprint {
+            // The size first: it is arithmetic, while the fingerprint walks
+            // every cell of whatever grid the frame claims.
+            let local_total = spec.total_cases();
+            if local_total != total {
                 return Err(format!(
-                    "spec fingerprint mismatch: coordinator {fingerprint:016x}, \
-                     local {:016x} (version skew?)",
-                    spec.grid_fingerprint()
+                    "grid size mismatch: coordinator {total}, local {local_total}"
                 ));
             }
-            if spec.total_cases() != total {
+            let local = spec.grid_fingerprint();
+            if local != fingerprint {
                 return Err(format!(
-                    "grid size mismatch: coordinator {total}, local {}",
-                    spec.total_cases()
+                    "spec fingerprint mismatch: coordinator {fingerprint:016x}, \
+                     local {local:016x} (version skew?)"
                 ));
             }
             (spec, cache_dir)
@@ -171,7 +180,9 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, String> {
 }
 
 /// Evaluates one lease chunk-by-chunk, truncating to each ack's `end`
-/// (the lease shrinks when another worker steals its upper half).
+/// (the lease shrinks when another worker steals its upper half). Without
+/// a store, the chunks share one [`SemanticTable`] sized to the lease, up
+/// to [`LeaseTuner::MAX_CELLS`] keys.
 #[allow(clippy::too_many_arguments)]
 fn serve_lease(
     stream: &mut TcpStream,
@@ -183,6 +194,17 @@ fn serve_lease(
     start: usize,
     mut end: usize,
 ) -> Result<u64, String> {
+    let table;
+    let flight = match store {
+        Some(store) => SingleFlight::Store(store),
+        None => {
+            // Bounded by the largest auto-tuned lease, whatever lease a
+            // `--lease-cells` pin or a coordinator hands out.
+            table =
+                SemanticTable::with_capacity(end.saturating_sub(start).min(LeaseTuner::MAX_CELLS));
+            SingleFlight::Table(&table)
+        }
+    };
     let mut reported = 0u64;
     let mut pos = start;
     while pos < end {
@@ -191,7 +213,7 @@ fn serve_lease(
             // Deterministic straggler/kill window for the fault tests.
             std::thread::sleep(config.eval_delay * (chunk_end - pos) as u32);
         }
-        let result = spec.run_cases(spec.cases_slice(pos..chunk_end), store);
+        let result = spec.run_cases_on(spec.cases_slice(pos..chunk_end), flight);
         let rows: Vec<_> = result
             .runs
             .into_iter()

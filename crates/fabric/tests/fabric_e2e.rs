@@ -4,7 +4,7 @@
 //! connections, expired deadlines, and a shared cell cache.
 
 use std::io::{BufReader, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -347,4 +347,47 @@ fn leap_telemetry_flows_through_rows_frames() {
         "{:?}",
         report.counters.leap
     );
+}
+
+#[test]
+fn forged_grid_size_fails_the_handshake_before_the_fingerprint_walk() {
+    // A coordinator claiming a 2-case grid for a spec block that expands to
+    // trillions of cells: the worker compares the sizes, which is
+    // arithmetic, before it fingerprints, which walks every cell.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("bound address").to_string();
+    let coordinator = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("the worker connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let hello = read_frame(&mut reader, MAX_FRAME_BYTES)
+            .expect("recv")
+            .expect("open")
+            .expect("sized");
+        assert!(
+            matches!(
+                FabricRequest::parse(&hello),
+                Ok(FabricRequest::Hello { .. })
+            ),
+            "{hello}"
+        );
+        let mut forged = spec();
+        forged.graphs = 1_000_000_000_000;
+        let mut frame = FabricResponse::Spec {
+            spec: forged.encode_spec().expect("registry workloads encode"),
+            fingerprint: 0,
+            total: 2,
+            cache_dir: None,
+        }
+        .frame();
+        frame.push('\n');
+        stream.write_all(frame.as_bytes()).expect("send the spec");
+        // Hold the connection until the worker hangs up.
+        let _ = read_frame(&mut reader, MAX_FRAME_BYTES);
+    });
+    let started = Instant::now();
+    let err = run_worker(worker_config(addr)).expect_err("the sizes disagree");
+    let took = started.elapsed();
+    assert!(err.contains("grid size mismatch"), "{err}");
+    assert!(took < Duration::from_secs(1), "handshake took {took:?}");
+    coordinator.join().expect("fake coordinator");
 }

@@ -269,16 +269,7 @@ impl Service {
     /// the bound). `Err` is the 400 frame.
     fn check_size(&self, id: u64, spec: &SweepSpec) -> Result<(), String> {
         let bad = |msg: String| Err(ProtoError::bad(id, msg).frame());
-        if spec
-            .seed
-            .checked_add(spec.graphs.saturating_sub(1))
-            .is_none()
-        {
-            return bad(format!(
-                "seeds {}.. for {} graphs overflow u64",
-                spec.seed, spec.graphs
-            ));
-        }
+        SweepSpec::check_seed_range(spec.seed, spec.graphs).or_else(bad)?;
         let tasks = spec.workloads.iter().try_fold(0usize, |sum, w| {
             let runs = usize::try_from(spec.runs_per_cell(&w.workload)).ok()?;
             w.workload

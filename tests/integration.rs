@@ -173,6 +173,52 @@ fn fig13_simulation_never_exceeds_the_analysis_on_the_paper_grid() {
 }
 
 #[test]
+fn fig10_streaming_beats_buffered_in_aggregate_on_the_paper_grid() {
+    // Figure 10 in aggregate: on every topology × P of the paper grid,
+    // each STR-SCH variant's median makespan advantage over the buffered
+    // NSTR-SCH baseline (per seed: NSTR-SCH / STR-SCH makespan) is at
+    // least 1.3. At this seed the smallest median is 1.38 (`fft:32`,
+    // P = 32, STR-SCH-1). Single cells may lose (one does at 100 graphs),
+    // so only medians are asserted.
+    let sweep = stg_experiments::SweepSpec::paper(20, 0xC0FFEE).run();
+    assert_eq!(sweep.runs.len(), 4 * 4 * 3 * 20, "the whole paper grid");
+    let cells = sweep.cells();
+    let makespans = |cell: &stg_experiments::Cell| -> Vec<f64> {
+        assert_eq!(cell.errors(), 0, "{} P={}", cell.workload, cell.pes);
+        cell.values(|r| r.metrics.makespan as f64)
+    };
+    let mut compared = 0;
+    for cell in cells
+        .iter()
+        .filter(|c| c.scheduler != SchedulerKind::NonStreaming)
+    {
+        let baseline = cells
+            .iter()
+            .find(|c| {
+                c.workload == cell.workload
+                    && c.pes == cell.pes
+                    && c.scheduler == SchedulerKind::NonStreaming
+            })
+            .expect("every topology × P has a baseline cell");
+        let ratios: Vec<f64> = makespans(baseline)
+            .iter()
+            .zip(makespans(cell))
+            .map(|(nstr, str_sch)| nstr / str_sch)
+            .collect();
+        let median = stg_experiments::summary(&ratios).median;
+        assert!(
+            median >= 1.3,
+            "{} P={} {}: median NSTR-SCH/STR-SCH makespan ratio {median:.3}",
+            cell.workload,
+            cell.pes,
+            cell.scheduler
+        );
+        compared += 1;
+    }
+    assert_eq!(compared, 4 * 4 * 2, "every topology × P × STR-SCH variant");
+}
+
+#[test]
 fn every_preset_validates_on_every_seeded_workload_family() {
     // The registry-wide sibling of the Fig. 13 test: every preset,
     // multiplex included, on one small instance of every seeded workload
