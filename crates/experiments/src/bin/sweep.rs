@@ -7,27 +7,28 @@
 //! identical spec (same `--graphs`, `--seed`, filters) the output is
 //! byte-identical across reruns, `--threads` settings, `--sim` choices,
 //! cold/warm `--cache-dir` states, *and* sharded/unsharded execution —
-//! CI diffs runs pairwise to enforce all of these. Exits non-zero if any
+//! CI diffs runs pairwise to enforce all of these. Exits 1 if any
 //! scenario fails to schedule, (under `--validate`) any simulation
-//! deadlocks, or (under `--sim both`) the simulators diverge on any cell.
+//! deadlocks, or (under `--sim both`) the simulators diverge on any cell;
+//! exits 2 on a bad flag or a failed write to stdout (e.g. a closed pipe).
 //!
 //! Caching and sharding (see the README's "Caching and sharded sweeps"):
 //!
 //! - `--cache-dir DIR` persists every evaluated cell under a
 //!   content-addressed `CellKey`; warm reruns skip re-evaluation and the
-//!   `cell cache:` stderr line (and the `"cache"` member of `--json`
-//!   output) reports the hit/miss/invalidation traffic.
+//!   `cell cache:` stderr line reports the hit/miss/invalidation traffic.
 //! - `--shard i/n` evaluates only the i-th of n contiguous slices of the
 //!   case grid and writes a self-describing binary shard artifact
 //!   (`STGSHRD`) to stdout instead of CSV/JSON.
 //! - `sweep merge SHARD...` re-assembles a complete artifact set into
-//!   output byte-identical to the unsharded run.
+//!   output byte-identical to the unsharded run, CSV or `--json`.
 //!
-//! Graph-cache, cell-cache, and validation-timing statistics go to
-//! stderr, keeping stdout byte-stable; `--sim-timing` additionally
-//! appends wall-clock columns to the CSV/JSON, and the `"cache"` member
-//! of `--json` output reports live counters — both are excluded from the
-//! determinism contract.
+//! CSV/JSON is written by the engine's one `StreamMerger`, the same one
+//! that writes `sweep merge` and `fabric coordinate` output. Graph-cache,
+//! cell-cache, epoch-leap and validation-timing statistics are live
+//! counters, so they go to stderr only, keeping stdout byte-stable;
+//! `--sim-timing` appends wall-clock columns to the CSV/JSON, which are
+//! excluded from the determinism contract.
 //!
 //! ```sh
 //! cargo run --release --bin sweep -- --graphs 3 --validate
@@ -38,9 +39,9 @@
 //! cargo run --release --bin sweep -- --list-workloads --list-schedulers
 //! ```
 
-use std::io::Write;
+use std::io::{BufWriter, StdoutLock, Write};
 
-use stg_experiments::{Args, SweepSpec};
+use stg_experiments::{Args, OutputKind, SweepSpec};
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -71,13 +72,17 @@ fn main() {
             std::process::exit(2);
         }
         let result = spec.run_shard(shard, store.as_ref());
-        let bytes = result.artifact_bytes().unwrap_or_else(|e| {
-            eprintln!("ERROR: cannot emit shard artifact: {e}");
-            std::process::exit(2);
-        });
-        std::io::stdout()
-            .write_all(&bytes)
-            .expect("write shard artifact to stdout");
+        let bytes = or_exit(
+            result
+                .artifact_bytes()
+                .map_err(|e| format!("cannot emit shard artifact: {e}")),
+        );
+        let mut out = stdout();
+        or_exit(
+            out.write_all(&bytes)
+                .and_then(|()| out.flush())
+                .map_err(|e| format!("shard output: {e}")),
+        );
         eprintln!(
             "shard {shard}: cases {}..{} of {}; graph cache: {} hits, {} misses; \
              cell cache: {} hits, {} misses, {} invalidations, {} evicted, {} repaired",
@@ -92,7 +97,7 @@ fn main() {
             result.cell_cache.evicted,
             result.cell_cache.repaired
         );
-        exit_on_failures(result.errors(), result.deadlocks(), result.divergences());
+        result.tallies().exit_on_failures();
         return;
     }
 
@@ -100,11 +105,7 @@ fn main() {
         eprintln!("note: --sim-timing bypasses the cell cache (cached cells cannot report fresh wall-clocks)");
     }
     let sweep = spec.run_with(store.as_ref());
-    if args.json {
-        print!("{}", sweep.to_json_with_stats());
-    } else {
-        print!("{}", sweep.to_csv());
-    }
+    let report = or_exit(sweep.emit(output_kind(args.json), stdout()));
     eprintln!(
         "graph cache: {} hits, {} misses ({} scenarios)",
         sweep.cache.hits,
@@ -128,7 +129,29 @@ fn main() {
     if let Some(timing) = sweep.sim_timing_summary() {
         eprint!("{timing}");
     }
-    exit_on_failures(sweep.errors(), sweep.deadlocks(), sweep.divergences());
+    report.tallies.exit_on_failures();
+}
+
+/// Stdout behind a buffer, so rows cost no write syscall each.
+fn stdout() -> BufWriter<StdoutLock<'static>> {
+    BufWriter::new(std::io::stdout().lock())
+}
+
+fn output_kind(json: bool) -> OutputKind {
+    if json {
+        OutputKind::Json
+    } else {
+        OutputKind::Csv
+    }
+}
+
+/// The value of `result`, or an `ERROR:` line on stderr and exit 2: a
+/// rejected input or a failed write (e.g. stdout closed early).
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("ERROR: {e}");
+        std::process::exit(2);
+    })
 }
 
 /// `sweep --distributed N ...`: delegate to `fabric coordinate --workers N`
@@ -208,31 +231,14 @@ fn merge_main(rest: &[String]) {
             })
         })
         .collect();
-    let sweep = SweepSpec::merge_shard_bytes(&artifacts).unwrap_or_else(|e| {
-        eprintln!("ERROR: merge failed: {e}");
-        std::process::exit(2);
-    });
-    if json {
-        print!("{}", sweep.to_json_with_stats());
-    } else {
-        print!("{}", sweep.to_csv());
-    }
+    let report = or_exit(
+        SweepSpec::merge_shard_bytes(&artifacts, output_kind(json), stdout())
+            .map_err(|e| format!("merge failed: {e}")),
+    );
     eprintln!(
         "merged {} shards into {} runs",
         artifacts.len(),
-        sweep.runs.len()
+        report.rows
     );
-    exit_on_failures(sweep.errors(), sweep.deadlocks(), sweep.divergences());
-}
-
-/// The shared non-zero-exit policy over scheduling errors, simulation
-/// deadlocks, and simulator divergences.
-fn exit_on_failures(errors: usize, deadlocks: usize, divergences: usize) {
-    if errors > 0 || deadlocks > 0 || divergences > 0 {
-        eprintln!(
-            "ERROR: {errors} scheduling errors, {deadlocks} simulation deadlocks, \
-             {divergences} simulator divergences"
-        );
-        std::process::exit(1);
-    }
+    report.tallies.exit_on_failures();
 }

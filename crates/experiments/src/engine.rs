@@ -16,16 +16,18 @@
 //!    [`ResultStore::evaluate_once`] when there is a store, else through
 //!    a [`SemanticTable`] that lives for the call (or, in a fabric
 //!    worker, for one lease). Only a store persists them;
-//! 4. **merge** — outcomes are assembled back into index order, so the
-//!    resulting [`Sweep`] emits byte-stable CSV/JSON regardless of which
-//!    cells came from the cache, which were computed, and in what order.
+//! 4. **merge** — outcomes are assembled back into index order into a
+//!    [`Sweep`], whose [`Sweep::emit`] pushes them through the one
+//!    [`StreamMerger`]: byte-stable CSV/JSON regardless of which cells
+//!    came from the cache, which were computed, and in what order.
 //!
 //! The same pipeline powers **sharded** execution: [`SweepSpec::run_shard`]
 //! evaluates one contiguous index-range slice of the grid and emits a
 //! self-describing binary shard artifact
 //! ([`ShardResult::artifact_bytes`]); [`SweepSpec::merge_shard_bytes`]
-//! re-assembles a full set of artifacts into a [`Sweep`] whose output is
-//! byte-identical to an unsharded run.
+//! validates a full set of artifacts and streams their rows through a
+//! [`StreamMerger`] too, so its output is byte-identical to an unsharded
+//! run without ever holding a [`Sweep`].
 //!
 //! Determinism contract: with an identical spec (including seed), the
 //! emitted CSV and JSON are byte-identical across runs, across worker
@@ -35,6 +37,7 @@
 //! through [`SweepSpec::run_map`] and keep timings out of the
 //! deterministic output path.
 
+use std::io::Write;
 use std::ops::Range;
 use std::str::FromStr;
 use std::sync::Arc;
@@ -46,10 +49,10 @@ use stg_model::CanonicalGraph;
 use stg_sched::Metrics;
 use stg_workloads::{paper_suite, CacheStats, WorkloadFamily, WorkloadKind};
 
+use crate::emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 use crate::harness::{default_threads, par_map_with, Args};
 use crate::store::{
-    error_code, CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats,
-    SCHEMA_VERSION,
+    CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats, SCHEMA_VERSION,
 };
 
 /// Which validation simulator(s) a sweep runs when `validate` is set.
@@ -683,11 +686,17 @@ impl SweepSpec {
     }
 
     /// Re-assembles a complete set of [`ShardResult::artifact_bytes`]
-    /// artifacts (one per shard of a common spec, in any order) into a
-    /// [`Sweep`] whose CSV/JSON output is byte-identical to an unsharded
-    /// run of that spec. Rejects artifacts from different specs or schema
-    /// versions, incomplete or overlapping sets, and malformed payloads.
-    pub fn merge_shard_bytes(artifacts: &[Vec<u8>]) -> Result<Sweep, String> {
+    /// artifacts (one per shard of a common spec, in any order) into the
+    /// `kind` artifact of that spec, streamed into `out` through a
+    /// [`StreamMerger`] — byte-identical to an unsharded run. Rejects
+    /// artifacts from different specs or schema versions, incomplete or
+    /// overlapping sets, and malformed payloads; every check runs before
+    /// the merger opens, so a rejected set writes nothing to `out`.
+    pub fn merge_shard_bytes<W: Write>(
+        artifacts: &[Vec<u8>],
+        kind: OutputKind,
+        out: W,
+    ) -> Result<MergeReport, String> {
         let mut parsed = artifacts
             .iter()
             .enumerate()
@@ -722,7 +731,7 @@ impl SweepSpec {
         let spec = SweepSpec::decode_spec(&first.spec_block)?;
         // Bound the work by the input before walking the grid: the spec
         // must expand to the header's case count, and the rows must cover
-        // that count exactly once. The fingerprint walk and the expansion
+        // that count exactly once. The fingerprint walk and the merge
         // below then cost O(rows carried), whatever grid a forged spec
         // block claims.
         let total = spec.total_cases();
@@ -753,20 +762,13 @@ impl SweepSpec {
                 .to_string());
         }
         // Coverage is exact and in shard order, so the rows, concatenated,
-        // are the outcomes in case order.
-        let runs = spec
-            .cases()
-            .into_iter()
-            .zip(parsed.into_iter().flat_map(|p| p.rows))
-            .map(|(case, (_, outcome))| Run { case, outcome })
-            .collect();
-        Ok(Sweep {
-            spec,
-            runs,
-            cache: CacheStats::default(),
-            cell_cache: StoreStats::default(),
-            leap: LeapStats::default(),
-        })
+        // arrive in case order.
+        let mut merger =
+            StreamMerger::new(spec, kind, out).map_err(|e| format!("merge output: {e}"))?;
+        for (index, outcome) in parsed.into_iter().flat_map(|p| p.rows) {
+            merger.push(index, outcome)?;
+        }
+        merger.finish()
     }
 }
 
@@ -870,8 +872,9 @@ impl std::fmt::Display for ParseShardError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "invalid shard {:?}; expected i/n with 0 <= i < n (e.g. --shard 0/3)",
-            self.0
+            "invalid shard {:?}; expected i/n with 0 <= i < n <= {} (e.g. --shard 0/3)",
+            self.0,
+            u32::MAX
         )
     }
 }
@@ -888,7 +891,8 @@ impl FromStr for Shard {
             index: i.trim().parse().map_err(|_| err())?,
             of: n.trim().parse().map_err(|_| err())?,
         };
-        if shard.of == 0 || shard.index >= shard.of {
+        // Artifacts carry the selector as two u32s.
+        if shard.of == 0 || shard.index >= shard.of || u32::try_from(shard.of).is_err() {
             return Err(err());
         }
         Ok(shard)
@@ -932,11 +936,20 @@ impl ShardResult {
     pub fn artifact_bytes(&self) -> Result<Vec<u8>, String> {
         use crate::store::{put_rows, put_u32, put_u64};
         let spec_block = self.spec.encode_spec()?;
+        let (Ok(index), Ok(of)) = (
+            u32::try_from(self.shard.index),
+            u32::try_from(self.shard.of),
+        ) else {
+            return Err(format!(
+                "shard {} does not fit the artifact's u32 selector",
+                self.shard
+            ));
+        };
         let mut out = Vec::with_capacity(64 + spec_block.len() + self.runs.len() * 48);
         out.extend_from_slice(SHARD_MAGIC);
         put_u32(&mut out, SCHEMA_VERSION);
-        put_u32(&mut out, self.shard.index as u32);
-        put_u32(&mut out, self.shard.of as u32);
+        put_u32(&mut out, index);
+        put_u32(&mut out, of);
         put_u64(&mut out, self.range.start as u64);
         put_u64(&mut out, self.range.end as u64);
         put_u64(&mut out, self.total as u64);
@@ -950,46 +963,10 @@ impl ShardResult {
         Ok(out)
     }
 
-    /// Total runs in this slice that failed to schedule.
-    pub fn errors(&self) -> usize {
-        count_errors(&self.runs)
+    /// Failure counts of this slice's runs.
+    pub fn tallies(&self) -> MergeTallies {
+        MergeTallies::of(&self.runs)
     }
-
-    /// Total validated runs in this slice whose simulation did not
-    /// complete.
-    pub fn deadlocks(&self) -> usize {
-        count_deadlocks(&self.runs)
-    }
-
-    /// Total validated runs in this slice on which the simulators
-    /// diverged (`SimChoice::Both` only).
-    pub fn divergences(&self) -> usize {
-        count_divergences(&self.runs)
-    }
-}
-
-/// Runs that failed to schedule. The single definition behind both
-/// [`Sweep::errors`] and [`ShardResult::errors`] — sharded and unsharded
-/// exit codes must never drift apart.
-fn count_errors(runs: &[Run]) -> usize {
-    runs.iter().filter(|r| r.outcome.is_err()).count()
-}
-
-/// Validated runs whose simulation did not complete.
-fn count_deadlocks(runs: &[Run]) -> usize {
-    runs.iter()
-        .filter_map(Run::record)
-        .filter(|r| r.sim.is_some_and(|s| !s.completed))
-        .count()
-}
-
-/// Validated runs on which the two simulators diverged
-/// (`SimChoice::Both` only; any divergence is a simulator bug).
-fn count_divergences(runs: &[Run]) -> usize {
-    runs.iter()
-        .filter_map(Run::record)
-        .filter(|r| r.sim.is_some_and(|s| s.diverged))
-        .count()
 }
 
 /// One parsed shard artifact (header + rows), before cross-artifact
@@ -1287,14 +1264,12 @@ impl<'a> Cell<'a> {
 
     /// Number of runs that failed to schedule.
     pub fn errors(&self) -> usize {
-        self.runs.iter().filter(|r| r.outcome.is_err()).count()
+        MergeTallies::of(self.runs).errors
     }
 
     /// Number of validated runs whose simulation did not complete.
     pub fn deadlocks(&self) -> usize {
-        self.records()
-            .filter(|r| r.sim.is_some_and(|s| !s.completed))
-            .count()
+        MergeTallies::of(self.runs).deadlocks
     }
 
     /// Median reference/batched validation speedup over this cell's runs
@@ -1342,26 +1317,20 @@ pub struct Sweep {
     /// Aggregated [`BatchedSim`](stg_des::BatchedSim) epoch-leap
     /// telemetry of this sweep's validations. Like the cache counters it
     /// reflects live evaluation work (a fully warm rerun leaps nothing),
-    /// so it is surfaced via [`Self::to_json_with_stats`] and excluded
-    /// from the byte-stability contract.
+    /// so it stays out of the emitted artifact (the `sweep` binary prints
+    /// it on stderr).
     pub leap: LeapStats,
 }
 
 impl Sweep {
+    /// Failure counts of every run.
+    pub fn tallies(&self) -> MergeTallies {
+        MergeTallies::of(&self.runs)
+    }
+
     /// Total runs that failed to schedule.
     pub fn errors(&self) -> usize {
-        count_errors(&self.runs)
-    }
-
-    /// Total validated runs whose simulation did not complete.
-    pub fn deadlocks(&self) -> usize {
-        count_deadlocks(&self.runs)
-    }
-
-    /// Total validated runs on which the two simulators diverged
-    /// (`SimChoice::Both` only; any divergence is a simulator bug).
-    pub fn divergences(&self) -> usize {
-        count_divergences(&self.runs)
+        self.tallies().errors
     }
 
     /// A human-readable per-cell validation timing report (for stderr —
@@ -1446,232 +1415,39 @@ impl Sweep {
         cells
     }
 
-    /// Renders the sweep as CSV, one row per run. Byte-identical across
-    /// reruns, thread counts, *and simulator choices* for an identical
-    /// spec — the golden-snapshot regression test pins this. The
-    /// non-deterministic `sim_ref_us` / `sim_batched_us` wall-clock
-    /// columns appear only when the spec's `timing` flag is set and are
-    /// excluded from the byte-stability contract.
-    pub fn to_csv(&self) -> String {
-        let mut out = csv_header(self.spec.timing);
+    /// Streams the sweep's `kind` artifact into `out` through a
+    /// [`StreamMerger`], the one emission path. Byte-identical across
+    /// reruns, thread counts, simulator choices, cold/warm stores and
+    /// sharded/unsharded execution for an identical spec; the `--sim-timing`
+    /// wall-clock columns (spec `timing`) are excluded from that contract.
+    /// `Err` is a failed write, or runs that do not cover the spec's grid.
+    pub fn emit<W: Write>(&self, kind: OutputKind, out: W) -> Result<MergeReport, String> {
+        let mut merger = StreamMerger::new(self.spec.clone(), kind, out)
+            .map_err(|e| format!("merge output: {e}"))?;
         for run in &self.runs {
-            out.push_str(&csv_row(&run.case, &run.outcome, self.spec.timing));
+            merger.push(run.case.index, run.outcome.clone())?;
         }
-        out
+        merger.finish()
     }
 
-    /// Renders the sweep as JSON (spec header + one object per run).
-    /// Byte-identical across reruns, thread counts, and simulator choices
-    /// for an identical spec — like the CSV, the header deliberately
-    /// omits the `--sim` choice because the simulators are equivalent and
-    /// results must not depend on which one validated.
+    /// [`Self::emit`] of the CSV artifact, one row per run, into memory.
+    /// The golden-snapshot regression test pins these bytes.
+    pub fn to_csv(&self) -> String {
+        self.render(OutputKind::Csv)
+    }
+
+    /// [`Self::emit`] of the JSON artifact (spec header + one object per
+    /// run) into memory.
     pub fn to_json(&self) -> String {
-        self.render_json(false)
+        self.render(OutputKind::Json)
     }
 
-    /// [`Self::to_json`] plus a `"cache"` member reporting the graph-cache
-    /// and cell-cache traffic this sweep incurred and a `"leap"` member
-    /// with the aggregated batched-simulator epoch-leap telemetry. Like
-    /// the `--sim-timing` columns, both reflect live counters (a warm
-    /// rerun reports different traffic than a cold one, and leaps
-    /// nothing) and are therefore **excluded from the byte-stability
-    /// contract**; the `"spec"` and `"runs"` members remain
-    /// byte-identical across cache states.
-    pub fn to_json_with_stats(&self) -> String {
-        self.render_json(true)
+    fn render(&self, kind: OutputKind) -> String {
+        let mut out = Vec::new();
+        self.emit(kind, &mut out)
+            .expect("a sweep's runs cover its grid, and memory writes cannot fail");
+        String::from_utf8(out).expect("the emitters write UTF-8")
     }
-
-    fn render_json(&self, stats: bool) -> String {
-        let stats_members = if stats {
-            format!(
-                "  \"cache\": {{\"graphs\": {{\"hits\": {}, \"misses\": {}}}, \
-                 \"cells\": {{\"hits\": {}, \"misses\": {}, \"invalidations\": {}, \
-                 \"evicted\": {}, \"repaired\": {}}}}},\n  \"leap\": {{\"leaps\": {}, \
-                 \"leaped_cycles\": {}, \"max_period\": {}}},\n",
-                self.cache.hits,
-                self.cache.misses,
-                self.cell_cache.hits,
-                self.cell_cache.misses,
-                self.cell_cache.invalidations,
-                self.cell_cache.evicted,
-                self.cell_cache.repaired,
-                self.leap.leaps,
-                self.leap.leaped_cycles,
-                self.leap.max_period
-            )
-        } else {
-            String::new()
-        };
-        let mut out = json_prelude_with(&self.spec, &stats_members);
-        for (i, run) in self.runs.iter().enumerate() {
-            out.push_str(&json_row(
-                &run.case,
-                &run.outcome,
-                self.spec.timing,
-                i + 1 == self.runs.len(),
-            ));
-        }
-        out.push_str(json_epilogue());
-        out
-    }
-}
-
-/// The CSV header row (with trailing newline) of [`Sweep::to_csv`] —
-/// public so the fabric stream-merger emits output incrementally while
-/// staying byte-identical to an in-process sweep.
-pub fn csv_header(timing: bool) -> String {
-    let mut out = String::from(
-        "workload,tasks,pes,seed,scheduler,status,makespan,speedup,sslr,slr,\
-         utilization,blocks,buffer_elements,sim_completed,sim_makespan,rel_err_pct,sim_beats",
-    );
-    if timing {
-        out.push_str(",sim_ref_us,sim_batched_us");
-    }
-    out.push('\n');
-    out
-}
-
-/// One CSV row (with trailing newline) for a case and its outcome — the
-/// single definition behind [`Sweep::to_csv`] and the fabric
-/// stream-merger; the two paths must never drift a byte apart.
-pub fn csv_row(c: &Case, outcome: &Outcome, timing: bool) -> String {
-    let na_us = |v: Option<u64>| v.map_or("NA".into(), |v: u64| v.to_string());
-    let prefix = format!(
-        "{},{},{},{},{}",
-        csv_field(&c.workload.label()),
-        c.workload.task_count(),
-        c.pes,
-        c.seed,
-        c.scheduler
-    );
-    match outcome {
-        Ok(r) => {
-            let m = &r.metrics;
-            let mut sim = match r.sim {
-                Some(s) => format!(
-                    "{},{},{:.6},{}",
-                    s.completed as u8, s.makespan, s.rel_err_pct, s.beats
-                ),
-                None => "NA,NA,NA,NA".into(),
-            };
-            if timing {
-                let micros = r.sim.map(|s| s.micros).unwrap_or_default();
-                sim.push_str(&format!(
-                    ",{},{}",
-                    na_us(micros.reference),
-                    na_us(micros.batched)
-                ));
-            }
-            format!(
-                "{prefix},ok,{},{:.6},{:.6},{:.6},{:.6},{},{},{sim}\n",
-                m.makespan, m.speedup, m.sslr, m.slr, m.utilization, m.blocks, r.buffer_elements
-            )
-        }
-        Err(e) => {
-            let tail = if timing { ",NA,NA" } else { "" };
-            format!(
-                "{prefix},error:{},NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA{tail}\n",
-                error_code(e)
-            )
-        }
-    }
-}
-
-/// The JSON document prelude of [`Sweep::to_json`]: opening brace, the
-/// `"spec"` member, and the `"runs"` array opener.
-pub fn json_prelude(spec: &SweepSpec) -> String {
-    json_prelude_with(spec, "")
-}
-
-/// [`json_prelude`] with optional pre-rendered members (the live stats
-/// block of [`Sweep::to_json_with_stats`]) between spec and runs.
-fn json_prelude_with(spec: &SweepSpec, members: &str) -> String {
-    let schedulers: Vec<String> = spec.schedulers.iter().map(|s| format!("\"{s}\"")).collect();
-    format!(
-        "{{\n  \"spec\": {{\"graphs\": {}, \"seed\": {}, \"validate\": {}, \
-         \"schedulers\": [{}]}},\n{members}  \"runs\": [\n",
-        spec.graphs,
-        spec.seed,
-        spec.validate,
-        schedulers.join(", ")
-    )
-}
-
-/// One JSON run object line (with trailing newline, and a separating
-/// comma unless `last`) — the single definition behind [`Sweep::to_json`]
-/// and the fabric stream-merger.
-pub fn json_row(c: &Case, outcome: &Outcome, timing: bool, last: bool) -> String {
-    let head = format!(
-        "    {{\"workload\": {}, \"tasks\": {}, \"pes\": {}, \"seed\": {}, \
-         \"scheduler\": \"{}\"",
-        json_string(&c.workload.label()),
-        c.workload.task_count(),
-        c.pes,
-        c.seed,
-        c.scheduler
-    );
-    let body = match outcome {
-        Ok(r) => {
-            let m = &r.metrics;
-            let sim = match r.sim {
-                Some(s) => {
-                    let t = if timing {
-                        let us = |v: Option<u64>| v.map_or("null".into(), |v: u64| v.to_string());
-                        format!(
-                            ", \"ref_us\": {}, \"batched_us\": {}",
-                            us(s.micros.reference),
-                            us(s.micros.batched)
-                        )
-                    } else {
-                        String::new()
-                    };
-                    format!(
-                        ", \"sim\": {{\"completed\": {}, \"makespan\": {}, \
-                         \"rel_err_pct\": {:.6}, \"beats\": {}{t}}}",
-                        s.completed, s.makespan, s.rel_err_pct, s.beats
-                    )
-                }
-                None => String::new(),
-            };
-            format!(
-                ", \"status\": \"ok\", \"makespan\": {}, \"speedup\": {:.6}, \
-                 \"sslr\": {:.6}, \"slr\": {:.6}, \"utilization\": {:.6}, \
-                 \"blocks\": {}, \"buffer_elements\": {}{sim}}}",
-                m.makespan, m.speedup, m.sslr, m.slr, m.utilization, m.blocks, r.buffer_elements
-            )
-        }
-        Err(e) => format!(", \"status\": {}}}", json_string(&error_code(e))),
-    };
-    let comma = if last { "" } else { "," };
-    format!("{head}{body}{comma}\n")
-}
-
-/// The JSON document epilogue closing the `"runs"` array and document.
-pub fn json_epilogue() -> &'static str {
-    "  ]\n}\n"
-}
-
-/// Keeps a free-form field (fixed-workload names) from corrupting CSV
-/// rows: separators and newlines are replaced, matching the comma-free
-/// guarantee [`error_code`] provides for the status column.
-fn csv_field(s: &str) -> String {
-    s.replace([',', '\n', '\r'], ";")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -1716,8 +1492,7 @@ mod tests {
         let b = many.run();
         assert_eq!(a.to_csv(), b.to_csv());
         assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.errors(), 0);
-        assert_eq!(a.deadlocks(), 0);
+        assert_eq!(a.tallies(), MergeTallies::default());
     }
 
     #[test]
@@ -1943,11 +1718,30 @@ mod tests {
     fn shard_parses_and_rejects() {
         assert_eq!("0/3".parse::<Shard>().unwrap(), Shard { index: 0, of: 3 });
         assert_eq!("2/3".parse::<Shard>().unwrap(), Shard { index: 2, of: 3 });
-        for bad in ["", "3", "3/3", "4/3", "0/0", "-1/3", "a/b", "1/3/4"] {
+        for bad in [
+            "",
+            "3",
+            "3/3",
+            "4/3",
+            "0/0",
+            "-1/3",
+            "a/b",
+            "1/3/4",
+            "0/4294967296",
+        ] {
             assert!(bad.parse::<Shard>().is_err(), "{bad:?}");
         }
         let s: Shard = "1/4".parse().unwrap();
         assert_eq!(s.to_string().parse::<Shard>().unwrap(), s);
+        assert!("4294967294/4294967295".parse::<Shard>().is_ok());
+        // A selector built past the parser errs instead of truncating
+        // into another shard's header.
+        let shard = Shard {
+            index: 1 << 32,
+            of: (1 << 32) + 2,
+        };
+        let err = smoke_spec().run_shard(shard, None).artifact_bytes();
+        assert!(err.unwrap_err().contains("u32"));
     }
 
     #[test]
@@ -2177,10 +1971,29 @@ mod tests {
                         .expect("registry workloads shard")
                 })
                 .collect();
-            let merged = SweepSpec::merge_shard_bytes(&artifacts).expect("complete shard set");
-            assert_eq!(merged.to_csv(), unsharded.to_csv(), "{of}-way");
-            assert_eq!(merged.to_json(), unsharded.to_json(), "{of}-way");
+            for (kind, want) in [
+                (OutputKind::Csv, unsharded.to_csv()),
+                (OutputKind::Json, unsharded.to_json()),
+            ] {
+                let mut out = Vec::new();
+                let report = SweepSpec::merge_shard_bytes(&artifacts, kind, &mut out)
+                    .expect("complete shard set");
+                assert_eq!(report.rows, total, "{of}-way {kind:?}");
+                assert_eq!(String::from_utf8(out).unwrap(), want, "{of}-way {kind:?}");
+            }
         }
+    }
+
+    /// The error of merging `artifacts`, which must be rejected before
+    /// the merger opens: nothing, not even the header, reaches the writer.
+    fn merge_err(artifacts: &[Vec<u8>]) -> String {
+        let mut out = Vec::new();
+        let err = match SweepSpec::merge_shard_bytes(artifacts, OutputKind::Csv, &mut out) {
+            Err(e) => e,
+            Ok(_) => panic!("merge must be rejected"),
+        };
+        assert!(out.is_empty(), "a rejected set wrote {} bytes", out.len());
+        err
     }
 
     #[test]
@@ -2194,24 +2007,17 @@ mod tests {
         // Truncation at every prefix length parses as an error, never a
         // panic (exhaustive over the whole artifact — it is small).
         for len in 0..b1.len() {
-            let truncated = b1[..len].to_vec();
-            assert!(
-                SweepSpec::merge_shard_bytes(&[b0.clone(), truncated]).is_err(),
-                "truncation at {len} must be rejected"
-            );
+            merge_err(&[b0.clone(), b1[..len].to_vec()]);
         }
         // A wrong schema version is rejected with the regenerate hint.
         let mut stale = b1.clone();
         stale[SHARD_MAGIC.len()] ^= 0xff;
-        let err = match SweepSpec::merge_shard_bytes(&[b0.clone(), stale]) {
-            Err(e) => e,
-            Ok(_) => panic!("stale version must be rejected"),
-        };
+        let err = merge_err(&[b0.clone(), stale]);
         assert!(err.contains("regenerate"), "{err}");
         // Trailing junk is rejected.
         let mut padded = b1.clone();
         padded.push(0);
-        assert!(SweepSpec::merge_shard_bytes(&[b0, padded]).is_err());
+        merge_err(&[b0, padded]);
     }
 
     #[test]
@@ -2223,14 +2029,11 @@ mod tests {
                 .artifact_bytes()
                 .unwrap()
         };
-        let merge_err = |artifacts: &[Vec<u8>]| match SweepSpec::merge_shard_bytes(artifacts) {
-            Err(e) => e,
-            Ok(_) => panic!("merge must be rejected"),
-        };
         let a0 = shard(&spec, 0, 2);
         let a1 = shard(&spec, 1, 2);
         // Complete set merges; incomplete or duplicated sets do not.
-        assert!(SweepSpec::merge_shard_bytes(&[a1.clone(), a0.clone()]).is_ok());
+        let complete = [a1.clone(), a0.clone()];
+        assert!(SweepSpec::merge_shard_bytes(&complete, OutputKind::Csv, std::io::sink()).is_ok());
         merge_err(std::slice::from_ref(&a0));
         merge_err(&[a0.clone(), a0.clone()]);
         merge_err(&[]);

@@ -17,7 +17,9 @@
 //! Every binary runs its grid through the [`engine`]: a declarative
 //! [`engine::SweepSpec`] expanded over the scoped-thread pool, with all
 //! schedulers behind the `stg_core::Scheduler` trait and all workloads
-//! behind `stg_workloads::WorkloadKind`. All binaries accept
+//! behind `stg_workloads::WorkloadKind`. Every CSV/JSON artifact — of an
+//! in-process sweep, a merged shard set or a fabric run — is written by
+//! the one [`emit::StreamMerger`]. All binaries accept
 //! `--graphs N --seed S --timeout-ms T --csv --json --validate
 //! --threads N --workload LIST --pes LIST --scheduler LIST`
 //! (`--topology` is an alias of `--workload`), plus `--list-workloads` /
@@ -25,15 +27,16 @@
 
 #![warn(missing_docs)]
 
+pub mod emit;
 pub mod engine;
 pub mod harness;
 pub mod stats;
 pub mod store;
 
+pub use emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 pub use engine::{
-    csv_header, csv_row, json_epilogue, json_prelude, json_row, Case, CasesResult, Cell, Record,
-    Run, Shard, ShardResult, SimChoice, SimMicros, SimRecord, SingleFlight, Sweep, SweepSpec,
-    WorkloadSpec,
+    Case, CasesResult, Cell, Record, Run, Shard, ShardResult, SimChoice, SimMicros, SimRecord,
+    SingleFlight, Sweep, SweepSpec, WorkloadSpec,
 };
 pub use harness::{
     default_threads, par_map, par_map_with, print_scheduler_registry, print_workload_registry, Args,

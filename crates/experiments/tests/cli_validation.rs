@@ -3,9 +3,10 @@
 //! malformed `--distributed` worker counts, and seed ranges past `u64`
 //! all exit with code 2 and a
 //! clear usage message up front — instead of panicking, silently
-//! clamping, or burning a full sweep first.
+//! clamping, or burning a full sweep first. So does a stdout closed
+//! before the output is written.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn run(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
@@ -48,7 +49,18 @@ fn sweep_rejects_out_of_range_shards_up_front() {
 
 #[test]
 fn sweep_rejects_junk_shards() {
-    for junk in ["", "1", "1/", "/2", "a/b", "-1/2", "1.5/3", "1/2/3"] {
+    // A count past u32 cannot be written into an artifact's header.
+    for junk in [
+        "",
+        "1",
+        "1/",
+        "/2",
+        "a/b",
+        "-1/2",
+        "1.5/3",
+        "1/2/3",
+        "0/4294967296",
+    ] {
         let (code, stderr) = run(&["--shard", junk]);
         assert_eq!(code, Some(2), "--shard {junk:?}: {stderr}");
         assert!(stderr.contains("--shard"), "--shard {junk:?}: {stderr}");
@@ -144,4 +156,61 @@ fn sweep_rejects_seed_ranges_overflowing_u64() {
         stderr.contains("--seed") && stderr.contains("--graphs"),
         "{stderr}"
     );
+}
+
+/// Every `sweep` output path — CSV, JSON, a shard artifact and `sweep
+/// merge` — reports a write to a closed stdout as `ERROR:` and exits 2,
+/// without panicking. Each output of this grid (91 KB of CSV, 101 KB of
+/// shard artifact, 245 KB of JSON) overflows a 64 KiB pipe buffer, so
+/// the write fails whenever the child reaches it.
+#[test]
+fn sweep_exits_2_when_stdout_closes_early() {
+    let grid = [
+        "--workload",
+        "chain:8",
+        "--pes",
+        "2",
+        "--scheduler",
+        "sb-lts",
+        "--graphs",
+        "1000",
+    ];
+    let dir = std::env::temp_dir().join(format!("stg-closed-stdout-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shards: Vec<String> = (0..2)
+        .map(|i| {
+            let selector = format!("{i}/2");
+            let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+                .args(grid)
+                .args(["--shard", &selector])
+                .output()
+                .expect("sweep launches");
+            assert_eq!(out.status.code(), Some(0), "--shard {selector}");
+            let path = dir.join(format!("shard{i}")).display().to_string();
+            std::fs::write(&path, out.stdout).unwrap();
+            path
+        })
+        .collect();
+    let merge = ["merge", &shards[0], &shards[1]];
+    for args in [
+        grid.to_vec(),
+        [&grid[..], &["--json"]].concat(),
+        [&grid[..], &["--shard", "0/1"]].concat(),
+        merge.to_vec(),
+        [&merge[..], &["--json"]].concat(),
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("sweep launches");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("sweep exits");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains("ERROR: "), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
 }

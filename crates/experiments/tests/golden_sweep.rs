@@ -17,6 +17,7 @@ mod common;
 
 use common::{golden_spec, FIXTURE};
 use stg_experiments::engine::SimChoice;
+use stg_experiments::MergeTallies;
 
 #[test]
 fn validated_sweep_csv_matches_fixture_for_both_simulators() {
@@ -27,9 +28,11 @@ fn validated_sweep_csv_matches_fixture_for_both_simulators() {
     let golden = std::fs::read_to_string(FIXTURE).expect("fixture checked in");
     for sim in [SimChoice::Reference, SimChoice::Batched, SimChoice::Both] {
         let sweep = golden_spec(sim).run();
-        assert_eq!(sweep.errors(), 0, "{sim}: scheduling errors");
-        assert_eq!(sweep.deadlocks(), 0, "{sim}: deadlocks");
-        assert_eq!(sweep.divergences(), 0, "{sim}: simulator divergences");
+        assert_eq!(
+            sweep.tallies(),
+            MergeTallies::default(),
+            "{sim}: scheduling errors, deadlocks or simulator divergences"
+        );
         let csv = sweep.to_csv();
         assert!(
             csv == golden,

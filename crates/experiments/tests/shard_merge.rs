@@ -9,6 +9,7 @@
 
 mod common;
 
+use std::process::Command;
 use std::sync::OnceLock;
 
 use common::FIXTURE;
@@ -17,7 +18,7 @@ use stg_analysis::ScheduleError;
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
 use stg_experiments::store::{put_rows, take_rows};
-use stg_experiments::{ResultStore, Shard, SweepSpec};
+use stg_experiments::{MergeReport, MergeTallies, OutputKind, ResultStore, Shard, SweepSpec};
 use stg_graph::NodeId;
 
 /// The golden grid, validated by the reference simulator (the mode the
@@ -32,6 +33,13 @@ fn golden_spec() -> SweepSpec {
 fn shared_store() -> &'static ResultStore {
     static STORE: OnceLock<ResultStore> = OnceLock::new();
     STORE.get_or_init(ResultStore::in_memory)
+}
+
+/// Merges `artifacts` into the `kind` artifact in memory.
+fn merge(artifacts: &[Vec<u8>], kind: OutputKind) -> Result<(String, MergeReport), String> {
+    let mut out = Vec::new();
+    let report = SweepSpec::merge_shard_bytes(artifacts, kind, &mut out)?;
+    Ok((String::from_utf8(out).expect("UTF-8 artifact"), report))
 }
 
 proptest! {
@@ -51,10 +59,9 @@ proptest! {
                     .expect("registry workloads shard")
             })
             .collect();
-        let merged = SweepSpec::merge_shard_bytes(&artifacts).expect("complete shard set");
-        prop_assert_eq!(merged.errors(), 0);
-        prop_assert_eq!(merged.deadlocks(), 0);
-        prop_assert!(merged.to_csv() == golden, "{}-way shard/merge drifted from the fixture", n);
+        let (csv, report) = merge(&artifacts, OutputKind::Csv).expect("complete shard set");
+        prop_assert_eq!(report.tallies, MergeTallies::default());
+        prop_assert!(csv == golden, "{}-way shard/merge drifted from the fixture", n);
     }
 }
 
@@ -88,7 +95,7 @@ const TEXT_SHARD_FIXTURE: &str = concat!(
 fn text_artifacts_are_rejected() {
     let text = std::fs::read(TEXT_SHARD_FIXTURE).expect("fixture checked in");
     assert!(text.starts_with(b"stg-shard v2\n"));
-    let err = match SweepSpec::merge_shard_bytes(&[text]) {
+    let err = match merge(&[text], OutputKind::Csv) {
         Err(e) => e,
         Ok(_) => panic!("a text artifact must not merge"),
     };
@@ -146,14 +153,15 @@ fn error_rows_survive_the_shard_round_trip() {
     });
     let mut hacked = header.to_vec();
     put_rows(&mut hacked, rows.iter().map(|(i, o)| (*i, o)));
-    let merged = SweepSpec::merge_shard_bytes(&[hacked]).expect("artifact still well-formed");
-    assert_eq!(merged.errors(), 1);
-    let csv = merged.to_csv();
+    let hacked = [hacked];
+    let (csv, report) = merge(&hacked, OutputKind::Csv).expect("artifact still well-formed");
+    assert_eq!(report.tallies.errors, 1);
     assert!(
         csv.contains(",error:block-order-violation(3->1),"),
         "error row renders through the merged CSV:\n{csv}"
     );
-    assert!(merged.to_json().contains("\"block-order-violation(3->1)\""));
+    let (json, _) = merge(&hacked, OutputKind::Json).expect("artifact still well-formed");
+    assert!(json.contains("\"block-order-violation(3->1)\""));
     // The intact first row still carries its real record.
     assert!(csv.lines().nth(1).unwrap().contains(",ok,"));
 }
@@ -174,7 +182,7 @@ fn forged_grid_sizes_are_rejected_before_the_fingerprint_walk() {
     forged.extend_from_slice(&(forged_text.len() as u32).to_le_bytes());
     forged.extend_from_slice(forged_text.as_bytes());
     forged.extend_from_slice(&artifact[block.end..]);
-    let merge_err = |artifact: &[u8]| match SweepSpec::merge_shard_bytes(&[artifact.to_vec()]) {
+    let merge_err = |artifact: &[u8]| match merge(&[artifact.to_vec()], OutputKind::Csv) {
         Err(e) => e,
         Ok(_) => panic!("a forged artifact must not merge"),
     };
@@ -188,5 +196,49 @@ fn forged_grid_sizes_are_rejected_before_the_fingerprint_walk() {
     assert!(
         err.contains("rows cover [0, 1], expected 0..2000000"),
         "{err}"
+    );
+}
+
+/// `sweep --json` and `sweep merge --json` of the same grid's shards write
+/// the same bytes: the live cache and leap counters go to stderr only,
+/// never into the artifact.
+#[test]
+fn sweep_json_equals_merged_shard_json() {
+    let sweep = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_sweep"))
+            .args(args)
+            .output()
+            .expect("sweep launches");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        out.stdout
+    };
+    let grid = [
+        "--workload",
+        "chain:8",
+        "--pes",
+        "2,4",
+        "--graphs",
+        "3",
+        "--validate",
+        "--sim",
+        "batched",
+    ];
+    let dir = std::env::temp_dir().join(format!("stg-shard-json-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let shards: Vec<String> = (0..2)
+        .map(|i| {
+            let path = dir.join(format!("shard{i}")).display().to_string();
+            let selector = format!("{i}/2");
+            std::fs::write(&path, sweep(&[&grid[..], &["--shard", &selector]].concat())).unwrap();
+            path
+        })
+        .collect();
+    let merged = sweep(&["merge", &shards[0], &shards[1], "--json"]);
+    std::fs::remove_dir_all(&dir).unwrap();
+    let unsharded = sweep(&[&grid[..], &["--json"]].concat());
+    assert_eq!(
+        String::from_utf8(merged).unwrap(),
+        String::from_utf8(unsharded).unwrap()
     );
 }

@@ -178,14 +178,7 @@ fn coordinate_main(argv: &[String]) {
             snap.leap.leaps, snap.leap.leaped_cycles, snap.leap.max_period
         );
     }
-    let t = report.merge.tallies;
-    if t.errors > 0 || t.deadlocks > 0 || t.divergences > 0 {
-        eprintln!(
-            "ERROR: {} scheduling errors, {} simulation deadlocks, {} simulator divergences",
-            t.errors, t.deadlocks, t.divergences
-        );
-        std::process::exit(1);
-    }
+    report.merge.tallies.exit_on_failures();
 }
 
 fn config_name(n: usize) -> String {

@@ -28,11 +28,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use stg_experiments::SweepSpec;
+use stg_experiments::{MergeReport, OutputKind, StreamMerger, SweepSpec};
 use stg_service::read_frame;
 
 use crate::counters::{FabricCounters, FabricSnapshot};
-use crate::merge::{MergeReport, OutputKind, StreamMerger};
 use crate::protocol::{FabricRequest, FabricResponse, MAX_FRAME_BYTES};
 
 /// Coordinator tuning knobs.

@@ -18,8 +18,9 @@
 //! - [`worker`] — lease/evaluate/report loop over the shared engine
 //!   ([`stg_experiments::SweepSpec::run_cases_on`], one single-flight
 //!   table per lease without a store), honoring steal truncation acks.
-//! - [`merge`] — the bounded-memory [`merge::StreamMerger`] folding rows
-//!   into the artifact in case-index order.
+//! - the engine's bounded-memory [`StreamMerger`] (re-exported here with
+//!   its [`OutputKind`]), which the coordinator feeds each reported row;
+//!   the same merger writes `sweep` and `sweep merge` artifacts.
 //! - [`counters`] — monotonic fabric counters (`leases_issued`,
 //!   `leases_stolen`, `re_queued`, `worker_deaths`, …) served over the
 //!   `stats` op and printed at exit.
@@ -31,12 +32,11 @@
 
 pub mod coordinator;
 pub mod counters;
-pub mod merge;
 pub mod protocol;
 pub mod worker;
 
 pub use coordinator::{Coordinator, FabricConfig, FabricRunReport, LeaseTuner};
 pub use counters::{FabricCounters, FabricSnapshot};
-pub use merge::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 pub use protocol::{FabricRequest, FabricResponse, MAX_FRAME_BYTES, MAX_ROWS_PER_FRAME};
+pub use stg_experiments::{OutputKind, StreamMerger};
 pub use worker::{run_worker, WorkerConfig, WorkerReport};

@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use stg_experiments::store::{encode_outcome, put_rows, take_rows, Outcome};
-use stg_experiments::{CellKey, ResultStore, Shard, SweepSpec, SCHEMA_VERSION};
+use stg_experiments::{CellKey, OutputKind, ResultStore, Shard, SweepSpec, SCHEMA_VERSION};
 use stg_fabric::{FabricRequest, FabricResponse};
 
 /// `chain:8` at the paper's PE counts, one graph, validated.
@@ -81,7 +81,11 @@ proptest! {
         }
         let artifact = spec().run_shard(Shard { index: 0, of: 1 }, None).artifact_bytes();
         let artifact = artifact.expect("registry workloads shard");
-        let _ = SweepSpec::merge_shard_bytes(&[mutate(artifact, pos, byte, cut)]);
+        let mut out = Vec::new();
+        let mutated = [mutate(artifact, pos, byte, cut)];
+        if SweepSpec::merge_shard_bytes(&mutated, OutputKind::Csv, &mut out).is_err() {
+            prop_assert!(out.is_empty(), "a rejected artifact wrote {} bytes", out.len());
+        }
         let leap = Default::default();
         let frame = FabricRequest::Rows { lease: 1, rows, hits: 0, misses: 0, leap }.frame();
         for bytes in [garbage(noise), mutate(frame.into_bytes(), pos, byte, cut)] {

@@ -7,8 +7,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use stg_experiments::store::Outcome;
-use stg_experiments::{Shard, SweepSpec};
-use stg_fabric::{OutputKind, StreamMerger};
+use stg_experiments::{OutputKind, Shard, StreamMerger, SweepSpec};
 
 /// A cheap seeded grid (one workload family, two seeds).
 fn spec() -> SweepSpec {
@@ -41,16 +40,20 @@ fn fixture() -> &'static Fixture {
                     .expect("seeded grid encodes")
             })
             .collect();
-        let merged = SweepSpec::merge_shard_bytes(&shards).expect("shards merge");
-        assert_eq!(merged.to_csv(), sweep.to_csv());
+        let (csv, json) = (sweep.to_csv(), sweep.to_json());
+        for (kind, want) in [(OutputKind::Csv, &csv), (OutputKind::Json, &json)] {
+            let mut merged = Vec::new();
+            SweepSpec::merge_shard_bytes(&shards, kind, &mut merged).expect("shards merge");
+            assert_eq!(&String::from_utf8(merged).unwrap(), want, "{kind:?}");
+        }
         Fixture {
             rows: sweep
                 .runs
                 .iter()
                 .map(|run| (run.case.index, run.outcome.clone()))
                 .collect(),
-            csv: sweep.to_csv(),
-            json: sweep.to_json(),
+            csv,
+            json,
         }
     })
 }

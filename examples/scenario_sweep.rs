@@ -29,11 +29,12 @@ fn main() {
     });
 
     let sweep = spec.run();
+    let tallies = sweep.tallies();
     println!(
         "evaluated {} scenarios ({} errors, {} deadlocks); graph cache: {} hits, {} misses\n",
         sweep.runs.len(),
-        sweep.errors(),
-        sweep.deadlocks(),
+        tallies.errors,
+        tallies.deadlocks,
         sweep.cache.hits,
         sweep.cache.misses,
     );
