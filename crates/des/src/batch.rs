@@ -4,27 +4,34 @@
 //! reference simulator (see the `sim` module docs) but replaces the global
 //! per-beat event heap with two constant-time work buckets — almost every
 //! wake-up lands in the *current* or the *next* cycle; the rare `t + 2`
-//! block-activation wakes go through a small spill heap — and coalesces
+//! block-activation wakes go through a small spill heap — skips the
+//! fruitless counterparty wakes the reference keeps, and coalesces
 //! steady-state streaming intervals into **batched epochs**:
 //!
 //! 1. While stepping cycle by cycle, it records an order-independent
-//!    signature of each cycle's committed beats and runs a **general
-//!    cycle detector** over the signature stream: the last occurrence of
-//!    the current signature and of the current signature *pair* (bigram)
-//!    each propose a candidate period `P` (their occurrence distance),
-//!    and an O(P) ring scan confirms that the last `P` cycles replay the
-//!    `P` before them. Any steady period up to [`MAX_PERIOD`] is
-//!    detected this way — not just the `m · 2^k` family a fixed
-//!    candidate ladder can enumerate.
-//! 2. When a period is confirmed, it snapshots the state into a reused
-//!    struct-of-arrays arena and steps `P` further cycles normally. If no
-//!    structural boundary occurred (memory delivery, buffer-gate opening,
-//!    task completion, block activation) and the resulting state is a
-//!    *uniform shift* of the snapshot — identical FIFO occupancies and
-//!    batch phases, monotone counters advanced by fixed per-period
-//!    deltas, pending batches shifted by exactly `P` cycles — then by
-//!    determinism and time-translation invariance the next periods replay
-//!    the recorded one exactly.
+//!    signature of each cycle's committed beats — the process, direction
+//!    and batch phase of each — and runs a **general cycle detector**
+//!    over the signature stream: the last occurrence of the current
+//!    signature and of the current signature *pair* (bigram) each
+//!    propose a candidate period `P` (their occurrence distance). Any
+//!    steady period up to [`MAX_PERIOD`] is proposed this way — not just
+//!    the `m · 2^k` family a fixed candidate ladder can enumerate. The
+//!    batch phase keeps a mid-batch upsampler, which commits the same
+//!    beats cycle after cycle, from proposing a 1- or 2-cycle period
+//!    that its pending batch counts would refute.
+//! 2. A proposal opens a verification window at once, unless its period
+//!    is cooling down after a refutation: it snapshots the state into a
+//!    reused struct-of-arrays arena and steps `P` further cycles
+//!    normally. No scan confirms the proposal first; the window is
+//!    verified when it closes. It must be clean of structural boundaries
+//!    (memory delivery, buffer-gate opening, task completion, block
+//!    activation), an O(P) ring scan must show its `P` cycles replaying
+//!    the `P` before them, and the resulting state must be a *uniform
+//!    shift* of the snapshot — identical FIFO occupancies and batch
+//!    phases, monotone counters advanced by fixed per-period deltas,
+//!    pending batches shifted by exactly `P` cycles. Then by determinism
+//!    and time-translation invariance the next periods replay the
+//!    recorded one exactly.
 //! 3. It advances the clock by `n · P` cycles in O(processes + edges),
 //!    where `n` is the largest period count for which every monotone
 //!    counter keeps a safety margin: consume/emit counts stay positive
@@ -53,24 +60,27 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use stg_analysis::Schedule;
 use stg_graph::EdgeId;
 use stg_model::CanonicalGraph;
 
-use crate::sim::{mix, Chan, SimConfig, SimFailure, SimResult, SimState, Simulator, Waker};
+use crate::sim::{
+    mix, Chan, Pending, SimConfig, SimFailure, SimResult, SimState, Simulator, Waker,
+};
 use crate::SimKind;
 
 /// The beat-batched simulator: per-cycle work buckets plus steady-state
 /// epoch leaping. Produces bit-identical results to [`crate::ReferenceSim`].
 pub struct BatchedSim;
 
-/// Signature ring capacity. A period-`P` confirmation scan reads `2 · P`
-/// trailing entries, so the ring must hold at least `2 · MAX_PERIOD`
+/// Signature ring capacity. The scan that closes a period-`P` window
+/// reads `2 · P` trailing entries, so the ring must hold at least `2 · MAX_PERIOD`
 /// live cycles.
 const RING: usize = 16384;
 
-/// The largest steady period the detector will confirm and leap.
+/// The largest steady period the detector will propose and leap.
 /// Longer periods fall back to per-beat stepping (which only costs
 /// time, never exactness).
 const MAX_PERIOD: u64 = 8191;
@@ -204,6 +214,8 @@ impl Buckets {
 }
 
 impl Waker for Buckets {
+    const SKIP_FRUITLESS: bool = true;
+
     fn wake(&mut self, pid: u32, time: u64) {
         if time <= self.t {
             debug_assert_eq!(time, self.t, "wake in the past");
@@ -240,17 +252,14 @@ const SE_STRIDE: usize = 3;
 /// The verification-window snapshot as flat struct-of-arrays storage,
 /// reused across windows and simulations. One snapshot is live at a
 /// time (the open [`PendingVerify`] window owns it), so taking a new
-/// one simply overwrites the arena — no per-snapshot `Vec<ProcSnap>` /
-/// per-process `pending` clones.
+/// one simply overwrites the arena.
 struct SnapArena {
     t: u64,
     beats: u64,
     /// Monotone process counters, [`SP_STRIDE`] words per process.
     proc: Vec<u64>,
-    /// All processes' pending batches, flattened; process `i` owns
-    /// `pending[pending_off[i]..pending_off[i + 1]]`.
-    pending: Vec<(u64, u64)>,
-    pending_off: Vec<u32>,
+    /// Each process's pending batches.
+    pending: Vec<Pending>,
     /// Edge occupancy/counter words, [`SE_STRIDE`] words per edge.
     edge: Vec<u64>,
 }
@@ -262,7 +271,6 @@ impl SnapArena {
             beats: 0,
             proc: Vec::new(),
             pending: Vec::new(),
-            pending_off: Vec::new(),
             edge: Vec::new(),
         }
     }
@@ -273,9 +281,7 @@ impl SnapArena {
         self.beats = state.beats;
         self.proc.clear();
         self.pending.clear();
-        self.pending_off.clear();
         self.edge.clear();
-        self.pending_off.push(0);
         for p in &state.procs {
             self.proc.extend_from_slice(&[
                 p.to_consume,
@@ -285,8 +291,7 @@ impl SnapArena {
                 p.last_out,
                 p.busy,
             ]);
-            self.pending.extend(p.pending.iter().copied());
-            self.pending_off.push(self.pending.len() as u32);
+            self.pending.push(p.pending);
         }
         for e in &state.edges {
             self.edge.extend_from_slice(&[e.len, e.popped, e.pushed]);
@@ -300,7 +305,7 @@ impl SnapArena {
 
     #[inline]
     fn proc_pending(&self, i: usize) -> &[(u64, u64)] {
-        &self.pending[self.pending_off[i] as usize..self.pending_off[i + 1] as usize]
+        self.pending[i].as_slice()
     }
 
     #[inline]
@@ -309,7 +314,7 @@ impl SnapArena {
     }
 }
 
-/// An in-flight verification window for one confirmed candidate period.
+/// An in-flight verification window for one proposed period.
 struct PendingVerify {
     period: u64,
     /// Executed-cycle count at which the window opened (the snapshot
@@ -320,12 +325,40 @@ struct PendingVerify {
     target: u64,
 }
 
+/// Hashes a `u64` key with one multiply. The signature and bigram keys
+/// are already SplitMix-mixed, and the odd multiplier spreads small
+/// period keys into the high bits the table probes on; SipHash's
+/// flooding resistance buys nothing for simulator-internal keys.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+}
+
+/// A map from a signature, bigram or period to an executed cycle.
+type CycleMap = HashMap<u64, u64, BuildHasherDefault<MulHasher>>;
+
 /// General steady-period detection over the per-cycle signature stream.
 ///
 /// Candidate periods are *proposed* by occurrence distance — how long
 /// ago the current signature, and the current `(previous, current)`
-/// signature bigram, last occurred — and *confirmed* by an O(P) ring
-/// scan showing the last `P` cycles replay the `P` before them. Bigram
+/// signature bigram, last occurred. A proposal opens a verification
+/// window at once (see [`Self::may_open`]); the window is verified when
+/// it closes, by an O(P) ring scan showing its `P` cycles replay the
+/// `P` before them, then by [`try_leap`]'s uniform-shift check. Bigram
 /// proposals are what make the detector general: in a period-`P` steady
 /// state where every signature value repeats *within* the period (e.g.
 /// the stream `A A B B …` with period 4), unigram distances never equal
@@ -333,16 +366,16 @@ struct PendingVerify {
 /// is exactly `P`.
 struct Detector {
     /// Trailing signatures, indexed by executed cycle modulo [`RING`].
-    /// Never cleared between runs: every scan is guarded by
-    /// `cycles >= 2 · P`, so it only reads entries written by the
-    /// current run.
+    /// Never cleared between runs: every scan closes a window opened at
+    /// `cycles >= P`, so it runs at `cycles >= 2 · P` and only reads
+    /// entries written by the current run.
     ring: Vec<u64>,
     /// Executed cycle at which each signature value was last seen.
-    last_seen: HashMap<u64, u64>,
+    last_seen: CycleMap,
     /// Executed cycle at which each signature bigram was last seen.
-    last_pair: HashMap<u64, u64>,
+    last_pair: CycleMap,
     /// Per-period earliest executed cycle at which it may trigger again.
-    cooldown: HashMap<u64, u64>,
+    cooldown: CycleMap,
     prev_sig: u64,
     /// Most recent executed cycle with a structural boundary.
     last_boundary: u64,
@@ -353,9 +386,9 @@ impl Detector {
     fn new() -> Detector {
         Detector {
             ring: vec![0; RING],
-            last_seen: HashMap::new(),
-            last_pair: HashMap::new(),
-            cooldown: HashMap::new(),
+            last_seen: CycleMap::default(),
+            last_pair: CycleMap::default(),
+            cooldown: CycleMap::default(),
             prev_sig: 0,
             last_boundary: 0,
             pending: None,
@@ -428,19 +461,17 @@ impl Detector {
         })
     }
 
-    /// Whether proposed period `p` is confirmed at `cycles`: in range,
-    /// enough ring history, not cooling down, and the ring scan shows a
-    /// full repeated period. Structural boundaries do not gate
-    /// confirmation: the signature ring is preserved across them, so a
-    /// block transition costs at most the verification window it
-    /// dirties, never a fresh boundary-free warm-up — and a scan that
-    /// spans a boundary is harmless because [`try_leap`]'s state-shift
-    /// check is the actual safety net.
-    fn confirmed(&self, cycles: u64, p: u64) -> bool {
-        (1..=MAX_PERIOD).contains(&p)
-            && cycles >= 2 * p
-            && self.cooldown.get(&p).is_none_or(|&until| cycles >= until)
-            && self.periodic(cycles, p)
+    /// Whether a window may open on proposed period `p` at `cycles`: the
+    /// ring will hold both periods the closing scan compares, and `p` is
+    /// not cooling down. No scan runs first: the window is verified once,
+    /// when it closes. Phase-aware beat signatures keep the false
+    /// proposals that a scan here would have caught rare. Structural
+    /// boundaries do not gate opening either: the signature ring is
+    /// preserved across them, so a block transition costs at most the
+    /// verification window it dirties, never a fresh boundary-free
+    /// warm-up.
+    fn may_open(&self, cycles: u64, p: u64) -> bool {
+        cycles >= p && self.cooldown.get(&p).is_none_or(|&until| cycles >= until)
     }
 }
 
@@ -539,8 +570,8 @@ fn run(
 
         // Close a verification window: the window is clean if no
         // structural boundary occurred since it opened and the ring scan
-        // still shows a full repeated period (i.e. every window cycle
-        // replayed its counterpart one period back).
+        // shows a full repeated period (every window cycle replayed its
+        // counterpart one period back).
         if let Some(pv) = &detector.pending {
             if cycles >= pv.target {
                 let pv = detector.pending.take().expect("checked");
@@ -551,8 +582,8 @@ fn run(
                     last_event_t = buckets.t;
                 }
                 // A window dirtied by a structural boundary says nothing
-                // about the period itself — retry as soon as the ring
-                // re-confirms. Only a genuine refutation (a clean scan
+                // about the period itself — retry on its next proposal.
+                // Only a genuine refutation (a clean scan
                 // that failed, or a leap the margins rejected) pays the
                 // backoff.
                 detector.cooldown.insert(
@@ -565,10 +596,10 @@ fn run(
                 );
             }
         }
-        // Open a verification window on the smallest confirmed proposal.
+        // Open a verification window on the smallest proposal allowed to.
         if detector.pending.is_none() {
             for p in proposals.into_iter().flatten() {
-                if detector.confirmed(cycles, p) {
+                if detector.may_open(cycles, p) {
                     detector.pending = Some(PendingVerify {
                         period: p,
                         opened: cycles,
@@ -652,7 +683,8 @@ fn try_leap(
             return false;
         }
         // Pending batches must be isomorphic modulo the time shift.
-        if pr.pending.len() != sp.len() {
+        let pending = pr.pending.as_slice();
+        if pending.len() != sp.len() {
             return false;
         }
         if pr.q == 0 {
@@ -660,14 +692,14 @@ fn try_leap(
             // count mirrors `to_emit` (bounded above) and its ready time
             // is fixed in the past.
             if let (Some(&(ready, count)), Some(&(s_ready, s_count))) =
-                (pr.pending.front(), sp.first())
+                (pending.first(), sp.first())
             {
                 if ready != s_ready || ready > snap.t || s_count - count != de {
                     return false;
                 }
             }
         } else {
-            for (&(ready, count), &(s_ready, s_count)) in pr.pending.iter().zip(sp) {
+            for (&(ready, count), &(s_ready, s_count)) in pending.iter().zip(sp) {
                 if count != s_count {
                     return false;
                 }
@@ -718,8 +750,8 @@ fn try_leap(
     // Apply `n` whole periods in O(processes + edges).
     let period_beats = state.beats - snap.beats;
     for (i, pr) in state.procs.iter_mut().enumerate() {
-        let f = &snap.proc[i * SP_STRIDE..(i + 1) * SP_STRIDE];
-        let sp = &snap.pending[snap.pending_off[i] as usize..snap.pending_off[i + 1] as usize];
+        let f = snap.proc_fields(i);
+        let sp = snap.proc_pending(i);
         let dc = f[SP_TO_CONSUME] - pr.to_consume;
         let de = f[SP_TO_EMIT] - pr.to_emit;
         let dbusy = pr.busy - f[SP_BUSY];
@@ -733,11 +765,11 @@ fn try_leap(
             pr.last_out += n * period;
         }
         if pr.q == 0 {
-            if let Some(front) = pr.pending.front_mut() {
+            if let Some(front) = pr.pending.as_mut_slice().first_mut() {
                 front.1 -= n * de;
             }
         } else {
-            for ((ready, _), &(s_ready, _)) in pr.pending.iter_mut().zip(sp) {
+            for ((ready, _), &(s_ready, _)) in pr.pending.as_mut_slice().iter_mut().zip(sp) {
                 if *ready == s_ready + period {
                     *ready += n * period;
                 }
@@ -745,7 +777,7 @@ fn try_leap(
         }
     }
     for (i, es) in state.edges.iter_mut().enumerate() {
-        let f = &snap.edge[i * SE_STRIDE..(i + 1) * SE_STRIDE];
+        let f = snap.edge_fields(i);
         es.popped += n * (es.popped - f[SE_POPPED]);
         es.pushed += n * (es.pushed - f[SE_PUSHED]);
     }
@@ -771,8 +803,8 @@ mod tests {
 
     #[test]
     fn ring_holds_two_full_periods() {
-        // A confirmation scan reads 2·P trailing entries, all of which
-        // must still be live in the ring.
+        // A window's closing scan reads 2·P trailing entries, all of
+        // which must still be live in the ring.
         assert!(2 * MAX_PERIOD < RING as u64);
         assert!(MAP_CAP > 2 * MAX_PERIOD as usize);
     }
@@ -836,6 +868,17 @@ mod tests {
                 leaps > 0,
                 "{q}:{p} chain must leap under general cycle detection"
             );
+        }
+    }
+
+    /// Upsamplers (`q < p`) emit a batch over several cycles, so their
+    /// output beats carry a batch phase in the cycle signature. Their
+    /// steady states must still leap, bit-identically.
+    #[test]
+    fn upsampler_steady_states_leap_bit_identically() {
+        for (q, p) in [(1, 8), (1, 32), (3, 32)] {
+            let leaps = leaps_with_identity(&ratio_chain(q, p, 1_000));
+            assert!(leaps > 0, "{q}:{p} chain must leap");
         }
     }
 

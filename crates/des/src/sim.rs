@@ -17,6 +17,15 @@
 //! buffer nodes fill from their producers and then replay per-edge from
 //! memory; spatial blocks are gang-scheduled back-to-back.
 //!
+//! # The block barrier
+//!
+//! Block `b + 1` activates at the *latest* completion time among block
+//! `b`'s tasks, and its processes first step one cycle later. A task that
+//! emits completes at its last output beat's cycle `t`; a pure consumer
+//! completes one cycle after its last input beat, at `t + 1`. When both
+//! end a block in the same cycle, the barrier waits for the later
+//! completion, whichever of the two the driver steps last.
+//!
 //! # Cycle semantics and event ordering
 //!
 //! The simulation is *synchronous*: each cycle, beats cascade — a pop frees
@@ -35,13 +44,17 @@
 //!   explicitly so traces are reproducible.
 //! - [`crate::BatchedSim`] drives the same cascade through per-cycle work
 //!   queues and coalesces steady-state intervals into batched epochs; it
-//!   produces bit-identical results.
+//!   produces bit-identical results. It alone skips *fruitless* wakes:
+//!   after a push it wakes the consumer only if that one can still input
+//!   in this cycle, after a pop the producer only if that one can still
+//!   output (`Waker::SKIP_FRUITLESS`). The reference keeps every wake, so
+//!   it stays an independent oracle.
 //!
 //! Peak FIFO occupancy is defined at *cycle boundaries* (the occupancy after
 //! a cycle's cascade settles), which is the order-independent measure; the
 //! transient within-cycle maximum would depend on the attempt order.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 use std::str::FromStr;
 use stg_analysis::Schedule;
 use stg_buffer::BufferPlan;
@@ -315,7 +328,7 @@ pub(crate) struct Proc {
     pub out_edges: Vec<EdgeId>,
     pub to_consume: u64,
     pub in_batch: u64,
-    pub pending: VecDeque<(u64, u64)>, // (ready time, remaining count)
+    pub pending: Pending,
     pub to_emit: u64,
     pub last_in: u64,
     pub last_out: u64,
@@ -327,6 +340,66 @@ pub(crate) struct Proc {
     pub is_task: bool,
 }
 
+impl Proc {
+    /// Whether an input beat at `t` is still possible: none yet this
+    /// cycle, and elements left to consume.
+    fn can_input(&self, t: u64) -> bool {
+        self.last_in < t && self.to_consume > 0
+    }
+
+    /// Whether an output beat at `t` is still possible: none yet this
+    /// cycle, and elements left to emit.
+    fn can_output(&self, t: u64) -> bool {
+        self.last_out < t && self.to_emit > 0
+    }
+}
+
+/// A process's emission backlog: the batches not yet fully emitted,
+/// oldest first, as `(ready time, remaining count)`. Two slots suffice:
+/// every batch but the front one is full (`p` elements), and an input
+/// beat is refused while the backlog holds `p` elements, so a batch
+/// completes only behind at most one partial front batch. A pure
+/// producer holds its one seeded batch.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Pending {
+    batches: [(u64, u64); 2],
+    len: usize,
+}
+
+impl Pending {
+    pub fn as_slice(&self) -> &[(u64, u64)] {
+        &self.batches[..self.len]
+    }
+
+    pub fn as_mut_slice(&mut self) -> &mut [(u64, u64)] {
+        &mut self.batches[..self.len]
+    }
+
+    /// Appends a batch. Panics on a third one, which the backlog rule
+    /// above rules out.
+    fn push_back(&mut self, batch: (u64, u64)) {
+        self.batches[self.len] = batch;
+        self.len += 1;
+    }
+
+    /// Elements awaiting emission.
+    fn backlog(&self) -> u64 {
+        self.as_slice().iter().map(|&(_, count)| count).sum()
+    }
+
+    /// Takes one element from the front batch, dropping the batch once
+    /// empty, and returns the front batch's remaining count.
+    fn take_one(&mut self) -> u64 {
+        let left = self.batches[0].1 - 1;
+        self.batches[0].1 = left;
+        if left == 0 {
+            self.batches[0] = self.batches[1];
+            self.len -= 1;
+        }
+        left
+    }
+}
+
 /// Where a beat attempt schedules follow-up work. Wake-ups are near-term
 /// by construction: counterparty wakes after a push/pop land in the
 /// current cycle `t`, self wakes after progress and gate openings land at
@@ -335,6 +408,14 @@ pub(crate) struct Proc {
 /// them into its global heap; the batched driver uses two cycle buckets
 /// plus a small spill heap for the rare `t + 2` activation wakes.
 pub(crate) trait Waker {
+    /// Whether beat attempts skip *fruitless* counterparty wakes: after a
+    /// push, a consumer that can no longer input at `t`; after a pop, a
+    /// producer that can no longer output at `t`. Stepping either would
+    /// fail, and a failed step has no side effects; whatever later
+    /// enables the beat issues its own wake. The reference driver keeps
+    /// every wake, so it stays an independent oracle.
+    const SKIP_FRUITLESS: bool = false;
+
     /// Wake `pid` at cycle `time` (`time ∈ {t, t+1, t+2}` for a beat
     /// attempt at cycle `t`).
     fn wake(&mut self, pid: u32, time: u64);
@@ -349,6 +430,9 @@ pub(crate) struct SimState<'a> {
     /// Per block: activation time (None = not yet) and remaining tasks.
     pub act: Vec<Option<u64>>,
     pub remaining: Vec<u64>,
+    /// Per block: the latest completion time of its finished tasks. The
+    /// next block activates at this time once `remaining` reaches zero.
+    block_end: Vec<u64>,
     /// Per block: list of process ids to wake on activation.
     pub block_procs: Vec<Vec<u32>>,
     /// Buffers: per node, (undelivered in-edges, gate time when 0).
@@ -364,6 +448,7 @@ pub(crate) struct SimState<'a> {
     /// independent; reset by [`Self::end_cycle`]).
     pub cycle_sig: u64,
     /// Edges whose occupancy changed this cycle (for end-of-cycle peaks).
+    /// Cleared, not dropped, each cycle, so it allocates once per run.
     touched: Vec<u32>,
 }
 
@@ -375,6 +460,14 @@ pub(crate) fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
+}
+
+/// The signature term of one committed beat: the process, the beat's
+/// direction and its batch phase. Phase 0 (every beat of a pure producer
+/// or pure consumer) leaves just the process and direction.
+#[inline]
+fn beat_sig(pid: u32, output: bool, phase: u64) -> u64 {
+    mix(phase << 33 | u64::from(pid) << 1 | u64::from(output))
 }
 
 impl<'a> SimState<'a> {
@@ -424,7 +517,7 @@ impl<'a> SimState<'a> {
                 out_edges: dag.out_edge_ids(v).to_vec(),
                 to_consume: i_vol,
                 in_batch: 0,
-                pending: VecDeque::new(),
+                pending: Pending::default(),
                 to_emit: o_vol,
                 last_in: 0,
                 last_out: 0,
@@ -462,7 +555,7 @@ impl<'a> SimState<'a> {
                     out_edges: edges,
                     to_consume: 0,
                     in_batch: 0,
-                    pending: VecDeque::new(),
+                    pending: Pending::default(),
                     to_emit: vol,
                     last_in: 0,
                     last_out: 0,
@@ -540,6 +633,7 @@ impl<'a> SimState<'a> {
             edges,
             act: vec![None; n_blocks],
             remaining,
+            block_end: vec![0; n_blocks],
             block_procs,
             buf_missing,
             buf_gate,
@@ -651,10 +745,10 @@ impl<'a> SimState<'a> {
 
     fn try_output_beat<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) -> bool {
         let pr = &self.procs[pid as usize];
-        if pr.done || pr.to_emit == 0 || pr.last_out >= t {
+        if !pr.can_output(t) {
             return false;
         }
-        match pr.pending.front() {
+        match pr.pending.as_slice().first() {
             Some(&(ready, _)) if ready <= t => {}
             _ => return false,
         }
@@ -679,7 +773,9 @@ impl<'a> SimState<'a> {
                         self.touched.push(e.index() as u32);
                     }
                     let consumer = es.consumer;
-                    if consumer != u32::MAX {
+                    if consumer != u32::MAX
+                        && (!W::SKIP_FRUITLESS || self.procs[consumer as usize].can_input(t))
+                    {
                         waker.wake(consumer, t);
                     }
                 }
@@ -701,13 +797,12 @@ impl<'a> SimState<'a> {
         pr.last_out = t;
         pr.fo = pr.fo.or(Some(t));
         pr.to_emit -= 1;
-        let front = pr.pending.front_mut().expect("checked above");
-        front.1 -= 1;
-        if front.1 == 0 {
-            pr.pending.pop_front();
-        }
+        let left = pr.pending.take_one();
         self.beats += 1;
-        self.cycle_sig = self.cycle_sig.wrapping_add(mix(u64::from(pid) * 2 + 1));
+        // A pure producer's one batch counts down for the whole run, so
+        // its phase never repeats: it keeps the phase-free term.
+        let phase = if pr.q > 0 { left } else { 0 };
+        self.cycle_sig = self.cycle_sig.wrapping_add(beat_sig(pid, true, phase));
         if pr.to_emit == 0 && pr.to_consume == 0 {
             self.complete(pid, t, waker);
         } else {
@@ -718,16 +813,13 @@ impl<'a> SimState<'a> {
 
     fn try_input_beat<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) -> bool {
         let pr = &self.procs[pid as usize];
-        if pr.done || pr.to_consume == 0 || pr.last_in >= t {
+        if !pr.can_input(t) {
             return false;
         }
         // Emission backlog: do not consume a new batch while a full batch
         // is still pending (constant-space node).
-        if pr.p > 0 {
-            let backlog: u64 = pr.pending.iter().map(|&(_, c)| c).sum();
-            if backlog >= pr.p {
-                return false;
-            }
+        if pr.p > 0 && pr.pending.backlog() >= pr.p {
+            return false;
         }
         let act = self.act[pr.block as usize].expect("process woken implies active block");
         // All in-edges must be poppable.
@@ -758,7 +850,9 @@ impl<'a> SimState<'a> {
                         self.touched.push(e.index() as u32);
                     }
                     let producer = es.producer;
-                    if producer != u32::MAX {
+                    if producer != u32::MAX
+                        && (!W::SKIP_FRUITLESS || self.procs[producer as usize].can_output(t))
+                    {
                         waker.wake(producer, t);
                     }
                 }
@@ -773,7 +867,6 @@ impl<'a> SimState<'a> {
         pr.last_in = t;
         pr.to_consume -= 1;
         self.beats += 1;
-        self.cycle_sig = self.cycle_sig.wrapping_add(mix(u64::from(pid) * 2));
         if pr.p > 0 {
             pr.in_batch += 1;
             if pr.in_batch == pr.q {
@@ -781,6 +874,9 @@ impl<'a> SimState<'a> {
                 pr.pending.push_back((t + 1, pr.p));
             }
         }
+        self.cycle_sig = self
+            .cycle_sig
+            .wrapping_add(beat_sig(pid, false, pr.in_batch));
         if pr.to_consume == 0 && pr.to_emit == 0 {
             // Pure consumer: one more cycle to process the last element.
             self.complete(pid, t + 1, waker);
@@ -798,9 +894,13 @@ impl<'a> SimState<'a> {
         pr.last_out = pr.last_out.max(t);
         let (block, is_task) = (pr.block as usize, pr.is_task);
         if is_task {
+            // The barrier waits for the block's latest completion, not the
+            // last one the driver happens to step: a pure consumer stepped
+            // at `t` completes at `t + 1`, an emitting task at `t`.
+            self.block_end[block] = self.block_end[block].max(t);
             self.remaining[block] -= 1;
             if self.remaining[block] == 0 {
-                self.activate_block(block + 1, t, waker);
+                self.activate_block(block + 1, self.block_end[block], waker);
             }
         }
     }
@@ -809,7 +909,7 @@ impl<'a> SimState<'a> {
     /// into the per-edge peaks and returns (and resets) the cycle's beat
     /// signature.
     pub fn end_cycle(&mut self) -> u64 {
-        for i in std::mem::take(&mut self.touched) {
+        for i in self.touched.drain(..) {
             let es = &mut self.edges[i as usize];
             es.dirty = false;
             es.peak = es.peak.max(es.len);

@@ -129,7 +129,7 @@ fn main() {
     if let Some(timing) = sweep.sim_timing_summary() {
         eprint!("{timing}");
     }
-    report.tallies.exit_on_failures();
+    report.exit_on_failures();
 }
 
 /// Stdout behind a buffer, so rows cost no write syscall each.
@@ -240,5 +240,5 @@ fn merge_main(rest: &[String]) {
         artifacts.len(),
         report.rows
     );
-    report.tallies.exit_on_failures();
+    report.exit_on_failures();
 }

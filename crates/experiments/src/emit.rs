@@ -18,7 +18,8 @@
 //! index arrives; a fabric coordinator issues leases in index order, so
 //! the buffer is bounded by the outstanding-lease spread, not the grid
 //! size. The merger also keeps the one failure tally ([`MergeTallies`])
-//! behind every binary's exit code.
+//! behind every binary's exit code, and names the first rows on which the
+//! simulators diverged ([`MergeReport::diverged`]).
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -27,6 +28,9 @@ use stg_workloads::WorkloadFamily;
 
 use crate::engine::{Case, Run, SweepSpec};
 use crate::store::{error_code, Outcome};
+
+/// How many diverged rows a [`MergeReport`] names.
+const NAMED_DIVERGED: usize = 10;
 
 /// Which artifact the merger streams.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -100,6 +104,7 @@ pub struct StreamMerger<W: Write> {
     merged_count: usize,
     peak_buffered: usize,
     tallies: MergeTallies,
+    diverged: Vec<(usize, String)>,
 }
 
 impl<W: Write> StreamMerger<W> {
@@ -123,6 +128,7 @@ impl<W: Write> StreamMerger<W> {
             merged_count: 0,
             peak_buffered: 0,
             tallies: MergeTallies::default(),
+            diverged: Vec::new(),
         })
     }
 
@@ -174,6 +180,17 @@ impl<W: Write> StreamMerger<W> {
                 .cases_slice(self.next_emit..self.next_emit + 1)
                 .pop()
                 .expect("index in range");
+            let diverged = matches!(&outcome, Ok(r) if r.sim.is_some_and(|s| s.diverged));
+            if diverged && self.diverged.len() < NAMED_DIVERGED {
+                let name = format!(
+                    "{} P={} seed={} {}",
+                    case.workload.label(),
+                    case.pes,
+                    case.seed,
+                    case.scheduler
+                );
+                self.diverged.push((case.index, name));
+            }
             let row = match self.kind {
                 OutputKind::Csv => csv_row(&case, &outcome, self.spec.timing),
                 OutputKind::Json => json_row(
@@ -207,12 +224,13 @@ impl<W: Write> StreamMerger<W> {
             rows: self.merged_count,
             peak_buffered: self.peak_buffered,
             tallies: self.tallies,
+            diverged: self.diverged,
         })
     }
 }
 
 /// What [`StreamMerger::finish`] reports about a completed merge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MergeReport {
     /// Rows merged (always the full grid).
     pub rows: usize,
@@ -220,6 +238,22 @@ pub struct MergeReport {
     pub peak_buffered: usize,
     /// Failure counts for exit-code decisions.
     pub tallies: MergeTallies,
+    /// The first rows (at most 10, in index order) on which the
+    /// simulators diverged: grid index and
+    /// `<workload> P=<pes> seed=<seed> <scheduler>`.
+    pub diverged: Vec<(usize, String)>,
+}
+
+impl MergeReport {
+    /// [`MergeTallies::exit_on_failures`], after one
+    /// `diverged: <workload> P=<pes> seed=<seed> <scheduler>` line on
+    /// stderr per named diverged row.
+    pub fn exit_on_failures(&self) {
+        for (_, name) in &self.diverged {
+            eprintln!("diverged: {name}");
+        }
+        self.tallies.exit_on_failures();
+    }
 }
 
 /// The CSV header row (with trailing newline). The non-deterministic
@@ -435,6 +469,33 @@ mod tests {
         let m = StreamMerger::new(spec, OutputKind::Csv, Vec::new()).unwrap();
         let err = m.finish().unwrap_err();
         assert!(err.contains("incomplete"), "{err}");
+    }
+
+    #[test]
+    fn report_names_diverged_rows() {
+        let spec = spec();
+        let sweep = spec.run();
+        let index = sweep.runs.len() / 2;
+        let mut m = StreamMerger::new(spec, OutputKind::Csv, Vec::new()).unwrap();
+        for run in &sweep.runs {
+            let mut outcome = run.outcome.clone();
+            if run.case.index == index {
+                let sim = outcome.as_mut().unwrap().sim.as_mut().unwrap();
+                sim.diverged = true;
+            }
+            m.push(run.case.index, outcome).unwrap();
+        }
+        let report = m.finish().unwrap();
+        assert_eq!(report.tallies.divergences, 1);
+        let case = &sweep.runs[index].case;
+        let name = format!(
+            "{} P={} seed={} {}",
+            case.workload.label(),
+            case.pes,
+            case.seed,
+            case.scheduler
+        );
+        assert_eq!(report.diverged, vec![(index, name)]);
     }
 
     #[test]

@@ -178,7 +178,7 @@ fn coordinate_main(argv: &[String]) {
             snap.leap.leaps, snap.leap.leaped_cycles, snap.leap.max_period
         );
     }
-    report.merge.tallies.exit_on_failures();
+    report.merge.exit_on_failures();
 }
 
 fn config_name(n: usize) -> String {

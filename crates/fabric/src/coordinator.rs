@@ -64,7 +64,7 @@ impl Default for FabricConfig {
 }
 
 /// What a completed coordinator run reports.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct FabricRunReport {
     /// The stream-merge outcome (row count, buffer high-water mark,
     /// failure tallies for exit codes).

@@ -72,6 +72,23 @@ fn assert_sims_agree(g: &CanonicalGraph, plan: &Plan, label: &str) {
     assert_eq!(reference, batched, "{label}: results diverged");
 }
 
+/// The paper-grid cell where two tasks end the last block but one in the
+/// same cycle: a pure consumer, done at `t + 1`, and an emitting task,
+/// done at `t`. The next block must start at the later of the two,
+/// whichever one the driver steps last. The batched simulator used to
+/// start block 6 of this cell one cycle early (makespan 2865, not 2866).
+#[test]
+fn next_block_starts_at_the_latest_completion_of_the_block() {
+    let workload: WorkloadKind = "fft:32".parse().expect("registered spec");
+    let g = workload.build(12_648_441);
+    for kind in [SchedulerKind::StreamingLts, SchedulerKind::StreamingRlx] {
+        let plan = kind.build(32).schedule(&g).expect("schedulable");
+        let label = format!("fft:32 × {kind} @ P=32 seed=12648441");
+        assert_sims_agree(&g, &plan, &label);
+        assert_eq!(plan.validate_with(&g, SimKind::Batched).makespan, 2866);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
