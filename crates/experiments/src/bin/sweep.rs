@@ -15,8 +15,9 @@
 //! Caching and sharding (see the README's "Caching and sharded sweeps"):
 //!
 //! - `--cache-dir DIR` persists every evaluated cell under a
-//!   content-addressed `CellKey`; warm reruns skip re-evaluation and the
-//!   `cell cache:` stderr line reports the hit/miss/invalidation traffic.
+//!   content-addressed `CellKey`; warm reruns skip re-evaluation, and the
+//!   `cell_cache_*` counters on the stderr counter line report the
+//!   hit/miss/invalidation traffic.
 //! - `--shard i/n` evaluates only the i-th of n contiguous slices of the
 //!   case grid and writes a self-describing binary shard artifact
 //!   (`STGSHRD`) to stdout instead of CSV/JSON.
@@ -26,9 +27,12 @@
 //! CSV/JSON is written by the engine's one `StreamMerger`, the same one
 //! that writes `sweep merge` and `fabric coordinate` output. Graph-cache,
 //! cell-cache, epoch-leap and validation-timing statistics are live
-//! counters, so they go to stderr only, keeping stdout byte-stable;
-//! `--sim-timing` appends wall-clock columns to the CSV/JSON, which are
-//! excluded from the determinism contract.
+//! counters, so they go to stderr only, keeping stdout byte-stable. The
+//! counters print as one `sweep:` (or `shard i/n:`) line of `name=value`
+//! tokens, rendered by `stg_experiments::metrics` under the names the
+//! service and fabric `stats` frames use. `--sim-timing` appends
+//! wall-clock columns to the CSV/JSON, which are excluded from the
+//! determinism contract.
 //!
 //! ```sh
 //! cargo run --release --bin sweep -- --graphs 3 --validate
@@ -41,6 +45,7 @@
 
 use std::io::{BufWriter, StdoutLock, Write};
 
+use stg_experiments::metrics::CounterSet;
 use stg_experiments::{Args, OutputKind, SweepSpec};
 
 fn main() {
@@ -84,18 +89,13 @@ fn main() {
                 .map_err(|e| format!("shard output: {e}")),
         );
         eprintln!(
-            "shard {shard}: cases {}..{} of {}; graph cache: {} hits, {} misses; \
-             cell cache: {} hits, {} misses, {} invalidations, {} evicted, {} repaired",
+            "shard {shard}: cases {}..{} of {}; {} {} {}",
             result.range.start,
             result.range.end,
             result.total,
-            result.cache.hits,
-            result.cache.misses,
-            result.cell_cache.hits,
-            result.cell_cache.misses,
-            result.cell_cache.invalidations,
-            result.cell_cache.evicted,
-            result.cell_cache.repaired
+            result.cache.text(),
+            result.cell_cache.text(),
+            result.leap.text()
         );
         result.tallies().exit_on_failures();
         return;
@@ -107,25 +107,12 @@ fn main() {
     let sweep = spec.run_with(store.as_ref());
     let report = or_exit(sweep.emit(output_kind(args.json), stdout()));
     eprintln!(
-        "graph cache: {} hits, {} misses ({} scenarios)",
-        sweep.cache.hits,
-        sweep.cache.misses,
-        sweep.runs.len()
+        "sweep: {} scenarios; {} {} {}",
+        sweep.runs.len(),
+        sweep.cache.text(),
+        sweep.cell_cache.text(),
+        sweep.leap.text()
     );
-    eprintln!(
-        "cell cache: {} hits, {} misses, {} invalidations, {} evicted, {} repaired",
-        sweep.cell_cache.hits,
-        sweep.cell_cache.misses,
-        sweep.cell_cache.invalidations,
-        sweep.cell_cache.evicted,
-        sweep.cell_cache.repaired
-    );
-    if sweep.leap.leaps > 0 {
-        eprintln!(
-            "epoch leaps: {} leaps skipped {} cycles (max period {})",
-            sweep.leap.leaps, sweep.leap.leaped_cycles, sweep.leap.max_period
-        );
-    }
     if let Some(timing) = sweep.sim_timing_summary() {
         eprint!("{timing}");
     }

@@ -30,6 +30,7 @@
 pub mod emit;
 pub mod engine;
 pub mod harness;
+pub mod metrics;
 pub mod stats;
 pub mod store;
 

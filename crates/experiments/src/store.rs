@@ -41,6 +41,11 @@
 //! scheduler/simulator semantics, changed workload generators — and
 //! every old entry misses.
 //!
+//! Each store counts its own traffic in a [`StoreCounters`] set, one
+//! relaxed atomic add per lookup; [`ResultStore::stats`] copies it into a
+//! [`StoreStats`], which every surface prints as `cell_cache_*` (see
+//! [`crate::metrics`]).
+//!
 //! ## Disk layout: segment files
 //!
 //! A `--cache-dir` holds one artifact kind: `seg-{hash:016x}.cells`, a
@@ -208,35 +213,36 @@ impl CellKey {
     }
 }
 
-/// Hit/miss/invalidation/eviction counters of a [`ResultStore`].
-///
-/// `misses` counts every nominal lookup that found no entry, including
-/// the `invalidations` subset (entries that existed but failed
-/// verification — canonical-key mismatch, undecodable payload). `evicted`
-/// counts segment files *deleted* because they failed to parse as a whole
-/// (truncation, stale schema, foreign bytes). `repaired` counts cells
-/// answered from their semantic (fingerprint-keyed) key without
-/// evaluating: by [`ResultStore::evaluate_once`] (or
-/// [`ResultStore::lookup_repaired`]) after a nominal miss, when the entry
-/// was already stored or another thread handed its outcome over; and, in
-/// a pass without a store, by its [`SemanticTable`], which hands over
-/// the outcome of the cell that first evaluated the key. So in the
-/// engine a cacheable cell was evaluated exactly when it was neither a
-/// hit nor repaired. A repaired cell is *not* a hit (no nominal lookup
-/// found it), and probing a semantic key never counts a miss.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// Lookups served from the store.
-    pub hits: u64,
-    /// Nominal lookups that found no entry.
-    pub misses: u64,
-    /// Entries found but rejected by verification (subset of `misses`).
-    pub invalidations: u64,
-    /// Unparseable segment files deleted.
-    pub evicted: u64,
-    /// Cells answered from a semantic (graph-fingerprint) key: a stored
-    /// entry, or an evaluation another cell ran.
-    pub repaired: u64,
+crate::counter_set! {
+    /// Hit/miss/invalidation/eviction counters of a [`ResultStore`].
+    ///
+    /// `misses` counts every nominal lookup that found no entry, including
+    /// the `invalidations` subset (entries that existed but failed
+    /// verification — canonical-key mismatch, undecodable payload). `evicted`
+    /// counts segment files *deleted* because they failed to parse as a whole
+    /// (truncation, stale schema, foreign bytes). `repaired` counts cells
+    /// answered from their semantic (fingerprint-keyed) key without
+    /// evaluating: by [`ResultStore::evaluate_once`] (or
+    /// [`ResultStore::lookup_repaired`]) after a nominal miss, when the entry
+    /// was already stored or another thread handed its outcome over; and, in
+    /// a pass without a store, by its [`SemanticTable`], which hands over
+    /// the outcome of the cell that first evaluated the key. So in the
+    /// engine a cacheable cell was evaluated exactly when it was neither a
+    /// hit nor repaired. A repaired cell is *not* a hit (no nominal lookup
+    /// found it), and probing a semantic key never counts a miss.
+    pub struct StoreStats / StoreCounters: "cell_cache_" {
+        /// Lookups served from the store.
+        hits: Sum,
+        /// Nominal lookups that found no entry.
+        misses: Sum,
+        /// Entries found but rejected by verification (subset of `misses`).
+        invalidations: Sum,
+        /// Unparseable segment files deleted.
+        evicted: Sum,
+        /// Cells answered from a semantic (graph-fingerprint) key: a stored
+        /// entry, or an evaluation another cell ran.
+        repaired: Sum,
+    }
 }
 
 impl StoreStats {
@@ -271,11 +277,7 @@ pub struct ResultStore {
     /// evaluating thread (plus any whose evaluation unwound and that no
     /// caller has retried yet).
     inflight: Mutex<HashMap<CellKey, Arc<OnceLock<Outcome>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    invalidations: AtomicU64,
-    evicted: AtomicU64,
-    repaired: AtomicU64,
+    counters: StoreCounters,
     warned_io: AtomicBool,
 }
 
@@ -533,11 +535,7 @@ impl ResultStore {
             pending: Mutex::new(Vec::new()),
             segments: OnceLock::new(),
             inflight: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
-            repaired: AtomicU64::new(0),
+            counters: StoreCounters::default(),
             warned_io: AtomicBool::new(false),
         }
     }
@@ -562,11 +560,11 @@ impl ResultStore {
     pub fn lookup(&self, key: &CellKey) -> Option<Outcome> {
         match self.probe(key) {
             Some(o) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.counters.hits.add(1);
                 Some(o)
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.counters.misses.add(1);
                 None
             }
         }
@@ -584,7 +582,7 @@ impl ResultStore {
     pub fn lookup_repaired(&self, key: &CellKey) -> Option<Outcome> {
         let found = self.probe(key);
         if found.is_some() {
-            self.repaired.fetch_add(1, Ordering::Relaxed);
+            self.counters.repaired.add(1);
         }
         found
     }
@@ -639,7 +637,7 @@ impl ResultStore {
                 .remove(sem);
         }
         if !evaluated {
-            self.repaired.fetch_add(1, Ordering::Relaxed);
+            self.counters.repaired.add(1);
         }
         if flush_due {
             self.flush();
@@ -671,7 +669,7 @@ impl ResultStore {
                 .lock()
                 .expect("result store lock")
                 .remove(&key.hash);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+            self.counters.invalidations.add(1);
             return None;
         }
         // 2. Borrowed, verified views into the mapped segment files —
@@ -693,7 +691,7 @@ impl ResultStore {
         // itself stays — only whole-segment parse failures evict
         // segments.
         r.dead.store(true, Ordering::Relaxed);
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.counters.invalidations.add(1);
         None
     }
 
@@ -762,13 +760,7 @@ impl ResultStore {
     /// caller. The engine counts one call's hits, misses and repairs
     /// itself (see [`crate::engine::CasesResult::cell_cache`]).
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            repaired: self.repaired.load(Ordering::Relaxed),
-        }
+        self.counters.snapshot()
     }
 
     /// Number of entries resident in memory.
@@ -817,7 +809,7 @@ impl ResultStore {
                     None => {
                         drop(map);
                         if std::fs::remove_file(&path).is_ok() {
-                            self.evicted.fetch_add(1, Ordering::Relaxed);
+                            self.counters.evicted.add(1);
                         }
                     }
                 }

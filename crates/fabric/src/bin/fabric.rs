@@ -14,8 +14,9 @@
 //!   (forwarded to workers; fault-test hook).
 //! - `fabric work --connect ADDR [--cache-dir DIR] [--threads N]
 //!   [--eval-delay-ms D] [--name S]` — one worker, runs to drain.
-//! - `fabric stats --connect ADDR` — print a live coordinator's counter
-//!   summary.
+//! - `fabric stats --connect ADDR` — print a live coordinator's counters
+//!   as the `fabric:` line of `name=value` tokens `fabric coordinate`
+//!   prints on stderr at exit.
 //!
 //! `sweep --distributed N` delegates to `fabric coordinate --workers N`.
 //!
@@ -29,6 +30,7 @@ use std::net::TcpStream;
 use std::process::{Child, Command};
 use std::time::Duration;
 
+use stg_experiments::metrics::CounterSet;
 use stg_experiments::{Args, SweepSpec};
 use stg_fabric::{
     run_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse, FabricSnapshot,
@@ -170,14 +172,7 @@ fn coordinate_main(argv: &[String]) {
     for mut child in children {
         let _ = child.wait(); // workers exit on drain; killed ones reap here
     }
-    let snap = report.counters;
-    eprintln!("{}", snap.summary_line());
-    if snap.leap.leaps > 0 {
-        eprintln!(
-            "fabric leap: leaps={} leaped_cycles={} max_period={}",
-            snap.leap.leaps, snap.leap.leaped_cycles, snap.leap.max_period
-        );
-    }
+    eprintln!("fabric: {}", report.counters.text());
     report.merge.exit_on_failures();
 }
 
@@ -246,7 +241,7 @@ fn stats_main(argv: &[String]) {
         eprintln!("ERROR: {e}");
         std::process::exit(1);
     });
-    print_snapshot(&snap);
+    println!("fabric: {}", snap.text());
 }
 
 /// One `stats` round-trip against a live coordinator.
@@ -271,12 +266,4 @@ fn fetch_stats(addr: &str) -> Result<FabricSnapshot, String> {
         Some(Err(len)) => Err(format!("oversize {len}-byte response frame")),
         None => Err("coordinator closed the connection".to_string()),
     }
-}
-
-fn print_snapshot(snap: &FabricSnapshot) {
-    println!("{}", snap.summary_line());
-    println!(
-        "fabric leap: leaps={} leaped_cycles={} max_period={}",
-        snap.leap.leaps, snap.leap.leaped_cycles, snap.leap.max_period
-    );
 }

@@ -218,7 +218,7 @@ impl Coordinator {
             spec_block,
             fingerprint,
             config,
-            counters: Arc::new(FabricCounters::new()),
+            counters: Arc::new(FabricCounters::default()),
         })
     }
 
@@ -252,7 +252,7 @@ impl Coordinator {
             pending.push_back(at..end);
             at = end;
         }
-        self.counters.set_lease_cells(lease_cells as u64);
+        self.counters.lease_cells.set(lease_cells as u64);
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 pending,
@@ -352,7 +352,7 @@ fn requeue<W: Write>(state: &mut State<W>, counters: &FabricCounters, range: Ran
     if subranges.is_empty() {
         return;
     }
-    counters.add_re_queued(1);
+    counters.re_queued.add(1);
     for r in subranges.into_iter().rev() {
         state.pending.push_front(r);
     }
@@ -373,7 +373,7 @@ fn advance_leases<W: Write>(state: &mut State<W>, counters: &FabricCounters) {
         lease.range.start = start;
         if start >= end {
             state.outstanding.remove(&id);
-            counters.add_completed(1);
+            counters.leases_completed.add(1);
         }
     }
 }
@@ -420,7 +420,7 @@ fn serve_connection<W: Write>(shared: Arc<Shared<W>>, stream: TcpStream, conn: u
         .map(|(&id, _)| id)
         .collect();
     if !held.is_empty() {
-        shared.counters.add_worker_deaths(1);
+        shared.counters.worker_deaths.add(1);
         for id in held {
             let lease = state.outstanding.remove(&id).expect("listed above");
             requeue(&mut state, &shared.counters, lease.range);
@@ -473,7 +473,7 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
                         range.end = range.start + target;
                     }
                 }
-                counters.add_issued(1);
+                counters.leases_issued.add(1);
                 let (lease, start, end) = issue(&mut state, conn, range, shared.lease_timeout);
                 return FabricResponse::Lease {
                     lease,
@@ -494,7 +494,7 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
                 let mid = l.range.start + l.range.len() / 2;
                 let stolen = mid..l.range.end;
                 l.range.end = mid;
-                counters.add_stolen(1);
+                counters.leases_stolen.add(1);
                 let (lease, start, end) = issue(&mut state, conn, stolen, shared.lease_timeout);
                 return FabricResponse::Lease {
                     lease,
@@ -519,9 +519,9 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
             misses,
             leap,
         } => {
-            counters.add_cache_hits(hits);
-            counters.add_cache_misses(misses);
-            counters.record_leap(leap);
+            counters.cell_cache.hits.add(hits);
+            counters.cell_cache.misses.add(misses);
+            counters.leap.absorb(&leap);
             let rows_reported = rows.len() as u64;
             let mut merged = 0u64;
             let mut duplicate = 0u64;
@@ -541,8 +541,8 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
                     None => duplicate += 1,
                 }
             }
-            counters.add_rows_merged(merged);
-            counters.add_rows_duplicate(duplicate);
+            counters.rows_merged.add(merged);
+            counters.rows_duplicate.add(duplicate);
             advance_leases(&mut state, counters);
             if state.done() {
                 shared.cv.notify_all();
@@ -559,7 +559,7 @@ fn handle<W: Write>(shared: &Shared<W>, conn: u64, req: FabricRequest) -> Fabric
             match ack {
                 Some((end, elapsed)) => {
                     state.tuner.observe(rows_reported, elapsed);
-                    counters.set_lease_cells(state.tuner.target() as u64);
+                    counters.lease_cells.set(state.tuner.target() as u64);
                     FabricResponse::Ack { end }
                 }
                 None => FabricResponse::Gone,

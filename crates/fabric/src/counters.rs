@@ -1,239 +1,102 @@
-//! Monotonic fabric counters: the lease/steal/re-queue/merge numbers the
-//! coordinator prints at exit, serves over the `stats` op, and the fault
-//! tolerance tests assert on.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! Fabric counters: the lease/steal/re-queue/merge numbers the coordinator
+//! prints at exit, serves over the `stats` op, and the fault tolerance
+//! tests assert on. One counter set, declared with
+//! [`stg_experiments::counter_set!`], renders every one of those surfaces.
 
 use stg_des::LeapStats;
-use stg_service::json::Json;
+use stg_experiments::metrics::LeapCounters;
+use stg_experiments::store::{StoreCounters, StoreStats};
 
-/// Aggregate coordinator counters. All monotonic atomics; the snapshot is
-/// relaxed-loaded per counter (exact cross-counter consistency is not
-/// promised while leases are in flight).
-#[derive(Default)]
-pub struct FabricCounters {
-    leases_issued: AtomicU64,
-    leases_stolen: AtomicU64,
-    re_queued: AtomicU64,
-    worker_deaths: AtomicU64,
-    leases_completed: AtomicU64,
-    rows_merged: AtomicU64,
-    rows_duplicate: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    leap_leaps: AtomicU64,
-    leap_cycles: AtomicU64,
-    leap_max_period: AtomicU64,
-    lease_cells: AtomicU64,
-}
-
-macro_rules! bump {
-    ($($name:ident => $field:ident),* $(,)?) => {
-        $(
-            #[doc = concat!("Adds `n` to the `", stringify!($field), "` counter.")]
-            pub fn $name(&self, n: u64) {
-                self.$field.fetch_add(n, Ordering::Relaxed);
-            }
-        )*
-    };
-}
-
-impl FabricCounters {
-    /// A fresh, all-zero counter set.
-    pub fn new() -> FabricCounters {
-        FabricCounters::default()
+stg_experiments::counter_set! {
+    /// One point-in-time copy of the [`FabricCounters`], each counter
+    /// relaxed-loaded on its own (exact cross-counter consistency is not
+    /// promised while leases are in flight).
+    pub struct FabricSnapshot / FabricCounters: "" {
+        /// Leases handed to workers (fresh from the pending queue).
+        leases_issued: Sum,
+        /// Leases created by splitting a straggler's outstanding lease.
+        leases_stolen: Sum,
+        /// Leases re-queued after a deadline expiry or worker death.
+        re_queued: Sum,
+        /// Connections that dropped while holding at least one lease.
+        worker_deaths: Sum,
+        /// Leases whose full range reached the merged artifact.
+        leases_completed: Sum,
+        /// Rows folded into the output (each grid cell merges exactly once).
+        rows_merged: Sum,
+        /// Reported rows whose cell was already merged (steal/re-queue
+        /// overlap; harmless because outcomes are deterministic).
+        rows_duplicate: Sum,
+        /// The lease auto-tuner's current lease size in cells (the fixed
+        /// `--lease-cells` / pre-cut size when auto-tuning is off).
+        lease_cells: Gauge,
     }
-
-    bump! {
-        add_issued => leases_issued,
-        add_stolen => leases_stolen,
-        add_re_queued => re_queued,
-        add_worker_deaths => worker_deaths,
-        add_completed => leases_completed,
-        add_rows_merged => rows_merged,
-        add_rows_duplicate => rows_duplicate,
-        add_cache_hits => cache_hits,
-        add_cache_misses => cache_misses,
-    }
-
-    /// Publishes the lease auto-tuner's current size (a gauge, not a
-    /// monotonic counter: the last written value wins).
-    pub fn set_lease_cells(&self, cells: u64) {
-        self.lease_cells.store(cells, Ordering::Relaxed);
-    }
-
-    /// Folds one lease report's aggregated [`LeapStats`] into the
-    /// fabric-wide leap counters.
-    pub fn record_leap(&self, leap: LeapStats) {
-        self.leap_leaps.fetch_add(leap.leaps, Ordering::Relaxed);
-        self.leap_cycles
-            .fetch_add(leap.leaped_cycles, Ordering::Relaxed);
-        self.leap_max_period
-            .fetch_max(leap.max_period, Ordering::Relaxed);
-    }
-
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> FabricSnapshot {
-        FabricSnapshot {
-            leases_issued: self.leases_issued.load(Ordering::Relaxed),
-            leases_stolen: self.leases_stolen.load(Ordering::Relaxed),
-            re_queued: self.re_queued.load(Ordering::Relaxed),
-            worker_deaths: self.worker_deaths.load(Ordering::Relaxed),
-            leases_completed: self.leases_completed.load(Ordering::Relaxed),
-            rows_merged: self.rows_merged.load(Ordering::Relaxed),
-            rows_duplicate: self.rows_duplicate.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            leap: LeapStats {
-                leaps: self.leap_leaps.load(Ordering::Relaxed),
-                leaped_cycles: self.leap_cycles.load(Ordering::Relaxed),
-                max_period: self.leap_max_period.load(Ordering::Relaxed),
-            },
-            lease_cells_current: self.lease_cells.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// One point-in-time copy of the [`FabricCounters`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FabricSnapshot {
-    /// Leases handed to workers (fresh from the pending queue).
-    pub leases_issued: u64,
-    /// Leases created by splitting a straggler's outstanding lease.
-    pub leases_stolen: u64,
-    /// Leases re-queued after a deadline expiry or worker death.
-    pub re_queued: u64,
-    /// Connections that dropped while holding at least one lease.
-    pub worker_deaths: u64,
-    /// Leases whose full range reached the merged artifact.
-    pub leases_completed: u64,
-    /// Rows folded into the output (each grid cell merges exactly once).
-    pub rows_merged: u64,
-    /// Reported rows whose cell was already merged (steal/re-queue
-    /// overlap; harmless because outcomes are deterministic).
-    pub rows_duplicate: u64,
-    /// Worker-side result-store hits, summed across lease reports.
-    pub cache_hits: u64,
-    /// Worker-side result-store misses, summed across lease reports.
-    pub cache_misses: u64,
-    /// Aggregated batched-simulator epoch-leap telemetry across every
-    /// lease report.
-    pub leap: LeapStats,
-    /// The lease auto-tuner's current lease size in cells (the fixed
-    /// `--lease-cells` / pre-cut size when auto-tuning is off).
-    pub lease_cells_current: u64,
-}
-
-impl FabricSnapshot {
-    /// The one-line summary the coordinator prints on stderr at exit
-    /// (the CI smoke step greps `re_queued=` out of it).
-    pub fn summary_line(&self) -> String {
-        format!(
-            "fabric: leases_issued={} leases_stolen={} re_queued={} worker_deaths={} \
-             leases_completed={} rows_merged={} rows_duplicate={} cache_hits={} cache_misses={} \
-             lease_cells={}",
-            self.leases_issued,
-            self.leases_stolen,
-            self.re_queued,
-            self.worker_deaths,
-            self.leases_completed,
-            self.rows_merged,
-            self.rows_duplicate,
-            self.cache_hits,
-            self.cache_misses,
-            self.lease_cells_current
-        )
-    }
-
-    /// Renders the `stats`-op response frame.
-    pub fn frame(&self) -> String {
-        Json::Obj(vec![
-            ("ok".into(), Json::Str("stats".into())),
-            ("leases_issued".into(), Json::num(self.leases_issued)),
-            ("leases_stolen".into(), Json::num(self.leases_stolen)),
-            ("re_queued".into(), Json::num(self.re_queued)),
-            ("worker_deaths".into(), Json::num(self.worker_deaths)),
-            ("leases_completed".into(), Json::num(self.leases_completed)),
-            ("rows_merged".into(), Json::num(self.rows_merged)),
-            ("rows_duplicate".into(), Json::num(self.rows_duplicate)),
-            ("cache_hits".into(), Json::num(self.cache_hits)),
-            ("cache_misses".into(), Json::num(self.cache_misses)),
-            ("leap_leaps".into(), Json::num(self.leap.leaps)),
-            (
-                "leap_leaped_cycles".into(),
-                Json::num(self.leap.leaped_cycles),
-            ),
-            ("leap_max_period".into(), Json::num(self.leap.max_period)),
-            (
-                "lease_cells_current".into(),
-                Json::num(self.lease_cells_current),
-            ),
-        ])
-        .to_string()
-    }
-
-    /// Reads a [`Self::frame`] back. `None` if `v` is not a stats frame.
-    pub fn from_json(v: &Json) -> Option<FabricSnapshot> {
-        if v.get("ok")?.as_str()? != "stats" {
-            return None;
-        }
-        let n = |key: &str| v.get(key).and_then(Json::as_u64);
-        Some(FabricSnapshot {
-            leases_issued: n("leases_issued")?,
-            leases_stolen: n("leases_stolen")?,
-            re_queued: n("re_queued")?,
-            worker_deaths: n("worker_deaths")?,
-            leases_completed: n("leases_completed")?,
-            rows_merged: n("rows_merged")?,
-            rows_duplicate: n("rows_duplicate")?,
-            cache_hits: n("cache_hits")?,
-            cache_misses: n("cache_misses")?,
-            leap: LeapStats {
-                leaps: n("leap_leaps")?,
-                leaped_cycles: n("leap_leaped_cycles")?,
-                max_period: n("leap_max_period")?,
-            },
-            lease_cells_current: n("lease_cells_current")?,
-        })
+    sets {
+        /// Worker-side result-store traffic, summed across lease reports.
+        /// Workers report hits and misses only, so the other members stay 0.
+        cell_cache: StoreStats / StoreCounters,
+        /// Aggregated batched-simulator epoch-leap telemetry across every
+        /// lease report.
+        leap: LeapStats / LeapCounters,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stg_experiments::metrics::CounterSet;
+    use stg_service::json::Json;
 
     #[test]
     fn stats_frame_round_trips() {
-        let c = FabricCounters::new();
-        c.add_issued(4);
-        c.add_stolen(1);
-        c.add_re_queued(2);
-        c.add_worker_deaths(1);
-        c.add_completed(3);
-        c.add_rows_merged(96);
-        c.add_rows_duplicate(8);
-        c.add_cache_hits(40);
-        c.add_cache_misses(56);
-        c.record_leap(LeapStats {
+        let c = FabricCounters::default();
+        c.leases_issued.add(4);
+        c.leases_stolen.add(1);
+        c.re_queued.add(2);
+        c.worker_deaths.add(1);
+        c.leases_completed.add(3);
+        c.rows_merged.add(96);
+        c.rows_duplicate.add(8);
+        c.cell_cache.hits.add(40);
+        c.cell_cache.misses.add(56);
+        c.leap.absorb(&LeapStats {
             leaps: 7,
             leaped_cycles: 1234,
             max_period: 9,
         });
-        c.record_leap(LeapStats {
+        c.leap.absorb(&LeapStats {
             leaps: 1,
             leaped_cycles: 6,
             max_period: 3,
         });
-        c.set_lease_cells(96);
-        c.set_lease_cells(128);
+        c.lease_cells.set(96);
+        c.lease_cells.set(128);
         let snap = c.snapshot();
         assert_eq!(snap.leap.max_period, 9, "max_period takes the maximum");
-        assert_eq!(snap.lease_cells_current, 128, "gauge keeps the last value");
-        let v = stg_service::json::parse(&snap.frame()).unwrap();
-        assert_eq!(FabricSnapshot::from_json(&v), Some(snap));
-        let line = snap.summary_line();
+        assert_eq!(snap.lease_cells, 128, "gauge keeps the last value");
+        let frame = crate::FabricResponse::Stats(snap).frame();
+        let v = stg_service::json::parse(&frame).unwrap();
+        let names: Vec<&str> = v
+            .as_object()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        let unique: std::collections::BTreeSet<&str> = names.iter().copied().collect();
+        assert_eq!(
+            unique.len(),
+            names.len(),
+            "a member name repeats: {names:?}"
+        );
+        assert_eq!(v.get("cell_cache_hits").and_then(Json::as_u64), Some(40));
+        assert_eq!(
+            crate::FabricResponse::parse(&frame),
+            Ok(crate::FabricResponse::Stats(snap))
+        );
+        let line = snap.text();
         assert!(line.contains("re_queued=2"), "{line}");
         assert!(line.contains("leases_stolen=1"), "{line}");
-        assert!(line.contains("lease_cells=128"), "{line}");
+        assert!(line.contains(" lease_cells=128 "), "{line}");
+        assert!(line.contains("leap_leaped_cycles=1240"), "{line}");
     }
 }

@@ -21,9 +21,10 @@
 //! - the engine's bounded-memory [`StreamMerger`] (re-exported here with
 //!   its [`OutputKind`]), which the coordinator feeds each reported row;
 //!   the same merger writes `sweep` and `sweep merge` artifacts.
-//! - [`counters`] — monotonic fabric counters (`leases_issued`,
-//!   `leases_stolen`, `re_queued`, `worker_deaths`, …) served over the
-//!   `stats` op and printed at exit.
+//! - [`counters`] — the fabric counter set (`leases_issued`,
+//!   `leases_stolen`, `re_queued`, `worker_deaths`, …, plus the workers'
+//!   `cell_cache_*` and `leap_*` telemetry) served over the `stats` op and
+//!   printed at exit.
 //!
 //! Entry points: the `fabric` binary (`fabric coordinate` / `fabric work`
 //! / `fabric stats`) and `sweep --distributed N`, which delegates to it.

@@ -84,16 +84,17 @@ impl FabricRequest {
                 hits,
                 misses,
                 leap,
-            } => Json::Obj(vec![
-                ("op".into(), Json::Str("rows".into())),
-                ("lease".into(), Json::num(*lease)),
-                ("rows".into(), Json::Str(encode_rows(rows))),
-                ("hits".into(), Json::num(*hits)),
-                ("misses".into(), Json::num(*misses)),
-                ("leaps".into(), Json::num(leap.leaps)),
-                ("leaped_cycles".into(), Json::num(leap.leaped_cycles)),
-                ("max_period".into(), Json::num(leap.max_period)),
-            ]),
+            } => {
+                let mut members = vec![
+                    ("op".into(), Json::Str("rows".into())),
+                    ("lease".into(), Json::num(*lease)),
+                    ("rows".into(), Json::Str(encode_rows(rows))),
+                    ("hits".into(), Json::num(*hits)),
+                    ("misses".into(), Json::num(*misses)),
+                ];
+                Json::push_counters(&mut members, leap);
+                Json::Obj(members)
+            }
             FabricRequest::Ping { lease } => Json::Obj(vec![
                 ("op".into(), Json::Str("ping".into())),
                 ("lease".into(), Json::num(*lease)),
@@ -134,11 +135,9 @@ impl FabricRequest {
                     rows: decode_rows(blob)?,
                     hits: n("hits")?,
                     misses: n("misses")?,
-                    leap: LeapStats {
-                        leaps: n("leaps")?,
-                        leaped_cycles: n("leaped_cycles")?,
-                        max_period: n("max_period")?,
-                    },
+                    leap: v
+                        .counters()
+                        .ok_or_else(|| "rows frame missing leap telemetry".to_string())?,
                 })
             }
             "ping" => Ok(FabricRequest::Ping {
@@ -194,7 +193,7 @@ pub enum FabricResponse {
     /// The lease is no longer outstanding (completed, stolen whole, or
     /// re-queued); abandon it and request the next one.
     Gone,
-    /// Counter snapshot (see [`crate::FabricSnapshot::from_json`]).
+    /// Counter snapshot, one member per counter of the set.
     Stats(crate::FabricSnapshot),
     /// Malformed request.
     Error {
@@ -250,7 +249,11 @@ impl FabricResponse {
                 ("end".into(), Json::num(*end)),
             ]),
             FabricResponse::Gone => Json::Obj(vec![("ok".into(), Json::Str("gone".into()))]),
-            FabricResponse::Stats(snap) => return snap.frame(),
+            FabricResponse::Stats(snap) => {
+                let mut members = vec![("ok".into(), Json::Str("stats".into()))];
+                Json::push_counters(&mut members, snap);
+                Json::Obj(members)
+            }
             FabricResponse::Error { error } => Json::Obj(vec![
                 ("ok".into(), Json::Str("error".into())),
                 ("error".into(), Json::Str(error.clone())),
@@ -301,7 +304,8 @@ impl FabricResponse {
                 end: n("end")? as usize,
             }),
             "gone" => Ok(FabricResponse::Gone),
-            "stats" => crate::FabricSnapshot::from_json(&v)
+            "stats" => v
+                .counters()
                 .map(FabricResponse::Stats)
                 .ok_or_else(|| "malformed stats frame".to_string()),
             "error" => Ok(FabricResponse::Error {

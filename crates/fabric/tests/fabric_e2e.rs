@@ -13,7 +13,7 @@ use stg_experiments::engine::{SimChoice, WorkloadSpec};
 use stg_experiments::SweepSpec;
 use stg_fabric::{
     run_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse, FabricRunReport,
-    OutputKind, WorkerConfig, MAX_FRAME_BYTES,
+    FabricSnapshot, OutputKind, WorkerConfig, MAX_FRAME_BYTES,
 };
 use stg_service::read_frame;
 
@@ -294,12 +294,12 @@ fn shared_cache_dir_serves_warm_reruns() {
     let (cold, cold_report) = run_fabric(config(), 2);
     assert_eq!(cold, expected().0);
     assert_eq!(
-        cold_report.counters.cache_hits, 0,
+        cold_report.counters.cell_cache.hits, 0,
         "{:?}",
         cold_report.counters
     );
     assert!(
-        cold_report.counters.cache_misses > 0,
+        cold_report.counters.cell_cache.misses > 0,
         "{:?}",
         cold_report.counters
     );
@@ -307,16 +307,58 @@ fn shared_cache_dir_serves_warm_reruns() {
     let (warm, warm_report) = run_fabric(config(), 2);
     assert_eq!(warm, expected().0);
     assert!(
-        warm_report.counters.cache_hits > 0,
+        warm_report.counters.cell_cache.hits > 0,
         "{:?}",
         warm_report.counters
     );
     assert_eq!(
-        warm_report.counters.cache_misses, 0,
+        warm_report.counters.cell_cache.misses, 0,
         "{:?}",
         warm_report.counters
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn stats_op_answers_over_a_socket_while_the_run_is_busy() {
+    let coordinator = Coordinator::bind(spec(), FabricConfig::default()).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let counters = coordinator.counters();
+    let run = std::thread::spawn(move || coordinator.run(SharedBuf::default()));
+    // 50 ms per cell keeps the 42-cell run going for about two seconds.
+    let worker = std::thread::spawn({
+        let config = WorkerConfig {
+            eval_delay: Duration::from_millis(50),
+            ..worker_config(addr.clone())
+        };
+        move || run_worker(config)
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counters.snapshot().leases_issued == 0 {
+        assert!(Instant::now() < deadline, "no lease was ever issued");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let mut frame = FabricRequest::Stats.frame();
+    frame.push('\n');
+    stream.write_all(frame.as_bytes()).expect("send");
+    let line = read_frame(&mut reader, MAX_FRAME_BYTES)
+        .expect("recv")
+        .expect("open")
+        .expect("sized");
+    let v = stg_service::json::parse(&line).expect("a JSON frame");
+    let snap: FabricSnapshot = v.counters().expect("a whole fabric counter set");
+    assert!(snap.leases_issued >= 1, "{line}");
+    drop((stream, reader));
+
+    let report = run.join().expect("run thread").expect("fabric run");
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker drains");
+    assert!(report.counters.leases_issued >= snap.leases_issued);
 }
 
 #[test]

@@ -14,6 +14,8 @@
 
 use std::fmt::Write as _;
 
+use stg_experiments::metrics::CounterSet;
+
 /// Maximum nesting depth [`parse`] accepts. Protocol frames are at most
 /// three levels deep; the bound exists so adversarial input fails with an
 /// error instead of exhausting the stack.
@@ -98,6 +100,18 @@ impl Json {
             Json::Obj(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// Appends one number member per metric of a counter set: the JSON
+    /// rendering of every [`stg_experiments::metrics`] set.
+    pub fn push_counters(members: &mut Vec<(String, Json)>, set: &impl CounterSet) {
+        set.visit(&mut |name, value| members.push((name.to_string(), Json::num(value))));
+    }
+
+    /// Reads a counter set back out of this object's members (see
+    /// [`CounterSet::parse`]).
+    pub fn counters<S: CounterSet>(&self) -> Option<S> {
+        S::parse(&|name| self.get(name)?.as_u64())
     }
 
     fn encode_into(&self, out: &mut String) {

@@ -37,7 +37,7 @@ pub mod queue;
 pub mod server;
 pub mod service;
 
-pub use counters::{ClientCounters, Counters, Snapshot};
+pub use counters::{ClientCounters, Counters, Snapshot, Stats, Totals};
 pub use protocol::{
     parse_request, parse_response, PlanRequest, PlanResponse, ProtoError, Request, Response,
     SimMode, SweepRequest, CODE_BAD_REQUEST, CODE_OVERLOADED,

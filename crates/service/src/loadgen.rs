@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::counters::Snapshot;
+use crate::counters::Stats;
 use crate::protocol::{parse_request, parse_response, PlanRequest, Request, Response};
 
 /// Load-generator parameters (all deterministic given `seed`).
@@ -255,14 +255,14 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Result<String, String> {
 }
 
 /// Fetches the service's stats counters over a throwaway connection.
-pub fn fetch_stats(addr: &str) -> Result<(Snapshot, stg_experiments::StoreStats), String> {
+pub fn fetch_stats(addr: &str) -> Result<Stats, String> {
     let mut stream = connect(addr)?;
     send_line(&mut stream, r#"{"cmd":"stats"}"#)?;
     let mut reader = BufReader::new(stream);
     let line = read_line(&mut reader)?;
     match parse_response(&line).map_err(|e| format!("bad stats frame: {e}"))? {
         Response::Stats(v) => {
-            Snapshot::from_json(&v).ok_or_else(|| format!("undecodable stats frame: {line}"))
+            Stats::from_json(&v).ok_or_else(|| format!("undecodable stats frame: {line}"))
         }
         other => Err(format!("expected stats, got {other:?}")),
     }
@@ -301,7 +301,7 @@ pub fn run(config: &LoadgenConfig) -> Result<Report, String> {
         .collect();
     let mut passes = Vec::with_capacity(config.passes);
     for _ in 0..config.passes {
-        let (_, store_before) = fetch_stats(&config.addr)?;
+        let store_before = fetch_stats(&config.addr)?.cell_cache;
         let t0 = Instant::now();
         let results: Vec<Result<(Vec<Duration>, usize), String>> = std::thread::scope(|s| {
             let handles: Vec<_> = lists
@@ -314,7 +314,7 @@ pub fn run(config: &LoadgenConfig) -> Result<Report, String> {
                 .collect()
         });
         let wall = t0.elapsed();
-        let (_, store_after) = fetch_stats(&config.addr)?;
+        let store_after = fetch_stats(&config.addr)?.cell_cache;
         let mut latencies = Vec::new();
         let mut errors = 0usize;
         for r in results {

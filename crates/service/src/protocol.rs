@@ -574,7 +574,7 @@ pub enum Response {
     /// A structured failure (bad request, overload, draining).
     Error(ProtoError),
     /// Counter snapshot (kept as raw JSON members; see
-    /// [`crate::counters::Snapshot`] for the emitting side).
+    /// [`crate::counters::Stats`] for both sides).
     Stats(Json),
     /// Liveness reply.
     Pong {

@@ -15,7 +15,7 @@
 //! and the accept loop exit.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -85,9 +85,9 @@ impl Daemon {
             pool.push(std::thread::spawn(move || {
                 while let Some(job) = queue.pop() {
                     for frame in service.dispatch(job.client, &job.request) {
-                        // A send failure means the client hung up; the
-                        // result stays in the shared cache regardless.
-                        let _ = job.out.send(frame);
+                        // The result stays in the shared cache even if
+                        // the client hung up.
+                        send(&service, &job.out, frame);
                     }
                 }
             }));
@@ -205,6 +205,38 @@ pub fn read_frame(
     Ok(Some(Ok(String::from_utf8_lossy(&line).into_owned())))
 }
 
+/// Hands a response frame to its connection's writer, counting it in
+/// `frames_dropped` if the writer is gone. Returns whether it was handed
+/// over.
+fn send(service: &Service, out: &mpsc::Sender<String>, frame: String) -> bool {
+    let sent = out.send(frame).is_ok();
+    if !sent {
+        service.counters().totals().frames_dropped.add(1);
+    }
+    sent
+}
+
+/// One connection's writer loop. On the first failed write the client is
+/// gone: it shuts the socket down, so the reader loop ends too, and counts
+/// the failed frame and every frame queued behind it, including those
+/// still being produced, in `frames_dropped`.
+fn write_frames(service: &Service, stream: TcpStream, frames: mpsc::Receiver<String>) {
+    let mut out = std::io::BufWriter::new(stream);
+    let mut frames = frames.into_iter();
+    for frame in frames.by_ref() {
+        let written = out
+            .write_all(frame.as_bytes())
+            .and_then(|()| out.write_all(b"\n"))
+            .and_then(|()| out.flush());
+        if written.is_err() {
+            let _ = out.get_ref().shutdown(Shutdown::Both);
+            let dropped = 1 + frames.count() as u64;
+            service.counters().totals().frames_dropped.add(dropped);
+            return;
+        }
+    }
+}
+
 /// One connection's reader loop: frames in, responses out through the
 /// writer channel. Malformed frames answer with a 400 and keep the
 /// connection open; only EOF or an I/O error ends it.
@@ -223,31 +255,22 @@ fn serve_connection(
         return;
     };
     let (tx, rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || {
-        let mut out = std::io::BufWriter::new(write_half);
-        for frame in rx {
-            if out
-                .write_all(frame.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
-                .and_then(|()| out.flush())
-                .is_err()
-            {
-                break;
-            }
-        }
-    });
+    let writer = {
+        let service = Arc::clone(service);
+        std::thread::spawn(move || write_frames(&service, write_half, rx))
+    };
 
     let mut reader = BufReader::new(stream);
     loop {
         let frame = match read_frame(&mut reader, MAX_FRAME_BYTES) {
             Ok(Some(Ok(frame))) => frame,
             Ok(Some(Err(len))) => {
-                service.counters().record_malformed();
+                service.counters().totals().malformed.add(1);
                 let e = ProtoError::bad(
                     0,
                     format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"),
                 );
-                if tx.send(e.frame()).is_err() {
+                if !send(service, &tx, e.frame()) {
                     break;
                 }
                 continue;
@@ -260,14 +283,14 @@ fn serve_connection(
         let request = match service.parse(&frame) {
             Ok(r) => r,
             Err(error_frame) => {
-                if tx.send(error_frame).is_err() {
+                if !send(service, &tx, error_frame) {
                     break;
                 }
                 continue;
             }
         };
         if let Some(reply) = service.control(&request) {
-            if tx.send(reply).is_err() {
+            if !send(service, &tx, reply) {
                 break;
             }
             continue;
@@ -281,7 +304,7 @@ fn serve_connection(
                 errors: 0,
             }
             .frame();
-            let _ = tx.send(ack);
+            send(service, &tx, ack);
             stopping.store(true, Ordering::SeqCst);
             queue.drain();
             // The accepted socket's local address is the listener's;
@@ -312,7 +335,7 @@ fn serve_connection(
                     ),
                     Reject::Draining => "service is draining for shutdown".to_string(),
                 };
-                if tx.send(ProtoError::overloaded(id, reason).frame()).is_err() {
+                if !send(service, &tx, ProtoError::overloaded(id, reason).frame()) {
                     break;
                 }
             }

@@ -17,14 +17,14 @@
 //! seed-invariant workload — is repaired from cache instead of
 //! re-evaluated, and two workers that miss on one semantic key at once
 //! evaluate it once: the second waits for the first's outcome
-//! (`cache_repaired` in the stats frame counts both kinds). Responses are
-//! byte-identical either way — the `outcome` payload is the engine's
-//! canonical serialization, which stores no wall-clocks.
+//! (`cell_cache_repaired` in the stats frame counts both kinds).
+//! Responses are byte-identical either way — the `outcome` payload is the
+//! engine's canonical serialization, which stores no wall-clocks.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use stg_experiments::{ResultStore, StoreStats, SweepSpec};
+use stg_experiments::{ResultStore, StoreStats, Sweep, SweepSpec};
 use stg_workloads::WorkloadFamily;
 
 use crate::counters::Counters;
@@ -79,7 +79,7 @@ impl Service {
         Ok(Service {
             config,
             store,
-            counters: Counters::new(),
+            counters: Counters::default(),
         })
     }
 
@@ -102,7 +102,7 @@ impl Service {
     /// frame to send back.
     pub fn parse(&self, line: &str) -> Result<Request, String> {
         protocol::parse_request(line).map_err(|e| {
-            self.counters.record_malformed();
+            self.counters.totals().malformed.add(1);
             e.frame()
         })
     }
@@ -120,7 +120,7 @@ impl Service {
     /// The current `"stats"` frame: request counters plus shared-store
     /// traffic.
     pub fn stats_frame(&self, id: u64) -> String {
-        self.counters.snapshot().frame(id, self.store.stats())
+        self.counters.stats(self.store.stats()).frame(id)
     }
 
     /// Result-store counters (hits are warm requests served without
@@ -192,16 +192,7 @@ impl Service {
             .cases()
             .pop()
             .expect("a plan request expands to exactly one case");
-        let t0 = Instant::now();
-        let sweep = spec.run_with(Some(&self.store));
-        let micros = t0.elapsed().as_micros() as u64;
-        self.counters.record_leap(sweep.leap);
-        // Warm cells — nominal hits and semantic repairs alike, including
-        // an outcome taken over from another worker's evaluation — never
-        // re-schedule, so they report no evaluation wall-clock. The
-        // counts are this request's own, not the shared store's.
-        let warm = sweep.cell_cache.hits > 0 || sweep.cell_cache.repaired > 0;
-        let eval_micros = if warm { 0 } else { micros };
+        let (sweep, eval_micros) = self.run(&spec);
         let outcome = sweep
             .runs
             .into_iter()
@@ -232,10 +223,7 @@ impl Service {
         if let Err(frame) = self.check_size(req.id, &req.spec) {
             return (vec![frame], 0, 0);
         }
-        let t0 = Instant::now();
-        let sweep = req.spec.run_with(Some(&self.store));
-        let eval_micros = t0.elapsed().as_micros() as u64;
-        self.counters.record_leap(sweep.leap);
+        let (sweep, eval_micros) = self.run(&req.spec);
         let errors = sweep.errors() as u64;
         let mut frames = Vec::with_capacity(sweep.runs.len() + 1);
         for run in &sweep.runs {
@@ -261,6 +249,23 @@ impl Service {
             .frame(),
         );
         (frames, eval_micros, errors)
+    }
+
+    /// Runs `spec` as one engine sweep over the shared store and folds its
+    /// leap telemetry into the totals. Also returns the evaluation
+    /// wall-clock in microseconds, 0 unless a cell was evaluated: warm
+    /// cells (nominal hits and semantic repairs alike, including an
+    /// outcome taken over from another worker's evaluation) never
+    /// re-schedule. The counts are this request's own, not the shared
+    /// store's.
+    fn run(&self, spec: &SweepSpec) -> (Sweep, u64) {
+        let t0 = Instant::now();
+        let sweep = spec.run_with(Some(&self.store));
+        let micros = t0.elapsed().as_micros() as u64;
+        self.counters.totals().leap.absorb(&sweep.leap);
+        let warm = sweep.cell_cache.hits + sweep.cell_cache.repaired;
+        let evaluated = warm < sweep.runs.len() as u64;
+        (sweep, if evaluated { micros } else { 0 })
     }
 
     /// Rejects a spec before anything expands it: when its seed range
@@ -526,6 +531,20 @@ mod tests {
         assert_eq!(s.counters().snapshot().eval_micros, before);
     }
 
+    #[test]
+    fn fully_warm_sweep_request_reports_no_eval_time() {
+        let s = service();
+        let line = r#"{"id":3,"sweep":{"workloads":[{"workload":"chain:8","pes":[2,4]}],"graphs":50,"seed":1}}"#;
+        s.handle(1, line);
+        let cold = s.counters().snapshot().eval_micros;
+        assert!(cold > 0, "the cold request evaluated");
+        let hits = s.store_stats().hits;
+        let frames = s.handle(1, line);
+        let cells = frames.len() as u64 - 1;
+        assert_eq!(s.store_stats().hits, hits + cells, "every cell is a hit");
+        assert_eq!(s.counters().snapshot().eval_micros, cold);
+    }
+
     /// Runs `call` and reports whether the warm thread finished at least
     /// one whole hit meanwhile (`served` rose twice: the first step may
     /// belong to a hit that began before the call).
@@ -605,9 +624,9 @@ mod tests {
             1,
             r#"{"workload":"chain:8","seed":1,"pes":2,"scheduler":"sb-lts"}"#,
         );
-        let snap = s.counters().snapshot();
-        assert_eq!(snap.accepted, 4);
-        let tenants: std::collections::BTreeMap<_, _> = snap.per_tenant.iter().cloned().collect();
+        let stats = s.counters().stats(s.store_stats());
+        assert_eq!(stats.service.accepted, 4);
+        let tenants: std::collections::BTreeMap<_, _> = stats.tenants.iter().cloned().collect();
         assert_eq!(tenants.len(), 2);
         assert_eq!(
             (tenants["acme"].accepted, tenants["acme"].completed),
@@ -620,8 +639,8 @@ mod tests {
         // And the stats frame carries them.
         let frames = s.handle(1, r#"{"cmd":"stats","id":1}"#);
         let v = crate::json::parse(&frames[0]).unwrap();
-        let (back, _) = crate::counters::Snapshot::from_json(&v).unwrap();
-        assert_eq!(back.per_tenant, snap.per_tenant);
+        let back = crate::Stats::from_json(&v).unwrap();
+        assert_eq!(back.tenants, stats.tenants);
     }
 
     #[test]
@@ -637,10 +656,10 @@ mod tests {
         );
         let frames = s.handle(3, r#"{"cmd":"stats","id":42}"#);
         let v = crate::json::parse(&frames[0]).unwrap();
-        let (snap, store) = crate::counters::Snapshot::from_json(&v).unwrap();
-        assert_eq!(snap.accepted, 2);
-        assert_eq!(snap.completed, 2);
-        assert_eq!((store.hits, store.misses), (1, 1));
+        let stats = crate::Stats::from_json(&v).unwrap();
+        assert_eq!(stats.service.accepted, 2);
+        assert_eq!(stats.service.completed, 2);
+        assert_eq!((stats.cell_cache.hits, stats.cell_cache.misses), (1, 1));
         assert_eq!(v.get("id").and_then(crate::json::Json::as_u64), Some(42));
     }
 }

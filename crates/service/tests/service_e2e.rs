@@ -62,12 +62,12 @@ impl Client {
 
 /// The stats snapshot via a throwaway connection (control frames are
 /// answered inline, so this works while every worker is busy).
-fn stats(addr: std::net::SocketAddr) -> (stg_service::Snapshot, stg_experiments::StoreStats) {
+fn stats(addr: std::net::SocketAddr) -> stg_service::Stats {
     let mut c = Client::connect(addr);
     c.send(r#"{"cmd":"stats"}"#);
     let line = c.recv();
     match parse_response(&line).expect("stats parses") {
-        Response::Stats(v) => stg_service::Snapshot::from_json(&v).expect("stats decodes"),
+        Response::Stats(v) => stg_service::Stats::from_json(&v).expect("stats decodes"),
         other => panic!("expected stats, got {other:?}"),
     }
 }
@@ -176,7 +176,7 @@ fn overload_is_bounded_and_interleaved_clients_progress() {
     a.send(&plan(1, 0));
     a.send(&plan(2, 1));
     wait_until("both workers busy", Duration::from_secs(10), || {
-        let s = stats(addr).0;
+        let s = stats(addr).service;
         s.in_flight() == 2 && s.queued() == 0
     });
     // Phase 2: fill the queue — two requests from each client.
@@ -185,7 +185,7 @@ fn overload_is_bounded_and_interleaved_clients_progress() {
     b.send(&plan(5, 4));
     b.send(&plan(6, 5));
     wait_until("queue full", Duration::from_secs(10), || {
-        stats(addr).0.queued() == 4
+        stats(addr).service.queued() == 4
     });
     // Phase 3: a burst of 44 more — every one must be rejected with a
     // 503 frame (never buffered, never dropped).
@@ -213,11 +213,12 @@ fn overload_is_bounded_and_interleaved_clients_progress() {
     assert_eq!((ok, rejected), (6, 44));
 
     // The counters agree, and both interleaved clients made progress.
-    let snap = stats(addr).0;
+    let stats = stats(addr);
+    let snap = stats.service;
     assert_eq!(snap.accepted, 6);
     assert_eq!(snap.rejected, 44);
     assert_eq!(snap.completed, 6);
-    let per: BTreeMap<u64, _> = snap.per_client.iter().cloned().collect();
+    let per: BTreeMap<u64, _> = stats.clients.iter().cloned().collect();
     let progressed = per.values().filter(|c| c.completed > 0).count();
     assert_eq!(progressed, 2, "both clients must complete work: {per:?}");
     for c in per.values() {
@@ -250,7 +251,7 @@ fn tenant_quota_caps_a_burst_without_starving_the_other_tenant() {
     untagged.send(&plan(1, 0, ""));
     untagged.send(&plan(2, 1, ""));
     wait_until("both workers busy", Duration::from_secs(10), || {
-        let s = stats(addr).0;
+        let s = stats(addr).service;
         s.in_flight() == 2 && s.queued() == 0
     });
 
@@ -259,7 +260,7 @@ fn tenant_quota_caps_a_burst_without_starving_the_other_tenant() {
     acme_a.send(&plan(3, 2, "acme"));
     acme_a.send(&plan(4, 3, "acme"));
     wait_until("acme quota filled", Duration::from_secs(10), || {
-        stats(addr).0.queued() == 2
+        stats(addr).service.queued() == 2
     });
     // ...and bursts past it from a *second* connection: the quota spans
     // connections, so both are rejected while the queue has 14 free slots.
@@ -282,7 +283,7 @@ fn tenant_quota_caps_a_burst_without_starving_the_other_tenant() {
     blue.send(&plan(7, 6, "blue"));
     blue.send(&plan(8, 7, "blue"));
     wait_until("blue admitted", Duration::from_secs(10), || {
-        stats(addr).0.queued() == 4
+        stats(addr).service.queued() == 4
     });
 
     // Every admitted request completes.
@@ -297,9 +298,10 @@ fn tenant_quota_caps_a_burst_without_starving_the_other_tenant() {
 
     // Per-tenant counters reconcile: acme capped but served, blue clean,
     // the untagged client never materializes a tenant row.
-    let snap = stats(addr).0;
+    let stats = stats(addr);
+    let snap = stats.service;
     assert_eq!((snap.accepted, snap.rejected, snap.completed), (6, 2, 6));
-    let tenants: BTreeMap<String, _> = snap.per_tenant.iter().cloned().collect();
+    let tenants: BTreeMap<String, _> = stats.tenants.iter().cloned().collect();
     assert_eq!(tenants.len(), 2, "{tenants:?}");
     let acme = &tenants["acme"];
     assert_eq!((acme.accepted, acme.rejected, acme.completed), (2, 2, 2));
@@ -330,12 +332,12 @@ fn warm_path_survives_daemon_restart_with_cache_dir() {
     let mut c = Client::connect(daemon.addr());
     c.send(request);
     let cold = c.recv();
-    let (_, store) = stats(daemon.addr());
+    let store = stats(daemon.addr()).cell_cache;
     assert_eq!((store.hits, store.misses), (0, 1));
     c.send(request);
     let warm = c.recv();
     assert_eq!(cold, warm, "cache hits must be byte-identical");
-    let (_, store) = stats(daemon.addr());
+    let store = stats(daemon.addr()).cell_cache;
     assert_eq!((store.hits, store.misses), (1, 1));
 
     // Graceful shutdown through the protocol.
@@ -353,9 +355,13 @@ fn warm_path_survives_daemon_restart_with_cache_dir() {
     c.send(request);
     let restarted = c.recv();
     assert_eq!(restarted, cold, "disk cache must reproduce the bytes");
-    let (snap, store) = stats(daemon.addr());
+    let stats = stats(daemon.addr());
+    let store = stats.cell_cache;
     assert_eq!((store.hits, store.misses), (1, 0));
-    assert_eq!(snap.eval_micros, 0, "warm requests never re-schedule");
+    assert_eq!(
+        stats.service.eval_micros, 0,
+        "warm requests never re-schedule"
+    );
     daemon.shutdown();
     daemon.wait();
     let _ = std::fs::remove_dir_all(&dir);
@@ -404,7 +410,37 @@ fn malformed_frames_answer_400_and_keep_the_connection() {
     };
     c.send(&req.encode());
     assert_eq!(c.recv(), direct_engine_frame(&req));
-    assert_eq!(stats(daemon.addr()).0.malformed, 5);
+    assert_eq!(stats(daemon.addr()).service.malformed, 5);
+    daemon.shutdown();
+    daemon.wait();
+}
+
+#[test]
+fn frames_for_a_departed_client_count_as_dropped() {
+    // One slow worker: the client is gone before its 201 frames exist.
+    let config = ServiceConfig {
+        eval_delay: Duration::from_millis(300),
+        ..ServiceConfig::default()
+    };
+    let daemon = start(config, 1, 16);
+    let addr = daemon.addr();
+    let mut c = Client::connect(addr);
+    c.send(r#"{"id":1,"sweep":{"workloads":[{"workload":"chain:8","pes":[2]}],"graphs":200,"seed":1,"schedulers":["sb-lts"]}}"#);
+    wait_until("the request is admitted", Duration::from_secs(10), || {
+        stats(addr).service.accepted == 1
+    });
+    drop(c);
+    wait_until("the request completes", Duration::from_secs(30), || {
+        stats(addr).service.completed == 1
+    });
+    // The writer fails on a write once the client's side has reset, then
+    // counts every frame still queued or produced for the connection.
+    wait_until(
+        "dropped frames are counted",
+        Duration::from_secs(10),
+        || stats(addr).service.frames_dropped > 0,
+    );
+    assert!(stats(addr).service.frames_dropped <= 201);
     daemon.shutdown();
     daemon.wait();
 }

@@ -25,7 +25,6 @@
 //! built graphs across every registered family.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use stg_model::CanonicalGraph;
@@ -36,12 +35,10 @@ type Slot = Arc<OnceLock<Arc<CanonicalGraph>>>;
 /// spec up by `&str` (via the `Borrow<str>` impl on `String` keys)
 /// without allocating a key tuple per call.
 static CACHE: OnceLock<Mutex<HashMap<String, HashMap<u64, Slot>>>> = OnceLock::new();
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Hit/miss counters of the workload graph cache. Per-sweep deltas are
-/// reported in `stg_experiments::engine::Sweep::cache`; the process-wide
-/// totals are available through [`stats`].
+/// Hit/miss counts of the workload graph cache, as the engine tallies them
+/// per sweep (`stg_experiments::engine::Sweep::cache`); its counter set is
+/// registered in `stg_experiments::metrics` as `graph_cache_*`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Instantiations served from the cache.
@@ -108,38 +105,13 @@ pub fn get_or_build(
             Arc::new(g)
         })
         .clone();
-    if built {
-        MISSES.fetch_add(1, Ordering::Relaxed);
-    } else {
-        HITS.fetch_add(1, Ordering::Relaxed);
-    }
     (graph, !built)
 }
 
-/// Process-wide cache counters since start (or the last [`clear`]).
-pub fn stats() -> CacheStats {
-    CacheStats {
-        hits: HITS.load(Ordering::Relaxed),
-        misses: MISSES.load(Ordering::Relaxed),
-    }
-}
-
-/// Number of cached graphs.
-pub fn len() -> usize {
-    map()
-        .lock()
-        .expect("workload cache lock")
-        .values()
-        .map(HashMap::len)
-        .sum()
-}
-
-/// Drops every cached graph and resets the process-wide counters. Shared
-/// `Arc`s held by callers stay alive; only the cache's references go.
+/// Drops every cached graph. Shared `Arc`s held by callers stay alive;
+/// only the cache's references go.
 pub fn clear() {
     map().lock().expect("workload cache lock").clear();
-    HITS.store(0, Ordering::Relaxed);
-    MISSES.store(0, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -191,7 +163,7 @@ mod tests {
 
     #[test]
     fn exactly_once_under_concurrency() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let builds = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {

@@ -13,6 +13,7 @@
 
 use stg_core::SchedulerKind;
 use stg_experiments::engine::WorkloadSpec;
+use stg_experiments::metrics::CounterSet;
 use stg_experiments::{summary, SweepSpec, WorkloadFamily, WorkloadKind};
 
 fn main() {
@@ -31,12 +32,11 @@ fn main() {
     let sweep = spec.run();
     let tallies = sweep.tallies();
     println!(
-        "evaluated {} scenarios ({} errors, {} deadlocks); graph cache: {} hits, {} misses\n",
+        "evaluated {} scenarios ({} errors, {} deadlocks); {}\n",
         sweep.runs.len(),
         tallies.errors,
         tallies.deadlocks,
-        sweep.cache.hits,
-        sweep.cache.misses,
+        sweep.cache.text(),
     );
 
     println!("workload      #PEs  scheduler      median speedup   median SSLR");
