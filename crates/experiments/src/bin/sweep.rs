@@ -76,6 +76,12 @@ fn main() {
             );
             std::process::exit(2);
         }
+        // Refuse up front a grid the artifact's spec header cannot carry
+        // (e.g. an empty one), instead of after evaluating it.
+        or_exit(
+            spec.encode_spec()
+                .map_err(|e| format!("cannot shard this grid: {e}")),
+        );
         let result = spec.run_shard(shard, store.as_ref());
         let bytes = or_exit(
             result

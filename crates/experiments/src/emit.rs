@@ -27,6 +27,7 @@ use std::io::Write;
 use stg_workloads::WorkloadFamily;
 
 use crate::engine::{Case, Run, SweepSpec};
+use crate::json::quote;
 use crate::store::{error_code, Outcome};
 
 /// How many diverged rows a [`MergeReport`] names.
@@ -337,7 +338,7 @@ fn json_row(c: &Case, outcome: &Outcome, timing: bool, last: bool) -> String {
     let head = format!(
         "    {{\"workload\": {}, \"tasks\": {}, \"pes\": {}, \"seed\": {}, \
          \"scheduler\": \"{}\"",
-        json_string(&c.workload.label()),
+        quote(&c.workload.label()),
         c.workload.task_count(),
         c.pes,
         c.seed,
@@ -373,7 +374,7 @@ fn json_row(c: &Case, outcome: &Outcome, timing: bool, last: bool) -> String {
                 m.makespan, m.speedup, m.sslr, m.slr, m.utilization, m.blocks, r.buffer_elements
             )
         }
-        Err(e) => format!(", \"status\": {}}}", json_string(&error_code(e))),
+        Err(e) => format!(", \"status\": {}}}", quote(&error_code(e))),
     };
     let comma = if last { "" } else { "," };
     format!("{head}{body}{comma}\n")
@@ -387,22 +388,6 @@ const JSON_EPILOGUE: &str = "  ]\n}\n";
 /// guarantee [`error_code`] provides for the status column.
 fn csv_field(s: &str) -> String {
     s.replace([',', '\n', '\r'], ";")
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

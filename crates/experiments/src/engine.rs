@@ -51,9 +51,13 @@ use stg_workloads::{paper_suite, CacheStats, WorkloadFamily, WorkloadKind};
 
 use crate::emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 use crate::harness::{default_threads, par_map_with, Args};
+use crate::json::{self, Json};
 use crate::store::{
     CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats, SCHEMA_VERSION,
 };
+
+/// The error text of a PE count that is not a positive integer.
+const PES_POSITIVE: &str = "\"pes\" entries must be positive integers";
 
 /// Which validation simulator(s) a sweep runs when `validate` is set.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -91,24 +95,8 @@ impl std::fmt::Display for SimChoice {
     }
 }
 
-/// Error parsing a [`SimChoice`] from a `--sim` value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseSimChoiceError(String);
-
-impl std::fmt::Display for ParseSimChoiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown simulator choice {:?}; known: reference, batched, both",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for ParseSimChoiceError {}
-
 impl FromStr for SimChoice {
-    type Err = ParseSimChoiceError;
+    type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         if s.eq_ignore_ascii_case("both") {
@@ -117,8 +105,59 @@ impl FromStr for SimChoice {
         match s.parse::<SimKind>() {
             Ok(SimKind::Reference) => Ok(SimChoice::Reference),
             Ok(SimKind::Batched) => Ok(SimChoice::Batched),
-            Err(_) => Err(ParseSimChoiceError(s.to_string())),
+            Err(_) => Err(format!(
+                "unknown simulator choice {s:?}; known: reference, batched, both"
+            )),
         }
+    }
+}
+
+/// A spec's validation mode as it crosses the wire, the `"sim"` member of
+/// the spec encoding and of service plan requests: `"off"` (no
+/// simulation) or a simulator choice (`"reference"`, `"batched"`,
+/// `"both"`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum SimMode {
+    /// No validation simulation.
+    #[default]
+    Off,
+    /// Validate with the given simulator choice.
+    Validate(SimChoice),
+}
+
+impl SimMode {
+    /// True when the mode asks for validation.
+    pub fn validates(&self) -> bool {
+        matches!(self, SimMode::Validate(_))
+    }
+
+    /// The engine simulator choice (the default choice when off — the
+    /// engine ignores it unless `validate` is set).
+    pub fn choice(&self) -> SimChoice {
+        match self {
+            SimMode::Off => SimChoice::default(),
+            SimMode::Validate(c) => *c,
+        }
+    }
+}
+
+impl std::fmt::Display for SimMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimMode::Off => f.write_str("off"),
+            SimMode::Validate(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+impl FromStr for SimMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        if s.eq_ignore_ascii_case("off") {
+            return Ok(SimMode::Off);
+        }
+        s.parse().map(SimMode::Validate)
     }
 }
 
@@ -250,9 +289,10 @@ impl SweepSpec {
 
     /// Checks that the seeds `seed..seed + graphs` all fit in `u64`. Every
     /// outside input runs it before anything expands a grid: the command
-    /// line ([`Args::parse_from`]), decoded spec blocks
-    /// ([`Self::decode_spec`]: shard artifacts and fabric handshakes), and
-    /// service requests. `Err` names the overflowing range.
+    /// line ([`Args::parse_from`]) and the one spec validation behind
+    /// [`Self::encode_spec`] and [`Self::decode_spec`] (shard artifacts,
+    /// fabric handshakes and service sweep requests). `Err` names the
+    /// overflowing range.
     pub fn check_seed_range(seed: u64, graphs: u64) -> Result<(), String> {
         match seed.checked_add(graphs.saturating_sub(1)) {
             Some(_) => Ok(()),
@@ -608,11 +648,15 @@ impl SweepSpec {
         }
     }
 
-    /// Serializes the spec for embedding in shard artifacts (and the
-    /// fabric `spec` handshake frame). Fixed workloads have no parseable
-    /// spec string and cannot shard or distribute.
+    /// The spec's one wire encoding, the service's sweep object
+    /// (`{"workloads":[{"workload":..,"pes":[..]}],"graphs":..,"seed":..,
+    /// "schedulers":[..],"sim":..}`, `"sim"` being [`Self::sim_mode`]):
+    /// shard headers, fabric handshakes and service sweep requests carry
+    /// these bytes. Refuses what [`Self::decode_spec`] would refuse, and
+    /// fixed workloads, which have no parseable spec string.
     pub fn encode_spec(&self) -> Result<String, String> {
-        let mut out = String::new();
+        self.validate()?;
+        let mut workloads = Vec::with_capacity(self.workloads.len());
         for w in &self.workloads {
             if matches!(w.workload, WorkloadKind::Fixed(_)) {
                 return Err(format!(
@@ -620,69 +664,100 @@ impl SweepSpec {
                     w.workload.label()
                 ));
             }
-            let pes: Vec<String> = w.pes.iter().map(usize::to_string).collect();
-            out.push_str(&format!("w {} {}\n", w.workload.spec(), pes.join(",")));
+            workloads.push(Json::Obj(vec![
+                ("workload".into(), Json::Str(w.workload.spec())),
+                (
+                    "pes".into(),
+                    Json::Arr(w.pes.iter().map(Json::num).collect()),
+                ),
+            ]));
         }
-        let schedulers: Vec<&str> = self.schedulers.iter().map(|s| s.alias()).collect();
-        out.push_str(&format!(
-            "graphs {}\nseed {}\nschedulers {}\nvalidate {}\nsim {}\n",
-            self.graphs,
-            self.seed,
-            schedulers.join(","),
-            self.validate,
-            self.sim
-        ));
-        Ok(out)
+        let schedulers = self.schedulers.iter().map(|s| Json::Str(s.alias().into()));
+        Ok(Json::Obj(vec![
+            ("workloads".into(), Json::Arr(workloads)),
+            ("graphs".into(), Json::num(self.graphs)),
+            ("seed".into(), Json::num(self.seed)),
+            ("schedulers".into(), Json::Arr(schedulers.collect())),
+            ("sim".into(), Json::Str(self.sim_mode())),
+        ])
+        .to_string())
     }
 
-    /// Parses an [`Self::encode_spec`] block back into a spec. Worker
-    /// threads default and timing is off — merged sweeps never evaluate
-    /// or time anything (fabric workers override `threads` themselves).
-    /// A seed range that overflows `u64` is an error
-    /// ([`Self::check_seed_range`]).
-    pub fn decode_spec(block: &str) -> Result<SweepSpec, String> {
-        let mut spec = SweepSpec {
-            workloads: Vec::new(),
-            graphs: 0,
-            seed: 0,
-            schedulers: Vec::new(),
-            validate: false,
-            sim: SimChoice::default(),
+    /// Parses an [`Self::encode_spec`] encoding back into a spec (see
+    /// [`Self::from_json`]).
+    pub fn decode_spec(text: &str) -> Result<SweepSpec, String> {
+        SweepSpec::from_json(&json::parse(text).map_err(|e| format!("bad spec JSON: {e}"))?)
+    }
+
+    /// Reads a parsed sweep object, with the service's defaults for absent
+    /// members (registry PE sweep, one graph, seed 0, `sb-lts`, `"off"`),
+    /// refusing unknown members and specs that fail the one validation.
+    /// `threads` is left to callers that evaluate; timing is off.
+    pub fn from_json(v: &Json) -> Result<SweepSpec, String> {
+        v.check_fields(&["workloads", "graphs", "seed", "schedulers", "sim"])?;
+        let workloads = v
+            .array_field("workloads")?
+            .iter()
+            .map(|w| {
+                w.check_fields(&["workload", "pes"])?;
+                let workload: WorkloadKind = w
+                    .str_field("workload")?
+                    .parse()
+                    .map_err(|e| format!("{e}"))?;
+                let pes = match w.opt_array("pes")? {
+                    None => workload.default_pes(),
+                    Some(list) => list
+                        .iter()
+                        .map(|p| p.as_usize().ok_or(PES_POSITIVE))
+                        .collect::<Result<_, _>>()?,
+                };
+                Ok(WorkloadSpec { workload, pes })
+            })
+            .collect::<Result<_, String>>()?;
+        let schedulers = match v.opt_array("schedulers")? {
+            None => vec![SchedulerKind::StreamingLts],
+            Some(list) => list
+                .iter()
+                .map(|s| {
+                    let alias = s.as_str().ok_or("\"schedulers\" entries must be strings")?;
+                    alias.parse().map_err(|e| format!("{e}"))
+                })
+                .collect::<Result<_, String>>()?,
+        };
+        let sim: SimMode = v.opt_str("sim")?.unwrap_or("off").parse()?;
+        let spec = SweepSpec {
+            workloads,
+            graphs: v.opt_u64("graphs")?.unwrap_or(1),
+            seed: v.opt_u64("seed")?.unwrap_or(0),
+            schedulers,
+            validate: sim.validates(),
+            sim: sim.choice(),
             timing: false,
             threads: None,
         };
-        for line in block.lines() {
-            let (field, rest) = line
-                .split_once(' ')
-                .ok_or_else(|| format!("malformed spec line {line:?}"))?;
-            let bad = |e: &dyn std::fmt::Display| format!("spec line {line:?}: {e}");
-            match field {
-                "w" => {
-                    let (w, pes) = rest
-                        .split_once(' ')
-                        .ok_or_else(|| format!("malformed workload line {line:?}"))?;
-                    let workload: WorkloadKind = w.parse().map_err(|e| bad(&e))?;
-                    let pes = pes
-                        .split(',')
-                        .map(|p| p.parse::<usize>().map_err(|e| bad(&e)))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    spec.workloads.push(WorkloadSpec { workload, pes });
-                }
-                "graphs" => spec.graphs = rest.parse().map_err(|e| bad(&e))?,
-                "seed" => spec.seed = rest.parse().map_err(|e| bad(&e))?,
-                "schedulers" => {
-                    spec.schedulers = rest
-                        .split(',')
-                        .map(|s| s.parse::<SchedulerKind>().map_err(|e| bad(&e)))
-                        .collect::<Result<Vec<_>, _>>()?;
-                }
-                "validate" => spec.validate = rest.parse().map_err(|e| bad(&e))?,
-                "sim" => spec.sim = rest.parse().map_err(|e| bad(&e))?,
-                other => return Err(format!("unknown spec field {other:?}")),
-            }
-        }
-        SweepSpec::check_seed_range(spec.seed, spec.graphs)?;
+        spec.validate()?;
         Ok(spec)
+    }
+
+    /// The one validation of a spec that crosses a process boundary: it
+    /// needs workloads, PE counts (all positive), graphs and schedulers,
+    /// and a seed range within `u64`. `sweep merge`, fabric workers and
+    /// the service refuse through it, with the same text.
+    fn validate(&self) -> Result<(), String> {
+        let pes = |bad: fn(&Vec<usize>) -> bool| self.workloads.iter().any(|w| bad(&w.pes));
+        if pes(|pes| pes.contains(&0)) {
+            return Err(PES_POSITIVE.into());
+        }
+        let rules = [
+            (self.workloads.is_empty(), "workloads", "non-empty"),
+            (pes(Vec::is_empty), "pes", "non-empty"),
+            (self.graphs == 0, "graphs", "a positive integer"),
+            (self.schedulers.is_empty(), "schedulers", "non-empty"),
+        ];
+        match rules.iter().find(|(broken, ..)| *broken) {
+            Some((_, field, must)) => Err(format!("field {field:?} must be {must}")),
+            None => SweepSpec::check_seed_range(self.seed, self.graphs),
+        }
     }
 
     /// Re-assembles a complete set of [`ShardResult::artifact_bytes`]
@@ -928,8 +1003,8 @@ impl ShardResult {
     }
 
     /// The self-describing shard artifact `sweep --shard i/n` writes: a
-    /// header binding the slice to its spec (embedded verbatim) and grid
-    /// fingerprint, then the [`put_rows`](crate::store::put_rows) section
+    /// header binding the slice to its spec (the [`SweepSpec::encode_spec`]
+    /// bytes) and grid fingerprint, then the [`put_rows`](crate::store::put_rows) section
     /// with one serialized outcome per case. Length-prefixed, so
     /// [`SweepSpec::merge_shard_bytes`] parses it in one forward pass.
     /// Byte-deterministic, like every other engine output.
@@ -1014,6 +1089,12 @@ impl ParsedShard {
         let (fingerprint, rest) = take_u64(rest).ok_or_else(trunc)?;
         let (spec_len, rest) = take_u32(rest).ok_or_else(trunc)?;
         let (spec_block, rest) = take_str(rest, spec_len as usize).ok_or_else(trunc)?;
+        if !spec_block.starts_with('{') {
+            let regenerate = "regenerate it with `sweep --shard i/n`";
+            return Err(format!(
+                "shard artifact carries a pre-JSON text spec block ({regenerate})"
+            ));
+        }
         let rows = take_rows(rest)?;
         if rows.len() as u64 != end - start {
             return Err(format!(
@@ -1949,12 +2030,136 @@ mod tests {
         let mut spec = smoke_spec();
         spec.seed = u64::MAX;
         spec.graphs = 2;
-        let block = spec.encode_spec().unwrap();
-        let err = SweepSpec::decode_spec(&block).expect_err("seed u64::MAX + 1 is rejected");
+        let err = spec.encode_spec().expect_err("never encoded");
         assert!(err.contains("overflow u64"), "{err}");
         // The last seed may be u64::MAX itself.
         spec.graphs = 1;
-        assert!(SweepSpec::decode_spec(&spec.encode_spec().unwrap()).is_ok());
+        let block = spec.encode_spec().unwrap();
+        assert!(SweepSpec::decode_spec(&block).is_ok());
+        let forged = block.replace("\"graphs\":1,", "\"graphs\":2,");
+        assert_ne!(forged, block, "the encoding names its graph count");
+        let err = SweepSpec::decode_spec(&forged).expect_err("seed u64::MAX + 1 is rejected");
+        assert!(err.contains("overflow u64"), "{err}");
+    }
+
+    /// A two-workload validated grid, small enough to read its encoding.
+    fn wire_spec() -> SweepSpec {
+        let workload = |spec: &str, pes: Vec<usize>| WorkloadSpec {
+            workload: spec.parse().unwrap(),
+            pes,
+        };
+        SweepSpec {
+            workloads: vec![workload("chain:8", vec![2, 4]), workload("fft:8", vec![8])],
+            graphs: 2,
+            seed: 42,
+            schedulers: vec![SchedulerKind::StreamingLts, SchedulerKind::NonStreaming],
+            validate: true,
+            sim: SimChoice::Reference,
+            timing: false,
+            threads: Some(1),
+        }
+    }
+
+    #[test]
+    fn spec_encoding_is_the_sweep_object_and_round_trips() {
+        let mut spec = wire_spec();
+        spec.seed = u64::MAX - 7;
+        let text = spec.encode_spec().unwrap();
+        assert_eq!(
+            text,
+            "{\"workloads\":[{\"workload\":\"chain:8\",\"pes\":[2,4]},\
+             {\"workload\":\"fft:8\",\"pes\":[8]}],\"graphs\":2,\
+             \"seed\":18446744073709551608,\"schedulers\":[\"sb-lts\",\"nonstreaming\"],\
+             \"sim\":\"reference\"}"
+        );
+        let back = SweepSpec::decode_spec(&text).unwrap();
+        assert_eq!(back.encode_spec().unwrap(), text);
+        assert_eq!(back.grid_fingerprint(), spec.grid_fingerprint());
+        // Without validation the simulator choice is not encoded; neither
+        // the fingerprint nor the emitted artifacts read it.
+        spec.validate = false;
+        spec.sim = SimChoice::Batched;
+        let text = spec.encode_spec().unwrap();
+        assert!(text.ends_with("\"sim\":\"off\"}"), "{text}");
+        let back = SweepSpec::decode_spec(&text).unwrap();
+        assert_eq!((back.validate, back.sim), (false, SimChoice::Reference));
+        assert_eq!(back.grid_fingerprint(), spec.grid_fingerprint());
+        assert_eq!(back.run().to_json(), spec.run().to_json());
+    }
+
+    #[test]
+    fn encode_and_decode_refuse_the_same_specs_with_the_same_text() {
+        let valid = wire_spec().encode_spec().unwrap();
+        // The error text, a break of the spec, and the same break as an
+        // edit of its encoding (`from` → `to`).
+        type Broken = (&'static str, fn(&mut SweepSpec), &'static str, &'static str);
+        let cases: [Broken; 5] = [
+            (
+                "non-empty",
+                |s| s.workloads.clear(),
+                "\"workloads\":[{\"workload\":\"chain:8\",\"pes\":[2,4]},{\"workload\":\"fft:8\",\"pes\":[8]}]",
+                "\"workloads\":[]",
+            ),
+            (
+                "positive integers",
+                |s| s.workloads[0].pes[1] = 0,
+                "\"pes\":[2,4]",
+                "\"pes\":[2,0]",
+            ),
+            (
+                "\"pes\" must be non-empty",
+                |s| s.workloads[1].pes.clear(),
+                "\"pes\":[8]",
+                "\"pes\":[]",
+            ),
+            (
+                "\"graphs\" must be a positive integer",
+                |s| s.graphs = 0,
+                "\"graphs\":2",
+                "\"graphs\":0",
+            ),
+            (
+                "\"schedulers\" must be non-empty",
+                |s| s.schedulers.clear(),
+                "\"schedulers\":[\"sb-lts\",\"nonstreaming\"]",
+                "\"schedulers\":[]",
+            ),
+        ];
+        for (needle, break_spec, from, to) in cases {
+            let mut spec = wire_spec();
+            break_spec(&mut spec);
+            let encode_err = spec.encode_spec().expect_err(needle);
+            assert!(encode_err.contains(needle), "{needle}: {encode_err}");
+            assert!(spec.validate().is_err());
+            let forged = valid.replacen(from, to, 1);
+            assert_ne!(forged, valid, "{needle}");
+            let decode_err = SweepSpec::decode_spec(&forged).expect_err(needle);
+            assert_eq!(decode_err, encode_err, "{needle}");
+        }
+        for (bad, needle) in [
+            ("", "bad spec JSON"),
+            ("[]", "JSON object"),
+            (
+                "{\"workloads\":[{\"workload\":\"chain:8\"}],\"grahps\":2}",
+                "unknown field",
+            ),
+            (
+                "{\"workloads\":[{\"workload\":\"chain:8\",\"pes\":[-2]}]}",
+                "positive",
+            ),
+            (
+                "{\"workloads\":[{\"workload\":\"mesh\"}]}",
+                "invalid workload",
+            ),
+            (
+                "{\"workloads\":[{\"workload\":\"chain:8\"}],\"sim\":\"quantum\"}",
+                "unknown simulator",
+            ),
+            ("{\"graphs\":2}", "missing required field \"workloads\""),
+        ] {
+            let err = SweepSpec::decode_spec(bad).expect_err(bad);
+            assert!(err.contains(needle), "{bad}: {err}");
+        }
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! A minimal, dependency-free JSON layer for the service protocol.
-//!
-//! The workspace has no network access to crates.io (see
-//! `vendor/README.md`), so the newline-delimited JSON protocol is built on
-//! this small recursive-descent parser and encoder instead of serde. Two
-//! properties matter for the protocol and are pinned by tests:
+//! The workspace's one JSON codec, behind every wire format: the
+//! [`SweepSpec::encode_spec`](crate::SweepSpec::encode_spec) encoding, the
+//! service's and the fabric's frames, and the strings of the `sweep
+//! --json` artifact ([`quote`]). The workspace has no network access to
+//! crates.io (see `vendor/README.md`), so this is a small
+//! recursive-descent parser and encoder instead of serde. Two properties
+//! matter for every format and are pinned by tests:
 //!
 //! - **Losslessness.** Numbers are kept as their source literal
 //!   ([`Json::Num`] holds the text, not an `f64`), so `u64` seeds above
@@ -11,10 +12,14 @@
 //! - **Totality.** Parsing never panics on malformed input: every failure
 //!   is an `Err` with a position, and nesting depth is bounded (a frame of
 //!   ten thousand `[` must not overflow the stack).
+//!
+//! Every parser reads members through one set of accessors
+//! ([`Json::str_field`], [`Json::opt_u64`], [`Json::check_fields`], …), so
+//! a field has the same error text in every format.
 
 use std::fmt::Write as _;
 
-use stg_experiments::metrics::CounterSet;
+use crate::metrics::CounterSet;
 
 /// Maximum nesting depth [`parse`] accepts. Protocol frames are at most
 /// three levels deep; the bound exists so adversarial input fails with an
@@ -47,6 +52,7 @@ impl Json {
     }
 
     /// The member of an object by key (first match), `None` otherwise.
+    #[inline]
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -55,6 +61,7 @@ impl Json {
     }
 
     /// The string payload, if this is a string.
+    #[inline]
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
@@ -63,6 +70,7 @@ impl Json {
     }
 
     /// The value as a `u64`, if this is an unsigned integer literal.
+    #[inline]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(s) => s.parse().ok(),
@@ -71,17 +79,10 @@ impl Json {
     }
 
     /// The value as a `usize`, if this is an unsigned integer literal.
+    #[inline]
     pub fn as_usize(&self) -> Option<usize> {
         match self {
             Json::Num(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
             _ => None,
         }
     }
@@ -102,8 +103,84 @@ impl Json {
         }
     }
 
+    /// The member `key`, or an error naming the missing field.
+    #[inline]
+    pub fn required(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| missing(key))
+    }
+
+    /// The member `key` read by `read`, `None` when absent; a present
+    /// member that `read` rejects is an error saying what it `must` be.
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+        must: &str,
+    ) -> Result<Option<T>, String> {
+        self.get(key)
+            .map(|m| read(m).ok_or_else(|| format!("field {key:?} must be {must}")))
+            .transpose()
+    }
+
+    /// The optional string member `key`.
+    #[inline]
+    pub fn opt_str(&self, key: &str) -> Result<Option<&str>, String> {
+        self.typed(key, Json::as_str, "a string")
+    }
+
+    /// The optional unsigned integer member `key`.
+    #[inline]
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        self.typed(key, Json::as_u64, "an unsigned integer")
+    }
+
+    /// The optional array member `key`.
+    pub fn opt_array(&self, key: &str) -> Result<Option<&[Json]>, String> {
+        self.typed(key, Json::as_array, "an array")
+    }
+
+    /// The required string member `key`.
+    #[inline]
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.opt_str(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// The required unsigned integer member `key`.
+    #[inline]
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.opt_u64(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// The required unsigned integer member `key`, as a `usize`.
+    #[inline]
+    pub fn usize_field(&self, key: &str) -> Result<usize, String> {
+        (self.typed(key, Json::as_usize, "an unsigned integer")?).ok_or_else(|| missing(key))
+    }
+
+    /// The required array member `key`.
+    pub fn array_field(&self, key: &str) -> Result<&[Json], String> {
+        self.opt_array(key)?.ok_or_else(|| missing(key))
+    }
+
+    /// Checks that this is an object whose members all appear in
+    /// `allowed`: a typoed member must not silently pick a default.
+    #[inline]
+    pub fn check_fields(&self, allowed: &[&str]) -> Result<(), String> {
+        let members = self.as_object().ok_or("expected a JSON object")?;
+        match members
+            .iter()
+            .find(|(key, _)| !allowed.contains(&key.as_str()))
+        {
+            Some((key, _)) => Err(format!(
+                "unknown field {key:?} (allowed: {})",
+                allowed.join(", ")
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// Appends one number member per metric of a counter set: the JSON
-    /// rendering of every [`stg_experiments::metrics`] set.
+    /// rendering of every [`crate::metrics`] set.
     pub fn push_counters(members: &mut Vec<(String, Json)>, set: &impl CounterSet) {
         set.visit(&mut |name, value| members.push((name.to_string(), Json::num(value))));
     }
@@ -155,6 +232,19 @@ impl std::fmt::Display for Json {
         self.encode_into(&mut out);
         f.write_str(&out)
     }
+}
+
+/// The error text of an absent required member.
+fn missing(key: &str) -> String {
+    format!("missing required field {key:?}")
+}
+
+/// `s` as a JSON string literal, quoted and escaped as [`Json::Str`]
+/// renders it.
+pub fn quote(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    escape_into(s, &mut out);
+    out
 }
 
 fn escape_into(s: &str, out: &mut String) {
@@ -514,7 +604,7 @@ mod tests {
         let v = parse("{\"id\":7,\"name\":\"x\",\"on\":true,\"pes\":[2,4]}").unwrap();
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(7));
         assert_eq!(v.get("name").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("on").and_then(Json::as_bool), Some(true));
+        assert_eq!(v.get("on"), Some(&Json::Bool(true)));
         assert_eq!(
             v.get("pes").and_then(Json::as_array).map(<[Json]>::len),
             Some(2)

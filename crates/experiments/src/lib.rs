@@ -30,14 +30,15 @@
 pub mod emit;
 pub mod engine;
 pub mod harness;
+pub mod json;
 pub mod metrics;
 pub mod stats;
 pub mod store;
 
 pub use emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 pub use engine::{
-    Case, CasesResult, Cell, Record, Run, Shard, ShardResult, SimChoice, SimMicros, SimRecord,
-    SingleFlight, Sweep, SweepSpec, WorkloadSpec,
+    Case, CasesResult, Cell, Record, Run, Shard, ShardResult, SimChoice, SimMicros, SimMode,
+    SimRecord, SingleFlight, Sweep, SweepSpec, WorkloadSpec,
 };
 pub use harness::{
     default_threads, par_map, par_map_with, print_scheduler_registry, print_workload_registry, Args,

@@ -1,5 +1,6 @@
 //! CLI validation for the sweep frontend: junk `--threads`, out-of-range
-//! `--shard i/n` selectors, retired flags, unmergeable artifacts,
+//! `--shard i/n` selectors, grids a shard header cannot carry, retired
+//! flags, unmergeable artifacts,
 //! malformed `--distributed` worker counts, and seed ranges past `u64`
 //! all exit with code 2 and a
 //! clear usage message up front — instead of panicking, silently
@@ -91,6 +92,43 @@ fn sweep_merge_rejects_text_artifacts() {
     let (code, stderr) = run(&["merge", text]);
     assert_eq!(code, Some(2), "{stderr}");
     assert!(stderr.contains("STGSHRD"), "{stderr}");
+}
+
+#[test]
+fn sweep_merge_rejects_text_spec_blocks_with_a_regenerate_hint() {
+    // A `sweep --shard 0/1` artifact written before the JSON spec
+    // encoding: binary, but with the old text spec block in its header.
+    let old = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/text_spec_shard_v2.bin"
+    );
+    let (code, stderr) = run(&["merge", old]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("regenerate"), "{stderr}");
+}
+
+#[test]
+fn sweep_refuses_to_shard_grids_the_spec_encoding_cannot_carry() {
+    // `--graphs 0`, and a `--pes` filter that empties the grid, make specs
+    // that `sweep merge` would refuse: refused before any evaluation.
+    for (args, needle) in [
+        (
+            vec!["--graphs", "0", "--shard", "0/1"],
+            "\"graphs\" must be a positive integer",
+        ),
+        (
+            vec!["--workload", "chain", "--pes", "3", "--shard", "0/1"],
+            "\"workloads\" must be non-empty",
+        ),
+    ] {
+        let (code, stderr) = run(&args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("cannot shard this grid"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
 }
 
 #[test]

@@ -102,9 +102,9 @@ fn text_artifacts_are_rejected() {
     assert!(err.contains("STGSHRD"), "{err}");
 }
 
-/// The one-way artifact of a two-case `chain:4` grid.
-fn two_case_artifact() -> Vec<u8> {
-    let spec = SweepSpec {
+/// A two-case `chain:4` grid.
+fn two_case_spec() -> SweepSpec {
+    SweepSpec {
         workloads: vec![WorkloadSpec {
             workload: "chain:4".parse().unwrap(),
             pes: vec![2],
@@ -116,8 +116,13 @@ fn two_case_artifact() -> Vec<u8> {
         sim: SimChoice::default(),
         timing: false,
         threads: Some(1),
-    };
-    spec.run_shard(Shard { index: 0, of: 1 }, None)
+    }
+}
+
+/// The one-way artifact of [`two_case_spec`].
+fn two_case_artifact() -> Vec<u8> {
+    two_case_spec()
+        .run_shard(Shard { index: 0, of: 1 }, None)
         .artifact_bytes()
         .unwrap()
 }
@@ -129,10 +134,32 @@ fn two_case_artifact() -> Vec<u8> {
 const TOTAL_AT: usize = 7 + 3 * 4 + 2 * 8;
 const SPEC_LEN_AT: usize = TOTAL_AT + 2 * 8;
 
-/// The byte range of an artifact's spec block.
+/// The byte range of an artifact's spec encoding.
 fn spec_block(artifact: &[u8]) -> std::ops::Range<usize> {
     let len = u32::from_le_bytes(artifact[SPEC_LEN_AT..SPEC_LEN_AT + 4].try_into().unwrap());
     SPEC_LEN_AT + 4..SPEC_LEN_AT + 4 + len as usize
+}
+
+/// `artifact` with its spec encoding rewritten by `edit`, which must
+/// change it; the length prefix follows.
+fn with_spec(artifact: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+    let block = spec_block(artifact);
+    let text = std::str::from_utf8(&artifact[block.clone()]).unwrap();
+    let forged_text = edit(text);
+    assert_ne!(forged_text, text, "the edit must change the spec encoding");
+    let mut forged = artifact[..SPEC_LEN_AT].to_vec();
+    forged.extend_from_slice(&(forged_text.len() as u32).to_le_bytes());
+    forged.extend_from_slice(forged_text.as_bytes());
+    forged.extend_from_slice(&artifact[block.end..]);
+    forged
+}
+
+/// The error of merging the one-way set `artifact`, which must be refused.
+fn merge_err(artifact: &[u8]) -> String {
+    match merge(&[artifact.to_vec()], OutputKind::Csv) {
+        Err(e) => e,
+        Ok(_) => panic!("a forged artifact must not merge"),
+    }
 }
 
 /// Merged sweeps preserve the full failure-accounting surface: an `err`
@@ -166,7 +193,7 @@ fn error_rows_survive_the_shard_round_trip() {
     assert!(csv.lines().nth(1).unwrap().contains(",ok,"));
 }
 
-/// A forged spec block cannot make a merge walk a grid larger than the
+/// A forged spec encoding cannot make a merge walk a grid larger than the
 /// artifacts: the spec's case count is checked against the header total,
 /// and the rows against that total, before the fingerprint walks the
 /// grid. Claiming two million graphs fails at once on the case count,
@@ -174,18 +201,9 @@ fn error_rows_survive_the_shard_round_trip() {
 #[test]
 fn forged_grid_sizes_are_rejected_before_the_fingerprint_walk() {
     let artifact = two_case_artifact();
-    let block = spec_block(&artifact);
-    let text = std::str::from_utf8(&artifact[block.clone()]).unwrap();
-    let forged_text = text.replace("\ngraphs 2\n", "\ngraphs 2000000\n");
-    assert_ne!(forged_text, text, "the spec block names its graph count");
-    let mut forged = artifact[..SPEC_LEN_AT].to_vec();
-    forged.extend_from_slice(&(forged_text.len() as u32).to_le_bytes());
-    forged.extend_from_slice(forged_text.as_bytes());
-    forged.extend_from_slice(&artifact[block.end..]);
-    let merge_err = |artifact: &[u8]| match merge(&[artifact.to_vec()], OutputKind::Csv) {
-        Err(e) => e,
-        Ok(_) => panic!("a forged artifact must not merge"),
-    };
+    let mut forged = with_spec(&artifact, |text| {
+        text.replace("\"graphs\":2,", "\"graphs\":2000000,")
+    });
     let err = merge_err(&forged);
     assert!(
         err.contains("grid expands to 2000000 cases but artifacts claim 2"),
@@ -197,6 +215,43 @@ fn forged_grid_sizes_are_rejected_before_the_fingerprint_walk() {
         err.contains("rows cover [0, 1], expected 0..2000000"),
         "{err}"
     );
+}
+
+/// A spec with a PE count of 0 fails the one spec validation, even when
+/// the header's total and fingerprint are forged to match it: the merge
+/// refuses it with the service's error text.
+#[test]
+fn forged_zero_pe_counts_are_refused() {
+    let artifact = two_case_artifact();
+    let mut forged = with_spec(&artifact, |text| text.replace("\"pes\":[2]", "\"pes\":[0]"));
+    let mut zero = two_case_spec();
+    zero.workloads[0].pes = vec![0];
+    assert_eq!(zero.total_cases(), 2);
+    let fingerprint_at = TOTAL_AT + 8;
+    forged[fingerprint_at..fingerprint_at + 8]
+        .copy_from_slice(&zero.grid_fingerprint().to_le_bytes());
+    let err = merge_err(&forged);
+    assert!(
+        err.contains("\"pes\" entries must be positive integers"),
+        "{err}"
+    );
+}
+
+/// A `sweep --shard 0/1` artifact written before the JSON spec encoding,
+/// whose header embeds the old text spec block (`w chain:8 2\ngraphs
+/// 1\n…`), is refused with a hint to regenerate it.
+const TEXT_SPEC_SHARD_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/text_spec_shard_v2.bin"
+);
+
+#[test]
+fn text_spec_block_artifacts_are_refused_with_a_regenerate_hint() {
+    let old = std::fs::read(TEXT_SPEC_SHARD_FIXTURE).expect("fixture checked in");
+    assert!(old[spec_block(&old)].starts_with(b"w chain:8 2\n"));
+    let err = merge_err(&old);
+    assert!(err.contains("text spec block"), "{err}");
+    assert!(err.contains("regenerate"), "{err}");
 }
 
 /// `sweep --json` and `sweep merge --json` of the same grid's shards write

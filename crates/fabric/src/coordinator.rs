@@ -200,15 +200,18 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// Binds the coordinator socket and validates the spec (fixed-graph
-    /// workloads cannot distribute — they have no parseable spec string).
+    /// Binds the coordinator socket and validates the spec: it must have
+    /// a wire encoding ([`SweepSpec::encode_spec`], which refuses what a
+    /// worker's decoder would, and fixed-graph workloads).
     pub fn bind(spec: SweepSpec, config: FabricConfig) -> Result<Coordinator, String> {
         if spec.timing {
             return Err("--sim-timing is not supported for distributed sweeps \
                         (timings are per-worker and non-deterministic)"
                 .to_string());
         }
-        let spec_block = spec.encode_spec()?;
+        let spec_block = spec
+            .encode_spec()
+            .map_err(|e| format!("cannot distribute this grid: {e}"))?;
         let fingerprint = spec.grid_fingerprint();
         let listener =
             TcpListener::bind(&config.addr).map_err(|e| format!("bind {}: {e}", config.addr))?;

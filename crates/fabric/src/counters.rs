@@ -44,8 +44,8 @@ stg_experiments::counter_set! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stg_experiments::json::Json;
     use stg_experiments::metrics::CounterSet;
-    use stg_service::json::Json;
 
     #[test]
     fn stats_frame_round_trips() {
@@ -75,7 +75,7 @@ mod tests {
         assert_eq!(snap.leap.max_period, 9, "max_period takes the maximum");
         assert_eq!(snap.lease_cells, 128, "gauge keeps the last value");
         let frame = crate::FabricResponse::Stats(snap).frame();
-        let v = stg_service::json::parse(&frame).unwrap();
+        let v = stg_experiments::json::parse(&frame).unwrap();
         let names: Vec<&str> = v
             .as_object()
             .unwrap()

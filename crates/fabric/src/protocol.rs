@@ -1,5 +1,6 @@
 //! The fabric wire protocol: one JSON object per `\n`-terminated line,
-//! reusing the service crate's [`Json`] codec and frame reader.
+//! over the workspace's one [`Json`] codec and the service crate's frame
+//! reader.
 //!
 //! Requests carry an `"op"` member, responses an `"ok"` member:
 //!
@@ -11,15 +12,23 @@
 //! | `{"op":"ping","lease":..}` | `{"ok":"ack","end":..}` \| `{"ok":"gone"}` |
 //! | `{"op":"stats"}` | `{"ok":"stats",..}` |
 //!
-//! Any malformed request draws `{"ok":"error","error":..}`. Row payloads
+//! The handshake's `spec` member holds the
+//! [`SweepSpec::encode_spec`](stg_experiments::SweepSpec::encode_spec)
+//! bytes that shard headers and service sweep requests carry too; workers
+//! decode them with the validation `sweep merge` and the service apply.
+//! As in the service, a request with an unknown member is refused, and
+//! any malformed request draws `{"ok":"error","error":..}`. Row payloads
 //! travel as the hex-encoded row section of the `STGSHRD` shard artifact,
 //! coded by [`put_rows`]/[`take_rows`] — the workspace's one row codec —
 //! so one frame carries a bounded batch of rows without JSON-escaping
 //! every payload. This module adds only the hex wrapper.
 
+use std::sync::OnceLock;
 use stg_des::LeapStats;
+
+use stg_experiments::json::{self, Json};
+use stg_experiments::metrics::CounterSet;
 use stg_experiments::store::{put_rows, take_rows, Outcome};
-use stg_service::json::Json;
 
 /// Frame bound for fabric connections: row batches are larger than the
 /// service's request frames, but still bounded (a batch of
@@ -104,47 +113,31 @@ impl FabricRequest {
         .to_string()
     }
 
-    /// Parses one request line.
+    /// Parses one request line. Unknown members are refused.
     pub fn parse(line: &str) -> Result<FabricRequest, String> {
-        let v = stg_service::json::parse(line).map_err(|e| format!("bad frame: {e}"))?;
-        let op = v
-            .get("op")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing op".to_string())?;
-        let name = || {
-            v.get("name")
-                .and_then(Json::as_str)
-                .unwrap_or("worker")
-                .to_string()
-        };
+        let v = json::parse(line).map_err(|e| format!("bad frame: {e}"))?;
+        let op = v.str_field("op")?;
+        v.check_fields(match op {
+            "hello" | "next" => &["op", "name"],
+            "rows" => rows_fields(),
+            "ping" => &["op", "lease"],
+            _ => &["op"],
+        })?;
+        let name = || Ok::<_, String>(v.opt_str("name")?.unwrap_or("worker").to_string());
         match op {
-            "hello" => Ok(FabricRequest::Hello { name: name() }),
-            "next" => Ok(FabricRequest::Next { name: name() }),
-            "rows" => {
-                let n = |key: &str| {
-                    v.get(key)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| format!("rows frame missing {key}"))
-                };
-                let blob = v
-                    .get("rows")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "rows frame missing rows blob".to_string())?;
-                Ok(FabricRequest::Rows {
-                    lease: n("lease")?,
-                    rows: decode_rows(blob)?,
-                    hits: n("hits")?,
-                    misses: n("misses")?,
-                    leap: v
-                        .counters()
-                        .ok_or_else(|| "rows frame missing leap telemetry".to_string())?,
-                })
-            }
+            "hello" => Ok(FabricRequest::Hello { name: name()? }),
+            "next" => Ok(FabricRequest::Next { name: name()? }),
+            "rows" => Ok(FabricRequest::Rows {
+                lease: v.u64_field("lease")?,
+                rows: decode_rows(v.str_field("rows")?)?,
+                hits: v.u64_field("hits")?,
+                misses: v.u64_field("misses")?,
+                leap: v
+                    .counters()
+                    .ok_or_else(|| "rows frame missing leap telemetry".to_string())?,
+            }),
             "ping" => Ok(FabricRequest::Ping {
-                lease: v
-                    .get("lease")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| "ping frame missing lease".to_string())?,
+                lease: v.u64_field("lease")?,
             }),
             "stats" => Ok(FabricRequest::Stats),
             other => Err(format!("unknown op {other:?}")),
@@ -152,12 +145,23 @@ impl FabricRequest {
     }
 }
 
+/// The members a `rows` frame may carry: its own fields and the leap
+/// counter set's.
+fn rows_fields() -> &'static [&'static str] {
+    static FIELDS: OnceLock<Vec<&'static str>> = OnceLock::new();
+    FIELDS.get_or_init(|| {
+        let mut fields = vec!["op", "lease", "rows", "hits", "misses"];
+        LeapStats::default().visit(&mut |name, _| fields.push(name));
+        fields
+    })
+}
+
 /// A parsed fabric response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FabricResponse {
     /// Handshake answer: everything a worker needs to expand leases.
     Spec {
-        /// The [`SweepSpec::encode_spec`](stg_experiments::SweepSpec::encode_spec) block.
+        /// The [`SweepSpec::encode_spec`](stg_experiments::SweepSpec::encode_spec) bytes.
         spec: String,
         /// The spec's grid fingerprint (workers verify their expansion).
         fingerprint: u64,
@@ -264,44 +268,30 @@ impl FabricResponse {
 
     /// Parses one response line.
     pub fn parse(line: &str) -> Result<FabricResponse, String> {
-        let v = stg_service::json::parse(line).map_err(|e| format!("bad frame: {e}"))?;
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "missing ok".to_string())?;
-        let n = |key: &str| {
-            v.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{ok} frame missing {key}"))
-        };
-        match ok {
+        let v = json::parse(line).map_err(|e| format!("bad frame: {e}"))?;
+        match v.str_field("ok")? {
             "spec" => Ok(FabricResponse::Spec {
-                spec: v
-                    .get("spec")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| "spec frame missing spec".to_string())?
-                    .to_string(),
-                fingerprint: v
-                    .get("fingerprint")
-                    .and_then(Json::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| "spec frame missing fingerprint".to_string())?,
-                total: n("total")? as usize,
-                cache_dir: v
-                    .get("cache_dir")
-                    .and_then(Json::as_str)
-                    .map(str::to_string),
+                spec: v.str_field("spec")?.to_string(),
+                fingerprint: u64::from_str_radix(v.str_field("fingerprint")?, 16)
+                    .map_err(|e| format!("field \"fingerprint\": {e}"))?,
+                total: v.usize_field("total")?,
+                cache_dir: match v.required("cache_dir")? {
+                    Json::Null => None,
+                    _ => Some(v.str_field("cache_dir")?.to_string()),
+                },
             }),
             "lease" => Ok(FabricResponse::Lease {
-                lease: n("lease")?,
-                start: n("start")? as usize,
-                end: n("end")? as usize,
-                deadline_ms: n("deadline_ms")?,
+                lease: v.u64_field("lease")?,
+                start: v.usize_field("start")?,
+                end: v.usize_field("end")?,
+                deadline_ms: v.u64_field("deadline_ms")?,
             }),
-            "wait" => Ok(FabricResponse::Wait { ms: n("ms")? }),
+            "wait" => Ok(FabricResponse::Wait {
+                ms: v.u64_field("ms")?,
+            }),
             "drain" => Ok(FabricResponse::Drain),
             "ack" => Ok(FabricResponse::Ack {
-                end: n("end")? as usize,
+                end: v.usize_field("end")?,
             }),
             "gone" => Ok(FabricResponse::Gone),
             "stats" => v
@@ -309,11 +299,7 @@ impl FabricResponse {
                 .map(FabricResponse::Stats)
                 .ok_or_else(|| "malformed stats frame".to_string()),
             "error" => Ok(FabricResponse::Error {
-                error: v
-                    .get("error")
-                    .and_then(Json::as_str)
-                    .unwrap_or("unknown")
-                    .to_string(),
+                error: v.str_field("error")?.to_string(),
             }),
             other => Err(format!("unknown response {other:?}")),
         }
@@ -410,13 +396,33 @@ mod tests {
         assert!(FabricRequest::parse("{}").is_err());
         assert!(FabricRequest::parse("{\"op\":\"launch\"}").is_err());
         assert!(FabricRequest::parse("not json").is_err());
+        // Unknown members are refused, as in service requests.
+        for line in [
+            r#"{"op":"hello","name":"w1","nmae":"w2"}"#,
+            r#"{"op":"ping","lease":7,"deadline_ms":5}"#,
+            r#"{"op":"stats","verbose":true}"#,
+        ] {
+            let err = FabricRequest::parse(line).unwrap_err();
+            assert!(err.contains("unknown field"), "{line}: {err}");
+        }
+        let mut rows = FabricRequest::Rows {
+            lease: 1,
+            rows: Vec::new(),
+            hits: 0,
+            misses: 0,
+            leap: stg_des::LeapStats::default(),
+        }
+        .frame();
+        rows.insert_str(rows.len() - 1, ",\"hit\":1");
+        let err = FabricRequest::parse(&rows).unwrap_err();
+        assert!(err.contains("unknown field \"hit\""), "{err}");
     }
 
     #[test]
     fn response_frames_round_trip() {
         for resp in [
             FabricResponse::Spec {
-                spec: "graphs 1\nseed 3\n".into(),
+                spec: r#"{"workloads":[{"workload":"chain:8","pes":[2]}],"graphs":1}"#.into(),
                 fingerprint: 0xdead_beef_0bad_f00d,
                 total: 42,
                 cache_dir: Some("/tmp/cache".into()),

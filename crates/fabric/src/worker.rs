@@ -11,9 +11,10 @@
 //! Workers are expendable by design: any post-handshake I/O failure is a
 //! graceful drain (the coordinator re-queues whatever this worker held),
 //! and a `gone` ack makes the worker abandon the lease immediately. The
-//! only hard errors are connect/handshake failures and a spec whose size
-//! or fingerprint disagrees with the coordinator's — evaluating under a
-//! mismatched grid would silently corrupt the merge.
+//! only hard errors are connect/handshake failures, a spec the one spec
+//! validation refuses, and a spec whose size or fingerprint disagrees
+//! with the coordinator's — evaluating under a mismatched grid would
+//! silently corrupt the merge.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;

@@ -348,7 +348,7 @@ fn stats_op_answers_over_a_socket_while_the_run_is_busy() {
         .expect("recv")
         .expect("open")
         .expect("sized");
-    let v = stg_service::json::parse(&line).expect("a JSON frame");
+    let v = stg_experiments::json::parse(&line).expect("a JSON frame");
     let snap: FabricSnapshot = v.counters().expect("a whole fabric counter set");
     assert!(snap.leases_issued >= 1, "{line}");
     drop((stream, reader));
@@ -393,9 +393,29 @@ fn leap_telemetry_flows_through_rows_frames() {
 
 #[test]
 fn forged_grid_size_fails_the_handshake_before_the_fingerprint_walk() {
-    // A coordinator claiming a 2-case grid for a spec block that expands to
-    // trillions of cells: the worker compares the sizes, which is
+    // A coordinator claiming a 2-case grid for a spec encoding that expands
+    // to trillions of cells: the worker compares the sizes, which is
     // arithmetic, before it fingerprints, which walks every cell.
+    let mut forged = spec();
+    forged.graphs = 1_000_000_000_000;
+    let (addr, coordinator) = fake_coordinator(FabricResponse::Spec {
+        spec: forged.encode_spec().expect("registry workloads encode"),
+        fingerprint: 0,
+        total: 2,
+        cache_dir: None,
+    });
+    let started = Instant::now();
+    let err = run_worker(worker_config(addr)).expect_err("the sizes disagree");
+    let took = started.elapsed();
+    assert!(err.contains("grid size mismatch"), "{err}");
+    assert!(took < Duration::from_secs(1), "handshake took {took:?}");
+    coordinator.join().expect("fake coordinator");
+}
+
+/// A fake coordinator that answers the worker's `hello` with `spec` as
+/// the handshake frame, then holds the connection until the worker hangs
+/// up.
+fn fake_coordinator(spec: FabricResponse) -> (String, std::thread::JoinHandle<()>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("bound address").to_string();
     let coordinator = std::thread::spawn(move || {
@@ -412,24 +432,95 @@ fn forged_grid_size_fails_the_handshake_before_the_fingerprint_walk() {
             ),
             "{hello}"
         );
-        let mut forged = spec();
-        forged.graphs = 1_000_000_000_000;
-        let mut frame = FabricResponse::Spec {
-            spec: forged.encode_spec().expect("registry workloads encode"),
-            fingerprint: 0,
-            total: 2,
-            cache_dir: None,
-        }
-        .frame();
+        let mut frame = spec.frame();
         frame.push('\n');
         stream.write_all(frame.as_bytes()).expect("send the spec");
-        // Hold the connection until the worker hangs up.
         let _ = read_frame(&mut reader, MAX_FRAME_BYTES);
     });
-    let started = Instant::now();
-    let err = run_worker(worker_config(addr)).expect_err("the sizes disagree");
-    let took = started.elapsed();
-    assert!(err.contains("grid size mismatch"), "{err}");
-    assert!(took < Duration::from_secs(1), "handshake took {took:?}");
+    (addr, coordinator)
+}
+
+#[test]
+fn forged_zero_pe_count_fails_the_handshake() {
+    // Total and fingerprint match the forged grid, so only the spec
+    // validation stands between the worker and a scheduler asked for
+    // zero processing elements.
+    let mut forged = spec();
+    forged.workloads[0].pes = vec![0, 4];
+    let text = spec().encode_spec().expect("registry workloads encode");
+    let forged_text = text.replacen("\"pes\":[2,4]", "\"pes\":[0,4]", 1);
+    assert_ne!(forged_text, text);
+    let (addr, coordinator) = fake_coordinator(FabricResponse::Spec {
+        spec: forged_text,
+        fingerprint: forged.grid_fingerprint(),
+        total: forged.total_cases(),
+        cache_dir: None,
+    });
+    let err = run_worker(worker_config(addr)).expect_err("zero PEs are refused");
+    assert!(
+        err.contains("\"pes\" entries must be positive integers"),
+        "{err}"
+    );
     coordinator.join().expect("fake coordinator");
+}
+
+/// The three carriers of a spec — a shard header, the fabric handshake
+/// and a service sweep request — carry byte-equal encodings of one grid.
+#[test]
+fn shard_header_handshake_and_service_request_carry_one_spec_encoding() {
+    use stg_experiments::Shard;
+    use stg_service::{parse_request, Request, SweepRequest};
+
+    let spec = spec();
+    let encoding = spec.encode_spec().expect("registry workloads encode");
+
+    // The shard header: the length-prefixed spec after the fixed fields.
+    let artifact = spec
+        .run_shard(Shard { index: 0, of: 2 }, None)
+        .artifact_bytes()
+        .expect("registry workloads shard");
+    let spec_len_at = 7 + 3 * 4 + 4 * 8;
+    let len = u32::from_le_bytes(artifact[spec_len_at..spec_len_at + 4].try_into().unwrap());
+    let header_spec = &artifact[spec_len_at + 4..spec_len_at + 4 + len as usize];
+    assert_eq!(header_spec, encoding.as_bytes());
+
+    // The fabric handshake, from a bound coordinator.
+    let coordinator = Coordinator::bind(spec.clone(), FabricConfig::default()).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let run = std::thread::spawn(move || coordinator.run(SharedBuf::default()));
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let hello = FabricRequest::Hello { name: "raw".into() };
+    match exchange_raw(&mut stream, &mut reader, &hello) {
+        FabricResponse::Spec { spec: carried, .. } => assert_eq!(carried, encoding),
+        other => panic!("expected the spec frame, got {}", other.frame()),
+    }
+    drop((stream, reader));
+    let mut worker = worker_config(addr);
+    worker.threads = Some(1);
+    run_worker(worker).expect("a worker drains the run");
+    run.join().expect("coordinator thread").expect("fabric run");
+
+    // The service sweep request embeds the same bytes as its `sweep`
+    // object, and parses back to the same encoding.
+    let frame = SweepRequest { id: 5, spec }.encode().expect("encodes");
+    assert_eq!(frame, format!("{{\"id\":5,\"sweep\":{encoding}}}"));
+    match parse_request(&frame) {
+        Ok(Request::Sweep(back)) => assert_eq!(back.spec.encode_spec().unwrap(), encoding),
+        other => panic!("{frame} parsed to {other:?}"),
+    }
+}
+
+#[test]
+fn coordinate_refuses_a_grid_the_spec_encoding_cannot_carry() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_fabric"))
+        .args(["coordinate", "--graphs", "0"])
+        .output()
+        .expect("fabric launches");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("\"graphs\" must be a positive integer"),
+        "{stderr}"
+    );
 }

@@ -1,6 +1,7 @@
 //! Arbitrary-bytes properties of the decoders that read another process's
-//! bytes: fabric frames and their row section (`take_rows`), shard
-//! artifacts and `--cache-dir` segment files (this crate reaches them all).
+//! bytes: fabric frames and their row section (`take_rows`), the spec
+//! encoding (`decode_spec`), shard artifacts and `--cache-dir` segment
+//! files (this crate reaches them all).
 //! Seeded noise, single-byte replacements and tail cuts must never panic
 //! them. None of these formats carries a checksum, so a mutated digit can
 //! still decode to a plausible wrong value: these properties pin totality,
@@ -60,9 +61,10 @@ fn section(rows: &[(usize, Outcome)]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Noise, and a valid row section, one-way shard artifact and `rows`
-    /// frame with one byte replaced or the tail cut, never panic their
-    /// decoders; rows that `take_rows` accepts re-encode and decode back
+    /// Noise, and a valid row section, spec encoding, one-way shard
+    /// artifact and `rows` frame with one byte replaced or the tail cut,
+    /// never panic their decoders; rows that `take_rows` accepts, and
+    /// specs that `decode_spec` accepts, re-encode and decode back
     /// unchanged.
     #[test]
     fn decoders_never_panic(
@@ -77,6 +79,14 @@ proptest! {
                 let again = section(&accepted);
                 let back = take_rows(&again).map_err(TestCaseError::fail)?;
                 prop_assert_eq!(section(&back), again);
+            }
+        }
+        let encoding = spec().encode_spec().expect("registry workloads encode");
+        for bytes in [garbage(noise), mutate(encoding.into_bytes(), pos, byte, cut)] {
+            if let Ok(accepted) = SweepSpec::decode_spec(&String::from_utf8_lossy(&bytes)) {
+                let again = accepted.encode_spec().map_err(TestCaseError::fail)?;
+                let back = SweepSpec::decode_spec(&again).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(back.encode_spec().map_err(TestCaseError::fail)?, again);
             }
         }
         let artifact = spec().run_shard(Shard { index: 0, of: 1 }, None).artifact_bytes();

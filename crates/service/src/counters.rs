@@ -15,7 +15,7 @@ use stg_des::LeapStats;
 use stg_experiments::metrics::LeapCounters;
 use stg_experiments::StoreStats;
 
-use crate::json::Json;
+use stg_experiments::json::Json;
 
 stg_experiments::counter_set! {
     /// One point-in-time copy of the service-wide [`Totals`].
@@ -296,7 +296,7 @@ mod tests {
                 max_period: 12,
             }
         );
-        let v = crate::json::parse(&stats.frame(9)).unwrap();
+        let v = stg_experiments::json::parse(&stats.frame(9)).unwrap();
         assert_unique_members(&v);
         assert_eq!(v.get("cell_cache_evicted").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("frames_dropped").and_then(Json::as_u64), Some(3));
@@ -308,7 +308,7 @@ mod tests {
         let frame = Counters::default().stats(StoreStats::default()).frame(1);
         let forged = frame.replace("\"queued\":0", "\"queued\":1");
         assert_ne!(forged, frame);
-        let v = crate::json::parse(&forged).unwrap();
+        let v = stg_experiments::json::parse(&forged).unwrap();
         assert!(Stats::from_json(&v).is_none());
     }
 }

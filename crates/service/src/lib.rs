@@ -8,9 +8,10 @@
 //!
 //! The production concerns live in dedicated modules:
 //!
-//! - [`json`] — lossless, bounded, dependency-free JSON;
 //! - [`protocol`] — request/response frames (plan, sweep, stats, ping,
-//!   shutdown; 400/503 error frames);
+//!   shutdown; 400/503 error frames), over the workspace's one JSON codec
+//!   ([`stg_experiments::json`]); a sweep request carries the spec
+//!   encoding that shard artifacts and fabric handshakes carry too;
 //! - [`queue`] — bounded admission with per-client round-robin fairness
 //!   (overload is an explicit `503`, never unbounded buffering);
 //! - [`counters`] — per-request and aggregate counters behind the
@@ -30,7 +31,6 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod json;
 pub mod loadgen;
 pub mod protocol;
 pub mod queue;

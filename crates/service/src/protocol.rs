@@ -14,27 +14,29 @@
 //!   to evaluating the same spec through the engine directly.
 //! - **Sweep** — a whole grid: `{"id":2,"sweep":{"workloads":[{"workload":
 //!   "chain:8","pes":[2,4]}],"graphs":2,"seed":7,"schedulers":["sb-lts"],
-//!   "sim":"batched"}}`. Answered by one `"record"` frame per case (in
-//!   deterministic case order) and a final `"done"` frame.
+//!   "sim":"batched"}}`, whose `sweep` object is the
+//!   [`SweepSpec::encode_spec`] encoding shard headers and fabric
+//!   handshakes carry too, read by [`SweepSpec::from_json`]. Answered by
+//!   one `"record"` frame per case (in deterministic case order) and a
+//!   final `"done"` frame.
 //! - **Control** — `{"cmd":"stats"}`, `{"cmd":"ping"}`,
 //!   `{"cmd":"shutdown"}` (each with an optional `id`).
 //!
 //! Malformed frames never panic and never drop the connection: they are
 //! answered by a structured `"error"` frame carrying an HTTP-flavoured
 //! code (400 malformed, 503 overloaded/draining). Unknown fields are
-//! rejected (a typoed `"sheduler"` must not silently pick a default).
+//! rejected (a typoed `"sheduler"` must not silently pick a default), by
+//! the codec's shared accessors ([`Json::check_fields`] and friends).
 //!
 //! Everything round-trips: `encode` of a parsed frame reproduces the
 //! frame byte-for-byte for every registered workload, scheduler, and
 //! simulator combination (`tests/proptest_protocol.rs` pins this).
 
-use std::str::FromStr;
-
 use stg_core::SchedulerKind;
-use stg_experiments::{SimChoice, SweepSpec, WorkloadSpec};
+use stg_experiments::json::{self, Json};
+pub use stg_experiments::SimMode;
+use stg_experiments::{SweepSpec, WorkloadSpec};
 use stg_workloads::{WorkloadFamily, WorkloadKind};
-
-use crate::json::{self, Json};
 
 /// Protocol error code for malformed or unsupported requests.
 pub const CODE_BAD_REQUEST: u16 = 400;
@@ -42,55 +44,6 @@ pub const CODE_BAD_REQUEST: u16 = 400;
 /// the `503`-style overload frame the admission queue emits instead of
 /// buffering without bound.
 pub const CODE_OVERLOADED: u16 = 503;
-
-/// Which validation the request asks for: `"off"` (no simulation) or a
-/// simulator choice (`"reference"`, `"batched"`, `"both"`).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SimMode {
-    /// No validation simulation.
-    #[default]
-    Off,
-    /// Validate with the given simulator choice.
-    Validate(SimChoice),
-}
-
-impl SimMode {
-    /// True when the request asks for validation.
-    pub fn validates(&self) -> bool {
-        matches!(self, SimMode::Validate(_))
-    }
-
-    /// The engine simulator choice (the default choice when off — the
-    /// engine ignores it unless `validate` is set).
-    pub fn choice(&self) -> SimChoice {
-        match self {
-            SimMode::Off => SimChoice::default(),
-            SimMode::Validate(c) => *c,
-        }
-    }
-}
-
-impl std::fmt::Display for SimMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SimMode::Off => f.write_str("off"),
-            SimMode::Validate(c) => write!(f, "{c}"),
-        }
-    }
-}
-
-impl FromStr for SimMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s.eq_ignore_ascii_case("off") {
-            return Ok(SimMode::Off);
-        }
-        s.parse::<SimChoice>()
-            .map(SimMode::Validate)
-            .map_err(|e| e.to_string())
-    }
-}
 
 /// One scheduling-cell request.
 #[derive(Clone, Debug, PartialEq)]
@@ -165,6 +118,18 @@ pub struct SweepRequest {
     /// not part of the protocol) and `threads` is 1, as for a plan
     /// request.
     pub spec: SweepSpec,
+}
+
+impl SweepRequest {
+    /// Renders the frame `{"id":N,"sweep":<spec>}`, embedding the
+    /// [`SweepSpec::encode_spec`] bytes verbatim (or its refusal).
+    pub fn encode(&self) -> Result<String, String> {
+        Ok(format!(
+            "{{\"id\":{},\"sweep\":{}}}",
+            self.id,
+            self.spec.encode_spec()?
+        ))
+    }
 }
 
 /// One parsed request frame.
@@ -259,32 +224,6 @@ fn recover_id(v: &Json) -> u64 {
     v.get("id").and_then(Json::as_u64).unwrap_or(0)
 }
 
-fn required<'a>(v: &'a Json, key: &str, id: u64) -> Result<&'a Json, ProtoError> {
-    v.get(key)
-        .ok_or_else(|| ProtoError::bad(id, format!("missing required field {key:?}")))
-}
-
-fn str_field<'a>(v: &'a Json, key: &str, id: u64) -> Result<&'a str, ProtoError> {
-    required(v, key, id)?
-        .as_str()
-        .ok_or_else(|| ProtoError::bad(id, format!("field {key:?} must be a string")))
-}
-
-fn check_fields(v: &Json, allowed: &[&str], id: u64) -> Result<(), ProtoError> {
-    let members = v
-        .as_object()
-        .ok_or_else(|| ProtoError::bad(id, "request frame must be a JSON object"))?;
-    for (key, _) in members {
-        if !allowed.contains(&key.as_str()) {
-            return Err(ProtoError::bad(
-                id,
-                format!("unknown field {key:?} (allowed: {})", allowed.join(", ")),
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Parses one request frame. Never panics; every malformation is a
 /// [`ProtoError`] carrying the recovered correlation id.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
@@ -293,174 +232,56 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     if v.as_object().is_none() {
         return Err(ProtoError::bad(id, "request frame must be a JSON object"));
     }
+    request_of(&v, id).map_err(|e| ProtoError::bad(id, e))
+}
+
+/// The request a parsed frame object denotes.
+fn request_of(v: &Json, id: u64) -> Result<Request, String> {
     if let Some(cmd) = v.get("cmd") {
-        check_fields(&v, &["id", "cmd"], id)?;
-        let cmd = cmd
-            .as_str()
-            .ok_or_else(|| ProtoError::bad(id, "field \"cmd\" must be a string"))?;
-        return match cmd {
+        v.check_fields(&["id", "cmd"])?;
+        return match cmd.as_str().ok_or("field \"cmd\" must be a string")? {
             "stats" => Ok(Request::Stats { id }),
             "ping" => Ok(Request::Ping { id }),
             "shutdown" => Ok(Request::Shutdown { id }),
-            other => Err(ProtoError::bad(
-                id,
-                format!("unknown cmd {other:?} (known: stats, ping, shutdown)"),
+            other => Err(format!(
+                "unknown cmd {other:?} (known: stats, ping, shutdown)"
             )),
         };
     }
     if let Some(sweep) = v.get("sweep") {
-        check_fields(&v, &["id", "sweep"], id)?;
-        return Ok(Request::Sweep(SweepRequest {
-            id,
-            spec: parse_sweep_spec(sweep, id)?,
-        }));
+        v.check_fields(&["id", "sweep"])?;
+        let mut spec = SweepSpec::from_json(sweep)?;
+        spec.threads = Some(1);
+        return Ok(Request::Sweep(SweepRequest { id, spec }));
     }
-    check_fields(
-        &v,
-        &[
-            "id",
-            "workload",
-            "seed",
-            "pes",
-            "scheduler",
-            "sim",
-            "tenant",
-        ],
-        id,
-    )?;
-    let workload: WorkloadKind = str_field(&v, "workload", id)?
-        .parse()
-        .map_err(|e| ProtoError::bad(id, format!("{e}")))?;
-    let scheduler: SchedulerKind = str_field(&v, "scheduler", id)?
-        .parse()
-        .map_err(|e| ProtoError::bad(id, format!("{e}")))?;
-    let pes = required(&v, "pes", id)?
-        .as_usize()
-        .filter(|&p| p >= 1)
-        .ok_or_else(|| ProtoError::bad(id, "field \"pes\" must be a positive integer"))?;
-    let seed = match v.get("seed") {
-        None => 0,
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| ProtoError::bad(id, "field \"seed\" must be an unsigned integer"))?,
-    };
-    let sim = match v.get("sim") {
-        None => SimMode::Off,
-        Some(s) => s
-            .as_str()
-            .ok_or_else(|| ProtoError::bad(id, "field \"sim\" must be a string"))?
-            .parse()
-            .map_err(|e: String| ProtoError::bad(id, e))?,
-    };
-    let tenant = match v.get("tenant") {
-        None => String::new(),
-        Some(t) => t
-            .as_str()
-            .ok_or_else(|| ProtoError::bad(id, "field \"tenant\" must be a string"))?
-            .to_string(),
-    };
+    v.check_fields(&[
+        "id",
+        "workload",
+        "seed",
+        "pes",
+        "scheduler",
+        "sim",
+        "tenant",
+    ])?;
     Ok(Request::Plan(PlanRequest {
         id,
-        workload,
-        seed,
-        pes,
-        scheduler,
-        sim,
-        tenant,
+        workload: v
+            .str_field("workload")?
+            .parse()
+            .map_err(|e| format!("{e}"))?,
+        seed: v.opt_u64("seed")?.unwrap_or(0),
+        pes: v
+            .required("pes")?
+            .as_usize()
+            .filter(|&p| p >= 1)
+            .ok_or("field \"pes\" must be a positive integer")?,
+        scheduler: v
+            .str_field("scheduler")?
+            .parse()
+            .map_err(|e| format!("{e}"))?,
+        sim: v.opt_str("sim")?.unwrap_or("off").parse()?,
+        tenant: v.opt_str("tenant")?.unwrap_or_default().to_string(),
     }))
-}
-
-fn parse_sweep_spec(v: &Json, id: u64) -> Result<SweepSpec, ProtoError> {
-    check_fields(v, &["workloads", "graphs", "seed", "schedulers", "sim"], id)?;
-    let workloads_json = required(v, "workloads", id)?
-        .as_array()
-        .ok_or_else(|| ProtoError::bad(id, "field \"workloads\" must be an array"))?;
-    if workloads_json.is_empty() {
-        return Err(ProtoError::bad(id, "field \"workloads\" must be non-empty"));
-    }
-    let mut workloads = Vec::with_capacity(workloads_json.len());
-    for w in workloads_json {
-        check_fields(w, &["workload", "pes"], id)?;
-        let workload: WorkloadKind = str_field(w, "workload", id)?
-            .parse()
-            .map_err(|e| ProtoError::bad(id, format!("{e}")))?;
-        let pes = match w.get("pes") {
-            None => workload.default_pes(),
-            Some(list) => {
-                let items = list
-                    .as_array()
-                    .ok_or_else(|| ProtoError::bad(id, "field \"pes\" must be an array"))?;
-                items
-                    .iter()
-                    .map(|p| {
-                        p.as_usize().filter(|&p| p >= 1).ok_or_else(|| {
-                            ProtoError::bad(id, "\"pes\" entries must be positive integers")
-                        })
-                    })
-                    .collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        if pes.is_empty() {
-            return Err(ProtoError::bad(id, "field \"pes\" must be non-empty"));
-        }
-        workloads.push(WorkloadSpec { workload, pes });
-    }
-    let graphs = match v.get("graphs") {
-        None => 1,
-        Some(g) => g
-            .as_u64()
-            .filter(|&g| g >= 1)
-            .ok_or_else(|| ProtoError::bad(id, "field \"graphs\" must be a positive integer"))?,
-    };
-    let seed = match v.get("seed") {
-        None => 0,
-        Some(s) => s
-            .as_u64()
-            .ok_or_else(|| ProtoError::bad(id, "field \"seed\" must be an unsigned integer"))?,
-    };
-    let schedulers = match v.get("schedulers") {
-        None => vec![SchedulerKind::StreamingLts],
-        Some(list) => {
-            let items = list
-                .as_array()
-                .ok_or_else(|| ProtoError::bad(id, "field \"schedulers\" must be an array"))?;
-            if items.is_empty() {
-                return Err(ProtoError::bad(
-                    id,
-                    "field \"schedulers\" must be non-empty",
-                ));
-            }
-            items
-                .iter()
-                .map(|s| {
-                    s.as_str()
-                        .ok_or_else(|| {
-                            ProtoError::bad(id, "\"schedulers\" entries must be strings")
-                        })?
-                        .parse::<SchedulerKind>()
-                        .map_err(|e| ProtoError::bad(id, format!("{e}")))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        }
-    };
-    let sim = match v.get("sim") {
-        None => SimMode::Off,
-        Some(s) => s
-            .as_str()
-            .ok_or_else(|| ProtoError::bad(id, "field \"sim\" must be a string"))?
-            .parse()
-            .map_err(|e: String| ProtoError::bad(id, e))?,
-    };
-    Ok(SweepSpec {
-        workloads,
-        graphs,
-        seed,
-        schedulers,
-        validate: sim.validates(),
-        sim: sim.choice(),
-        timing: false,
-        threads: Some(1),
-    })
 }
 
 /// The `"ok"` response to a [`PlanRequest`]: the request coordinates plus
@@ -607,52 +428,36 @@ impl Response {
 pub fn parse_response(line: &str) -> Result<Response, String> {
     let v = json::parse(line.trim()).map_err(|e| format!("bad JSON: {e}"))?;
     let id = recover_id(&v);
-    let status = v
-        .get("status")
-        .and_then(Json::as_str)
-        .ok_or("response frame has no \"status\"")?;
-    let str_of = |key: &str| -> Result<String, String> {
-        v.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or(format!("response frame missing {key:?}"))
-    };
-    let usize_of = |key: &str| -> Result<usize, String> {
-        v.get(key)
-            .and_then(Json::as_usize)
-            .ok_or(format!("response frame missing {key:?}"))
-    };
-    match status {
+    let field = |key: &str| v.str_field(key).map(str::to_string);
+    match v.str_field("status")? {
         "ok" => Ok(Response::Ok(PlanResponse {
             id,
-            workload: str_of("workload")?,
-            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            pes: usize_of("pes")?,
-            scheduler: str_of("scheduler")?,
-            sim: str_of("sim")?,
-            outcome: str_of("outcome")?,
+            workload: field("workload")?,
+            seed: v.opt_u64("seed")?.unwrap_or(0),
+            pes: v.usize_field("pes")?,
+            scheduler: field("scheduler")?,
+            sim: field("sim")?,
+            outcome: field("outcome")?,
         })),
         "record" => Ok(Response::Record(RecordResponse {
             id,
-            index: usize_of("index")?,
-            workload: str_of("workload")?,
-            seed: v.get("seed").and_then(Json::as_u64).unwrap_or(0),
-            pes: usize_of("pes")?,
-            scheduler: str_of("scheduler")?,
-            outcome: str_of("outcome")?,
+            index: v.usize_field("index")?,
+            workload: field("workload")?,
+            seed: v.opt_u64("seed")?.unwrap_or(0),
+            pes: v.usize_field("pes")?,
+            scheduler: field("scheduler")?,
+            outcome: field("outcome")?,
         })),
         "done" => Ok(Response::Done(DoneResponse {
             id,
-            cases: usize_of("cases")?,
-            errors: usize_of("errors")?,
+            cases: v.usize_field("cases")?,
+            errors: v.usize_field("errors")?,
         })),
         "error" => Ok(Response::Error(ProtoError {
             id,
-            code: v
-                .get("code")
-                .and_then(Json::as_u64)
-                .ok_or("error frame missing \"code\"")? as u16,
-            error: str_of("error")?,
+            code: u16::try_from(v.u64_field("code")?)
+                .map_err(|_| "field \"code\" must fit in 16 bits")?,
+            error: field("error")?,
         })),
         "stats" => Ok(Response::Stats(v)),
         "pong" => Ok(Response::Pong { id }),
@@ -663,6 +468,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stg_experiments::SimChoice;
 
     #[test]
     fn plan_request_round_trips() {
@@ -752,6 +558,17 @@ mod tests {
         assert!(s.spec.validate);
         assert_eq!(s.spec.sim, SimChoice::Batched);
         assert!(!s.spec.timing);
+    }
+
+    #[test]
+    fn error_codes_past_u16_are_refused_not_truncated() {
+        let frame = |code: u64| format!(r#"{{"id":1,"status":"error","code":{code},"error":"x"}}"#);
+        let err = parse_response(&frame(70_000)).unwrap_err();
+        assert!(err.contains("\"code\""), "{err}");
+        match parse_response(&frame(503)).unwrap() {
+            Response::Error(e) => assert_eq!(e.code, CODE_OVERLOADED),
+            other => panic!("not an error frame: {other:?}"),
+        }
     }
 
     #[test]

@@ -12,13 +12,16 @@
 //!
 //! Shutdown (`{"cmd":"shutdown"}` or [`Daemon::shutdown`]) is a graceful
 //! drain: no new admissions, queued work still served, then the workers
-//! and the accept loop exit.
+//! and the accept loop exit, and [`Daemon::wait`] returns once every frame
+//! already handed to a connection's writer — the shutdown ack included —
+//! is written or counted in `frames_dropped`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::protocol::{self, ProtoError, Request};
 use crate::queue::{Admission, Reject};
@@ -28,11 +31,23 @@ use crate::service::Service;
 /// (without buffering them) and answered with a 400 frame.
 pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 
+/// How long [`Daemon::wait`] waits for frames still in flight after the
+/// drain: only a client that stopped reading holds a writer that long.
+const FLUSH_BOUND: Duration = Duration::from_secs(5);
+
 /// One admitted unit of work: the request plus the connection's writer.
 struct Job {
     client: u64,
     request: Request,
-    out: mpsc::Sender<String>,
+    out: Writer,
+}
+
+/// A connection's writer channel, with the daemon's count of frames handed
+/// to writers and not yet written or counted in `frames_dropped`.
+#[derive(Clone)]
+struct Writer {
+    tx: mpsc::Sender<String>,
+    in_flight: Arc<AtomicU64>,
 }
 
 /// The running daemon: listener address plus the handles needed to stop
@@ -42,6 +57,7 @@ pub struct Daemon {
     service: Arc<Service>,
     queue: Arc<Admission<Job>>,
     stopping: Arc<AtomicBool>,
+    in_flight: Arc<AtomicU64>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -77,6 +93,7 @@ impl Daemon {
             None => Arc::new(Admission::<Job>::new(queue_bound)),
         };
         let stopping = Arc::new(AtomicBool::new(false));
+        let in_flight = Arc::new(AtomicU64::new(0));
 
         let mut pool = Vec::with_capacity(workers);
         for _ in 0..workers {
@@ -97,6 +114,7 @@ impl Daemon {
             let queue = Arc::clone(&queue);
             let service = Arc::clone(&service);
             let stopping = Arc::clone(&stopping);
+            let in_flight = Arc::clone(&in_flight);
             std::thread::spawn(move || {
                 let clients = Arc::new(AtomicU64::new(0));
                 for stream in listener.incoming() {
@@ -108,8 +126,9 @@ impl Daemon {
                     let queue = Arc::clone(&queue);
                     let service = Arc::clone(&service);
                     let stopping = Arc::clone(&stopping);
+                    let in_flight = Arc::clone(&in_flight);
                     std::thread::spawn(move || {
-                        serve_connection(stream, client, &service, &queue, &stopping);
+                        serve_connection(stream, client, &service, &queue, &stopping, in_flight);
                     });
                 }
             })
@@ -120,6 +139,7 @@ impl Daemon {
             service,
             queue,
             stopping,
+            in_flight,
             accept: Some(accept),
             workers: pool,
         })
@@ -146,14 +166,20 @@ impl Daemon {
     }
 
     /// Waits for the drain to complete: all queued work served, workers
-    /// and accept loop exited. Open connections are not waited for —
-    /// their reader threads die with their sockets.
+    /// and accept loop exited, and every frame handed to a writer written
+    /// or counted in `frames_dropped` (for at most five seconds). Open
+    /// connections are not waited for — their reader threads die with
+    /// their sockets — so an idle client cannot hold the drain up.
     pub fn wait(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
         if let Some(a) = self.accept.take() {
             let _ = a.join();
+        }
+        let deadline = Instant::now() + FLUSH_BOUND;
+        while self.in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -208,9 +234,11 @@ pub fn read_frame(
 /// Hands a response frame to its connection's writer, counting it in
 /// `frames_dropped` if the writer is gone. Returns whether it was handed
 /// over.
-fn send(service: &Service, out: &mpsc::Sender<String>, frame: String) -> bool {
-    let sent = out.send(frame).is_ok();
+fn send(service: &Service, out: &Writer, frame: String) -> bool {
+    out.in_flight.fetch_add(1, Ordering::SeqCst);
+    let sent = out.tx.send(frame).is_ok();
     if !sent {
+        out.in_flight.fetch_sub(1, Ordering::SeqCst);
         service.counters().totals().frames_dropped.add(1);
     }
     sent
@@ -219,8 +247,14 @@ fn send(service: &Service, out: &mpsc::Sender<String>, frame: String) -> bool {
 /// One connection's writer loop. On the first failed write the client is
 /// gone: it shuts the socket down, so the reader loop ends too, and counts
 /// the failed frame and every frame queued behind it, including those
-/// still being produced, in `frames_dropped`.
-fn write_frames(service: &Service, stream: TcpStream, frames: mpsc::Receiver<String>) {
+/// still being produced, in `frames_dropped`. Each frame leaves the
+/// in-flight count once written or counted.
+fn write_frames(
+    service: &Service,
+    stream: TcpStream,
+    frames: mpsc::Receiver<String>,
+    in_flight: &AtomicU64,
+) {
     let mut out = std::io::BufWriter::new(stream);
     let mut frames = frames.into_iter();
     for frame in frames.by_ref() {
@@ -232,8 +266,10 @@ fn write_frames(service: &Service, stream: TcpStream, frames: mpsc::Receiver<Str
             let _ = out.get_ref().shutdown(Shutdown::Both);
             let dropped = 1 + frames.count() as u64;
             service.counters().totals().frames_dropped.add(dropped);
+            in_flight.fetch_sub(dropped, Ordering::SeqCst);
             return;
         }
+        in_flight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -246,6 +282,7 @@ fn serve_connection(
     service: &Arc<Service>,
     queue: &Arc<Admission<Job>>,
     stopping: &Arc<AtomicBool>,
+    in_flight: Arc<AtomicU64>,
 ) {
     // Responses are one buffered write + flush per frame; without
     // TCP_NODELAY a frame can sit behind Nagle waiting on a delayed ACK,
@@ -254,11 +291,13 @@ fn serve_connection(
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let (tx, rx) = mpsc::channel::<String>();
+    let (tx, rx) = mpsc::channel();
     let writer = {
         let service = Arc::clone(service);
-        std::thread::spawn(move || write_frames(&service, write_half, rx))
+        let in_flight = Arc::clone(&in_flight);
+        std::thread::spawn(move || write_frames(&service, write_half, rx, &in_flight))
     };
+    let tx = Writer { tx, in_flight };
 
     let mut reader = BufReader::new(stream);
     loop {

@@ -268,13 +268,12 @@ impl Service {
         (sweep, if evaluated { micros } else { 0 })
     }
 
-    /// Rejects a spec before anything expands it: when its seed range
-    /// overflows `u64`, or when its whole grid totals more tasks than the
-    /// configured bound (checked arithmetic, so no product wraps under
-    /// the bound). `Err` is the 400 frame.
+    /// Rejects a spec before anything expands it when its whole grid
+    /// totals more tasks than the configured bound (checked arithmetic, so
+    /// no product wraps under the bound). Seed ranges were checked when
+    /// the request parsed. `Err` is the 400 frame.
     fn check_size(&self, id: u64, spec: &SweepSpec) -> Result<(), String> {
         let bad = |msg: String| Err(ProtoError::bad(id, msg).frame());
-        SweepSpec::check_seed_range(spec.seed, spec.graphs).or_else(bad)?;
         let tasks = spec.workloads.iter().try_fold(0usize, |sum, w| {
             let runs = usize::try_from(spec.runs_per_cell(&w.workload)).ok()?;
             w.workload
@@ -638,7 +637,7 @@ mod tests {
         );
         // And the stats frame carries them.
         let frames = s.handle(1, r#"{"cmd":"stats","id":1}"#);
-        let v = crate::json::parse(&frames[0]).unwrap();
+        let v = stg_experiments::json::parse(&frames[0]).unwrap();
         let back = crate::Stats::from_json(&v).unwrap();
         assert_eq!(back.tenants, stats.tenants);
     }
@@ -655,11 +654,14 @@ mod tests {
             r#"{"workload":"chain:8","seed":0,"pes":2,"scheduler":"sb-lts"}"#,
         );
         let frames = s.handle(3, r#"{"cmd":"stats","id":42}"#);
-        let v = crate::json::parse(&frames[0]).unwrap();
+        let v = stg_experiments::json::parse(&frames[0]).unwrap();
         let stats = crate::Stats::from_json(&v).unwrap();
         assert_eq!(stats.service.accepted, 2);
         assert_eq!(stats.service.completed, 2);
         assert_eq!((stats.cell_cache.hits, stats.cell_cache.misses), (1, 1));
-        assert_eq!(v.get("id").and_then(crate::json::Json::as_u64), Some(42));
+        assert_eq!(
+            v.get("id").and_then(stg_experiments::json::Json::as_u64),
+            Some(42)
+        );
     }
 }

@@ -2,15 +2,17 @@
 //!
 //! Two contracts, from the outside: every registered (workload,
 //! scheduler, simulator) combination round-trips through request encode
-//! → parse → response encode without loss, and *no* input line — random
+//! → parse → response encode without loss, plan and sweep requests
+//! alike, and *no* input line — random
 //! bytes, truncations, single-byte mutations of valid frames — ever
 //! panics the parser or escapes without a structured error frame.
 
 use proptest::prelude::*;
 use stg_core::SchedulerKind;
+use stg_experiments::{SweepSpec, WorkloadSpec};
 use stg_service::{
     parse_request, parse_response, PlanRequest, PlanResponse, ProtoError, Request, Response,
-    Service, ServiceConfig, SimMode, CODE_BAD_REQUEST,
+    Service, ServiceConfig, SimMode, SweepRequest, CODE_BAD_REQUEST,
 };
 use stg_workloads::WorkloadKind;
 
@@ -37,6 +39,45 @@ fn every_registered_combination_round_trips() {
                 let line = req.encode();
                 match parse_request(&line) {
                     Ok(Request::Plan(back)) => assert_eq!(back, req, "{line}"),
+                    other => panic!("{line} parsed to {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A sweep request over every registered workload × scheduler × sim
+/// mode round-trips encode → parse → encode byte for byte. The encodings
+/// are compared, not the structs: with validation off, `"sim":"off"`
+/// drops the unused simulator choice, which neither the grid
+/// fingerprint nor any emitted artifact reads.
+#[test]
+fn every_registered_sweep_request_round_trips() {
+    for workload in WorkloadKind::registered() {
+        for scheduler in SchedulerKind::ALL {
+            for sim in sim_modes() {
+                let req = SweepRequest {
+                    id: 11,
+                    spec: SweepSpec {
+                        workloads: vec![WorkloadSpec {
+                            workload: workload.clone(),
+                            pes: vec![2, 8],
+                        }],
+                        graphs: 3,
+                        seed: u64::MAX - 2,
+                        schedulers: vec![scheduler, SchedulerKind::NonStreaming],
+                        validate: sim.validates(),
+                        sim: sim.choice(),
+                        timing: false,
+                        threads: Some(1),
+                    },
+                };
+                let line = req.encode().expect("registry specs encode");
+                match parse_request(&line) {
+                    Ok(Request::Sweep(back)) => {
+                        assert_eq!(back.id, 11, "{line}");
+                        assert_eq!(back.encode().expect("re-encodes"), line);
+                    }
                     other => panic!("{line} parsed to {other:?}"),
                 }
             }

@@ -476,3 +476,31 @@ fn sweep_requests_stream_records_over_tcp() {
     daemon.shutdown();
     daemon.wait();
 }
+
+/// `serve` exits as soon as `Daemon::wait` returns, so every frame handed
+/// to a connection's writer before then — the shutdown ack included —
+/// must already be on the socket. Each round reads the ack without
+/// blocking, right after `wait`.
+#[test]
+fn shutdown_ack_is_written_before_wait_returns() {
+    for round in 0..50 {
+        let daemon = start(ServiceConfig::default(), 2, 8);
+        // An idle client that keeps its connection open must not hold
+        // the drain up.
+        let idle = Client::connect(daemon.addr());
+        let mut c = Client::connect(daemon.addr());
+        c.send(&format!(r#"{{"cmd":"shutdown","id":{round}}}"#));
+        daemon.wait();
+        c.stream.set_nonblocking(true).expect("nonblocking");
+        let mut line = String::new();
+        match c.reader.read_line(&mut line) {
+            Ok(n) if n > 0 => {}
+            other => panic!("round {round}: no ack on the socket when wait returned: {other:?}"),
+        }
+        match parse_response(line.trim_end()).expect("ack parses") {
+            Response::Done(d) => assert_eq!(d.id, round, "round {round}"),
+            other => panic!("round {round}: unexpected shutdown ack {other:?}"),
+        }
+        drop(idle);
+    }
+}
