@@ -14,19 +14,27 @@
 //! - the fabric coordinator, as worker `rows` frames arrive.
 //!
 //! So the three artifacts are byte-identical by construction.
-//! Out-of-order arrivals buffer in a [`BTreeMap`] until the next emission
-//! index arrives; a fabric coordinator issues leases in index order, so
+//! A row pushed at the next emission index is written at once;
+//! out-of-order arrivals buffer in a [`BTreeMap`] until the next emission
+//! index arrives. A fabric coordinator issues leases in index order, so
 //! the buffer is bounded by the outstanding-lease spread, not the grid
 //! size. The merger also keeps the one failure tally ([`MergeTallies`])
 //! behind every binary's exit code, and names the first rows on which the
 //! simulators diverged ([`MergeReport::diverged`]).
+//!
+//! Rows render without `std` formatting and without a `String` per row:
+//! each row is written into one reused byte buffer, the workload's label
+//! and task count are rendered once per workload, integers are written
+//! digit by digit, and the six-decimal float columns go through an exact
+//! fixed-point renderer that writes the bytes `format!("{:.6}")` writes.
 
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::ops::Range;
 
 use stg_workloads::WorkloadFamily;
 
-use crate::engine::{Case, Run, SweepSpec};
+use crate::engine::{Record, Run, SweepSpec};
 use crate::json::quote;
 use crate::store::{error_code, Outcome};
 
@@ -92,6 +100,50 @@ impl MergeTallies {
     }
 }
 
+/// The workload whose rows are being emitted: the case indices of its
+/// block and the row parts every one of its rows shares, rendered once.
+struct Block {
+    /// Index of the workload in the spec.
+    workload: usize,
+    /// The case indices of the workload's block.
+    range: Range<usize>,
+    /// The label as the artifact writes it: CSV-safe, or a JSON string.
+    label: String,
+    /// Compute tasks per graph.
+    tasks: usize,
+}
+
+impl Block {
+    /// A block that holds no index, so the first row renders its own.
+    fn none() -> Block {
+        Block {
+            workload: 0,
+            range: 0..0,
+            label: String::new(),
+            tasks: 0,
+        }
+    }
+
+    /// The block holding case `index` of `spec`.
+    fn at(spec: &SweepSpec, kind: OutputKind, index: usize) -> Block {
+        let (workload, (w, range)) = spec
+            .blocks()
+            .enumerate()
+            .find(|(_, (_, range))| range.contains(&index))
+            .expect("index in range");
+        let label = w.workload.label();
+        Block {
+            workload,
+            range,
+            label: match kind {
+                OutputKind::Csv => csv_field(&label),
+                OutputKind::Json => quote(&label),
+            },
+            tasks: w.workload.task_count(),
+        }
+    }
+}
+
 /// The streaming merger: push rows in any order, exactly-once per index
 /// enforced internally, output emitted in index order.
 pub struct StreamMerger<W: Write> {
@@ -106,12 +158,18 @@ pub struct StreamMerger<W: Write> {
     peak_buffered: usize,
     tallies: MergeTallies,
     diverged: Vec<(usize, String)>,
+    /// The workload of the last emitted row.
+    block: Block,
+    /// Each scheduler's display name, in spec order.
+    schedulers: Vec<String>,
+    /// The row being rendered; one buffer serves every row.
+    row: Vec<u8>,
 }
 
 impl<W: Write> StreamMerger<W> {
     /// Opens the merger over `out` and writes the artifact header. Rows
-    /// are rendered by expanding one case per index from `spec`, so it
-    /// must be the spec that produced them.
+    /// are rendered from the grid coordinates of their index in `spec`,
+    /// so it must be the spec that produced them.
     pub fn new(spec: SweepSpec, kind: OutputKind, mut out: W) -> std::io::Result<StreamMerger<W>> {
         let total = spec.total_cases();
         match kind {
@@ -119,6 +177,7 @@ impl<W: Write> StreamMerger<W> {
             OutputKind::Json => out.write_all(json_prelude(&spec).as_bytes())?,
         }
         Ok(StreamMerger {
+            schedulers: spec.schedulers.iter().map(|s| s.to_string()).collect(),
             spec,
             kind,
             out,
@@ -130,6 +189,8 @@ impl<W: Write> StreamMerger<W> {
             peak_buffered: 0,
             tallies: MergeTallies::default(),
             diverged: Vec::new(),
+            block: Block::none(),
+            row: Vec::with_capacity(256),
         })
     }
 
@@ -143,8 +204,9 @@ impl<W: Write> StreamMerger<W> {
         self.merged_count == self.total
     }
 
-    /// High-water mark of rows buffered awaiting in-order emission — the
-    /// bounded-memory tests assert this stays far below the grid size.
+    /// High-water mark of rows held awaiting in-order emission, counting
+    /// each arriving row until it is written — the bounded-memory tests
+    /// assert this stays far below the grid size.
     pub fn peak_buffered(&self) -> usize {
         self.peak_buffered
     }
@@ -153,7 +215,8 @@ impl<W: Write> StreamMerger<W> {
     /// `Ok(false)` if the index was already merged (a duplicate from a
     /// steal/re-queue overlap — harmless, outcomes are deterministic).
     /// Out-of-range indices are an error (a corrupt or foreign report),
-    /// and so is a failed write.
+    /// and so is a failed write. A row at the next emission index is
+    /// written at once, followed by any buffered rows it unblocks.
     pub fn push(&mut self, index: usize, outcome: Outcome) -> Result<bool, String> {
         if index >= self.total {
             return Err(format!(
@@ -167,43 +230,56 @@ impl<W: Write> StreamMerger<W> {
         self.merged[index] = true;
         self.merged_count += 1;
         self.tallies.add(&outcome);
-        self.buffered.insert(index, outcome);
-        self.peak_buffered = self.peak_buffered.max(self.buffered.len());
-        self.drain().map_err(|e| format!("merge output: {e}"))?;
+        self.peak_buffered = self.peak_buffered.max(self.buffered.len() + 1);
+        if index != self.next_emit {
+            self.buffered.insert(index, outcome);
+            return Ok(true);
+        }
+        let io = |e: std::io::Error| format!("merge output: {e}");
+        self.emit(&outcome).map_err(io)?;
+        while let Some(outcome) = self.buffered.remove(&self.next_emit) {
+            self.emit(&outcome).map_err(io)?;
+        }
         Ok(true)
     }
 
-    /// Emits the contiguous prefix that is now available.
-    fn drain(&mut self) -> std::io::Result<()> {
-        while let Some(outcome) = self.buffered.remove(&self.next_emit) {
-            let case = self
-                .spec
-                .cases_slice(self.next_emit..self.next_emit + 1)
-                .pop()
-                .expect("index in range");
-            let diverged = matches!(&outcome, Ok(r) if r.sim.is_some_and(|s| s.diverged));
-            if diverged && self.diverged.len() < NAMED_DIVERGED {
-                let name = format!(
-                    "{} P={} seed={} {}",
-                    case.workload.label(),
-                    case.pes,
-                    case.seed,
-                    case.scheduler
-                );
-                self.diverged.push((case.index, name));
-            }
-            let row = match self.kind {
-                OutputKind::Csv => csv_row(&case, &outcome, self.spec.timing),
-                OutputKind::Json => json_row(
-                    &case,
-                    &outcome,
-                    self.spec.timing,
-                    self.next_emit + 1 == self.total,
-                ),
-            };
-            self.out.write_all(row.as_bytes())?;
-            self.next_emit += 1;
+    /// Renders and writes the row at `next_emit`.
+    fn emit(&mut self, outcome: &Outcome) -> std::io::Result<()> {
+        let index = self.next_emit;
+        if !self.block.range.contains(&index) {
+            self.block = Block::at(&self.spec, self.kind, index);
         }
+        let w = &self.spec.workloads[self.block.workload];
+        let (pes, seed, scheduler) = self.spec.case_in_block(w, index - self.block.range.start);
+        let scheduler = &self.schedulers[scheduler];
+        let diverged = matches!(outcome, Ok(r) if r.sim.is_some_and(|s| s.diverged));
+        if diverged && self.diverged.len() < NAMED_DIVERGED {
+            let label = w.workload.label();
+            let name = format!("{label} P={pes} seed={seed} {scheduler}");
+            self.diverged.push((index, name));
+        }
+        let row = &mut self.row;
+        row.clear();
+        let coordinates = (self.block.tasks, pes, seed, scheduler.as_str());
+        match self.kind {
+            OutputKind::Csv => csv_row(
+                row,
+                &self.block.label,
+                coordinates,
+                outcome,
+                self.spec.timing,
+            ),
+            OutputKind::Json => json_row(
+                row,
+                &self.block.label,
+                coordinates,
+                outcome,
+                self.spec.timing,
+                index + 1 == self.total,
+            ),
+        }
+        self.out.write_all(row)?;
+        self.next_emit += 1;
         Ok(())
     }
 
@@ -272,46 +348,76 @@ fn csv_header(timing: bool) -> String {
     out
 }
 
-/// One CSV row (with trailing newline) for a case and its outcome.
-fn csv_row(c: &Case, outcome: &Outcome, timing: bool) -> String {
-    let na_us = |v: Option<u64>| v.map_or("NA".into(), |v: u64| v.to_string());
-    let prefix = format!(
-        "{},{},{},{},{}",
-        csv_field(&c.workload.label()),
-        c.workload.task_count(),
-        c.pes,
-        c.seed,
-        c.scheduler
-    );
+/// A row's grid coordinates as the renderers take them: the task count,
+/// PE count, seed and scheduler name.
+type Coordinates<'a> = (usize, usize, u64, &'a str);
+
+/// Appends one CSV row (with trailing newline); `label` is already
+/// CSV-safe.
+fn csv_row(
+    out: &mut Vec<u8>,
+    label: &str,
+    (tasks, pes, seed, scheduler): Coordinates<'_>,
+    outcome: &Outcome,
+    timing: bool,
+) {
+    out.extend_from_slice(label.as_bytes());
+    out.push(b',');
+    push_u64(out, tasks as u64);
+    out.push(b',');
+    push_u64(out, pes as u64);
+    out.push(b',');
+    push_u64(out, seed);
+    out.push(b',');
+    out.extend_from_slice(scheduler.as_bytes());
     match outcome {
-        Ok(r) => {
-            let m = &r.metrics;
-            let mut sim = match r.sim {
-                Some(s) => format!(
-                    "{},{},{:.6},{}",
-                    s.completed as u8, s.makespan, s.rel_err_pct, s.beats
-                ),
-                None => "NA,NA,NA,NA".into(),
-            };
-            if timing {
-                let micros = r.sim.map(|s| s.micros).unwrap_or_default();
-                sim.push_str(&format!(
-                    ",{},{}",
-                    na_us(micros.reference),
-                    na_us(micros.batched)
-                ));
-            }
-            format!(
-                "{prefix},ok,{},{:.6},{:.6},{:.6},{:.6},{},{},{sim}\n",
-                m.makespan, m.speedup, m.sslr, m.slr, m.utilization, m.blocks, r.buffer_elements
-            )
-        }
+        Ok(r) => csv_record(out, r, timing),
         Err(e) => {
-            let tail = if timing { ",NA,NA" } else { "" };
-            format!(
-                "{prefix},error:{},NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA{tail}\n",
-                error_code(e)
-            )
+            out.extend_from_slice(b",error:");
+            out.extend_from_slice(error_code(e).as_bytes());
+            out.extend_from_slice(b",NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA");
+            if timing {
+                out.extend_from_slice(b",NA,NA");
+            }
+        }
+    }
+    out.push(b'\n');
+}
+
+/// Appends the columns of an `ok` row after its coordinates.
+fn csv_record(out: &mut Vec<u8>, r: &Record, timing: bool) {
+    let m = &r.metrics;
+    out.extend_from_slice(b",ok,");
+    push_u64(out, m.makespan);
+    for v in [m.speedup, m.sslr, m.slr, m.utilization] {
+        out.push(b',');
+        push_fixed6(out, v);
+    }
+    out.push(b',');
+    push_u64(out, m.blocks as u64);
+    out.push(b',');
+    push_u64(out, r.buffer_elements);
+    out.push(b',');
+    match r.sim {
+        Some(s) => {
+            push_u64(out, u64::from(s.completed));
+            out.push(b',');
+            push_u64(out, s.makespan);
+            out.push(b',');
+            push_fixed6(out, s.rel_err_pct);
+            out.push(b',');
+            push_u64(out, s.beats);
+        }
+        None => out.extend_from_slice(b"NA,NA,NA,NA"),
+    }
+    if timing {
+        let micros = r.sim.map(|s| s.micros).unwrap_or_default();
+        for us in [micros.reference, micros.batched] {
+            out.push(b',');
+            match us {
+                Some(us) => push_u64(out, us),
+                None => out.extend_from_slice(b"NA"),
+            }
         }
     }
 }
@@ -332,52 +438,78 @@ fn json_prelude(spec: &SweepSpec) -> String {
     )
 }
 
-/// One JSON run object line (with trailing newline, and a separating
-/// comma unless `last`).
-fn json_row(c: &Case, outcome: &Outcome, timing: bool, last: bool) -> String {
-    let head = format!(
-        "    {{\"workload\": {}, \"tasks\": {}, \"pes\": {}, \"seed\": {}, \
-         \"scheduler\": \"{}\"",
-        quote(&c.workload.label()),
-        c.workload.task_count(),
-        c.pes,
-        c.seed,
-        c.scheduler
-    );
-    let body = match outcome {
-        Ok(r) => {
-            let m = &r.metrics;
-            let sim = match r.sim {
-                Some(s) => {
-                    let t = if timing {
-                        let us = |v: Option<u64>| v.map_or("null".into(), |v: u64| v.to_string());
-                        format!(
-                            ", \"ref_us\": {}, \"batched_us\": {}",
-                            us(s.micros.reference),
-                            us(s.micros.batched)
-                        )
-                    } else {
-                        String::new()
-                    };
-                    format!(
-                        ", \"sim\": {{\"completed\": {}, \"makespan\": {}, \
-                         \"rel_err_pct\": {:.6}, \"beats\": {}{t}}}",
-                        s.completed, s.makespan, s.rel_err_pct, s.beats
-                    )
-                }
-                None => String::new(),
-            };
-            format!(
-                ", \"status\": \"ok\", \"makespan\": {}, \"speedup\": {:.6}, \
-                 \"sslr\": {:.6}, \"slr\": {:.6}, \"utilization\": {:.6}, \
-                 \"blocks\": {}, \"buffer_elements\": {}{sim}}}",
-                m.makespan, m.speedup, m.sslr, m.slr, m.utilization, m.blocks, r.buffer_elements
-            )
+/// Appends one JSON run object line (with trailing newline, and a
+/// separating comma unless `last`); `label` is already a JSON string.
+fn json_row(
+    out: &mut Vec<u8>,
+    label: &str,
+    (tasks, pes, seed, scheduler): Coordinates<'_>,
+    outcome: &Outcome,
+    timing: bool,
+    last: bool,
+) {
+    out.extend_from_slice(b"    {\"workload\": ");
+    out.extend_from_slice(label.as_bytes());
+    out.extend_from_slice(b", \"tasks\": ");
+    push_u64(out, tasks as u64);
+    out.extend_from_slice(b", \"pes\": ");
+    push_u64(out, pes as u64);
+    out.extend_from_slice(b", \"seed\": ");
+    push_u64(out, seed);
+    out.extend_from_slice(b", \"scheduler\": \"");
+    out.extend_from_slice(scheduler.as_bytes());
+    out.push(b'"');
+    match outcome {
+        Ok(r) => json_record(out, r, timing),
+        Err(e) => {
+            out.extend_from_slice(b", \"status\": ");
+            out.extend_from_slice(quote(&error_code(e)).as_bytes());
         }
-        Err(e) => format!(", \"status\": {}}}", quote(&error_code(e))),
-    };
-    let comma = if last { "" } else { "," };
-    format!("{head}{body}{comma}\n")
+    }
+    out.extend_from_slice(if last { b"}\n" } else { b"},\n" });
+}
+
+/// Appends the members of an `ok` run object after its coordinates.
+fn json_record(out: &mut Vec<u8>, r: &Record, timing: bool) {
+    let m = &r.metrics;
+    out.extend_from_slice(b", \"status\": \"ok\", \"makespan\": ");
+    push_u64(out, m.makespan);
+    for (name, v) in [
+        (&b", \"speedup\": "[..], m.speedup),
+        (b", \"sslr\": ", m.sslr),
+        (b", \"slr\": ", m.slr),
+        (b", \"utilization\": ", m.utilization),
+    ] {
+        out.extend_from_slice(name);
+        push_fixed6(out, v);
+    }
+    out.extend_from_slice(b", \"blocks\": ");
+    push_u64(out, m.blocks as u64);
+    out.extend_from_slice(b", \"buffer_elements\": ");
+    push_u64(out, r.buffer_elements);
+    if let Some(s) = r.sim {
+        out.extend_from_slice(b", \"sim\": {\"completed\": ");
+        out.extend_from_slice(if s.completed { b"true" } else { b"false" });
+        out.extend_from_slice(b", \"makespan\": ");
+        push_u64(out, s.makespan);
+        out.extend_from_slice(b", \"rel_err_pct\": ");
+        push_fixed6(out, s.rel_err_pct);
+        out.extend_from_slice(b", \"beats\": ");
+        push_u64(out, s.beats);
+        if timing {
+            for (name, us) in [
+                (&b", \"ref_us\": "[..], s.micros.reference),
+                (b", \"batched_us\": ", s.micros.batched),
+            ] {
+                out.extend_from_slice(name);
+                match us {
+                    Some(us) => push_u64(out, us),
+                    None => out.extend_from_slice(b"null"),
+                }
+            }
+        }
+        out.push(b'}');
+    }
 }
 
 /// The JSON document epilogue closing the `"runs"` array and document.
@@ -388,6 +520,67 @@ const JSON_EPILOGUE: &str = "  ]\n}\n";
 /// guarantee [`error_code`] provides for the status column.
 fn csv_field(s: &str) -> String {
     s.replace([',', '\n', '\r'], ";")
+}
+
+/// Appends `v` in decimal: the bytes `format!("{v}")` writes.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `x` with six decimals: the bytes `format!("{x:.6}")` writes.
+///
+/// For finite `|x| < 1e12` the value is rendered exactly: `|x|` is
+/// `mantissa / 2^shift`, so `|x| · 10^6` is `mantissa · 10^6` shifted
+/// right, computed in `u128` and rounded half to even as `std` rounds —
+/// `0.0078125` writes `0.007812`. The sign is kept, so `-0.0` and
+/// negatives that round to zero write `-0.000000`. NaN, infinities and
+/// larger magnitudes fall back to `std`.
+fn push_fixed6(out: &mut Vec<u8>, x: f64) {
+    const SCALE: u64 = 1_000_000;
+    if x.is_nan() || x.abs() >= 1e12 {
+        write!(out, "{x:.6}").expect("writes to a Vec cannot fail");
+        return;
+    }
+    let bits = x.to_bits();
+    let exponent = ((bits >> 52) & 0x7ff) as u32;
+    let fraction = bits & ((1 << 52) - 1);
+    // |x| = mantissa / 2^shift; below 1e12 (< 2^40) the shift is at
+    // least 13, and a subnormal's is 1074.
+    let (mantissa, shift) = match exponent {
+        0 => (fraction, 1074),
+        e => (fraction | 1 << 52, 1075 - e),
+    };
+    let scaled = u128::from(mantissa) * u128::from(SCALE);
+    let n = if shift >= 128 {
+        // scaled < 2^73, so the quotient is 0 and the rest below a half.
+        0
+    } else {
+        let (q, rest) = (scaled >> shift, scaled & ((1 << shift) - 1));
+        let half = 1 << (shift - 1);
+        let up = rest > half || (rest == half && q & 1 == 1);
+        (q + u128::from(up)) as u64
+    };
+    if bits >> 63 == 1 {
+        out.push(b'-');
+    }
+    push_u64(out, n / SCALE);
+    let mut decimals = *b".000000";
+    let mut f = n % SCALE;
+    for d in decimals[1..].iter_mut().rev() {
+        *d = b'0' + (f % 10) as u8;
+        f /= 10;
+    }
+    out.extend_from_slice(&decimals);
 }
 
 #[cfg(test)]
@@ -491,6 +684,133 @@ mod tests {
         let mut m = StreamMerger::new(spec, OutputKind::Csv, Vec::new()).unwrap();
         let outcome = sweep.runs[0].outcome.clone();
         assert!(m.push(total, outcome).is_err());
+    }
+
+    /// Scheduling-error rows keep their bytes: no registered preset fails
+    /// on a sweep grid, so the engine tests never render one.
+    #[test]
+    fn error_rows_render_their_status_and_na_columns() {
+        use stg_analysis::ScheduleError;
+        let mut spec = SweepSpec::paper(2, 5);
+        spec.workloads.truncate(1);
+        spec.workloads[0].pes = vec![2];
+        spec.schedulers.truncate(1);
+        let render = |kind, timing| {
+            let mut spec = spec.clone();
+            spec.timing = timing;
+            let mut out = Vec::new();
+            let mut m = StreamMerger::new(spec, kind, &mut out).unwrap();
+            m.push(0, Err(ScheduleError::Cyclic)).unwrap();
+            m.push(1, Err(ScheduleError::EmptyBlock(3))).unwrap();
+            assert_eq!(m.finish().unwrap().tallies.errors, 2);
+            String::from_utf8(out).unwrap()
+        };
+        let csv = render(OutputKind::Csv, false);
+        assert_eq!(
+            csv.lines().skip(1).collect::<Vec<_>>(),
+            [
+                "chain:8,8,2,5,STR-SCH-1,error:cyclic,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA",
+                "chain:8,8,2,6,STR-SCH-1,error:empty-block(3),NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA",
+            ]
+        );
+        let timed = render(OutputKind::Csv, true);
+        assert!(
+            timed.ends_with(",NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA,NA\n"),
+            "{timed}"
+        );
+        let json = render(OutputKind::Json, false);
+        let runs = "    {\"workload\": \"chain:8\", \"tasks\": 8, \"pes\": 2, \"seed\": 5, \
+             \"scheduler\": \"STR-SCH-1\", \"status\": \"cyclic\"},\n    \
+             {\"workload\": \"chain:8\", \"tasks\": 8, \"pes\": 2, \"seed\": 6, \
+             \"scheduler\": \"STR-SCH-1\", \"status\": \"empty-block(3)\"}\n  ]\n}\n";
+        assert!(json.ends_with(runs), "{json}");
+    }
+
+    /// Checks [`push_fixed6`] against `format!("{x:.6}")` on `x`.
+    fn check_fixed6(out: &mut Vec<u8>, x: f64) {
+        out.clear();
+        push_fixed6(out, x);
+        let want = format!("{x:.6}");
+        assert_eq!(out, want.as_bytes(), "{x:e} ({:#018x})", x.to_bits());
+    }
+
+    /// The fixed-point renderer writes `std`'s bytes on over ten million
+    /// values: the special values and the bounds of the exact path, every
+    /// exact tie k/128 (the only binary values halfway between two
+    /// six-decimal numbers) and the decimal boundaries k·10⁻⁶ and
+    /// (k + ½)·10⁻⁶ below k = 10⁶, and random bit patterns and random
+    /// magnitudes. Two threads split the work.
+    #[test]
+    fn fixed6_matches_std_formatting() {
+        let mut out = Vec::with_capacity(400);
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits((1 << 52) - 1),
+            1e12,
+            -1e12,
+            1e12 - 1e-3,
+            f64::from_bits(1e12f64.to_bits() - 1),
+            0.0078125,
+            -0.0078125,
+            0.5e-6,
+            -0.5e-6,
+            1.5e-6,
+            0.999_999_5,
+            9.999_999_5,
+            1e-7,
+            -1e-9,
+        ];
+        for x in specials {
+            check_fixed6(&mut out, x);
+        }
+        std::thread::scope(|s| {
+            for (half, seed) in [(0, 0x9e37_79b9_7f4a_7c15u64), (1, 0xd1b5_4a32_d192_ed03)] {
+                s.spawn(move || {
+                    let mut out = Vec::with_capacity(400);
+                    for k in (half..1_000_000u32).step_by(2) {
+                        let k = f64::from(k);
+                        for x in [k / 128.0, k * 1e-6, (k + 0.5) * 1e-6] {
+                            check_fixed6(&mut out, x);
+                            check_fixed6(&mut out, -x);
+                        }
+                    }
+                    let mut state = seed;
+                    let mut next = move || {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        state
+                    };
+                    for i in 0..2_000_000 {
+                        // One in four draws is any bit pattern, mostly a
+                        // huge or tiny magnitude (the huge ones take `std`
+                        // hundreds of digits). The rest are a random
+                        // mantissa at a random magnitude around the exact
+                        // path's range, 1e-9 to 1e13.
+                        let x = match i % 4 {
+                            0 => f64::from_bits(next()),
+                            _ => {
+                                let mantissa = next() >> 12;
+                                let exponent = 1023 - 30 + next() % 74;
+                                f64::from_bits(exponent << 52 | mantissa)
+                            }
+                        };
+                        check_fixed6(&mut out, x);
+                    }
+                });
+            }
+        });
     }
 
     /// A cloneable in-memory writer for asserting streamed bytes.

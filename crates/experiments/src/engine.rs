@@ -305,7 +305,7 @@ impl SweepSpec {
     /// → seed (so each consecutive run of [`Self::runs_per_cell`] cases
     /// is one aggregation cell).
     pub fn cases(&self) -> Vec<Case> {
-        let mut cases = Vec::new();
+        let mut cases = Vec::with_capacity(self.total_cases());
         for w in &self.workloads {
             for &pes in &w.pes {
                 for &scheduler in &self.schedulers {
@@ -349,25 +349,44 @@ impl SweepSpec {
     /// grid on every lease.
     pub fn cases_slice(&self, range: Range<usize>) -> Vec<Case> {
         let mut out = Vec::with_capacity(range.len());
-        let mut base = 0usize;
-        for w in &self.workloads {
-            let rpc = self.runs_per_cell(&w.workload) as usize;
-            let block = w.pes.len() * self.schedulers.len() * rpc;
-            let lo = range.start.max(base);
-            let hi = range.end.min(base + block);
-            for index in lo..hi {
-                let rel = index - base;
+        for (w, block) in self.blocks() {
+            for index in range.start.max(block.start)..range.end.min(block.end) {
+                let (pes, seed, scheduler) = self.case_in_block(w, index - block.start);
                 out.push(Case {
                     index,
                     workload: w.workload.clone(),
-                    pes: w.pes[rel / (self.schedulers.len() * rpc)],
-                    seed: self.seed + (rel % rpc) as u64,
-                    scheduler: self.schedulers[(rel / rpc) % self.schedulers.len()],
+                    pes,
+                    seed,
+                    scheduler: self.schedulers[scheduler],
                 });
             }
-            base += block;
         }
         out
+    }
+
+    /// Each workload with the contiguous range of case indices its cases
+    /// occupy, in grid order.
+    pub(crate) fn blocks(&self) -> impl Iterator<Item = (&WorkloadSpec, Range<usize>)> {
+        let mut base = 0usize;
+        self.workloads.iter().map(move |w| {
+            let rpc = self.runs_per_cell(&w.workload) as usize;
+            let start = base;
+            base += w.pes.len() * self.schedulers.len() * rpc;
+            (w, start..base)
+        })
+    }
+
+    /// The PE count, seed and scheduler (an index into `schedulers`) of
+    /// the `rel`-th case of workload `w`'s block: the grid order within a
+    /// block is PE count → scheduler → seed.
+    pub(crate) fn case_in_block(&self, w: &WorkloadSpec, rel: usize) -> (usize, u64, usize) {
+        let rpc = self.runs_per_cell(&w.workload) as usize;
+        let schedulers = self.schedulers.len();
+        (
+            w.pes[rel / (schedulers * rpc)],
+            self.seed + (rel % rpc) as u64,
+            (rel / rpc) % schedulers,
+        )
     }
 
     /// Evaluates an arbitrary function over every case in parallel,
@@ -804,6 +823,11 @@ impl SweepSpec {
             }
         }
         let spec = SweepSpec::decode_spec(&first.spec_block)?;
+        // The writer embeds the canonical encoding, so any other bytes that
+        // decode to a spec (a case-flipped name, say) were altered.
+        if spec.encode_spec()? != first.spec_block {
+            return Err("spec block is not the canonical spec encoding".to_string());
+        }
         // Bound the work by the input before walking the grid: the spec
         // must expand to the header's case count, and the rows must cover
         // that count exactly once. The fingerprint walk and the merge
@@ -1055,7 +1079,10 @@ struct ParsedShard {
 }
 
 impl ParsedShard {
-    /// Parses a [`ShardResult::artifact_bytes`] artifact.
+    /// Parses a [`ShardResult::artifact_bytes`] artifact. The header
+    /// layout is the same in every binary version, so the spec block is
+    /// checked before the version: an artifact from before the JSON spec
+    /// encoding is named as such, whatever version it carries.
     fn parse_bytes(bytes: &[u8]) -> Result<ParsedShard, String> {
         use crate::store::{take_rows, take_str, take_u32, take_u64};
         let trunc = || "truncated shard artifact".to_string();
@@ -1065,27 +1092,11 @@ impl ParsedShard {
                 .to_string()
         })?;
         let (version, rest) = take_u32(rest).ok_or_else(trunc)?;
-        if version != SCHEMA_VERSION {
-            return Err(format!(
-                "shard artifact v{version} (expected v{SCHEMA_VERSION}; \
-                 regenerate shards after a schema bump)"
-            ));
-        }
         let (index, rest) = take_u32(rest).ok_or_else(trunc)?;
         let (of, rest) = take_u32(rest).ok_or_else(trunc)?;
-        let shard = Shard {
-            index: index as usize,
-            of: of as usize,
-        };
-        if shard.of == 0 || shard.index >= shard.of {
-            return Err(format!("invalid shard selector {}/{}", index, of));
-        }
         let (start, rest) = take_u64(rest).ok_or_else(trunc)?;
         let (end, rest) = take_u64(rest).ok_or_else(trunc)?;
         let (total, rest) = take_u64(rest).ok_or_else(trunc)?;
-        if start > end || end > total {
-            return Err(format!("malformed case range {start}..{end} of {total}"));
-        }
         let (fingerprint, rest) = take_u64(rest).ok_or_else(trunc)?;
         let (spec_len, rest) = take_u32(rest).ok_or_else(trunc)?;
         let (spec_block, rest) = take_str(rest, spec_len as usize).ok_or_else(trunc)?;
@@ -1094,6 +1105,22 @@ impl ParsedShard {
             return Err(format!(
                 "shard artifact carries a pre-JSON text spec block ({regenerate})"
             ));
+        }
+        if version != SCHEMA_VERSION {
+            return Err(format!(
+                "shard artifact v{version} (expected v{SCHEMA_VERSION}; \
+                 regenerate shards after a schema bump)"
+            ));
+        }
+        let shard = Shard {
+            index: index as usize,
+            of: of as usize,
+        };
+        if shard.of == 0 || shard.index >= shard.of {
+            return Err(format!("invalid shard selector {}/{}", index, of));
+        }
+        if start > end || end > total {
+            return Err(format!("malformed case range {start}..{end} of {total}"));
         }
         let rows = take_rows(rest)?;
         if rows.len() as u64 != end - start {
@@ -2163,6 +2190,23 @@ mod tests {
     }
 
     #[test]
+    fn repeated_spec_members_are_refused() {
+        for (text, member) in [
+            (
+                "{\"workloads\":[{\"workload\":\"chain:8\"}],\"graphs\":2,\"graphs\":0}",
+                "graphs",
+            ),
+            (
+                "{\"workloads\":[{\"workload\":\"chain:8\",\"pes\":[2],\"pes\":[4]}]}",
+                "pes",
+            ),
+        ] {
+            let err = SweepSpec::decode_spec(text).expect_err(text);
+            assert_eq!(err, format!("repeated field {member:?}"), "{text}");
+        }
+    }
+
+    #[test]
     fn sharded_artifacts_merge_byte_identically() {
         let mut spec = smoke_spec();
         spec.seed = 0x5EED_CE13;
@@ -2250,17 +2294,17 @@ mod tests {
         // Header layout: magic, u32 version, u32 index, u32 of, u64 case
         // range start/end/total, u64 fingerprint, u32 spec length, the
         // spec block, then the row section (u32 count; per row a u64
-        // index and u32 length before the payload).
+        // index and u32 length before the record, a u64 checksum after).
         let range_at = SHARD_MAGIC.len() + 12;
         let spec_len_at = range_at + 32;
         let spec_len = u32::from_le_bytes(a1[spec_len_at..spec_len_at + 4].try_into().unwrap());
         let first_payload_at = spec_len_at + 4 + spec_len as usize + 4 + 12;
-        // Corrupted rows are rejected outright: a garbage payload byte
-        // with intact framing.
+        // Corrupted rows are rejected outright: a garbage record byte
+        // with intact framing fails the row's checksum.
         let mut corrupt = a1.clone();
         corrupt[first_payload_at] = b'#';
         let err = merge_err(&[a0.clone(), corrupt]);
-        assert!(err.contains("undecodable row payload"), "{err}");
+        assert!(err.contains("row checksum mismatch"), "{err}");
         // A reversed or out-of-bounds case range is a malformed artifact,
         // not an arithmetic panic.
         let total = spec.total_cases() as u64;

@@ -163,18 +163,28 @@ impl Json {
     }
 
     /// Checks that this is an object whose members all appear in
-    /// `allowed`: a typoed member must not silently pick a default.
+    /// `allowed`, each at most once: a typoed member must not silently
+    /// pick a default, and a repeated one must not be read as whichever
+    /// copy an accessor finds first.
     #[inline]
     pub fn check_fields(&self, allowed: &[&str]) -> Result<(), String> {
         let members = self.as_object().ok_or("expected a JSON object")?;
-        match members
+        if let Some((key, _)) = members
             .iter()
             .find(|(key, _)| !allowed.contains(&key.as_str()))
         {
-            Some((key, _)) => Err(format!(
+            return Err(format!(
                 "unknown field {key:?} (allowed: {})",
                 allowed.join(", ")
-            )),
+            ));
+        }
+        // Frames have a handful of members, so a quadratic scan is cheap.
+        match members
+            .iter()
+            .enumerate()
+            .find(|(i, (key, _))| members[..*i].iter().any(|(k, _)| k == key))
+        {
+            Some((_, (key, _))) => Err(format!("repeated field {key:?}")),
             None => Ok(()),
         }
     }
@@ -247,21 +257,32 @@ pub fn quote(s: &str) -> String {
     out
 }
 
+/// Appends `s` as a JSON string literal: the runs between characters
+/// that need an escape are copied whole.
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..0x20 => None,
+            _ => continue,
+        };
+        // `i` is an ASCII byte, so both slices end on char boundaries.
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -410,6 +431,20 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control byte
+            // whole. The input is a `&str` and runs end at an ASCII byte
+            // (or the end), so every run is whole UTF-8.
+            let rest = &self.bytes[self.pos..];
+            let len = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            if len > 0 {
+                let run =
+                    std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
+                out.push_str(run);
+                self.pos += len;
+            }
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -433,17 +468,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let len = utf8_len(rest[0]);
-                    let chunk = std::str::from_utf8(&rest[..len.min(rest.len())])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(chunk);
-                    self.pos += chunk.len();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -518,15 +543,6 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -597,6 +613,36 @@ mod tests {
         assert!(parse(&deep).is_err());
         let ok = format!("{}1{}", "[".repeat(60), "]".repeat(60));
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn check_fields_refuses_unknown_and_repeated_members() {
+        let allowed = ["id", "pes"];
+        let check = |text: &str| parse(text).unwrap().check_fields(&allowed);
+        assert_eq!(check("{\"id\":1,\"pes\":4}"), Ok(()));
+        assert_eq!(
+            check("{\"pes\":4,\"id\":1,\"pes\":0}"),
+            Err("repeated field \"pes\"".to_string())
+        );
+        let err = check("{\"pes\":4,\"pes\":0,\"pse\":1}").unwrap_err();
+        assert!(err.starts_with("unknown field \"pse\""), "{err}");
+        assert!(check("[1]").is_err());
+    }
+
+    #[test]
+    fn string_runs_and_escapes_round_trip() {
+        // Long runs between escapes, multi-byte characters at run edges,
+        // and every control character.
+        let text: String = (0u8..0x20)
+            .map(char::from)
+            .chain("é\"🚀\\".chars())
+            .chain(std::iter::repeat_n('x', 1000))
+            .chain("日本\u{7f}".chars())
+            .collect();
+        let encoded = quote(&text);
+        assert!(encoded.contains("\\u001f") && encoded.contains("\\n"));
+        assert_eq!(parse(&encoded).unwrap(), Json::Str(text));
+        assert!(parse("\"run\u{1}run\"").is_err(), "raw control character");
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! on-disk directory (`--cache-dir`), so repeated sweeps skip
 //! re-evaluating unchanged cells within a process *and* across processes.
 //!
-//! Stored payloads are the deterministic [`Record`]/`ScheduleError`
-//! outcome of a cell, serialized by [`encode_outcome`] in a format that
-//! round-trips bit-exactly (floats use Rust's shortest round-trip
-//! representation). Non-deterministic validation wall-clocks are
-//! deliberately **not** stored — the engine bypasses the store entirely
-//! when timing capture is on, keeping cached and fresh rows
+//! Stored outcomes are the deterministic [`Record`]/`ScheduleError`
+//! outcome of a cell, written by [`put_record`] as one fixed-width
+//! little-endian record: floats travel as their `to_bits`, so they
+//! round-trip bit-exactly without being formatted or parsed. The same
+//! record is the payload of the shared row codec ([`put_rows`]), behind
+//! shard artifacts and fabric `rows` frames, so there is one outcome
+//! format on disk and between processes. Non-deterministic validation
+//! wall-clocks are deliberately **not** stored — the engine bypasses the
+//! store entirely when timing capture is on, keeping cached and fresh rows
 //! indistinguishable on the byte-stable output path.
 //!
 //! Every nominal miss is evaluated through
@@ -29,17 +32,18 @@
 //! one pass or one fabric lease; both run the one protocol of
 //! `OnceLock::get_or_init`.
 //!
-//! Invalidation is structural, not temporal: the canonical key string is
-//! embedded in every cache entry and verified on load, so a hash
-//! collision, a corrupt payload, or an entry written by an older
-//! [`SCHEMA_VERSION`] is detected, counted in
-//! [`StoreStats::invalidations`], and transparently re-evaluated. A
-//! segment file that does not even parse is additionally *deleted*
-//! (counted in [`StoreStats::evicted`]) so corruption heals instead of
-//! re-triggering in every future process. Bump [`SCHEMA_VERSION`]
-//! whenever the meaning of a cell changes — new record fields, changed
-//! scheduler/simulator semantics, changed workload generators — and
-//! every old entry misses.
+//! Invalidation is structural, not temporal: every cache entry embeds its
+//! canonical key string and ends in a 64-bit [`checksum`] of its bytes,
+//! and both are verified on every load. So a hash collision, a corrupt
+//! record, or a flipped byte anywhere in the entry is detected, counted in
+//! [`StoreStats::invalidations`], and transparently re-evaluated — never
+//! served. A segment file that does not even parse (truncation, an entry
+//! count or length that does not add up, or an older [`SCHEMA_VERSION`])
+//! is additionally *deleted* (counted in [`StoreStats::evicted`]) so
+//! corruption heals instead of re-triggering in every future process.
+//! Bump [`SCHEMA_VERSION`] whenever the meaning of a cell changes — new
+//! record fields, changed scheduler/simulator semantics, changed workload
+//! generators — and every old entry misses.
 //!
 //! Each store counts its own traffic in a [`StoreCounters`] set, one
 //! relaxed atomic add per lookup; [`ResultStore::stats`] copies it into a
@@ -49,17 +53,21 @@
 //! ## Disk layout: segment files
 //!
 //! A `--cache-dir` holds one artifact kind: `seg-{hash:016x}.cells`, a
-//! length-prefixed binary segment of many entries, written by
+//! binary segment of many entries, written by
 //! [`ResultStore::insert_batched`] + [`ResultStore::flush`]. One `fsync`
-//! per [`FLUSH_THRESHOLD`] cells (or per flush). On the first disk lookup
-//! the store memory-maps every segment and builds a per-entry *offset
-//! index* — entries are **not** copied into the in-memory map; lookups
-//! verify the embedded canonical key and decode the payload straight out
-//! of the mapped bytes. A segment that fails to parse (truncation, stale
-//! schema) is deleted as one eviction. Where `mmap(2)` is unavailable
-//! (non-Linux platforms) or fails, and for empty files, the segment is
-//! read into an owned buffer instead; everything downstream sees the same
-//! byte slice.
+//! per [`FLUSH_THRESHOLD`] cells (or per flush). A segment is the
+//! `STGCELLS` magic, the `u32` schema version and the `u32` entry count,
+//! then per entry: the `u64` key hash, the `u32` lengths of the canonical
+//! key and of the record, the canonical key, the [`put_record`] record,
+//! and the `u64` [`checksum`] of everything before it in the entry. The
+//! in-memory map holds the same entry bytes, so one reader verifies both.
+//! On the first disk lookup the store memory-maps every segment and
+//! builds a per-entry *offset index* — entries are **not** copied into the
+//! in-memory map; lookups verify the embedded canonical key and checksum
+//! and decode the record straight out of the mapped bytes. Where
+//! `mmap(2)` is unavailable (non-Linux platforms) or fails, and for empty
+//! files, the segment is read into an owned buffer instead; everything
+//! downstream sees the same byte slice.
 //!
 //! Segments are written atomically (a temp file unique per process and
 //! write, then rename), so a killed sweep or two threads flushing the
@@ -84,14 +92,15 @@ use crate::engine::{Record, SimChoice, SimMicros, SimRecord};
 ///
 /// v2: binary segment files and binary shard artifacts joined the disk
 /// formats, and invalid disk entries are evicted rather than left in
-/// place.
-pub const SCHEMA_VERSION: u32 = 2;
+/// place. v3: outcomes are binary [`put_record`] records, and every
+/// segment entry and row carries a [`checksum`].
+pub const SCHEMA_VERSION: u32 = 3;
 
 /// Pending batched inserts are flushed into a segment file once this
 /// many accumulate (and finally on [`ResultStore::flush`]/drop). Each
 /// flush costs one `fsync` + rename, amortized over up to this many
-/// cells. Pending entries are a few hundred bytes each, so the queue tops
-/// out well under a megabyte before flushing.
+/// cells. Pending entries are under two hundred bytes each, so the queue
+/// tops out well under a megabyte before flushing.
 pub const FLUSH_THRESHOLD: usize = 4096;
 
 /// A cell outcome as the engine records it: a scheduling error is data,
@@ -263,10 +272,12 @@ impl StoreStats {
 /// once-per-store warning) rather than failing the sweep: the cache is an
 /// accelerator, never a correctness dependency.
 pub struct ResultStore {
-    mem: Mutex<HashMap<u64, Arc<Entry>>>,
+    /// This process's inserts by key hash, each held as its segment entry
+    /// bytes (see [`put_entry`]).
+    mem: Mutex<HashMap<u64, Arc<[u8]>>>,
     dir: Option<PathBuf>,
     /// Batched inserts awaiting a segment-file flush.
-    pending: Mutex<Vec<(u64, Arc<Entry>)>>,
+    pending: Mutex<Vec<Arc<[u8]>>>,
     /// The lazily built zero-copy index over the directory's `seg-*.cells`
     /// files (built once, on the first disk lookup).
     segments: OnceLock<SegmentIndex>,
@@ -279,11 +290,6 @@ pub struct ResultStore {
     inflight: Mutex<HashMap<CellKey, Arc<OnceLock<Outcome>>>>,
     counters: StoreCounters,
     warned_io: AtomicBool,
-}
-
-struct Entry {
-    canonical: String,
-    payload: String,
 }
 
 /// The single-flight protocol behind [`ResultStore::evaluate_once`] and
@@ -491,15 +497,16 @@ impl Drop for Mapping {
     }
 }
 
-/// Where one entry's strings live inside a mapped segment: byte ranges,
-/// not copies. UTF-8 validity was checked once at index build, and the
-/// canonical key + payload decode are re-verified on every probe.
+/// Where one entry lives inside a mapped segment: a byte range, not a
+/// copy. The framing was checked once at index build; the canonical key,
+/// checksum and record are re-verified on every probe.
 struct SegRef {
     seg: u32,
-    canonical: (u32, u32),
-    payload: (u32, u32),
-    /// Set when a probe found the entry unverifiable (hash collision);
-    /// later probes then miss cleanly instead of re-invalidating.
+    /// Offset and length of the whole entry, checksum included.
+    entry: (u32, u32),
+    /// Set when a probe found the entry unverifiable (hash collision,
+    /// corrupt bytes); later probes then miss cleanly instead of
+    /// re-invalidating.
     dead: AtomicBool,
 }
 
@@ -514,15 +521,10 @@ struct SegmentIndex {
 }
 
 impl SegmentIndex {
-    /// The (canonical, payload) string views of `r`. The slices were
-    /// UTF-8-checked when the index was built.
-    fn strings(&self, r: &SegRef) -> (&str, &str) {
-        let bytes = self.maps[r.seg as usize].bytes();
-        let take = |(off, len): (u32, u32)| {
-            std::str::from_utf8(&bytes[off as usize..(off + len) as usize])
-                .expect("segment strings were UTF-8 validated at index build")
-        };
-        (take(r.canonical), take(r.payload))
+    /// The entry bytes `r` refers to.
+    fn entry(&self, r: &SegRef) -> &[u8] {
+        let (off, len) = (r.entry.0 as usize, r.entry.1 as usize);
+        &self.maps[r.seg as usize].bytes()[off..off + len]
     }
 }
 
@@ -556,7 +558,8 @@ impl ResultStore {
 
     /// Looks `key` up, counting a hit, miss, or invalidation. Returns the
     /// decoded outcome only if the entry verifies: its embedded canonical
-    /// key must equal `key.canonical()` and its payload must decode.
+    /// key must equal `key.canonical()`, its checksum must match, and its
+    /// record must decode.
     pub fn lookup(&self, key: &CellKey) -> Option<Outcome> {
         match self.probe(key) {
             Some(o) => {
@@ -651,16 +654,14 @@ impl ResultStore {
     /// counter always ticks here).
     fn probe(&self, key: &CellKey) -> Option<Outcome> {
         // 1. In-memory entries: this process's inserts. An `Arc` clone,
-        //    not a string copy.
+        //    not a byte copy.
         let mem_entry = {
             let mem = self.mem.lock().expect("result store lock");
             mem.get(&key.hash).cloned()
         };
         if let Some(e) = mem_entry {
-            if e.canonical == key.canonical() {
-                if let Some(o) = decode_outcome(&e.payload) {
-                    return Some(o);
-                }
+            if let Some(o) = read_entry(&e, key) {
+                return Some(o);
             }
             // Present but unverifiable: a hash collision. Drop it from
             // memory; the evaluation that follows re-inserts a fresh
@@ -680,16 +681,13 @@ impl ResultStore {
         if r.dead.load(Ordering::Relaxed) {
             return None;
         }
-        let (canonical, payload) = segs.strings(r);
-        if canonical == key.canonical() {
-            if let Some(o) = decode_outcome(payload) {
-                return Some(o);
-            }
+        if let Some(o) = read_entry(segs.entry(r), key) {
+            return Some(o);
         }
-        // Unverifiable segment entry (hash collision, corrupt payload):
-        // tombstone it so later probes miss cleanly. The segment file
-        // itself stays — only whole-segment parse failures evict
-        // segments.
+        // Unverifiable segment entry (hash collision, checksum mismatch,
+        // undecodable record): tombstone it so later probes miss cleanly.
+        // The segment file itself stays — only whole-segment parse
+        // failures evict segments.
         r.dead.store(true, Ordering::Relaxed);
         self.counters.invalidations.add(1);
         None
@@ -726,10 +724,18 @@ impl ResultStore {
     /// [`ResultStore::flush`].
     fn insert_pending(&self, key: &CellKey, outcome: &Outcome) -> bool {
         // One shared entry feeds both the in-memory map and the pending
-        // segment queue — a single allocation of each string per insert.
-        let entry = Arc::new(Entry {
-            canonical: key.canonical().to_string(),
-            payload: encode_outcome(outcome),
+        // segment queue: its segment bytes, rendered into a per-thread
+        // buffer and copied into one exact-size allocation per insert.
+        thread_local! {
+            static ENTRY_BUF: std::cell::RefCell<Vec<u8>> = const {
+                std::cell::RefCell::new(Vec::new())
+            };
+        }
+        let entry: Arc<[u8]> = ENTRY_BUF.with(|buf| {
+            let mut buf = buf.borrow_mut();
+            buf.clear();
+            put_entry(&mut buf, key, outcome);
+            Arc::from(&buf[..])
         });
         self.mem
             .lock()
@@ -739,7 +745,7 @@ impl ResultStore {
             return false;
         }
         let mut pending = self.pending.lock().expect("pending lock");
-        pending.push((key.hash, entry));
+        pending.push(entry);
         pending.len() >= FLUSH_THRESHOLD
     }
 
@@ -825,23 +831,21 @@ impl ResultStore {
     /// with identical bytes. Each write stages through its own temp file
     /// (unique per process and call), so racing writers never share an
     /// inode and a reader can only ever map a complete segment.
-    fn write_segment(&self, entries: &[(u64, Arc<Entry>)]) {
+    fn write_segment(&self, entries: &[Arc<[u8]>]) {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let Some(dir) = self.dir.as_ref() else {
             return;
         };
-        let mut body = Vec::with_capacity(entries.len() * 96);
+        let len = entries.iter().map(|e| e.len()).sum::<usize>();
+        let mut body = Vec::with_capacity(SEGMENT_MAGIC.len() + 8 + len);
         body.extend_from_slice(SEGMENT_MAGIC);
         put_u32(&mut body, SCHEMA_VERSION);
         put_u32(&mut body, entries.len() as u32);
         let mut name_hash = Vec::with_capacity(entries.len() * 8);
-        for (hash, entry) in entries {
-            put_u64(&mut body, *hash);
-            put_u32(&mut body, entry.canonical.len() as u32);
-            put_u32(&mut body, entry.payload.len() as u32);
-            body.extend_from_slice(entry.canonical.as_bytes());
-            body.extend_from_slice(entry.payload.as_bytes());
-            name_hash.extend_from_slice(&hash.to_le_bytes());
+        for entry in entries {
+            body.extend_from_slice(entry);
+            // Every entry starts with its key hash.
+            name_hash.extend_from_slice(&entry[..8]);
         }
         let file = format!("seg-{:016x}.cells", fnv1a(&name_hash));
         // The leading dot keeps temp files out of every `seg-*` listing.
@@ -885,45 +889,90 @@ impl Drop for ResultStore {
 /// Magic prefix of binary segment files.
 const SEGMENT_MAGIC: &[u8] = b"STGCELLS";
 
-/// Walks a binary segment file and records every entry's byte ranges —
+/// Bytes of a segment entry's framing: the `u64` key hash and the `u32`
+/// lengths of the canonical key and of the record.
+const ENTRY_HEAD: usize = 16;
+
+/// Bytes of the [`checksum`] that ends every segment entry and row.
+const SUM: usize = 8;
+
+/// Walks a binary segment file and records every entry's byte range —
 /// the zero-copy analogue of parsing it into owned entries. `None` on any
-/// malformation — wrong magic, wrong schema version, truncated entry,
-/// non-UTF-8 strings, or trailing bytes. `seg` is the index the mapping
-/// will occupy in [`SegmentIndex::maps`].
+/// malformation — wrong magic, wrong schema version, an entry count or
+/// length that runs past the file, or trailing bytes. Entry contents are
+/// verified on every probe ([`read_entry`]), not here. `seg` is the index
+/// the mapping will occupy in [`SegmentIndex::maps`].
 fn index_segment(bytes: &[u8], seg: u32) -> Option<Vec<(u64, SegRef)>> {
+    // Entry ranges are `u32`s; no segment this store writes comes close.
+    u32::try_from(bytes.len()).ok()?;
     let rest = bytes.strip_prefix(SEGMENT_MAGIC)?;
     let (version, rest) = take_u32(rest)?;
     if version != SCHEMA_VERSION {
         return None;
     }
     let (count, mut rest) = take_u32(rest)?;
-    // A forged count cannot reserve more entries than the file could hold
-    // (each takes at least its 16-byte hash and lengths).
-    let mut entries = Vec::with_capacity((count as usize).min(rest.len() / 16));
-    let offset_of = |slice: &[u8]| (slice.as_ptr() as usize - bytes.as_ptr() as usize) as u32;
+    // A forged count cannot reserve more entries than the file could hold.
+    let mut entries = Vec::with_capacity((count as usize).min(rest.len() / (ENTRY_HEAD + SUM)));
     for _ in 0..count {
+        let at = bytes.len() - rest.len();
         let (hash, r) = take_u64(rest)?;
-        let (clen, r) = take_u32(r)?;
-        let (plen, r) = take_u32(r)?;
-        let c_off = offset_of(r);
-        let (_canonical, r) = take_str(r, clen as usize)?;
-        let p_off = offset_of(r);
-        let (_payload, r) = take_str(r, plen as usize)?;
+        let (key_len, r) = take_u32(r)?;
+        let (record_len, r) = take_u32(r)?;
+        let tail = key_len as usize + record_len as usize + SUM;
+        rest = r.get(tail..)?;
         entries.push((
             hash,
             SegRef {
                 seg,
-                canonical: (c_off, clen),
-                payload: (p_off, plen),
+                entry: (at as u32, (ENTRY_HEAD + tail) as u32),
                 dead: AtomicBool::new(false),
             },
         ));
-        rest = r;
     }
     if !rest.is_empty() {
         return None;
     }
     Some(entries)
+}
+
+/// Appends one segment entry for `key`: its hash, the lengths of its
+/// canonical key and of the record, the canonical key, the
+/// [`put_record`] record of `outcome`, and the [`checksum`] of all of
+/// those bytes.
+fn put_entry(out: &mut Vec<u8>, key: &CellKey, outcome: &Outcome) {
+    let start = out.len();
+    put_u64(out, key.hash);
+    put_u32(out, key.canonical.len() as u32);
+    put_u32(out, 0); // the record length
+    out.extend_from_slice(key.canonical.as_bytes());
+    put_sealed_record(out, start, start + 12, outcome);
+}
+
+/// Appends `outcome`'s [`put_record`] record, writes its length into the
+/// `u32` at `len_at`, and appends the [`checksum`] of every byte from
+/// `start` on: the tail of both a segment entry and a row.
+fn put_sealed_record(out: &mut Vec<u8>, start: usize, len_at: usize, outcome: &Outcome) {
+    let record_at = out.len();
+    put_record(out, outcome);
+    let record_len = (out.len() - record_at) as u32;
+    out[len_at..len_at + 4].copy_from_slice(&record_len.to_le_bytes());
+    let sum = checksum(&out[start..]);
+    put_u64(out, sum);
+}
+
+/// The outcome a framed segment entry (see [`index_segment`]) holds for
+/// `key`. `None` unless its canonical key is `key`'s, its checksum
+/// matches its bytes, and its record decodes.
+fn read_entry(entry: &[u8], key: &CellKey) -> Option<Outcome> {
+    let (body, sum) = entry.split_at_checked(entry.len().checked_sub(SUM)?)?;
+    let (_, head) = take_u64(body)?;
+    let (key_len, head) = take_u32(head)?;
+    let (_, rest) = take_u32(head)?;
+    let (canonical, record) = rest.split_at_checked(key_len as usize)?;
+    if canonical != key.canonical.as_bytes() || checksum(body) != take_u64(sum)?.0 {
+        return None;
+    }
+    take_record(record)
 }
 
 /// Little-endian `u32` writer for the binary wire/disk formats (segment
@@ -940,14 +989,14 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Reads a little-endian `u32` off the front of `bytes`.
 pub fn take_u32(bytes: &[u8]) -> Option<(u32, &[u8])> {
-    let (head, rest) = bytes.split_at_checked(4)?;
-    Some((u32::from_le_bytes(head.try_into().ok()?), rest))
+    let (head, rest) = bytes.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*head), rest))
 }
 
 /// Reads a little-endian `u64` off the front of `bytes`.
 pub fn take_u64(bytes: &[u8]) -> Option<(u64, &[u8])> {
-    let (head, rest) = bytes.split_at_checked(8)?;
-    Some((u64::from_le_bytes(head.try_into().ok()?), rest))
+    let (head, rest) = bytes.split_first_chunk::<8>()?;
+    Some((u64::from_le_bytes(*head), rest))
 }
 
 /// Reads a `len`-byte UTF-8 string off the front of `bytes`.
@@ -956,11 +1005,38 @@ pub fn take_str(bytes: &[u8], len: usize) -> Option<(&str, &[u8])> {
     Some((std::str::from_utf8(head).ok()?, rest))
 }
 
+/// The 64-bit checksum that ends every segment entry and every row:
+/// `bytes` folded a little-endian word at a time (the last word
+/// zero-padded) through a multiply–xorshift step, starting from the
+/// length. Each step is a bijection of the running state, so two inputs
+/// of one length that differ only inside one aligned 8-byte word — a
+/// flipped byte, say — always check differently. Like [`fnv1a`], the
+/// algorithm is pinned here: stored checksums must not change with the
+/// toolchain.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64| {
+        let h = h.wrapping_mul(K);
+        h ^ (h >> 32)
+    };
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut h = step(bytes.len() as u64 ^ K);
+    for word in words {
+        h = step(h ^ u64::from_le_bytes(*word));
+    }
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = step(h ^ u64::from_le_bytes(last));
+    }
+    h
+}
+
 /// Appends the `(case index, outcome)` row section — the one row
 /// encoding shared by binary shard artifacts and fabric `rows` frames: a
-/// `u32` row count, then per row a `u64` case index, a `u32` payload
-/// length, and the [`encode_outcome`] payload. One payload buffer serves
-/// every row of the call.
+/// `u32` row count, then per row a `u64` case index, the `u32` length of
+/// its record, the [`put_record`] record, and the [`checksum`] of the
+/// row's bytes before it. Allocates nothing beyond `out`'s growth.
 pub fn put_rows<'a, I>(out: &mut Vec<u8>, rows: I)
 where
     I: IntoIterator<Item = (usize, &'a Outcome)>,
@@ -968,32 +1044,36 @@ where
 {
     let rows = rows.into_iter();
     put_u32(out, rows.len() as u32);
-    let mut payload = String::with_capacity(96);
     for (index, outcome) in rows {
-        payload.clear();
-        encode_outcome_into(&mut payload, outcome);
+        let start = out.len();
         put_u64(out, index as u64);
-        put_u32(out, payload.len() as u32);
-        out.extend_from_slice(payload.as_bytes());
+        put_u32(out, 0); // the record length
+        put_sealed_record(out, start, start + 8, outcome);
     }
 }
 
+/// Bytes of one row's framing: its `u64` index and `u32` record length.
+const ROW_HEAD: usize = 12;
+
 /// Decodes a [`put_rows`] section that runs to the end of `bytes`.
-/// Truncation, an undecodable payload, or trailing bytes are errors,
-/// never panics.
+/// Truncation, a checksum mismatch, an undecodable record, or trailing
+/// bytes refuse the whole section, never panic.
 pub fn take_rows(bytes: &[u8]) -> Result<Vec<(usize, Outcome)>, String> {
-    /// Bytes of one row's framing: its `u64` index and `u32` length.
-    const ROW_FRAME: usize = 12;
     let trunc = || "truncated row section".to_string();
     let (count, mut rest) = take_u32(bytes).ok_or_else(trunc)?;
     // A forged count cannot reserve more rows than the input could hold.
-    let mut rows = Vec::with_capacity((count as usize).min(rest.len() / ROW_FRAME));
+    let mut rows = Vec::with_capacity((count as usize).min(rest.len() / (ROW_HEAD + SUM)));
     for _ in 0..count {
         let (index, r) = take_u64(rest).ok_or_else(trunc)?;
         let (len, r) = take_u32(r).ok_or_else(trunc)?;
-        let (payload, r) = take_str(r, len as usize).ok_or_else(trunc)?;
-        let outcome = decode_outcome(payload)
-            .ok_or_else(|| format!("undecodable row payload for case {index}"))?;
+        let (record, r) = r.split_at_checked(len as usize).ok_or_else(trunc)?;
+        let (sum, r) = take_u64(r).ok_or_else(trunc)?;
+        let row = &rest[..ROW_HEAD + record.len()];
+        if checksum(row) != sum {
+            return Err(format!("row checksum mismatch for case {index}"));
+        }
+        let outcome = take_record(record)
+            .ok_or_else(|| format!("undecodable row record for case {index}"))?;
         rows.push((index as usize, outcome));
         rest = r;
     }
@@ -1003,13 +1083,118 @@ pub fn take_rows(bytes: &[u8]) -> Result<Vec<(usize, Outcome)>, String> {
     Ok(rows)
 }
 
-// Floats are rendered with `{:?}` (the shortest round-trip
-// representation), so parsing the text back yields the identical bit
-// pattern.
+/// Record tag of an `ok` outcome without a simulation block.
+const TAG_OK: u8 = 0;
+/// Record tag of an `ok` outcome with a simulation block.
+const TAG_OK_SIM: u8 = 1;
+/// Record tag of a scheduling error.
+const TAG_ERR: u8 = 2;
+/// Bytes of an `ok` record after its tag: three integers and four floats.
+const OK_FIELDS: usize = 7 * 8;
+/// Bytes of a simulation block: two integers, a float and two flags.
+const SIM_FIELDS: usize = 3 * 8 + 2;
 
-/// Serializes an outcome as one whitespace-separated line. The format is
-/// versioned implicitly through [`SCHEMA_VERSION`] in the cell key: any
-/// field change here must bump the version.
+/// Appends `outcome` as one binary record, the payload of segment
+/// entries and rows. Little-endian, fixed-width per kind:
+///
+/// - `ok`: tag `0`; `makespan`, `blocks`, `buffer_elements` as `u64`s;
+///   `speedup`, `sslr`, `slr`, `utilization` as their `f64::to_bits` —
+///   57 bytes;
+/// - `ok` with a simulation: tag `1`, the same fields, then the sim block:
+///   `makespan`, `beats` and the `rel_err_pct` bits as `u64`s, then
+///   `completed` and `diverged` as one byte each (0 or 1) — 83 bytes;
+/// - a scheduling error: tag `2`, then its [`error_code`].
+///
+/// Floats are stored as bits, so every value (NaN payloads included)
+/// round-trips exactly. Wall-clocks are never stored. Any change here
+/// must bump [`SCHEMA_VERSION`].
+pub fn put_record(out: &mut Vec<u8>, outcome: &Outcome) {
+    match outcome {
+        Ok(r) => {
+            let m = &r.metrics;
+            out.push(if r.sim.is_some() { TAG_OK_SIM } else { TAG_OK });
+            for v in [
+                m.makespan,
+                m.blocks as u64,
+                r.buffer_elements,
+                m.speedup.to_bits(),
+                m.sslr.to_bits(),
+                m.slr.to_bits(),
+                m.utilization.to_bits(),
+            ] {
+                put_u64(out, v);
+            }
+            if let Some(s) = &r.sim {
+                for v in [s.makespan, s.beats, s.rel_err_pct.to_bits()] {
+                    put_u64(out, v);
+                }
+                out.extend_from_slice(&[u8::from(s.completed), u8::from(s.diverged)]);
+            }
+        }
+        Err(e) => {
+            out.push(TAG_ERR);
+            out.extend_from_slice(error_code(e).as_bytes());
+        }
+    }
+}
+
+/// Decodes one whole [`put_record`] record. `None` on any malformation:
+/// an unknown tag, a length that does not match the tag, a flag other
+/// than 0 or 1, or an unknown error code.
+pub fn take_record(bytes: &[u8]) -> Option<Outcome> {
+    let (&tag, body) = bytes.split_first()?;
+    let sim = match tag {
+        TAG_OK => false,
+        TAG_OK_SIM => true,
+        TAG_ERR => {
+            let code = std::str::from_utf8(body).ok()?;
+            return parse_error_code(code).map(Err);
+        }
+        _ => return None,
+    };
+    let expect = OK_FIELDS + if sim { SIM_FIELDS } else { 0 };
+    if body.len() != expect {
+        return None;
+    }
+    let (words, flags) = body.as_chunks::<8>();
+    let word = |i: usize| u64::from_le_bytes(words[i]);
+    let flag = |i: usize| match flags[i] {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    };
+    let metrics = stg_sched::Metrics {
+        makespan: word(0),
+        blocks: usize::try_from(word(1)).ok()?,
+        speedup: f64::from_bits(word(3)),
+        sslr: f64::from_bits(word(4)),
+        slr: f64::from_bits(word(5)),
+        utilization: f64::from_bits(word(6)),
+    };
+    let sim = if sim {
+        Some(SimRecord {
+            completed: flag(0)?,
+            makespan: word(7),
+            rel_err_pct: f64::from_bits(word(9)),
+            beats: word(8),
+            diverged: flag(1)?,
+            // Wall-clocks are never stored: a cached cell reports no
+            // timing, by design.
+            micros: SimMicros::default(),
+        })
+    } else {
+        None
+    };
+    Some(Ok(Record {
+        metrics,
+        buffer_elements: word(2),
+        sim,
+    }))
+}
+
+/// Renders an outcome as one whitespace-separated text line, the
+/// `"outcome"` member of the service's plan responses (floats in their
+/// shortest round-trip form). No store or row format uses it.
 pub fn encode_outcome(outcome: &Outcome) -> String {
     let mut out = String::new();
     encode_outcome_into(&mut out, outcome);
@@ -1044,63 +1229,6 @@ pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
         Err(e) => {
             write!(out, "err {}", error_code(e)).expect("write to String");
         }
-    }
-}
-
-/// Parses an [`encode_outcome`] line back. `None` on any malformation
-/// (the store treats that as an invalidation).
-pub fn decode_outcome(s: &str) -> Option<Outcome> {
-    let mut it = s.split_ascii_whitespace();
-    match it.next()? {
-        "ok" => {
-            let metrics = stg_sched::Metrics {
-                makespan: it.next()?.parse().ok()?,
-                speedup: it.next()?.parse().ok()?,
-                sslr: it.next()?.parse().ok()?,
-                slr: it.next()?.parse().ok()?,
-                utilization: it.next()?.parse().ok()?,
-                blocks: it.next()?.parse().ok()?,
-            };
-            let buffer_elements = it.next()?.parse().ok()?;
-            let sim = match it.next()? {
-                "nosim" => None,
-                "sim" => Some(SimRecord {
-                    completed: parse_bool01(it.next()?)?,
-                    makespan: it.next()?.parse().ok()?,
-                    rel_err_pct: it.next()?.parse().ok()?,
-                    beats: it.next()?.parse().ok()?,
-                    diverged: parse_bool01(it.next()?)?,
-                    // Wall-clocks are never stored: a cached cell reports
-                    // no timing, by design.
-                    micros: SimMicros::default(),
-                }),
-                _ => return None,
-            };
-            if it.next().is_some() {
-                return None; // trailing junk
-            }
-            Some(Ok(Record {
-                metrics,
-                buffer_elements,
-                sim,
-            }))
-        }
-        "err" => {
-            let e = parse_error_code(it.next()?)?;
-            if it.next().is_some() {
-                return None;
-            }
-            Some(Err(e))
-        }
-        _ => None,
-    }
-}
-
-fn parse_bool01(s: &str) -> Option<bool> {
-    match s {
-        "0" => Some(false),
-        "1" => Some(true),
-        _ => None,
     }
 }
 
@@ -1173,17 +1301,37 @@ mod tests {
         }
     }
 
+    /// The [`put_record`] bytes of `outcome`.
+    fn record(outcome: &Outcome) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_record(&mut out, outcome);
+        out
+    }
+
     fn assert_round_trip(outcome: &Outcome) {
-        let text = encode_outcome(outcome);
-        let back = decode_outcome(&text).expect("decodes");
-        // Re-encoding must reproduce the exact text (bit-exact floats).
-        assert_eq!(encode_outcome(&back), text);
+        let bytes = record(outcome);
+        let back = take_record(&bytes).expect("decodes");
+        // Re-encoding must reproduce the exact bytes (bit-exact floats).
+        assert_eq!(record(&back), bytes);
+        assert_eq!(encode_outcome(&back), encode_outcome(outcome));
     }
 
     #[test]
     fn outcomes_round_trip_bit_exactly() {
         assert_round_trip(&Ok(sample_record(false)));
         assert_round_trip(&Ok(sample_record(true)));
+        assert_eq!(record(&Ok(sample_record(false))).len(), 1 + OK_FIELDS);
+        assert_eq!(
+            record(&Ok(sample_record(true))).len(),
+            1 + OK_FIELDS + SIM_FIELDS
+        );
+        // Floats travel as bits: NaN payloads, infinities and -0.0 too.
+        let mut odd = sample_record(true);
+        odd.metrics.speedup = f64::from_bits(0x7ff8_0000_dead_beef);
+        odd.metrics.sslr = f64::NEG_INFINITY;
+        odd.metrics.slr = -0.0;
+        odd.sim.as_mut().expect("validated").rel_err_pct = f64::MIN_POSITIVE / 3.0;
+        assert_round_trip(&Ok(odd));
         for e in [
             ScheduleError::Cyclic,
             ScheduleError::Uncovered(NodeId(3)),
@@ -1195,26 +1343,42 @@ mod tests {
                 consumer: NodeId(2),
             },
         ] {
-            let text = encode_outcome(&Err(e.clone()));
-            assert_eq!(decode_outcome(&text), Some(Err(e)));
+            let bytes = record(&Err(e.clone()));
+            assert_eq!(take_record(&bytes), Some(Err(e)));
         }
     }
 
     #[test]
-    fn malformed_payloads_decode_to_none() {
+    fn malformed_records_decode_to_none() {
+        let ok = record(&Ok(sample_record(false)));
+        let sim = record(&Ok(sample_record(true)));
+        let with = |bytes: &[u8], at: usize, v: u8| {
+            let mut b = bytes.to_vec();
+            b[at] = v;
+            b
+        };
+        let last = sim.len() - 1;
         for bad in [
-            "",
-            "ok",
-            "ok 1 2 3",
-            "ok 1 x 3 4 5 6 7 nosim",
-            "ok 1 2.0 3.0 4.0 5.0 6 7 nosim extra",
-            "ok 1 2.0 3.0 4.0 5.0 6 7 sim 2 1 0.0 1 0",
-            "err",
-            "err unknown-code",
-            "err uncovered(x)",
-            "wat 1 2 3",
+            Vec::new(),
+            vec![TAG_OK],
+            // Lengths that do not match the tag.
+            ok[..ok.len() - 1].to_vec(),
+            [&ok[..], &[0]].concat(),
+            with(&ok, 0, TAG_OK_SIM),
+            with(&sim, 0, TAG_OK),
+            // Flags other than 0 or 1.
+            with(&sim, last - 1, 2),
+            with(&sim, last, 0xff),
+            // Unknown tags and error codes.
+            with(&ok, 0, 3),
+            with(&ok, 0, b'o'),
+            vec![TAG_ERR],
+            [&[TAG_ERR][..], b"unknown-code"].concat(),
+            [&[TAG_ERR][..], b"uncovered(x)"].concat(),
+            [&[TAG_ERR][..], &[0xff, 0xfe]].concat(),
+            b"ok 1 2.0 3.0 4.0 5.0 6 7 nosim".to_vec(),
         ] {
-            assert_eq!(decode_outcome(bad), None, "{bad:?}");
+            assert_eq!(take_record(&bad), None, "{bad:?}");
         }
     }
 
@@ -1466,6 +1630,15 @@ mod tests {
         for len in 0..bytes.len() {
             assert!(take_rows(&bytes[..len]).is_err(), "prefix {len}");
         }
+        // Every single-bit flip is refused: the count and lengths by the
+        // framing, everything else by the row's checksum.
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert!(take_rows(&flipped).is_err(), "byte {at} bit {bit}");
+            }
+        }
         bytes.push(0);
         assert!(take_rows(&bytes).is_err());
         assert!(take_rows(&u32::MAX.to_le_bytes()).is_err());
@@ -1651,7 +1824,7 @@ mod tests {
             index_segment(m.bytes(), 0)
                 .expect("segment parses")
                 .into_iter()
-                .map(|(hash, r)| (hash, r.seg, r.canonical, r.payload))
+                .map(|(hash, r)| (hash, r.seg, r.entry))
                 .collect::<Vec<_>>()
         };
         assert_eq!(ranges(&mapped).len(), 8);

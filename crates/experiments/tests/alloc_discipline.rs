@@ -2,9 +2,10 @@
 //!
 //! This binary installs a counting global allocator and asserts that the
 //! zero-copy paths really are zero-copy: serving a fully warm grid from
-//! the mapped segment index, and encoding rows into a reused buffer,
-//! perform **no per-cell heap allocation** — the measured totals stay
-//! far below one allocation per cell.
+//! the mapped segment index, encoding records and rows into a reused
+//! buffer, and rendering CSV rows through a warmed merger perform **no
+//! per-cell heap allocation** — the measured totals stay far below one
+//! allocation per cell, or at zero.
 //!
 //! The count is per thread and only runs inside [`count_allocs`], so the
 //! test harness running these tests (and its own bookkeeping) in
@@ -13,8 +14,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use stg_experiments::store::{encode_outcome_into, CellKey, Outcome, SCHEMA_VERSION};
-use stg_experiments::ResultStore;
+use stg_core::SchedulerKind;
+use stg_experiments::engine::{SimChoice, WorkloadSpec};
+use stg_experiments::store::{
+    encode_outcome_into, put_record, put_rows, CellKey, Outcome, SCHEMA_VERSION,
+};
+use stg_experiments::{OutputKind, ResultStore, StreamMerger, SweepSpec};
 
 struct Counting;
 
@@ -124,11 +129,9 @@ fn warm_mapped_lookups_do_not_allocate_per_cell() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Encoding outcomes into a reused buffer — the fabric worker's per-row
-/// hot loop — allocates nothing once the buffer has grown to line size.
-#[test]
-fn row_encoding_into_a_reused_buffer_does_not_allocate() {
-    let outcome: Outcome = Ok(stg_experiments::engine::Record {
+/// A validated outcome with every field at an extreme.
+fn wide_outcome() -> Outcome {
+    Ok(stg_experiments::engine::Record {
         metrics: stg_sched::Metrics {
             makespan: u64::MAX,
             speedup: 123.456789,
@@ -146,17 +149,75 @@ fn row_encoding_into_a_reused_buffer_does_not_allocate() {
             diverged: false,
             micros: stg_experiments::engine::SimMicros::default(),
         }),
-    });
-    let mut buf = String::with_capacity(256);
-    encode_outcome_into(&mut buf, &outcome); // warm-up sizes the buffer
+    })
+}
+
+/// Encoding outcomes into a reused buffer — records, the fabric worker's
+/// per-row hot loop (a whole row section), and the service's text
+/// outcome — allocates nothing once the buffer has grown to size.
+#[test]
+fn row_encoding_into_a_reused_buffer_does_not_allocate() {
+    let outcome = wide_outcome();
+    let mut record = Vec::new();
+    put_record(&mut record, &outcome); // warm-up sizes the buffer
     let ((), spent) = count_allocs(|| {
         for _ in 0..1_000 {
-            buf.clear();
-            encode_outcome_into(&mut buf, &outcome);
+            record.clear();
+            put_record(&mut record, &outcome);
         }
     });
-    assert_eq!(
-        spent, 0,
-        "1000 row encodes into a warmed buffer must not allocate"
-    );
+    assert_eq!(spent, 0, "1000 record encodes into a warmed buffer");
+    let rows: Vec<(usize, Outcome)> = (0..128).map(|i| (i, outcome.clone())).collect();
+    let mut section = Vec::new();
+    put_rows(&mut section, rows.iter().map(|(i, o)| (*i, o)));
+    let ((), spent) = count_allocs(|| {
+        for _ in 0..100 {
+            section.clear();
+            put_rows(&mut section, rows.iter().map(|(i, o)| (*i, o)));
+        }
+    });
+    assert_eq!(spent, 0, "100 row sections into a warmed buffer");
+    let mut text = String::with_capacity(256);
+    encode_outcome_into(&mut text, &outcome);
+    let ((), spent) = count_allocs(|| {
+        for _ in 0..1_000 {
+            text.clear();
+            encode_outcome_into(&mut text, &outcome);
+        }
+    });
+    assert_eq!(spent, 0, "1000 text encodes into a warmed buffer");
+}
+
+/// A warmed [`StreamMerger`] renders CSV rows into its one reused buffer:
+/// 1,000 in-order rows written to `io::sink()` allocate nothing.
+#[test]
+fn warmed_merger_renders_csv_rows_without_allocating() {
+    let spec = SweepSpec {
+        workloads: vec![WorkloadSpec {
+            workload: "chain:8".parse().expect("registered spec"),
+            pes: vec![4],
+        }],
+        graphs: 1_100,
+        seed: u64::MAX - 2_000,
+        schedulers: vec![SchedulerKind::StreamingLts],
+        validate: true,
+        sim: SimChoice::Batched,
+        timing: false,
+        threads: Some(1),
+    };
+    let outcome = wide_outcome();
+    let mut merger = StreamMerger::new(spec, OutputKind::Csv, std::io::sink()).expect("header");
+    // Warm-up: the first rows render the workload's label and size the
+    // row buffer.
+    for index in 0..100 {
+        merger.push(index, outcome.clone()).expect("row");
+    }
+    let rows: Vec<Outcome> = (0..1_000).map(|_| outcome.clone()).collect();
+    let ((), spent) = count_allocs(|| {
+        for (index, outcome) in (100..).zip(rows) {
+            assert!(merger.push(index, outcome).expect("row"));
+        }
+    });
+    assert_eq!(spent, 0, "1000 CSV rows through a warmed merger");
+    assert_eq!(merger.finish().expect("complete").rows, 1_100);
 }

@@ -263,3 +263,102 @@ fn corrupted_disk_entries_invalidate_and_heal() {
     assert_eq!(again.cell_cache.hits, n);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The one-cell grid of the segment fixtures below.
+fn one_cell_spec() -> SweepSpec {
+    SweepSpec {
+        workloads: vec![WorkloadSpec {
+            workload: "chain:8".parse().expect("registered spec"),
+            pes: vec![4],
+        }],
+        graphs: 1,
+        seed: 1,
+        schedulers: vec![SchedulerKind::StreamingLts],
+        validate: false,
+        sim: SimChoice::default(),
+        timing: false,
+        threads: Some(1),
+    }
+}
+
+/// A fresh cache directory for one test.
+fn cache_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("stg-cell-cache-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create cache dir");
+    dir
+}
+
+/// The `seg-*.cells` files of `dir`.
+fn segments(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    std::fs::read_dir(dir)
+        .expect("cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|e| e == "cells"))
+        .collect()
+}
+
+/// A flipped byte inside each stored record is never served: both
+/// entries of the one-cell store (the nominal and the semantic key) fail
+/// their checksum and count as invalidations, the cell is evaluated again
+/// and the output is byte-identical. Offsets follow the v3 segment
+/// layout: a 16-byte header, then per entry a u64 hash, u32 key and
+/// record lengths, the key, the record and a u64 checksum.
+#[test]
+fn flipped_record_bytes_are_invalidated_not_served() {
+    let dir = cache_dir("flip");
+    let spec = one_cell_spec();
+    let clean = {
+        let store = ResultStore::at_dir(&dir).expect("open cache dir");
+        spec.run_with(Some(&store)).to_csv()
+    };
+    let [seg] = &segments(&dir)[..] else {
+        panic!("one segment")
+    };
+    let mut bytes = std::fs::read(seg).expect("segment bytes");
+    let mut at = 16;
+    while at < bytes.len() {
+        let len = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        let (key_len, record_len) = (len(at + 8), len(at + 12));
+        // The low byte of the record's makespan: 391 would read 263.
+        bytes[at + 16 + key_len + 1] ^= 0x80;
+        at += 16 + key_len + record_len + 8;
+    }
+    std::fs::write(seg, &bytes).expect("rewrite");
+    let store = ResultStore::at_dir(&dir).expect("reopen cache dir");
+    let rerun = spec.run_with(Some(&store));
+    assert_eq!(rerun.to_csv(), clean);
+    let stats = rerun.cell_cache;
+    assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 1, 0));
+    assert_eq!((stats.invalidations, stats.evicted), (2, 0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A segment the v2 store wrote (text payloads, no checksums; the
+/// fixture is the one-cell grid's cache directory as the v2 `sweep`
+/// left it) is evicted whole as a stale schema, and the cell re-evaluates
+/// to the bytes a storeless run emits.
+#[test]
+fn v2_segments_are_evicted_and_the_rerun_is_byte_identical() {
+    const V2_SEGMENT: &str = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/segment_v2.cells"
+    );
+    let old = std::fs::read(V2_SEGMENT).expect("fixture checked in");
+    assert_eq!(&old[..12], b"STGCELLS\x02\0\0\0", "a v2 segment");
+    let dir = cache_dir("v2");
+    let stale = dir.join("seg-ce4cf1b2c693d024.cells");
+    std::fs::write(&stale, &old).expect("install fixture");
+    let spec = one_cell_spec();
+    let store = ResultStore::at_dir(&dir).expect("open cache dir");
+    let rerun = spec.run_with(Some(&store));
+    assert_eq!(rerun.to_csv(), spec.run().to_csv());
+    let stats = rerun.cell_cache;
+    assert_eq!((stats.hits, stats.misses, stats.evicted), (0, 1, 1));
+    assert!(!stale.exists(), "the stale segment is deleted");
+    drop(store);
+    let warm = ResultStore::at_dir(&dir).expect("reopen cache dir");
+    assert_eq!(spec.run_with(Some(&warm)).cell_cache.hits, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -254,6 +254,48 @@ fn text_spec_block_artifacts_are_refused_with_a_regenerate_hint() {
     assert!(err.contains("regenerate"), "{err}");
 }
 
+/// A `sweep --shard 0/1` artifact of the one-cell `chain:8` grid as the
+/// v2 engine wrote it: the JSON spec block, with text row payloads and no
+/// checksums. It is refused with a hint to regenerate it.
+const JSON_SPEC_SHARD_V2_FIXTURE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/fixtures/json_spec_shard_v2.bin"
+);
+
+#[test]
+fn v2_artifacts_are_refused_with_a_regenerate_hint() {
+    let old = std::fs::read(JSON_SPEC_SHARD_V2_FIXTURE).expect("fixture checked in");
+    assert_eq!(&old[7..11], &2u32.to_le_bytes(), "a v2 artifact");
+    assert!(old[spec_block(&old)].starts_with(b"{\"workloads\""));
+    let err = merge_err(&old);
+    assert!(err.contains("v2"), "{err}");
+    assert!(err.contains("regenerate"), "{err}");
+}
+
+/// No single flipped bit anywhere in a one-row artifact is merged: the
+/// header fails its own checks (selector, case range, total, the spec
+/// encoding, the grid fingerprint), and the row fails the framing or its
+/// checksum.
+#[test]
+fn every_flipped_bit_of_a_one_row_artifact_is_refused() {
+    let mut spec = two_case_spec();
+    spec.graphs = 1;
+    let artifact = spec
+        .run_shard(Shard { index: 0, of: 1 }, None)
+        .artifact_bytes()
+        .unwrap();
+    assert!(merge(std::slice::from_ref(&artifact), OutputKind::Csv).is_ok());
+    for at in 0..artifact.len() {
+        for bit in 0..8 {
+            let mut flipped = artifact.clone();
+            flipped[at] ^= 1 << bit;
+            if let Ok((csv, _)) = merge(&[flipped], OutputKind::Csv) {
+                panic!("byte {at} bit {bit} was merged:\n{csv}");
+            }
+        }
+    }
+}
+
 /// `sweep --json` and `sweep merge --json` of the same grid's shards write
 /// the same bytes: the live cache and leap counters go to stderr only,
 /// never into the artifact.

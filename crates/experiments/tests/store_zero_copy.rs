@@ -13,9 +13,11 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 use stg_analysis::ScheduleError;
+use stg_core::SchedulerKind;
 use stg_experiments::engine::{Record, SimMicros, SimRecord};
+use stg_experiments::engine::{SimChoice, WorkloadSpec};
 use stg_experiments::store::{encode_outcome, CellKey, Outcome, SCHEMA_VERSION};
-use stg_experiments::ResultStore;
+use stg_experiments::{ResultStore, SweepSpec};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -180,15 +182,15 @@ fn forged_entry_count_is_evicted() {
 }
 
 /// A mapped entry that fails verification — a bit-flip inside its
-/// canonical key, or a garbage payload — is invalidated (tombstoned)
+/// canonical key, or a garbage record — is invalidated (tombstoned)
 /// rather than trusted, and the *second* probe is a plain miss — no
 /// repeated invalidation, no promotion of corrupt bytes into memory.
 #[test]
 fn corrupt_mapped_entry_invalidates_once_then_misses() {
     // Layout: 8B magic + 4B version + 4B count, then per entry 8B hash +
-    // 4B clen + 4B plen + canonical bytes + payload bytes. Overwriting one
-    // byte with another ASCII value keeps the framing and UTF-8 intact
-    // while breaking verification.
+    // 4B clen + 4B plen + canonical bytes + record bytes + 8B checksum.
+    // Overwriting one byte keeps the framing intact while breaking
+    // verification.
     let canonical_at = 8 + 4 + 4 + 8 + 4 + 4;
     for what in ["canonical", "payload"] {
         let dir = scratch_dir("flip");
@@ -215,6 +217,115 @@ fn corrupt_mapped_entry_invalidates_once_then_misses() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A segment entry: the key it holds and its byte range in the segment.
+type KeyedEntry = (CellKey, std::ops::Range<usize>);
+
+/// A one-cell sweep's segment: its two entries (the nominal key and the
+/// semantic key of the cell's graph) as `(key, byte range)`, and the
+/// segment bytes. A v3 segment is a 16-byte header, then per entry a u64
+/// hash, u32 key and record lengths, the key, the record and a u64
+/// checksum.
+fn one_cell_segment(dir: &PathBuf) -> (PathBuf, Vec<KeyedEntry>, Vec<u8>) {
+    let spec = SweepSpec {
+        workloads: vec![WorkloadSpec {
+            workload: "chain:8".parse().expect("registered spec"),
+            pes: vec![4],
+        }],
+        graphs: 1,
+        seed: 1,
+        schedulers: vec![SchedulerKind::StreamingLts],
+        validate: false,
+        sim: SimChoice::default(),
+        timing: false,
+        threads: Some(1),
+    };
+    {
+        let store = ResultStore::at_dir(dir).expect("create dir");
+        spec.run_with(Some(&store));
+    }
+    let fingerprint = spec.cases()[0].graph().fingerprint();
+    let keys = [
+        CellKey::new(SCHEMA_VERSION, "chain:8", 1, 4, "sb-lts", "off"),
+        CellKey::semantic(SCHEMA_VERSION, fingerprint, 4, "sb-lts", "off"),
+    ];
+    let seg = std::fs::read_dir(dir)
+        .expect("cache dir")
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| p.extension().is_some_and(|e| e == "cells"))
+        .expect("the sweep wrote a segment");
+    let bytes = std::fs::read(&seg).expect("segment bytes");
+    assert_eq!(&bytes[12..16], &2u32.to_le_bytes(), "two entries");
+    let mut entries = Vec::new();
+    let mut at = 16;
+    while at < bytes.len() {
+        let len = |off: usize| u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
+        let end = at + 16 + len(at + 8) + len(at + 12) + 8;
+        let key = keys
+            .iter()
+            .find(|k| bytes[at + 16..].starts_with(k.canonical().as_bytes()))
+            .expect("every entry holds one of the cell's keys");
+        entries.push((key.clone(), at..end));
+        at = end;
+    }
+    assert_eq!((entries.len(), at), (2, bytes.len()));
+    (seg, entries, bytes)
+}
+
+/// No single flipped bit anywhere in a one-cell segment is ever served:
+/// a flip in the header or an entry's lengths evicts the segment, a flip
+/// in an entry's key, record or checksum invalidates that entry, and a
+/// flip in its hash files it under a key no lookup asks for. The other,
+/// intact entry is still served whenever the segment parses.
+#[test]
+fn every_flipped_bit_of_a_one_cell_segment_is_refused() {
+    let dir = scratch_dir("bitflip");
+    let (seg, entries, clean) = one_cell_segment(&dir);
+    let served = ResultStore::at_dir(&dir).expect("reopen");
+    let want: Vec<Outcome> = entries
+        .iter()
+        .map(|(k, _)| {
+            served
+                .lookup(k)
+                .expect("the clean segment serves both keys")
+        })
+        .collect();
+    drop(served);
+    let (mut evicted, mut invalidated, mut rehashed) = (0, 0, 0);
+    for at in 0..clean.len() {
+        for bit in 0..8 {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 1 << bit;
+            std::fs::write(&seg, &bytes).expect("rewrite");
+            let store = ResultStore::at_dir(&dir).expect("reopen");
+            for ((key, range), want) in entries.iter().zip(&want) {
+                let got = store.lookup(key);
+                if range.contains(&at) || at < 16 {
+                    assert_eq!(got, None, "byte {at} bit {bit} was served");
+                } else if store.stats().evicted == 0 {
+                    assert_eq!(got.as_ref(), Some(want), "byte {at} bit {bit}");
+                }
+            }
+            let stats = store.stats();
+            match (stats.evicted, stats.invalidations) {
+                (1, 0) => evicted += 1,
+                (0, 1) => invalidated += 1,
+                // Only a flipped hash leaves the entry unreachable.
+                (0, 0) => {
+                    let (_, range) = entries.iter().find(|(_, r)| r.contains(&at)).unwrap();
+                    assert!(at < range.start + 8, "byte {at} bit {bit} went unnoticed");
+                    rehashed += 1;
+                }
+                other => panic!("byte {at} bit {bit}: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(evicted + invalidated + rehashed, 8 * clean.len());
+    assert_eq!(rehashed, 2 * 64, "each entry's hash bits");
+    assert_eq!(evicted, 8 * (16 + 2 * 8), "the header and length bits");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Writers of one process that flush the same cells at once — two

@@ -308,9 +308,9 @@ impl FabricResponse {
 
 /// Encodes a row batch as the hex blob of the `rows` frame.
 pub fn encode_rows(rows: &[(usize, Outcome)]) -> String {
-    // Two buffers (plus the codec's one payload buffer), none per row or,
-    // worse, per byte: the hex rendering pushes nibbles directly.
-    let mut bytes = Vec::with_capacity(8 + rows.len() * 48);
+    // Two buffers, none per row or, worse, per byte: the hex rendering
+    // pushes nibbles directly.
+    let mut bytes = Vec::with_capacity(4 + rows.len() * 104);
     put_rows(
         &mut bytes,
         rows.iter().map(|(index, outcome)| (*index, outcome)),
@@ -324,16 +324,39 @@ pub fn encode_rows(rows: &[(usize, Outcome)]) -> String {
     out
 }
 
-/// Decodes an [`encode_rows`] blob.
+/// Decodes an [`encode_rows`] blob in one pass over its digit pairs. A
+/// blob that is not hex, or whose row section [`take_rows`] refuses, is
+/// refused whole.
 pub fn decode_rows(blob: &str) -> Result<Vec<(usize, Outcome)>, String> {
-    if !blob.len().is_multiple_of(2) || !blob.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Err("rows blob is not hex".to_string());
+    let not_hex = || "rows blob is not hex".to_string();
+    let (pairs, odd) = blob.as_bytes().as_chunks::<2>();
+    if !odd.is_empty() {
+        return Err(not_hex());
     }
-    let bytes: Vec<u8> = (0..blob.len() / 2)
-        .map(|i| u8::from_str_radix(&blob[2 * i..2 * i + 2], 16).expect("hex checked"))
-        .collect();
+    let mut bytes = Vec::with_capacity(pairs.len());
+    for &[hi, lo] in pairs {
+        let (hi, lo) = (NIBBLE[hi as usize], NIBBLE[lo as usize]);
+        if (hi | lo) > 0xf {
+            return Err(not_hex());
+        }
+        bytes.push(hi << 4 | lo);
+    }
     take_rows(&bytes)
 }
+
+/// Each byte's value as a hex digit (either case), or `0xff` for a byte
+/// that is not one.
+const NIBBLE: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 16 {
+        let digit = b"0123456789abcdef"[i];
+        table[digit as usize] = i as u8;
+        table[digit.to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
 
 #[cfg(test)]
 mod tests {
@@ -416,6 +439,25 @@ mod tests {
         rows.insert_str(rows.len() - 1, ",\"hit\":1");
         let err = FabricRequest::parse(&rows).unwrap_err();
         assert!(err.contains("unknown field \"hit\""), "{err}");
+    }
+
+    #[test]
+    fn rows_frames_with_a_repeated_member_are_refused() {
+        let frame = FabricRequest::Rows {
+            lease: 1,
+            rows: sample_rows(),
+            hits: 0,
+            misses: 0,
+            leap: stg_des::LeapStats::default(),
+        }
+        .frame();
+        assert!(FabricRequest::parse(&frame).is_ok());
+        for extra in [",\"lease\":2", ",\"rows\":\"00000000\""] {
+            let mut forged = frame.clone();
+            forged.insert_str(forged.len() - 1, extra);
+            let err = FabricRequest::parse(&forged).unwrap_err();
+            assert!(err.contains("repeated field"), "{extra}: {err}");
+        }
     }
 
     #[test]

@@ -381,6 +381,28 @@ mod tests {
         assert_eq!(s.counters().snapshot().malformed, 4);
     }
 
+    /// A repeated member is refused, not read as its first copy: the
+    /// request gets a 400 naming the member and counts as malformed.
+    #[test]
+    fn repeated_members_are_refused_as_malformed() {
+        let s = service();
+        for (line, member) in [
+            (
+                r#"{"id":8,"workload":"chain:8","pes":4,"pes":0,"scheduler":"sb-lts"}"#,
+                "pes",
+            ),
+            (
+                r#"{"id":8,"sweep":{"workloads":[{"workload":"chain:8"}],"graphs":1,"graphs":2}}"#,
+                "graphs",
+            ),
+        ] {
+            let e = rejection(&s.handle(1, line));
+            let want = format!("repeated field {member:?}");
+            assert!(e.error.contains(&want), "{line}: {}", e.error);
+        }
+        assert_eq!(s.counters().snapshot().malformed, 2);
+    }
+
     /// The one 400 frame `frames` must consist of, for request id 8.
     fn rejection(frames: &[String]) -> ProtoError {
         assert_eq!(frames.len(), 1, "{frames:?}");
