@@ -24,8 +24,9 @@
 //! Endpoints behave like the paper's source nodes: first element one cycle
 //! after their gate opens, last element `⌈(O−1)·S_o⌉+1` cycles after.
 
+use crate::facts::GraphFacts;
 use crate::intervals::{EdgeProducer, StreamingIntervals};
-use stg_graph::{topological_order, NodeId, Ratio};
+use stg_graph::{NodeId, Ratio};
 use stg_model::{CanonicalGraph, NodeKind};
 
 /// An ordered partition of the compute nodes into spatial blocks.
@@ -179,16 +180,21 @@ pub fn schedule_with(
     partition: &Partition,
     rule: BlockStartRule,
 ) -> Result<Schedule, ScheduleError> {
+    GraphFacts::new(g).schedule(partition, rule)
+}
+
+/// The schedule engine behind [`GraphFacts::schedule`]: the graph's
+/// topological order comes from its facts.
+pub(crate) fn schedule_facts(
+    facts: &GraphFacts<'_>,
+    partition: &Partition,
+    rule: BlockStartRule,
+) -> Result<Schedule, ScheduleError> {
+    let g = facts.graph();
     let n = g.node_count();
     let dag = g.dag();
-    let topo = topological_order(dag).map_err(|_| ScheduleError::Cyclic)?;
-    let topo_pos = {
-        let mut pos = vec![0u32; n];
-        for (i, v) in topo.iter().enumerate() {
-            pos[v.index()] = i as u32;
-        }
-        pos
-    };
+    let topo = facts.topological_order()?;
+    let topo_pos = facts.topological_positions()?;
 
     // Validate the partition.
     let mut block_of: Vec<Option<u32>> = vec![None; n];
@@ -214,7 +220,7 @@ pub fn schedule_with(
     // Compute-to-compute dependencies (also through buffers) must not point
     // backwards across blocks. Buffer fills propagate block indices.
     let mut min_block_from: Vec<u32> = vec![0; n]; // earliest block producing into v
-    for &v in &topo {
+    for &v in topo {
         let mut need = 0u32;
         for p in dag.predecessors(v) {
             need = need.max(match block_of[p.index()] {

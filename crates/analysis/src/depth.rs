@@ -11,7 +11,8 @@
 //!   communication (each task takes `W(v)` and starts after its predecessors
 //!   finish), which is what the NSTR-SCH baseline can at best achieve.
 
-use crate::block::{schedule, Partition, ScheduleError};
+use crate::block::ScheduleError;
+use crate::facts::GraphFacts;
 use crate::intervals::StreamingIntervals;
 use crate::level::generalized_levels;
 use stg_graph::{topological_order, NodeId, Ratio};
@@ -20,10 +21,7 @@ use stg_model::{CanonicalGraph, NodeKind};
 /// The exact streaming depth `T_s∞`: makespan of the whole graph scheduled
 /// as one co-scheduled spatial block (infinitely many PEs).
 pub fn streaming_depth(g: &CanonicalGraph) -> Result<u64, ScheduleError> {
-    if g.compute_count() == 0 {
-        return Ok(0);
-    }
-    Ok(schedule(g, &Partition::single_block(g))?.makespan)
+    GraphFacts::new(g).streaming_depth()
 }
 
 /// The non-streaming depth: longest path where each compute node costs

@@ -9,21 +9,31 @@
 //!   closed-form bound, and the non-streaming critical path;
 //! - [`block`] — `ST`/`FO`/`LO` schedule computation for an ordered
 //!   partition into spatial blocks, reproducing the paper's Figure 8 and
-//!   Figure 9 tables exactly (see this crate's tests).
+//!   Figure 9 tables exactly (see this crate's tests);
+//! - [`precedence`] — the compute-task precedence closure the partitioning
+//!   heuristics and the list scheduler walk;
+//! - [`facts`] — [`GraphFacts`], a graph's scheduler-independent analyses
+//!   (depths, topological order, levels, precedence, list priority),
+//!   computed once per graph on first use and shared by every cell that
+//!   schedules it.
 
 #![warn(missing_docs)]
 
 pub mod block;
 pub mod depth;
+pub mod facts;
 pub mod intervals;
 pub mod level;
+pub mod precedence;
 
 pub use block::{schedule, schedule_with, BlockStartRule, Partition, Schedule, ScheduleError};
 pub use depth::{
     non_streaming_depth, streaming_depth, streaming_depth_bound, work_depth, WorkDepth,
 };
+pub use facts::GraphFacts;
 pub use intervals::{EdgeProducer, StreamingIntervals};
 pub use level::{generalized_levels, Levels};
+pub use precedence::TaskPrecedence;
 
 #[cfg(test)]
 mod tests {

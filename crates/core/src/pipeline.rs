@@ -1,16 +1,13 @@
 //! End-to-end scheduling pipelines.
 
-use stg_analysis::{
-    non_streaming_depth, streaming_depth, BlockStartRule, Partition, Schedule, ScheduleError,
-};
+use stg_analysis::{BlockStartRule, GraphFacts, Partition, Schedule, ScheduleError};
 use stg_buffer::{buffer_sizes, BufferPlan, SizingPolicy};
 use stg_des::{simulate_kind, SimConfig, SimKind, SimResult};
 use stg_model::CanonicalGraph;
 use stg_sched::{
-    compute_metrics, downsampler_partition, elementwise_partition, non_streaming_schedule,
-    schedule_partition_with, spatial_block_partition, temporal_multiplex_partition,
-    upsampler_partition, ListSchedule, Metrics, SbVariant, StreamingResult,
-    DEFAULT_TRANSITION_COST,
+    compute_metrics, downsampler_blocks, elementwise_blocks, list_schedule, multiplex_layout,
+    schedule_blocks, spatial_blocks, upsampler_blocks, ListSchedule, Metrics, SbVariant,
+    StreamingResult, DEFAULT_TRANSITION_COST,
 };
 
 /// Which partitioning algorithm a [`StreamingScheduler`] runs before
@@ -113,13 +110,18 @@ impl StreamingScheduler {
 
     /// Runs partitioning, scheduling, and buffer sizing.
     pub fn run(&self, g: &CanonicalGraph) -> Result<StreamingPlan, ScheduleError> {
+        self.plan(&GraphFacts::new(g))
+    }
+
+    /// [`Self::run`] over a graph's shared facts.
+    pub(crate) fn plan(&self, facts: &GraphFacts<'_>) -> Result<StreamingPlan, ScheduleError> {
         let partition = match self.partitioner {
-            Partitioner::SpatialBlock => spatial_block_partition(g, self.pes, self.variant),
-            Partitioner::Elementwise => elementwise_partition(g, self.pes),
-            Partitioner::Downsampler => downsampler_partition(g, self.pes),
-            Partitioner::Upsampler => upsampler_partition(g, self.pes),
+            Partitioner::SpatialBlock => spatial_blocks(facts, self.pes, self.variant),
+            Partitioner::Elementwise => elementwise_blocks(facts, self.pes),
+            Partitioner::Downsampler => downsampler_blocks(facts, self.pes),
+            Partitioner::Upsampler => upsampler_blocks(facts, self.pes),
         };
-        self.run_with_partition(g, partition)
+        self.plan_partition(facts, partition)
     }
 
     /// Runs scheduling and buffer sizing for a caller-provided partition
@@ -129,7 +131,16 @@ impl StreamingScheduler {
         g: &CanonicalGraph,
         partition: Partition,
     ) -> Result<StreamingPlan, ScheduleError> {
-        let result = schedule_partition_with(g, self.pes, partition, self.rule)?;
+        self.plan_partition(&GraphFacts::new(g), partition)
+    }
+
+    fn plan_partition(
+        &self,
+        facts: &GraphFacts<'_>,
+        partition: Partition,
+    ) -> Result<StreamingPlan, ScheduleError> {
+        let g = facts.graph();
+        let result = schedule_blocks(facts, self.pes, partition, self.rule)?;
         let buffers = buffer_sizes(g, &result.schedule, self.sizing, self.default_capacity);
         Ok(StreamingPlan {
             pes: self.pes,
@@ -271,9 +282,15 @@ impl NonStreamingScheduler {
 
     /// Runs critical-path list scheduling with insertion.
     pub fn run(&self, g: &CanonicalGraph) -> NonStreamingPlan {
-        let schedule = non_streaming_schedule(g, self.pes);
-        let t_inf = streaming_depth(g).unwrap_or(0);
-        let t_nstr = non_streaming_depth(g).unwrap_or(0);
+        self.plan(&GraphFacts::new(g))
+    }
+
+    /// [`Self::run`] over a graph's shared facts.
+    pub(crate) fn plan(&self, facts: &GraphFacts<'_>) -> NonStreamingPlan {
+        let g = facts.graph();
+        let schedule = list_schedule(facts, self.pes);
+        let t_inf = facts.streaming_depth().unwrap_or(0);
+        let t_nstr = facts.non_streaming_depth().unwrap_or(0);
         let metrics = compute_metrics(
             g,
             schedule.makespan,
@@ -344,10 +361,16 @@ impl MultiplexScheduler {
     /// Runs tenant packing, streaming scheduling, buffer sizing, and the
     /// transition-cost adjustment.
     pub fn run(&self, g: &CanonicalGraph) -> Result<StreamingPlan, ScheduleError> {
-        let layout = temporal_multiplex_partition(g, self.pes, self.slots);
+        self.plan(&GraphFacts::new(g))
+    }
+
+    /// [`Self::run`] over a graph's shared facts.
+    pub(crate) fn plan(&self, facts: &GraphFacts<'_>) -> Result<StreamingPlan, ScheduleError> {
+        let g = facts.graph();
+        let layout = multiplex_layout(facts, self.pes, self.slots);
         let transitions = layout.transitions();
         let mut result =
-            schedule_partition_with(g, self.pes, layout.partition, BlockStartRule::Barrier)?;
+            schedule_blocks(facts, self.pes, layout.partition, BlockStartRule::Barrier)?;
         let buffers = buffer_sizes(g, &result.schedule, SizingPolicy::Converging, 1);
         let extra = self.transition_cost * transitions;
         if extra > 0 {
@@ -357,8 +380,8 @@ impl MultiplexScheduler {
             // span so the derived metrics stay self-consistent.
             let utilization =
                 result.schedule.utilization(g, self.pes) * old as f64 / makespan as f64;
-            let t_inf = streaming_depth(g).unwrap_or(0);
-            let t_nstr = non_streaming_depth(g).unwrap_or(0);
+            let t_inf = facts.streaming_depth().unwrap_or(0);
+            let t_nstr = facts.non_streaming_depth().unwrap_or(0);
             result.metrics = compute_metrics(
                 g,
                 makespan,

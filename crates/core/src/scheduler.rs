@@ -9,9 +9,9 @@
 
 use std::str::FromStr;
 
-use stg_analysis::{Partition, Schedule, ScheduleError};
+use stg_analysis::{GraphFacts, Partition, Schedule, ScheduleError};
 use stg_buffer::BufferPlan;
-use stg_des::{SimKind, SimResult};
+use stg_des::{same_sim_inputs, SimKind, SimResult};
 use stg_model::CanonicalGraph;
 use stg_sched::{assign_pes, Metrics, Placement, SbVariant};
 
@@ -54,8 +54,18 @@ pub trait Scheduler: Send + Sync {
     /// The machine size (number of processing elements) plans target.
     fn pes(&self) -> usize;
 
-    /// Computes a complete execution plan for `g`.
-    fn schedule(&self, g: &CanonicalGraph) -> Result<Plan, ScheduleError>;
+    /// Computes a complete execution plan for `g`, analysing the graph
+    /// from scratch: [`Self::schedule_facts`] on fresh [`GraphFacts`].
+    fn schedule(&self, g: &CanonicalGraph) -> Result<Plan, ScheduleError> {
+        self.schedule_facts(&GraphFacts::new(g))
+    }
+
+    /// Computes a complete execution plan for the graph of `facts`,
+    /// reading its graph-only analyses (depths, precedence, levels, ...)
+    /// from them. A caller scheduling one graph with several schedulers
+    /// or machine sizes hands each the same facts, so each analysis runs
+    /// once per graph.
+    fn schedule_facts(&self, facts: &GraphFacts<'_>) -> Result<Plan, ScheduleError>;
 }
 
 /// The scheduler-specific parts of a [`Plan`].
@@ -147,6 +157,20 @@ impl Plan {
         }
     }
 
+    /// True when validating this plan and `other` (plans of one graph)
+    /// runs the simulator on identical inputs (see
+    /// [`same_sim_inputs`]), so both validations return the same
+    /// [`SimResult`]. Always false for buffered baseline plans: their
+    /// validation runs no simulator.
+    pub fn simulates_like(&self, other: &Plan) -> bool {
+        match (&self.detail, &other.detail) {
+            (PlanDetail::Streaming(a), PlanDetail::Streaming(b)) => {
+                same_sim_inputs((a.schedule(), &a.buffers), (b.schedule(), &b.buffers))
+            }
+            _ => false,
+        }
+    }
+
     /// The task-to-PE assignment of the plan.
     pub fn placement(&self, g: &CanonicalGraph) -> Placement {
         match &self.detail {
@@ -223,8 +247,9 @@ impl Scheduler for StreamingScheduler {
         StreamingScheduler::pes(self)
     }
 
-    fn schedule(&self, g: &CanonicalGraph) -> Result<Plan, ScheduleError> {
-        self.run(g).map(|p| Plan::from_streaming(self.name(), p))
+    fn schedule_facts(&self, facts: &GraphFacts<'_>) -> Result<Plan, ScheduleError> {
+        self.plan(facts)
+            .map(|p| Plan::from_streaming(self.name(), p))
     }
 }
 
@@ -237,8 +262,9 @@ impl Scheduler for MultiplexScheduler {
         MultiplexScheduler::pes(self)
     }
 
-    fn schedule(&self, g: &CanonicalGraph) -> Result<Plan, ScheduleError> {
-        self.run(g).map(|p| Plan::from_streaming(self.name(), p))
+    fn schedule_facts(&self, facts: &GraphFacts<'_>) -> Result<Plan, ScheduleError> {
+        self.plan(facts)
+            .map(|p| Plan::from_streaming(self.name(), p))
     }
 }
 
@@ -251,11 +277,11 @@ impl Scheduler for NonStreamingScheduler {
         NonStreamingScheduler::pes(self)
     }
 
-    fn schedule(&self, g: &CanonicalGraph) -> Result<Plan, ScheduleError> {
+    fn schedule_facts(&self, facts: &GraphFacts<'_>) -> Result<Plan, ScheduleError> {
         Ok(Plan::from_non_streaming(
             self.name(),
             Scheduler::pes(self),
-            self.run(g),
+            self.plan(facts),
         ))
     }
 }

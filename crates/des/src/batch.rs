@@ -91,12 +91,14 @@ const MAX_PERIOD: u64 = 8191;
 /// opportunities — never correctness.
 const MAP_CAP: usize = 32_768;
 
-/// Cumulative epoch-leap telemetry for the current thread, accumulated
-/// across [`BatchedSim`] runs until collected with
+/// Cumulative [`BatchedSim`] telemetry for the current thread (runs and
+/// their epoch leaps), accumulated across runs until collected with
 /// [`take_leap_telemetry`]. A pure observability side channel for
 /// perfbench and tests: it never feeds back into simulation results.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LeapStats {
+    /// Batched simulations run.
+    pub sims: u64,
     /// Successful epoch leaps applied.
     pub leaps: u64,
     /// Total simulated cycles skipped by leaping (`Σ n · P`).
@@ -111,6 +113,7 @@ impl LeapStats {
     /// aggregate per-case telemetry (collected on its worker threads)
     /// into one per-sweep block.
     pub fn absorb(&mut self, other: LeapStats) {
+        self.sims += other.sims;
         self.leaps += other.leaps;
         self.leaped_cycles += other.leaped_cycles;
         self.max_period = self.max_period.max(other.max_period);
@@ -120,6 +123,7 @@ impl LeapStats {
 thread_local! {
     static TELEMETRY: Cell<LeapStats> = const {
         Cell::new(LeapStats {
+            sims: 0,
             leaps: 0,
             leaped_cycles: 0,
             max_period: 0,
@@ -513,6 +517,11 @@ impl Simulator for BatchedSim {
                 detector,
                 snap,
             } = &mut *scratch;
+            TELEMETRY.with(|tl| {
+                let mut s = tl.get();
+                s.sims += 1;
+                tl.set(s);
+            });
             run(g, schedule, capacity_of, config, buckets, detector, snap)
         })
     }

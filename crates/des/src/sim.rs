@@ -241,6 +241,19 @@ pub fn simulate_with(
     ReferenceSim.simulate_with(g, schedule, &capacity_of, config)
 }
 
+/// True when [`simulate_kind`] gets identical inputs from the two
+/// schedule/buffer-plan pairs of one graph, so both runs return the same
+/// [`SimResult`] (with the same [`SimConfig`]). The simulators read only
+/// each compute node's block ([`Schedule::block_of`]), the block count,
+/// the streaming-edge flags and the plan's FIFO capacities; start and
+/// completion times never reach them.
+pub fn same_sim_inputs(a: (&Schedule, &BufferPlan), b: (&Schedule, &BufferPlan)) -> bool {
+    a.0.block_spans.len() == b.0.block_spans.len()
+        && a.0.block_of == b.0.block_of
+        && a.0.streaming_edge == b.0.streaming_edge
+        && a.1.capacity == b.1.capacity
+}
+
 /// Runs the chosen simulator with the capacities of a computed buffer plan.
 pub fn simulate_kind(
     kind: SimKind,

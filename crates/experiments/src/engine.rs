@@ -10,9 +10,10 @@
 //! 2. **key** — every case gets a content-addressed
 //!    [`CellKey`] ([`SweepSpec::run_cases`]);
 //! 3. **lookup / evaluate / persist** — cells found in an optional
-//!    [`ResultStore`] are reused; the rest are evaluated on the
-//!    scoped-thread pool ([`par_map_with`]), each distinct graph
-//!    structure at most once: through the store's
+//!    [`ResultStore`] are reused; the rest are evaluated on the worker
+//!    pool in one job per graph instance, whose cells share that graph's
+//!    [`GraphFacts`] and every simulation with identical inputs, and
+//!    each distinct graph structure at most once: through the store's
 //!    [`ResultStore::evaluate_once`] when there is a store, else through
 //!    a [`SemanticTable`] that lives for the call (or, in a fabric
 //!    worker, for one lease). Only a store persists them;
@@ -37,21 +38,25 @@
 //! through [`SweepSpec::run_map`] and keep timings out of the
 //! deterministic output path.
 
+use std::cell::OnceCell;
+use std::collections::HashMap;
 use std::io::Write;
 use std::ops::Range;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use stg_core::{Scheduler, SchedulerKind};
+use stg_analysis::GraphFacts;
+use stg_core::{Plan, Scheduler, SchedulerKind};
 use stg_des::{relative_error, take_leap_telemetry, LeapStats, SimKind, SimResult};
 use stg_model::CanonicalGraph;
 use stg_sched::Metrics;
 use stg_workloads::{paper_suite, CacheStats, WorkloadFamily, WorkloadKind};
 
 use crate::emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
-use crate::harness::{default_threads, par_map_with, Args};
+use crate::harness::{default_threads, par_groups_with, par_map_with, Args};
 use crate::json::{self, Json};
+use crate::metrics::LeapCounters;
 use crate::store::{
     CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats, SCHEMA_VERSION,
 };
@@ -591,61 +596,123 @@ impl SweepSpec {
             misses: keyed - hits,
             ..StoreStats::default()
         };
-        // Stage evaluate: only the missing cells touch a graph or
-        // scheduler (so a fully warm rerun does no instantiation at all).
+        // A hit's key is spent: from here on `keys` holds the keys of the
+        // cells left to persist.
+        for (key, slot) in keys.iter_mut().zip(&slots) {
+            if slot.is_some() {
+                *key = None;
+            }
+        }
+        // Stage evaluate, graph-major: only the missing cells touch a
+        // graph or scheduler (so a fully warm rerun does no instantiation
+        // at all), and they run as one job per graph instance, on one
+        // thread. A job instantiates its graph once and hands every cell
+        // the same `GraphFacts`, so the graph-only analyses (depths,
+        // precedence, levels, list priority) run once per graph, on first
+        // use. Cells whose plans give the simulator identical inputs share
+        // one simulation (`SharedSims`); each still computes its own
+        // partition, schedule, buffers and `rel_err_pct`. `--sim-timing`
+        // passes share no simulation: every cell reports its own clocks.
+        //
         // Every cacheable miss evaluates through its *semantic* key, built
-        // from the instantiated graph's structural fingerprint (see
-        // `SemanticKey`): the single-flight table evaluates each
-        // semantic key at most once, and every other miss on it — a spec
-        // delta that left the graph unchanged, a repeated structure
-        // elsewhere in this batch or lease, or a concurrent caller's cell
-        // — takes that outcome, counted as repaired. Schedulers are
-        // name-blind and deterministic, so a repaired outcome is
-        // byte-identical to evaluating.
-        let todo: Vec<usize> = (0..cases.len()).filter(|&i| slots[i].is_none()).collect();
+        // from the graph's structural fingerprint (see `SemanticKey`): the
+        // single-flight table evaluates each semantic key at most once,
+        // and every other miss on it — a spec delta that left the graph
+        // unchanged, a repeated structure elsewhere in this batch or
+        // lease, or a concurrent caller's cell — takes that outcome,
+        // counted as repaired. Schedulers are name-blind and
+        // deterministic, so a repaired outcome is byte-identical to
+        // evaluating.
+        let mut todo: Vec<usize> = (0..cases.len()).filter(|&i| slots[i].is_none()).collect();
+        let jobs = graph_major(&cases, &mut todo);
+        let share_sims = validate && !self.timing;
+        // Which job of two with one structure evaluates its keys is a
+        // race; the other takes them as repaired, and shares no
+        // simulation with them. So that the simulations a pass runs do not
+        // depend on the thread count, a later job of a structure waits
+        // until the first has evaluated all of its cells. Single-cell jobs
+        // share nothing, so a pass of only those (as many jobs as cells)
+        // skips the wait.
+        let wait_for_structures = share_sims && todo.len() > jobs.len();
+        let structures: Mutex<HashMap<u64, Arc<OnceLock<()>>>> = Mutex::default();
+        let leap = LeapCounters::default();
         let threads = self
             .threads
-            .unwrap_or_else(|| default_threads(todo.len() as u64));
-        let evaluated = par_map_with(todo.len() as u64, threads, |j| {
-            let i = todo[j as usize];
-            let case = &cases[i];
-            let (g, hit) = case.workload.instantiate_traced(case.seed);
-            let eval = || evaluate(case, &g, validate, sim);
-            let (outcome, repaired) = if self.cacheable(case) {
-                let key = SemanticKey {
-                    fingerprint: g.fingerprint(),
-                    pes: case.pes,
-                    scheduler: case.scheduler,
-                    sim: validate.then_some(sim),
-                };
-                flight.evaluate_once(key, &sim_mode, eval)
-            } else {
-                (eval(), false)
+            .unwrap_or_else(|| default_threads(jobs.len() as u64));
+        let evaluated = par_groups_with(&jobs, threads, |range, out| {
+            // Leap telemetry is thread-local and reset-on-take: drop what
+            // earlier work left on this thread, and collect the job's own
+            // delta when it ends.
+            take_leap_telemetry();
+            let cells = &todo[range];
+            let first = &cases[cells[0]];
+            let (g, hit) = first.workload.instantiate_traced(first.seed);
+            let facts = GraphFacts::new(&g);
+            let fingerprint = OnceCell::new();
+            let share = share_sims && cells.len() > 1;
+            let run = |out: &mut [Option<(Outcome, bool, bool)>]| {
+                let mut shared = SharedSims::new();
+                for (k, (&i, slot)) in cells.iter().zip(out).enumerate() {
+                    let case = &cases[i];
+                    let mut eval = || {
+                        let shared = share.then_some(&mut shared);
+                        evaluate(case, &facts, validate, sim, shared)
+                    };
+                    let (outcome, repaired) = if self.cacheable(case) {
+                        let key = SemanticKey {
+                            fingerprint: *fingerprint.get_or_init(|| g.fingerprint()),
+                            pes: case.pes,
+                            scheduler: case.scheduler,
+                            sim: validate.then_some(sim),
+                        };
+                        flight.evaluate_once(key, &sim_mode, eval)
+                    } else {
+                        (eval(), false)
+                    };
+                    // The job's first cell instantiated the graph; the rest
+                    // find it in the cache.
+                    *slot = Some((outcome, repaired, hit || k > 0));
+                }
             };
-            // Leap telemetry is thread-local and reset-on-take: collect
-            // the delta on the worker thread, per case, so the batched
-            // simulator's epoch leaps aggregate into a per-sweep block
-            // instead of evaporating with the scoped threads.
-            (outcome, repaired, hit, take_leap_telemetry())
-        });
-        // Stage persist + merge: order-insensitive assembly back into the
-        // byte-stable emission order. Persisting goes through the batched
-        // segment path — one fsync per FLUSH_THRESHOLD cells instead of
-        // one per cell. Only nominal keys persist here: the semantic
-        // entry was inserted by the evaluation that produced it.
-        let mut cache = CacheStats::default();
-        let mut leap = LeapStats::default();
-        for (j, (outcome, repaired, hit, case_leap)) in evaluated.into_iter().enumerate() {
-            let i = todo[j];
-            cache.record(hit);
-            leap.absorb(case_leap);
-            cell_cache.repaired += u64::from(repaired);
-            if let (Some(store), Some(key)) = (store, &keys[i]) {
-                store.insert_batched(key, &outcome);
+            if wait_for_structures && self.cacheable(first) {
+                let fp = *fingerprint.get_or_init(|| g.fingerprint());
+                let latch = Arc::clone(
+                    structures
+                        .lock()
+                        .expect("structure latches")
+                        .entry(fp)
+                        .or_default(),
+                );
+                let mut first_of_structure = false;
+                latch.get_or_init(|| {
+                    first_of_structure = true;
+                    run(out);
+                });
+                if !first_of_structure {
+                    run(out);
+                }
+            } else {
+                run(out);
             }
+            leap.absorb(&take_leap_telemetry());
+        });
+        // Stage persist + merge: outcomes land at their case index, and
+        // persisting walks the cells in case order through the batched
+        // segment path — one fsync per FLUSH_THRESHOLD cells instead of
+        // one per cell. Only nominal keys persist here: the semantic entry
+        // was inserted by the evaluation that produced it.
+        let mut cache = CacheStats::default();
+        for (&i, (outcome, repaired, hit)) in todo.iter().zip(evaluated) {
+            cache.record(hit);
+            cell_cache.repaired += u64::from(repaired);
             slots[i] = Some(outcome);
         }
         if let Some(store) = store {
+            for (key, outcome) in keys.iter().zip(&slots) {
+                if let (Some(key), Some(outcome)) = (key, outcome) {
+                    store.insert_batched(key, outcome);
+                }
+            }
             store.flush();
             let lifetime = store.stats();
             cell_cache.invalidations = lifetime.invalidations;
@@ -663,7 +730,7 @@ impl SweepSpec {
             runs,
             cache,
             cell_cache,
-            leap,
+            leap: leap.snapshot(),
         }
     }
 
@@ -1283,24 +1350,127 @@ thread_local! {
         });
 }
 
+/// Reorders `todo` (ascending indices into `cases`) graph-major: each
+/// graph instance's cells become contiguous, still in grid order, and the
+/// returned vector holds the exclusive end of each instance's run of
+/// positions, one evaluation job per graph. An instance is a workload and
+/// a seed (any seed, for workloads that ignore it). The grid is
+/// workload-major, so a workload's cells form one run of `todo`, and the
+/// seeds within a whole grid's run are dense: a counting pass groups
+/// them, with no comparison sort and no allocation per graph.
+fn graph_major(cases: &[Case], todo: &mut Vec<usize>) -> Vec<usize> {
+    let mut grouped = Vec::with_capacity(todo.len());
+    let mut ends = Vec::new();
+    let mut offsets: Vec<usize> = Vec::new();
+    let seed = |i: usize| cases[i].seed;
+    let mut rest = &todo[..];
+    while let Some(&head) = rest.first() {
+        let workload = &cases[head].workload;
+        let len = rest
+            .iter()
+            .position(|&i| cases[i].workload != *workload)
+            .unwrap_or(rest.len());
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        let base = grouped.len();
+        if !workload.seeded() {
+            grouped.extend_from_slice(run);
+            ends.push(grouped.len());
+            continue;
+        }
+        let lo = run
+            .iter()
+            .map(|&i| seed(i))
+            .min()
+            .expect("runs are non-empty");
+        let hi = run
+            .iter()
+            .map(|&i| seed(i))
+            .max()
+            .expect("runs are non-empty");
+        match usize::try_from(hi - lo)
+            .ok()
+            .filter(|&span| span < run.len())
+        {
+            Some(span) => {
+                // offsets[s] = where seed lo + s starts within the run.
+                offsets.clear();
+                offsets.resize(span + 2, 0);
+                for &i in run {
+                    offsets[(seed(i) - lo) as usize + 1] += 1;
+                }
+                for s in 1..offsets.len() {
+                    offsets[s] += offsets[s - 1];
+                }
+                for s in 0..=span {
+                    if offsets[s + 1] > offsets[s] {
+                        ends.push(base + offsets[s + 1]);
+                    }
+                }
+                grouped.resize(base + run.len(), 0);
+                for &i in run {
+                    let s = (seed(i) - lo) as usize;
+                    grouped[base + offsets[s]] = i;
+                    offsets[s] += 1;
+                }
+            }
+            // Sparse seeds (a slice that wraps from the last seed to the
+            // first, or a hand-made case list): sort the run instead. The
+            // index tie-break keeps each graph's cells in grid order.
+            None => {
+                grouped.extend_from_slice(run);
+                grouped[base..].sort_unstable_by_key(|&i| (seed(i), i));
+                for k in base + 1..grouped.len() {
+                    if seed(grouped[k]) != seed(grouped[k - 1]) {
+                        ends.push(k);
+                    }
+                }
+                ends.push(grouped.len());
+            }
+        }
+    }
+    *todo = grouped;
+    ends
+}
+
+/// The validations one graph job ran, kept so that a later cell of the
+/// job whose plan gives the simulator identical inputs
+/// ([`Plan::simulates_like`]) reuses the result instead of simulating
+/// again. Dropped with the job.
+type SharedSims = Vec<(Plan, Simulated)>;
+
+/// The plan-independent part of a [`SimRecord`]: what one validation
+/// contributes to every cell that shares it.
+#[derive(Clone, Copy)]
+struct Simulated {
+    completed: bool,
+    makespan: u64,
+    beats: u64,
+    diverged: bool,
+}
+
+/// Evaluates one cell of the graph behind `facts`; `shared`, when given,
+/// lets its validation reuse (and offer) a simulation within the job.
 fn evaluate(
     case: &Case,
-    g: &CanonicalGraph,
+    facts: &GraphFacts<'_>,
     validate: bool,
     choice: SimChoice,
+    shared: Option<&mut SharedSims>,
 ) -> Result<Record, stg_analysis::ScheduleError> {
     // Evaluations never nest, so the thread-local borrow spans the call.
     CELL_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        evaluate_with(case, g, validate, choice, &mut scratch)
+        evaluate_with(case, facts, validate, choice, shared, &mut scratch)
     })
 }
 
 fn evaluate_with(
     case: &Case,
-    g: &CanonicalGraph,
+    facts: &GraphFacts<'_>,
     validate: bool,
     choice: SimChoice,
+    shared: Option<&mut SharedSims>,
     scratch: &mut CellScratch,
 ) -> Result<Record, stg_analysis::ScheduleError> {
     let CellScratch {
@@ -1311,37 +1481,58 @@ fn evaluate_with(
     let plan = schedulers
         .entry((case.scheduler, case.pes))
         .or_insert_with(|| case.build_scheduler())
-        .schedule(g)?;
+        .schedule_facts(facts)?;
+    let metrics = *plan.metrics();
+    let buffer_elements = plan.buffers().map_or(0, |b| b.total_elements);
     let sim = validate.then(|| {
-        let mut micros = SimMicros::default();
-        sim_results.clear();
-        let results = sim_results;
-        for &kind in choice.kinds() {
-            let t0 = Instant::now();
-            let r = plan.validate_with(g, kind);
-            micros.set(kind, t0.elapsed().as_micros() as u64);
-            results.push(r);
-        }
-        // In Both mode the reference result (run first) is recorded; the
-        // batched result must match it bit for bit.
-        let diverged = results.windows(2).any(|w| w[0] != w[1]);
-        let s = &results[0];
+        let reused = shared
+            .as_deref()
+            .and_then(|s| s.iter().find(|(p, _)| p.simulates_like(&plan)));
+        let (run, micros) = match reused {
+            Some(&(_, run)) => (run, SimMicros::default()),
+            None => {
+                let mut micros = SimMicros::default();
+                sim_results.clear();
+                let g = facts.graph();
+                for &kind in choice.kinds() {
+                    let t0 = Instant::now();
+                    let r = plan.validate_with(g, kind);
+                    micros.set(kind, t0.elapsed().as_micros() as u64);
+                    sim_results.push(r);
+                }
+                // In Both mode the reference result (run first) is
+                // recorded; the batched result must match it bit for bit.
+                let s = &sim_results[0];
+                let run = Simulated {
+                    completed: s.completed(),
+                    makespan: s.makespan,
+                    beats: s.beats,
+                    diverged: sim_results.windows(2).any(|w| w[0] != w[1]),
+                };
+                if let Some(shared) = shared {
+                    if plan.buffers().is_some() {
+                        shared.push((plan, run));
+                    }
+                }
+                (run, micros)
+            }
+        };
         SimRecord {
-            completed: s.completed(),
-            makespan: s.makespan,
-            rel_err_pct: if s.completed() {
-                100.0 * relative_error(plan.makespan(), s.makespan)
+            completed: run.completed,
+            makespan: run.makespan,
+            rel_err_pct: if run.completed {
+                100.0 * relative_error(metrics.makespan, run.makespan)
             } else {
                 0.0
             },
-            beats: s.beats,
-            diverged,
+            beats: run.beats,
+            diverged: run.diverged,
             micros,
         }
     });
     Ok(Record {
-        metrics: *plan.metrics(),
-        buffer_elements: plan.buffers().map_or(0, |b| b.total_elements),
+        metrics,
+        buffer_elements,
         sim,
     })
 }
@@ -1972,12 +2163,51 @@ mod tests {
         assert_eq!((warm.cell_cache.hits, warm.cell_cache.repaired), (n, 0));
     }
 
+    /// The oracle that reuses nothing: `case` through a fresh scheduler
+    /// on a fresh graph analysis, then validated by every simulator of
+    /// `choice`, the first one's result recorded as the engine records it.
+    fn direct_outcome(case: &Case, choice: SimChoice) -> Outcome {
+        let g = case.graph();
+        case.build_scheduler().schedule(&g).map(|plan| {
+            let results: Vec<SimResult> = choice
+                .kinds()
+                .iter()
+                .map(|&kind| plan.validate_with(&g, kind))
+                .collect();
+            let s = &results[0];
+            let rel_err_pct = match s.completed() {
+                true => 100.0 * relative_error(plan.makespan(), s.makespan),
+                false => 0.0,
+            };
+            Record {
+                metrics: *plan.metrics(),
+                buffer_elements: plan.buffers().map_or(0, |b| b.total_elements),
+                sim: Some(SimRecord {
+                    completed: s.completed(),
+                    makespan: s.makespan,
+                    rel_err_pct,
+                    beats: s.beats,
+                    diverged: results.windows(2).any(|w| w[0] != w[1]),
+                    micros: SimMicros::default(),
+                }),
+            }
+        })
+    }
+
+    /// `outcome` without its validation wall-clock.
+    fn untimed(outcome: &Outcome) -> Outcome {
+        let mut outcome = outcome.clone();
+        if let Ok(Record { sim: Some(s), .. }) = &mut outcome {
+            s.micros = SimMicros::default();
+        }
+        outcome
+    }
+
     #[test]
     fn reuse_matches_direct_evaluation_of_every_case() {
-        // The oracle that reuses nothing: every case through a fresh
-        // scheduler, scheduled, then validated by the batched simulator.
-        // Every pass single-flights, so the byte checks elsewhere compare
-        // reuse with reuse; this one compares it with evaluation.
+        // Every pass single-flights and shares simulations within a graph,
+        // so the byte checks elsewhere compare reuse with reuse; this one
+        // compares it with `direct_outcome`, which reuses nothing.
         let spec = SweepSpec {
             workloads: vec![WorkloadSpec {
                 workload: "chain:8".parse().unwrap(),
@@ -1998,29 +2228,7 @@ mod tests {
         let cases = spec.cases();
         let direct: Vec<String> = cases
             .iter()
-            .map(|case| {
-                let g = case.graph();
-                let outcome = case.build_scheduler().schedule(&g).map(|plan| {
-                    let s = plan.validate_with(&g, SimKind::Batched);
-                    let rel_err_pct = match s.completed() {
-                        true => 100.0 * relative_error(plan.makespan(), s.makespan),
-                        false => 0.0,
-                    };
-                    Record {
-                        metrics: *plan.metrics(),
-                        buffer_elements: plan.buffers().map_or(0, |b| b.total_elements),
-                        sim: Some(SimRecord {
-                            completed: s.completed(),
-                            makespan: s.makespan,
-                            rel_err_pct,
-                            beats: s.beats,
-                            diverged: false,
-                            micros: SimMicros::default(),
-                        }),
-                    }
-                });
-                crate::store::encode_outcome(&outcome)
-            })
+            .map(|case| crate::store::encode_outcome(&direct_outcome(case, spec.sim)))
             .collect();
         let distinct = cases
             .iter()
@@ -2032,6 +2240,10 @@ mod tests {
         let pass = spec.run();
         let stats = pass.cell_cache;
         assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 330));
+        // Cells of one graph share simulations: fewer than one per
+        // distinct streaming key.
+        let evaluated_streaming = (distinct - distinct / 3) as u64;
+        assert!(pass.leap.sims < evaluated_streaming, "{:?}", pass.leap);
         // 32-cell chunks sharing one table, as a fabric worker runs a
         // lease: the table evaluates exactly the distinct keys.
         let table = SemanticTable::with_capacity(cases.len());
@@ -2050,6 +2262,132 @@ mod tests {
                 assert_eq!(&got, want, "{path} case {i}");
             }
         }
+    }
+
+    #[test]
+    fn shared_simulations_match_direct_evaluation_of_every_preset() {
+        // Every registered preset, validated, on graphs where presets and
+        // machine sizes produce identical simulator inputs: those cells
+        // share one simulation, yet each keeps its own record. The `-dep`
+        // presets share a barrier preset's blocks but not its makespan,
+        // so their rel_err_pct is their own; `--sim both` shares both
+        // simulators' results and the diverged flag between them.
+        let workload = |spec: &str, pes: Vec<usize>| WorkloadSpec {
+            workload: spec.parse().unwrap(),
+            pes,
+        };
+        for sim in [SimChoice::Batched, SimChoice::Both] {
+            let spec = SweepSpec {
+                workloads: vec![
+                    workload("fft:32", vec![4, 16]),
+                    workload("chain:8", vec![2, 4]),
+                ],
+                graphs: 2,
+                seed: 1,
+                schedulers: SchedulerKind::ALL.to_vec(),
+                validate: true,
+                sim,
+                timing: false,
+                threads: Some(2),
+            };
+            let pass = spec.run();
+            let simulated = pass
+                .runs
+                .iter()
+                .filter(|r| r.case.scheduler.is_streaming())
+                .count() as u64
+                - pass.cell_cache.repaired;
+            assert!(pass.leap.sims < simulated, "{sim}: {:?}", pass.leap);
+            let mut own_error = 0;
+            for run in &pass.runs {
+                let want = direct_outcome(&run.case, sim);
+                assert_eq!(untimed(&run.outcome), want, "{sim} case {}", run.case.index);
+                let dep = matches!(
+                    run.case.scheduler,
+                    SchedulerKind::StreamingLtsDep | SchedulerKind::StreamingRlxDep
+                );
+                let barrier = pass.runs.iter().find(|b| {
+                    (b.case.workload.spec(), b.case.seed, b.case.pes)
+                        == (run.case.workload.spec(), run.case.seed, run.case.pes)
+                        && b.case.scheduler
+                            == match run.case.scheduler {
+                                SchedulerKind::StreamingRlxDep => SchedulerKind::StreamingRlx,
+                                _ => SchedulerKind::StreamingLts,
+                            }
+                });
+                if let (true, Some(b)) = (dep, barrier) {
+                    let (d, b) = (run.record().unwrap(), b.record().unwrap());
+                    let (ds, bs) = (d.sim.unwrap(), b.sim.unwrap());
+                    if (ds.makespan, ds.beats) == (bs.makespan, bs.beats)
+                        && d.metrics.makespan != b.metrics.makespan
+                    {
+                        assert_ne!(ds.rel_err_pct, bs.rel_err_pct);
+                        own_error += 1;
+                    }
+                }
+            }
+            assert!(
+                own_error > 0,
+                "{sim}: no -dep cell shares a barrier simulation"
+            );
+        }
+    }
+
+    #[test]
+    fn shared_simulations_do_not_depend_on_the_thread_count() {
+        // `chain:2` has 5 structures among 400 seeds, so graph jobs of one
+        // structure are often in flight at once. Whichever job reaches a
+        // semantic key first evaluates it, and only its own evaluations
+        // can share a simulation; without the later job waiting for the
+        // first, the simulations run vary from run to run on 2 threads.
+        let mut spec = SweepSpec {
+            workloads: vec![WorkloadSpec {
+                workload: "chain:2".parse().unwrap(),
+                pes: vec![1, 2, 4],
+            }],
+            graphs: 400,
+            seed: 1,
+            schedulers: vec![
+                SchedulerKind::StreamingLts,
+                SchedulerKind::StreamingRlx,
+                SchedulerKind::StreamingLtsDep,
+                SchedulerKind::Elementwise,
+            ],
+            validate: true,
+            sim: SimChoice::Batched,
+            timing: false,
+            threads: Some(1),
+        };
+        let one = spec.run();
+        spec.threads = Some(2);
+        for _ in 0..10 {
+            assert_eq!(spec.run().leap, one.leap);
+        }
+    }
+
+    #[test]
+    fn timing_passes_share_no_simulation() {
+        // Wall-clocks are per cell: a --sim-timing pass runs one
+        // simulation per validated streaming cell, each with its own
+        // batched clock. The same grid without clocks shares.
+        let mut spec = SweepSpec::paper(2, 1);
+        spec.validate = true;
+        spec.sim = SimChoice::Batched;
+        spec.timing = true;
+        spec.threads = Some(2);
+        let timed = spec.run();
+        let streaming: Vec<&Run> = timed
+            .runs
+            .iter()
+            .filter(|r| r.case.scheduler.is_streaming())
+            .collect();
+        for run in &streaming {
+            let sim = run.record().and_then(|r| r.sim).expect("validated");
+            assert!(sim.micros.batched.is_some(), "case {}", run.case.index);
+        }
+        assert_eq!(timed.leap.sims, streaming.len() as u64);
+        spec.timing = false;
+        assert!(spec.run().leap.sims < timed.leap.sims);
     }
 
     #[test]

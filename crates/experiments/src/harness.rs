@@ -1,6 +1,7 @@
 //! Shared experiment plumbing: argument parsing and a parallel map over
 //! a persistent worker pool for sweeping the 100-graph samples.
 
+use std::ops::Range;
 use std::str::FromStr;
 
 use stg_core::SchedulerKind;
@@ -297,35 +298,56 @@ pub fn par_map<T: Send>(n: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
 /// used to pay a thread-spawn per chunk — all route through here.
 pub fn par_map_with<T: Send>(n: u64, threads: usize, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let threads = threads.max(1).min(n.max(1) as usize);
-    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if threads <= 1 {
-        for (i, slot) in results.iter_mut().enumerate() {
+    // Contiguous chunks handed to workers whole; several chunks per worker
+    // keep dynamic load balancing for skewed job costs.
+    let chunk_size = (n as usize).div_ceil(threads * 4).max(1);
+    let ends: Vec<usize> = (1..=(n as usize).div_ceil(chunk_size))
+        .map(|k| (k * chunk_size).min(n as usize))
+        .collect();
+    par_groups_with(&ends, threads, |range, out| {
+        for (i, slot) in range.zip(out) {
             *slot = Some(f(i as u64));
         }
-        return results
-            .into_iter()
-            .map(|r| r.expect("all jobs completed"))
-            .collect();
-    }
-    // Split the output into contiguous chunks handed to workers whole
-    // (disjoint `&mut` slices — no per-slot locking). Several chunks per
-    // worker keep dynamic load balancing for skewed job costs.
-    let chunk_size = (n as usize).div_ceil(threads * 4).max(1);
-    let mut chunks: Vec<(u64, &mut [Option<T>])> = Vec::new();
+    })
+}
+
+/// [`par_map_with`] over caller-chosen groups of jobs: `ends` holds the
+/// exclusive end of each consecutive group of `0..n` (ascending; the
+/// last is `n`). Each group runs whole on one thread, through one call
+/// `f(range, out)` that must fill every slot of `out` (`out[k]` is job
+/// `range.start + k`). Results come back in job order, and since a group
+/// never splits across threads, neither they nor anything a group shares
+/// internally depend on the thread count.
+pub(crate) fn par_groups_with<T: Send>(
+    ends: &[usize],
+    threads: usize,
+    f: impl Fn(Range<usize>, &mut [Option<T>]) + Sync,
+) -> Vec<T> {
+    let n = ends.last().copied().unwrap_or(0);
+    let threads = threads.max(1).min(ends.len().max(1));
+    let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    // Disjoint `&mut` slices, one per group: no per-slot locking.
+    let mut chunks: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(ends.len());
     let mut rest: &mut [Option<T>] = &mut results;
-    let mut base = 0u64;
-    while !rest.is_empty() {
-        let take = chunk_size.min(rest.len());
-        let (head, tail) = rest.split_at_mut(take);
+    let mut base = 0usize;
+    for &end in ends {
+        let (head, tail) = rest.split_at_mut(end - base);
         chunks.push((base, head));
-        base += take as u64;
+        base = end;
         rest = tail;
     }
-    chunks.reverse(); // pop() hands out low indices first
-    pool::run_chunked(chunks, threads - 1, &f);
+    let run = |start: usize, out: &mut [Option<T>]| f(start..start + out.len(), out);
+    if threads <= 1 {
+        for (start, out) in chunks {
+            run(start, out);
+        }
+    } else {
+        chunks.reverse(); // pop() hands out low indices first
+        pool::run_chunked(chunks, threads - 1, &run);
+    }
     results
         .into_iter()
-        .map(|r| r.expect("all jobs completed"))
+        .map(|r| r.expect("every group fills its slots"))
         .collect()
 }
 
@@ -456,26 +478,24 @@ mod pool {
     }
 
     /// A queue of (start index, output slice) chunks awaiting a worker.
-    type ChunkQueue<'a, T> = Vec<(u64, &'a mut [Option<T>])>;
+    type ChunkQueue<'a, T> = Vec<(usize, &'a mut [Option<T>])>;
 
-    /// One `par_map_with` call's shared state: the chunk queue, the job
-    /// closure, and a completion latch for the helper jobs.
-    struct MapTask<'a, T: Send, F: Fn(u64) -> T + Sync> {
+    /// One `par_groups_with` call's shared state: the chunk queue, the
+    /// chunk closure, and a completion latch for the helper jobs.
+    struct MapTask<'a, T: Send, F: Fn(usize, &mut [Option<T>]) + Sync> {
         chunks: Mutex<ChunkQueue<'a, T>>,
         f: &'a F,
         done: Mutex<usize>,
         all_done: Condvar,
     }
 
-    impl<T: Send, F: Fn(u64) -> T + Sync> TaskRun for MapTask<'_, T, F> {
+    impl<T: Send, F: Fn(usize, &mut [Option<T>]) + Sync> TaskRun for MapTask<'_, T, F> {
         fn run(&self) {
             loop {
                 let Some((start, slice)) = self.chunks.lock().expect("chunk queue").pop() else {
                     break;
                 };
-                for (j, slot) in slice.iter_mut().enumerate() {
-                    *slot = Some((self.f)(start + j as u64));
-                }
+                (self.f)(start, slice);
             }
             let mut done = self.done.lock().expect("done latch");
             *done += 1;
@@ -487,8 +507,8 @@ mod pool {
     /// workers. Returns only after every chunk ran and every helper job
     /// that started has finished — the borrows inside `chunks`/`f` stay
     /// valid for as long as any worker can touch them.
-    pub(super) fn run_chunked<T: Send, F: Fn(u64) -> T + Sync>(
-        chunks: Vec<(u64, &mut [Option<T>])>,
+    pub(super) fn run_chunked<T: Send, F: Fn(usize, &mut [Option<T>]) + Sync>(
+        chunks: Vec<(usize, &mut [Option<T>])>,
         helpers: usize,
         f: &F,
     ) {

@@ -221,6 +221,7 @@ macro_rules! counter_set {
 
 counter_set! {
     impl LeapStats / LeapCounters: "leap_" {
+        sims: Sum,
         leaps: Sum,
         leaped_cycles: Sum,
         max_period: Max,
@@ -278,11 +279,13 @@ mod tests {
         live.size.set(96);
         live.size.set(64);
         live.leap.absorb(&LeapStats {
+            sims: 2,
             leaps: 2,
             leaped_cycles: 40,
             max_period: 8,
         });
         live.leap.absorb(&LeapStats {
+            sims: 1,
             leaps: 1,
             leaped_cycles: 6,
             max_period: 3,
@@ -291,8 +294,8 @@ mod tests {
         let text = snap.text();
         assert_eq!(
             text,
-            "started=5 finished=2 peak=9 size=64 leap_leaps=3 leap_leaped_cycles=46 \
-             leap_max_period=8 running=3"
+            "started=5 finished=2 peak=9 size=64 leap_sims=3 leap_leaps=3 \
+             leap_leaped_cycles=46 leap_max_period=8 running=3"
         );
         assert_eq!(Probe::parse(&lookup(&text)), Some(snap));
         // Absorbing folds by kind: sums add, maxima and gauges do not.
@@ -322,7 +325,7 @@ mod tests {
         );
         assert_eq!(
             LeapStats::default().text(),
-            "leap_leaps=0 leap_leaped_cycles=0 leap_max_period=0"
+            "leap_sims=0 leap_leaps=0 leap_leaped_cycles=0 leap_max_period=0"
         );
     }
 }

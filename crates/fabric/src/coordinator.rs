@@ -390,26 +390,20 @@ fn serve_connection<W: Write>(shared: Arc<Shared<W>>, stream: TcpStream, conn: u
     });
     let mut writer = BufWriter::new(stream);
     loop {
-        let frame = match read_frame(&mut reader, MAX_FRAME_BYTES) {
-            Ok(Some(Ok(line))) => line,
-            Ok(Some(Err(len))) => {
-                let resp = FabricResponse::Error {
-                    error: format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} bound"),
-                };
-                if write_frame(&mut writer, &resp).is_err() {
-                    break;
-                }
-                continue;
-            }
+        let resp = match read_frame(&mut reader, MAX_FRAME_BYTES) {
+            Ok(Some(Ok(line))) if line.is_empty() => continue,
+            Ok(Some(Ok(line))) => match FabricRequest::parse(&line) {
+                Ok(req) => handle(&shared, conn, req),
+                Err(error) => FabricResponse::Error { error },
+            },
+            Ok(Some(Err(len))) => FabricResponse::Error {
+                error: format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES} bound"),
+            },
             Ok(None) | Err(_) => break, // disconnect
         };
-        if frame.is_empty() {
-            continue;
+        if matches!(resp, FabricResponse::Error { .. }) {
+            shared.counters.frames_refused.add(1);
         }
-        let resp = match FabricRequest::parse(&frame) {
-            Ok(req) => handle(&shared, conn, req),
-            Err(error) => FabricResponse::Error { error },
-        };
         if write_frame(&mut writer, &resp).is_err() {
             break;
         }

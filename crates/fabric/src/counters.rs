@@ -27,6 +27,10 @@ stg_experiments::counter_set! {
         /// Reported rows whose cell was already merged (steal/re-queue
         /// overlap; harmless because outcomes are deterministic).
         rows_duplicate: Sum,
+        /// Request frames answered with an error frame: oversize or
+        /// unparseable frames (a `rows` row failing its checksum
+        /// included) and rows the merge refused.
+        frames_refused: Sum,
         /// The lease auto-tuner's current lease size in cells (the fixed
         /// `--lease-cells` / pre-cut size when auto-tuning is off).
         lease_cells: Gauge,
@@ -57,14 +61,17 @@ mod tests {
         c.leases_completed.add(3);
         c.rows_merged.add(96);
         c.rows_duplicate.add(8);
+        c.frames_refused.add(2);
         c.cell_cache.hits.add(40);
         c.cell_cache.misses.add(56);
         c.leap.absorb(&LeapStats {
+            sims: 3,
             leaps: 7,
             leaped_cycles: 1234,
             max_period: 9,
         });
         c.leap.absorb(&LeapStats {
+            sims: 1,
             leaps: 1,
             leaped_cycles: 6,
             max_period: 3,
@@ -96,7 +103,9 @@ mod tests {
         let line = snap.text();
         assert!(line.contains("re_queued=2"), "{line}");
         assert!(line.contains("leases_stolen=1"), "{line}");
+        assert!(line.contains("frames_refused=2"), "{line}");
         assert!(line.contains(" lease_cells=128 "), "{line}");
         assert!(line.contains("leap_leaped_cycles=1240"), "{line}");
+        assert!(line.contains("leap_sims=4"), "{line}");
     }
 }

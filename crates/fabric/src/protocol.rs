@@ -403,6 +403,7 @@ mod tests {
                 hits: 3,
                 misses: 2,
                 leap: stg_des::LeapStats {
+                    sims: 2,
                     leaps: 1,
                     leaped_cycles: 50,
                     max_period: 4,

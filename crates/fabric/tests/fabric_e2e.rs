@@ -201,6 +201,60 @@ fn dropped_connection_requeues_and_stays_byte_identical() {
 }
 
 #[test]
+fn forged_rows_frames_are_refused_and_counted() {
+    let coordinator = Coordinator::bind(spec(), FabricConfig::default()).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let counters = coordinator.counters();
+    let out = SharedBuf::default();
+    let run = std::thread::spawn(move || coordinator.run(out.clone()).map(|r| (out.take(), r)));
+
+    // A raw client takes a lease and reports a row whose checksum fails:
+    // the last hex digit of the blob belongs to the row's checksum.
+    let (mut stream, mut reader, lease) = grab_lease(&addr);
+    let frame = FabricRequest::Rows {
+        lease,
+        rows: vec![(0, Err(stg_core::prelude::ScheduleError::Cyclic))],
+        hits: 0,
+        misses: 0,
+        leap: Default::default(),
+    }
+    .frame();
+    let end = frame.find("\",\"hits\"").expect("rows blob precedes hits");
+    let flipped = if frame.as_bytes()[end - 1] == b'0' {
+        "1"
+    } else {
+        "0"
+    };
+    let mut forged = format!("{}{flipped}{}", &frame[..end - 1], &frame[end..]);
+    assert_ne!(forged, frame);
+    forged.push('\n');
+    stream.write_all(forged.as_bytes()).expect("send");
+    let line = read_frame(&mut reader, MAX_FRAME_BYTES)
+        .expect("recv")
+        .expect("open")
+        .expect("sized");
+    match FabricResponse::parse(&line).expect("parseable response") {
+        FabricResponse::Error { error } => assert!(error.contains("checksum"), "{error}"),
+        other => panic!("forged rows accepted: {}", other.frame()),
+    }
+    let snap = counters.snapshot();
+    assert_eq!((snap.frames_refused, snap.rows_merged), (1, 0), "{snap:?}");
+    drop((stream, reader));
+
+    let worker = std::thread::spawn({
+        let config = worker_config(addr);
+        move || run_worker(config)
+    });
+    let (got, report) = run.join().expect("run thread").expect("fabric run");
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker drains");
+    assert_eq!(got, expected().0);
+    assert_eq!(report.counters.frames_refused, 1, "{:?}", report.counters);
+}
+
+#[test]
 fn expired_lease_requeues_without_a_worker_death() {
     let config = FabricConfig {
         lease_timeout: Duration::from_millis(200),

@@ -12,10 +12,16 @@
 //! - [`liststr`] — NSTR-SCH: critical-path list scheduling with bottom-level
 //!   priorities and insertion, all communication buffered;
 //! - [`metrics`] — speedup, (S)SLR, and PE utilization;
-//! - [`precedence`] — the compute-task precedence closure shared by the
-//!   heuristics;
 //! - [`multiplex`] — temporal multiplexing of several tenants' graphs
 //!   onto one device via LPT time-slot packing.
+//!
+//! Every algorithm reads the graph-only analyses it needs (precedence,
+//! levels, depths, list priority) from a shared
+//! [`GraphFacts`](stg_analysis::GraphFacts): `spatial_blocks`,
+//! `list_schedule`, `schedule_blocks` and the other facts-taking forms let
+//! a caller analyse a graph once for all of its cells, and the
+//! graph-taking forms (`spatial_block_partition`, `non_streaming_schedule`,
+//! ...) analyse it afresh per call.
 
 #![warn(missing_docs)]
 
@@ -24,22 +30,23 @@ pub mod metrics;
 pub mod multiplex;
 pub mod partition;
 pub mod placement;
-pub mod precedence;
 pub mod streaming;
 
-pub use liststr::{non_streaming_schedule, ListSchedule};
+pub use liststr::{list_schedule, non_streaming_schedule, ListSchedule};
 pub use metrics::{metrics as compute_metrics, Metrics};
 pub use multiplex::{
-    temporal_multiplex_partition, MultiplexLayout, Tenant, DEFAULT_TRANSITION_COST,
+    multiplex_layout, temporal_multiplex_partition, MultiplexLayout, Tenant,
+    DEFAULT_TRANSITION_COST,
 };
 pub use partition::{
-    downsampler_partition, elementwise_partition, spatial_block_partition, upsampler_partition,
-    SbVariant,
+    downsampler_blocks, downsampler_partition, elementwise_blocks, elementwise_partition,
+    spatial_block_partition, spatial_blocks, upsampler_blocks, upsampler_partition, SbVariant,
 };
 pub use placement::{assign_pes, Placement};
-pub use precedence::TaskPrecedence;
+pub use stg_analysis::TaskPrecedence;
 pub use streaming::{
-    schedule_partition, schedule_partition_with, streaming_schedule, StreamingResult,
+    schedule_blocks, schedule_partition, schedule_partition_with, streaming_schedule,
+    StreamingResult,
 };
 
 #[cfg(test)]

@@ -10,8 +10,7 @@
 //! favourable assumption for the baseline (its SLR reaches 1 with enough
 //! PEs, as in the paper).
 
-use crate::precedence::TaskPrecedence;
-use stg_graph::{bottom_levels, NodeId};
+use stg_analysis::GraphFacts;
 use stg_model::CanonicalGraph;
 
 /// A non-streaming (buffered-communication) schedule.
@@ -40,22 +39,25 @@ impl ListSchedule {
 }
 
 /// Schedules `g`'s compute tasks on `p` homogeneous PEs with buffered
-/// communication.
+/// communication ([`list_schedule`] on freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or the graph is cyclic.
 pub fn non_streaming_schedule(g: &CanonicalGraph, p: usize) -> ListSchedule {
-    assert!(p > 0, "need at least one processing element");
-    let prec = TaskPrecedence::build(g);
-    let tdag = &prec.dag;
-    let bl = bottom_levels(tdag, |t| g.work(prec.original(t)).max(1))
-        .expect("precedence graph is acyclic");
+    list_schedule(&GraphFacts::new(g), p)
+}
 
-    // Priority: descending bottom level, ascending id. Since W ≥ 1, a
-    // predecessor's bottom level strictly exceeds its successors', so the
-    // priority order is also a topological order.
-    let mut order: Vec<NodeId> = tdag.node_ids().collect();
-    order.sort_by_key(|t| (std::cmp::Reverse(bl[t.index()]), prec.original(*t).0));
+/// The buffered list schedule over a graph's shared precedence and
+/// bottom-level priority order ([`GraphFacts::priority_order`], also a
+/// topological order of the precedence DAG).
+///
+/// # Panics
+/// Panics if `p == 0` or the graph is cyclic.
+pub fn list_schedule(facts: &GraphFacts<'_>, p: usize) -> ListSchedule {
+    assert!(p > 0, "need at least one processing element");
+    let g = facts.graph();
+    let prec = facts.precedence();
+    let tdag = &prec.dag;
 
     let n = g.dag().node_count();
     let mut start = vec![0u64; n];
@@ -74,7 +76,7 @@ pub fn non_streaming_schedule(g: &CanonicalGraph, p: usize) -> ListSchedule {
     let mut makespan = 0u64;
     let mut pes_used = 0usize;
 
-    for t in order {
+    for &t in facts.priority_order() {
         let v = prec.original(t);
         let w = g.work(v).max(1);
         let ready = tdag

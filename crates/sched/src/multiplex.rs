@@ -18,9 +18,8 @@
 //! makespan — the multi-mode transition-cost model of Jung, Oh & Ha
 //! applied to slot switches.
 
-use crate::precedence::TaskPrecedence;
-use stg_analysis::Partition;
-use stg_graph::{levels, weakly_connected_components, NodeId};
+use stg_analysis::{GraphFacts, Partition};
+use stg_graph::{weakly_connected_components, NodeId};
 use stg_model::CanonicalGraph;
 
 /// Default cycles charged per slot-to-slot transition (device
@@ -64,15 +63,25 @@ impl MultiplexLayout {
 }
 
 /// Packs `g`'s tenants (precedence-DAG components) into `slots` time
-/// slots and cuts each into level-ordered blocks of at most `p` tasks.
+/// slots and cuts each into level-ordered blocks of at most `p` tasks
+/// ([`multiplex_layout`] on freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or `slots == 0`, or if the graph is cyclic.
 pub fn temporal_multiplex_partition(g: &CanonicalGraph, p: usize, slots: usize) -> MultiplexLayout {
+    multiplex_layout(&GraphFacts::new(g), p, slots)
+}
+
+/// Temporal multiplexing over a graph's shared precedence and levels.
+///
+/// # Panics
+/// Panics if `p == 0` or `slots == 0`, or if the graph is cyclic.
+pub fn multiplex_layout(facts: &GraphFacts<'_>, p: usize, slots: usize) -> MultiplexLayout {
     assert!(p > 0, "need at least one processing element");
     assert!(slots > 0, "need at least one time slot");
-    let (level, _) = levels(g.dag()).expect("canonical graphs are acyclic");
-    let prec = TaskPrecedence::build(g);
+    let g = facts.graph();
+    let level = facts.levels();
+    let prec = facts.precedence();
     let (comp, count) = weakly_connected_components(&prec.dag, |_| true);
 
     // Gather each component's tasks in (level, id) order.

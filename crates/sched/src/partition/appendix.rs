@@ -9,20 +9,28 @@
 //!   work so each block's pipeline-fill cost is charged to the next block's
 //!   work.
 
-use crate::precedence::TaskPrecedence;
 use std::collections::BTreeSet;
-use stg_analysis::Partition;
-use stg_graph::{levels, NodeId};
+use stg_analysis::{GraphFacts, Partition};
+use stg_graph::NodeId;
 use stg_model::CanonicalGraph;
 
-/// Theorem A.1's level-order partitioning.
+/// Theorem A.1's level-order partitioning ([`elementwise_blocks`] on
+/// freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or the graph is cyclic.
 pub fn elementwise_partition(g: &CanonicalGraph, p: usize) -> Partition {
+    elementwise_blocks(&GraphFacts::new(g), p)
+}
+
+/// Theorem A.1's level-order partitioning over a graph's shared levels.
+///
+/// # Panics
+/// Panics if `p == 0` or the graph is cyclic.
+pub fn elementwise_blocks(facts: &GraphFacts<'_>, p: usize) -> Partition {
     assert!(p > 0, "need at least one processing element");
-    let (level, _) = levels(g.dag()).expect("canonical graphs are acyclic");
-    let mut tasks: Vec<NodeId> = g.compute_nodes().collect();
+    let level = facts.levels();
+    let mut tasks: Vec<NodeId> = facts.graph().compute_nodes().collect();
     // Level order, ties broken arbitrarily (we use node id for determinism).
     tasks.sort_by_key(|v| (level[v.index()], v.0));
     let blocks = tasks.chunks(p).map(<[NodeId]>::to_vec).collect();
@@ -30,35 +38,53 @@ pub fn elementwise_partition(g: &CanonicalGraph, p: usize) -> Partition {
 }
 
 /// Algorithm 2's work-ordered partitioning for element-wise/down-sampler
-/// graphs.
+/// graphs ([`downsampler_blocks`] on freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or the graph is cyclic.
 pub fn downsampler_partition(g: &CanonicalGraph, p: usize) -> Partition {
+    downsampler_blocks(&GraphFacts::new(g), p)
+}
+
+/// Algorithm 2 over a graph's shared precedence and levels.
+///
+/// # Panics
+/// Panics if `p == 0` or the graph is cyclic.
+pub fn downsampler_blocks(facts: &GraphFacts<'_>, p: usize) -> Partition {
     assert!(p > 0, "need at least one processing element");
-    work_ordered_partition(g, p, |w| u64::MAX - w)
+    work_ordered_partition(facts, p, |w| u64::MAX - w)
 }
 
 /// The symmetric partitioner for element-wise/up-sampler graphs (the
 /// appendix closes by noting the Theorem A.2 argument mirrors): works only
 /// *grow* along paths there, so picking the lowest-work ready task groups
-/// tasks of similar work exactly as Algorithm 2 does for reductions.
+/// tasks of similar work exactly as Algorithm 2 does for reductions
+/// ([`upsampler_blocks`] on freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or the graph is cyclic.
 pub fn upsampler_partition(g: &CanonicalGraph, p: usize) -> Partition {
+    upsampler_blocks(&GraphFacts::new(g), p)
+}
+
+/// The up-sampler partitioner over a graph's shared precedence and levels.
+///
+/// # Panics
+/// Panics if `p == 0` or the graph is cyclic.
+pub fn upsampler_blocks(facts: &GraphFacts<'_>, p: usize) -> Partition {
     assert!(p > 0, "need at least one processing element");
-    work_ordered_partition(g, p, |w| w)
+    work_ordered_partition(facts, p, |w| w)
 }
 
 /// Greedy ready-list partitioning ordered by a work key (ties: level, id).
 fn work_ordered_partition(
-    g: &CanonicalGraph,
+    facts: &GraphFacts<'_>,
     p: usize,
     work_key: impl Fn(u64) -> u64,
 ) -> Partition {
-    let prec = TaskPrecedence::build(g);
-    let (level, _) = levels(g.dag()).expect("canonical graphs are acyclic");
+    let g = facts.graph();
+    let prec = facts.precedence();
+    let level = facts.levels();
     let n = g.dag().node_count();
 
     let mut unassigned_preds: Vec<u32> = vec![0; n];

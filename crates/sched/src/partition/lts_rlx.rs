@@ -16,10 +16,9 @@
 //! fills every block to `P` tasks. Ties break by produced volume, then node
 //! level, then node id, so partitions are deterministic.
 
-use crate::precedence::TaskPrecedence;
 use std::collections::BTreeSet;
-use stg_analysis::Partition;
-use stg_graph::{levels, NodeId};
+use stg_analysis::{GraphFacts, Partition};
+use stg_graph::NodeId;
 use stg_model::CanonicalGraph;
 
 /// Which Algorithm 1 variant to run.
@@ -46,15 +45,24 @@ impl std::fmt::Display for SbVariant {
 type Key = (u8, u64, u32, u32);
 
 /// Partitions the compute tasks of `g` into spatial blocks of at most `p`
-/// tasks using Algorithm 1.
+/// tasks using Algorithm 1 ([`spatial_blocks`] on freshly analysed facts).
 ///
 /// # Panics
 /// Panics if `p == 0` or the graph is cyclic.
 pub fn spatial_block_partition(g: &CanonicalGraph, p: usize, variant: SbVariant) -> Partition {
+    spatial_blocks(&GraphFacts::new(g), p, variant)
+}
+
+/// Algorithm 1 over a graph's shared facts: its precedence and levels.
+///
+/// # Panics
+/// Panics if `p == 0` or the graph is cyclic.
+pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> Partition {
     assert!(p > 0, "need at least one processing element");
-    let prec = TaskPrecedence::build(g);
+    let g = facts.graph();
+    let prec = facts.precedence();
     let tasks = prec.dag.node_count();
-    let (level, _) = levels(g.dag()).expect("canonical graphs are acyclic");
+    let level = facts.levels();
 
     // Direct compute→compute edges carry streaming within a block; edges
     // through buffers/memory do not constrain the steady state.

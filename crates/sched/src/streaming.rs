@@ -1,11 +1,8 @@
 //! The end-to-end streaming scheduling pipeline: partition, then schedule.
 
 use crate::metrics::{metrics, Metrics};
-use crate::partition::{spatial_block_partition, SbVariant};
-use stg_analysis::{
-    non_streaming_depth, schedule_with, streaming_depth, BlockStartRule, Partition, Schedule,
-    ScheduleError,
-};
+use crate::partition::{spatial_blocks, SbVariant};
+use stg_analysis::{BlockStartRule, GraphFacts, Partition, Schedule, ScheduleError};
 use stg_model::CanonicalGraph;
 
 /// Result of a full streaming scheduling run.
@@ -26,8 +23,9 @@ pub fn streaming_schedule(
     p: usize,
     variant: SbVariant,
 ) -> Result<StreamingResult, ScheduleError> {
-    let partition = spatial_block_partition(g, p, variant);
-    schedule_partition(g, p, partition)
+    let facts = GraphFacts::new(g);
+    let partition = spatial_blocks(&facts, p, variant);
+    schedule_blocks(&facts, p, partition, BlockStartRule::Barrier)
 }
 
 /// Schedules a pre-computed partition and derives metrics (gang-scheduled
@@ -40,16 +38,29 @@ pub fn schedule_partition(
     schedule_partition_with(g, p, partition, BlockStartRule::Barrier)
 }
 
-/// Schedules a pre-computed partition under an explicit block-start rule.
+/// Schedules a pre-computed partition under an explicit block-start rule
+/// ([`schedule_blocks`] on freshly analysed facts).
 pub fn schedule_partition_with(
     g: &CanonicalGraph,
     p: usize,
     partition: Partition,
     rule: BlockStartRule,
 ) -> Result<StreamingResult, ScheduleError> {
-    let sched = schedule_with(g, &partition, rule)?;
-    let t_inf = streaming_depth(g)?;
-    let t_nstr = non_streaming_depth(g)?;
+    schedule_blocks(&GraphFacts::new(g), p, partition, rule)
+}
+
+/// Schedules a partition and derives metrics, reading the topological
+/// order and both depths from the graph's shared facts.
+pub fn schedule_blocks(
+    facts: &GraphFacts<'_>,
+    p: usize,
+    partition: Partition,
+    rule: BlockStartRule,
+) -> Result<StreamingResult, ScheduleError> {
+    let g = facts.graph();
+    let sched = facts.schedule(&partition, rule)?;
+    let t_inf = facts.streaming_depth()?;
+    let t_nstr = facts.non_streaming_depth()?;
     let m = metrics(
         g,
         sched.makespan,

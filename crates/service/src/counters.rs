@@ -271,11 +271,13 @@ mod tests {
         c.totals().malformed.add(1);
         c.totals().frames_dropped.add(3);
         c.totals().leap.absorb(&LeapStats {
+            sims: 2,
             leaps: 5,
             leaped_cycles: 900,
             max_period: 12,
         });
         c.totals().leap.absorb(&LeapStats {
+            sims: 1,
             leaps: 1,
             leaped_cycles: 100,
             max_period: 7,
@@ -291,6 +293,7 @@ mod tests {
         assert_eq!(
             stats.service.leap,
             LeapStats {
+                sims: 3,
                 leaps: 6,
                 leaped_cycles: 1000,
                 max_period: 12,
