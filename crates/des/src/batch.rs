@@ -91,10 +91,15 @@ const MAX_PERIOD: u64 = 8191;
 /// opportunities — never correctness.
 const MAP_CAP: usize = 32_768;
 
-/// Cumulative [`BatchedSim`] telemetry for the current thread (runs and
-/// their epoch leaps), accumulated across runs until collected with
-/// [`take_leap_telemetry`]. A pure observability side channel for
-/// perfbench and tests: it never feeds back into simulation results.
+/// Cumulative [`BatchedSim`] telemetry for the current thread (runs,
+/// their epoch leaps, and the work the simulator did to find them),
+/// accumulated across runs until collected with [`take_leap_telemetry`].
+/// A pure observability side channel for perfbench and tests: it never
+/// feeds back into simulation results.
+///
+/// The work counts are deterministic: a simulation's inputs fix them, so
+/// they do not drift with host speed or thread count, and a change that
+/// makes the simulator cheaper per unit of work leaves them unchanged.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LeapStats {
     /// Batched simulations run.
@@ -105,6 +110,19 @@ pub struct LeapStats {
     pub leaped_cycles: u64,
     /// The largest single period `P` ever leaped.
     pub max_period: u64,
+    /// Cycles executed one by one (every cycle not leaped over).
+    pub stepped_cycles: u64,
+    /// Process steps: beat attempts of one process in one cycle.
+    pub process_steps: u64,
+    /// Verification windows opened on a proposed period.
+    pub windows_opened: u64,
+    /// Windows that closed dirtied by a structural boundary.
+    pub windows_dirtied: u64,
+    /// Clean windows whose closing ring scan found no repeated period.
+    pub windows_scan_failed: u64,
+    /// Windows that passed the ring scan but that the uniform-shift check
+    /// or the safety margins rejected.
+    pub windows_rejected: u64,
 }
 
 impl LeapStats {
@@ -117,6 +135,12 @@ impl LeapStats {
         self.leaps += other.leaps;
         self.leaped_cycles += other.leaped_cycles;
         self.max_period = self.max_period.max(other.max_period);
+        self.stepped_cycles += other.stepped_cycles;
+        self.process_steps += other.process_steps;
+        self.windows_opened += other.windows_opened;
+        self.windows_dirtied += other.windows_dirtied;
+        self.windows_scan_failed += other.windows_scan_failed;
+        self.windows_rejected += other.windows_rejected;
     }
 }
 
@@ -127,6 +151,12 @@ thread_local! {
             leaps: 0,
             leaped_cycles: 0,
             max_period: 0,
+            stepped_cycles: 0,
+            process_steps: 0,
+            windows_opened: 0,
+            windows_dirtied: 0,
+            windows_scan_failed: 0,
+            windows_rejected: 0,
         })
     };
 }
@@ -517,16 +547,32 @@ impl Simulator for BatchedSim {
                 detector,
                 snap,
             } = &mut *scratch;
+            let mut work = LeapStats {
+                sims: 1,
+                ..LeapStats::default()
+            };
+            let result = run(
+                g,
+                schedule,
+                capacity_of,
+                config,
+                buckets,
+                detector,
+                snap,
+                &mut work,
+            );
             TELEMETRY.with(|tl| {
                 let mut s = tl.get();
-                s.sims += 1;
+                s.absorb(work);
                 tl.set(s);
             });
-            run(g, schedule, capacity_of, config, buckets, detector, snap)
+            result
         })
     }
 }
 
+/// One batched simulation; its work and leaps are counted into `work`.
+#[allow(clippy::too_many_arguments)]
 fn run(
     g: &CanonicalGraph,
     schedule: &Schedule,
@@ -535,6 +581,7 @@ fn run(
     buckets: &mut Buckets,
     detector: &mut Detector,
     snap: &mut SnapArena,
+    work: &mut LeapStats,
 ) -> SimResult {
     // Build-time wakes (block-0 activation) all target cycle 1.
     struct Seed(Vec<(u32, u64)>);
@@ -570,11 +617,13 @@ fn run(
             buckets.head += 1;
             buckets.in_cur[pid as usize] = false;
             if !state.procs[pid as usize].done {
+                work.process_steps += 1;
                 state.step(pid, t, buckets);
             }
         }
         let sig = state.end_cycle();
         cycles += 1;
+        work.stepped_cycles += 1;
         let proposals = detector.observe(cycles, sig, state.boundaries != boundaries_before);
 
         // Close a verification window: the window is clean if no
@@ -586,9 +635,16 @@ fn run(
                 let pv = detector.pending.take().expect("checked");
                 let dirty = detector.last_boundary > pv.opened;
                 let clean = !dirty && detector.periodic(cycles, pv.period);
-                let leaped = clean && try_leap(&mut state, snap, pv.period, buckets);
+                let leaped = clean && try_leap(&mut state, snap, pv.period, buckets, work);
                 if leaped {
                     last_event_t = buckets.t;
+                }
+                if dirty {
+                    work.windows_dirtied += 1;
+                } else if !clean {
+                    work.windows_scan_failed += 1;
+                } else if !leaped {
+                    work.windows_rejected += 1;
                 }
                 // A window dirtied by a structural boundary says nothing
                 // about the period itself — retry on its next proposal.
@@ -615,6 +671,7 @@ fn run(
                         target: cycles + p,
                     });
                     snap.take(&state, buckets.t);
+                    work.windows_opened += 1;
                     break;
                 }
             }
@@ -646,13 +703,14 @@ fn push_margin(volume: u64, pushed: u64, delta: u64) -> Option<u64> {
 
 /// Verifies that the state after the verification window is a uniform
 /// shift of the snapshot in `snap` and, if so, applies as many whole
-/// periods as the safety margins allow. Returns true if at least one
-/// period was leaped.
+/// periods as the safety margins allow and counts the leap into `work`.
+/// Returns true if at least one period was leaped.
 fn try_leap(
     state: &mut SimState<'_>,
     snap: &SnapArena,
     period: u64,
     buckets: &mut Buckets,
+    work: &mut LeapStats,
 ) -> bool {
     let t = buckets.t;
     // An idle window (no beats) can never repeat — the engine only
@@ -792,13 +850,9 @@ fn try_leap(
     }
     state.beats += n * period_beats;
     buckets.leap(n * period);
-    TELEMETRY.with(|tl| {
-        let mut s = tl.get();
-        s.leaps += 1;
-        s.leaped_cycles += n * period;
-        s.max_period = s.max_period.max(period);
-        tl.set(s);
-    });
+    work.leaps += 1;
+    work.leaped_cycles += n * period;
+    work.max_period = work.max_period.max(period);
     true
 }
 
@@ -906,6 +960,17 @@ mod tests {
             "an 11:1 chain leaps a period divisible by 11, got {}",
             stats.max_period
         );
+        // Every closed window has exactly one outcome; at most one window
+        // is still open when the run ends.
+        let closed = stats.leaps
+            + stats.windows_dirtied
+            + stats.windows_scan_failed
+            + stats.windows_rejected;
+        assert!(
+            (closed..=closed + 1).contains(&stats.windows_opened),
+            "{stats:?}"
+        );
+        assert!(stats.stepped_cycles > 0 && stats.process_steps >= stats.stepped_cycles);
         // Taking the telemetry resets it.
         assert_eq!(take_leap_telemetry(), super::LeapStats::default());
     }

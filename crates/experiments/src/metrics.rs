@@ -225,6 +225,12 @@ counter_set! {
         leaps: Sum,
         leaped_cycles: Sum,
         max_period: Max,
+        stepped_cycles: Sum,
+        process_steps: Sum,
+        windows_opened: Sum,
+        windows_dirtied: Sum,
+        windows_scan_failed: Sum,
+        windows_rejected: Sum,
     }
 }
 
@@ -283,19 +289,33 @@ mod tests {
             leaps: 2,
             leaped_cycles: 40,
             max_period: 8,
+            stepped_cycles: 100,
+            process_steps: 300,
+            windows_opened: 5,
+            windows_dirtied: 1,
+            windows_scan_failed: 1,
+            windows_rejected: 0,
         });
         live.leap.absorb(&LeapStats {
             sims: 1,
             leaps: 1,
             leaped_cycles: 6,
             max_period: 3,
+            stepped_cycles: 20,
+            process_steps: 50,
+            windows_opened: 2,
+            windows_dirtied: 0,
+            windows_scan_failed: 0,
+            windows_rejected: 1,
         });
         let snap = live.snapshot();
         let text = snap.text();
         assert_eq!(
             text,
             "started=5 finished=2 peak=9 size=64 leap_sims=3 leap_leaps=3 \
-             leap_leaped_cycles=46 leap_max_period=8 running=3"
+             leap_leaped_cycles=46 leap_max_period=8 leap_stepped_cycles=120 \
+             leap_process_steps=350 leap_windows_opened=7 leap_windows_dirtied=1 \
+             leap_windows_scan_failed=1 leap_windows_rejected=1 running=3"
         );
         assert_eq!(Probe::parse(&lookup(&text)), Some(snap));
         // Absorbing folds by kind: sums add, maxima and gauges do not.
@@ -325,7 +345,9 @@ mod tests {
         );
         assert_eq!(
             LeapStats::default().text(),
-            "leap_sims=0 leap_leaps=0 leap_leaped_cycles=0 leap_max_period=0"
+            "leap_sims=0 leap_leaps=0 leap_leaped_cycles=0 leap_max_period=0 \
+             leap_stepped_cycles=0 leap_process_steps=0 leap_windows_opened=0 \
+             leap_windows_dirtied=0 leap_windows_scan_failed=0 leap_windows_rejected=0"
         );
     }
 }

@@ -69,12 +69,22 @@ mod tests {
             leaps: 7,
             leaped_cycles: 1234,
             max_period: 9,
+            stepped_cycles: 500,
+            process_steps: 2000,
+            windows_opened: 10,
+            windows_dirtied: 1,
+            windows_scan_failed: 1,
+            windows_rejected: 1,
         });
         c.leap.absorb(&LeapStats {
             sims: 1,
             leaps: 1,
             leaped_cycles: 6,
             max_period: 3,
+            stepped_cycles: 40,
+            process_steps: 90,
+            windows_opened: 2,
+            ..LeapStats::default()
         });
         c.lease_cells.set(96);
         c.lease_cells.set(128);
@@ -107,5 +117,9 @@ mod tests {
         assert!(line.contains(" lease_cells=128 "), "{line}");
         assert!(line.contains("leap_leaped_cycles=1240"), "{line}");
         assert!(line.contains("leap_sims=4"), "{line}");
+        assert!(line.contains("leap_stepped_cycles=540"), "{line}");
+        assert!(line.contains("leap_process_steps=2090"), "{line}");
+        assert!(line.contains("leap_windows_opened=12"), "{line}");
+        assert!(line.contains("leap_windows_rejected=1"), "{line}");
     }
 }

@@ -407,6 +407,12 @@ mod tests {
                     leaps: 1,
                     leaped_cycles: 50,
                     max_period: 4,
+                    stepped_cycles: 70,
+                    process_steps: 210,
+                    windows_opened: 3,
+                    windows_dirtied: 1,
+                    windows_scan_failed: 1,
+                    windows_rejected: 0,
                 },
             },
             FabricRequest::Ping { lease: 7 },

@@ -275,12 +275,22 @@ mod tests {
             leaps: 5,
             leaped_cycles: 900,
             max_period: 12,
+            stepped_cycles: 300,
+            process_steps: 1200,
+            windows_opened: 9,
+            windows_dirtied: 2,
+            windows_scan_failed: 1,
+            windows_rejected: 1,
         });
         c.totals().leap.absorb(&LeapStats {
             sims: 1,
             leaps: 1,
             leaped_cycles: 100,
             max_period: 7,
+            stepped_cycles: 30,
+            process_steps: 100,
+            windows_opened: 1,
+            ..LeapStats::default()
         });
         let store = StoreStats {
             hits: 3,
@@ -297,7 +307,17 @@ mod tests {
                 leaps: 6,
                 leaped_cycles: 1000,
                 max_period: 12,
+                stepped_cycles: 330,
+                process_steps: 1300,
+                windows_opened: 10,
+                windows_dirtied: 2,
+                windows_scan_failed: 1,
+                windows_rejected: 1,
             }
+        );
+        assert_eq!(
+            stats.frame(9).matches("\"leap_process_steps\":1300").count(),
+            1
         );
         let v = stg_experiments::json::parse(&stats.frame(9)).unwrap();
         assert_unique_members(&v);
