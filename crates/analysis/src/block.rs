@@ -25,7 +25,7 @@
 //! after their gate opens, last element `⌈(O−1)·S_o⌉+1` cycles after.
 
 use crate::facts::GraphFacts;
-use crate::intervals::{EdgeProducer, StreamingIntervals};
+use crate::intervals::{BlockComponents, EdgeProducer};
 use stg_graph::{NodeId, Ratio};
 use stg_model::{CanonicalGraph, NodeKind};
 
@@ -257,10 +257,11 @@ pub(crate) fn schedule_facts(
 
     let mut block_start = 0u64;
     let mut makespan = 0u64;
+    let mut intervals = BlockComponents::new(g);
 
     for (bi, block) in partition.blocks.iter().enumerate() {
         // Steady-state intervals for this block.
-        let intervals = StreamingIntervals::for_block(g, block, &block_of, bi as u32);
+        intervals.compute(g, block, &block_of, bi as u32);
 
         // Members in topological order (global order restricted to block).
         let mut members = block.clone();
@@ -274,8 +275,8 @@ pub(crate) fn schedule_facts(
         let mut span_start = u64::MAX;
         let mut block_end = block_start;
         for &v in &members {
-            so[v.index()] = intervals.so(v);
-            si[v.index()] = intervals.si(v);
+            so[v.index()] = intervals.so(g, v);
+            si[v.index()] = intervals.si(g, v);
 
             // Gather constraints from every in-edge.
             let mut max_fo = 0u64; // streaming first-element availability
@@ -303,7 +304,7 @@ pub(crate) fn schedule_facts(
                         _ => lo[u.index()], // compute node in an earlier block
                     };
                     let e_so = intervals
-                        .endpoint_so_with(eid, e.weight)
+                        .endpoint_so(eid, e.weight)
                         .expect("endpoint interval for non-member producer");
                     let e_st = gate.max(floor);
                     let e_fo = e_st + 1;

@@ -41,11 +41,137 @@ pub struct StreamingIntervals {
     member: Vec<bool>,
 }
 
+/// The streaming components of one spatial block over block-local slots:
+/// one per member, one per source multicasting into the block, and one
+/// per other memory endpoint (a buffer replay or an earlier block's
+/// output read back). Reused block after block: its per-node and
+/// per-edge tables are sized to the graph once, and a block touches only
+/// its members, their in-edges and its own slots, so computing a block
+/// costs time proportional to the block.
+pub(crate) struct BlockComponents {
+    /// Per graph node: its slot in the current block (members and shared
+    /// sources), else `u32::MAX`.
+    slot_of: Vec<u32>,
+    /// The nodes holding a slot, cleared before the next block.
+    slotted: Vec<NodeId>,
+    /// Per graph edge: the slot of the endpoint feeding it. Valid for the
+    /// current block's member in-edges only.
+    edge_slot: Vec<u32>,
+    uf: UnionFind,
+    /// Per slot: the largest output volume of its component.
+    max: Vec<u64>,
+}
+
+impl BlockComponents {
+    /// Empty tables sized to `g`.
+    pub(crate) fn new(g: &CanonicalGraph) -> BlockComponents {
+        BlockComponents {
+            slot_of: vec![u32::MAX; g.node_count()],
+            slotted: Vec::new(),
+            edge_slot: vec![u32::MAX; g.dag().edge_count()],
+            uf: UnionFind::new(0),
+            max: Vec::new(),
+        }
+    }
+
+    fn new_slot(&mut self) -> u32 {
+        self.max.push(0);
+        self.uf.push()
+    }
+
+    /// Computes the components of block `bi`, whose members are `members`
+    /// (`block_of[v] == Some(bi)` exactly for them). Components are taken
+    /// over streaming connections only: in-block edges connect, a source
+    /// couples all of its consumers in the block, and every other memory
+    /// read is an endpoint of its own. A component's volume is the
+    /// largest of its members' output volumes and its members' in-edge
+    /// volumes.
+    pub(crate) fn compute(
+        &mut self,
+        g: &CanonicalGraph,
+        members: &[NodeId],
+        block_of: &[Option<u32>],
+        bi: u32,
+    ) {
+        let dag = g.dag();
+        for v in self.slotted.drain(..) {
+            self.slot_of[v.index()] = u32::MAX;
+        }
+        self.uf.clear();
+        self.max.clear();
+        for &v in members {
+            self.slot_of[v.index()] = self.new_slot();
+            self.slotted.push(v);
+        }
+        for &v in members {
+            let sv = self.slot_of[v.index()];
+            for &eid in dag.in_edge_ids(v) {
+                let u = dag.edge(eid).src;
+                let slot = if block_of[u.index()] == Some(bi) {
+                    self.slot_of[u.index()]
+                } else if g.kind(u) == NodeKind::Source {
+                    // Shared multicast endpoint: one slot per source.
+                    if self.slot_of[u.index()] == u32::MAX {
+                        self.slot_of[u.index()] = self.new_slot();
+                        self.slotted.push(u);
+                    }
+                    self.slot_of[u.index()]
+                } else {
+                    // Independent per-edge memory replay endpoint.
+                    self.new_slot()
+                };
+                self.uf.union(slot, sv);
+                self.edge_slot[eid.index()] = slot;
+            }
+        }
+        // Fold the volumes into each component's root, then hand every
+        // slot its component's maximum.
+        for &v in members {
+            let root = self.uf.find(self.slot_of[v.index()]) as usize;
+            self.max[root] = self.max[root].max(g.output_volume(v).unwrap_or(0));
+            for &eid in dag.in_edge_ids(v) {
+                let root = self.uf.find(self.edge_slot[eid.index()]) as usize;
+                self.max[root] = self.max[root].max(dag.edge(eid).weight);
+            }
+        }
+        for slot in 0..self.max.len() as u32 {
+            let root = self.uf.find(slot) as usize;
+            self.max[slot as usize] = self.max[root];
+        }
+    }
+
+    /// The component volume of member `v`'s component.
+    fn member_max(&self, v: NodeId) -> u64 {
+        self.max[self.slot_of[v.index()] as usize]
+    }
+
+    /// `S_o(v)` of member `v` (see [`StreamingIntervals::so`]).
+    pub(crate) fn so(&self, g: &CanonicalGraph, v: NodeId) -> Option<Ratio> {
+        let o = g.output_volume(v).unwrap_or(0);
+        (o > 0).then(|| Ratio::new(self.member_max(v) as i128, o as i128))
+    }
+
+    /// `S_i(v)` of member `v` (see [`StreamingIntervals::si`]).
+    pub(crate) fn si(&self, g: &CanonicalGraph, v: NodeId) -> Option<Ratio> {
+        let i = g.input_volume(v).unwrap_or(0);
+        (i > 0).then(|| Ratio::new(self.member_max(v) as i128, i as i128))
+    }
+
+    /// `S_o` of the endpoint feeding member in-edge `eid` (see
+    /// [`StreamingIntervals::endpoint_so_with`]).
+    pub(crate) fn endpoint_so(&self, eid: EdgeId, volume: u64) -> Option<Ratio> {
+        let max = self.max[self.edge_slot[eid.index()] as usize];
+        (volume > 0).then(|| Ratio::new(max as i128, volume as i128))
+    }
+}
+
 impl StreamingIntervals {
     /// Computes the intervals for the members of spatial block `bi`.
     ///
     /// `block_of[v] == Some(bi)` identifies membership; `members` lists the
     /// same nodes (used for iteration order and volume collection).
+    /// Components are labelled in order of first appearance: members in
+    /// `members` order, then endpoints in edge-id order.
     pub fn for_block(
         g: &CanonicalGraph,
         members: &[NodeId],
@@ -54,65 +180,51 @@ impl StreamingIntervals {
     ) -> StreamingIntervals {
         let dag = g.dag();
         let n = dag.node_count();
-        let slots = n + dag.edge_count();
-        let mut uf = UnionFind::new(slots);
-        let mut participates = vec![false; slots];
-        let mut edge_slot: Vec<Option<u32>> = vec![None; dag.edge_count()];
+        let mut local = BlockComponents::new(g);
+        local.compute(g, members, block_of, bi);
 
-        for &v in members {
-            participates[v.index()] = true;
-            for &eid in dag.in_edge_ids(v) {
-                let u = dag.edge(eid).src;
-                let slot = if block_of[u.index()] == Some(bi) {
-                    u.0
-                } else if g.kind(u) == NodeKind::Source {
-                    // Shared multicast endpoint: the source's own slot.
-                    u.0
-                } else {
-                    // Independent per-edge memory replay endpoint.
-                    (n + eid.index()) as u32
-                };
-                participates[slot as usize] = true;
-                uf.union(slot, v.0);
-                edge_slot[eid.index()] = Some(slot);
-            }
-        }
-
-        // Label components and accumulate per-component max output volume.
-        let mut comp = vec![u32::MAX; slots];
+        // Lay the block-local components out over graph-indexed slots:
+        // nodes `0..n`, per-edge endpoints `n..n+e`.
+        let mut comp = vec![u32::MAX; n + dag.edge_count()];
         let mut comp_max: Vec<u64> = Vec::new();
-        let mut label_of_root: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::new();
-        let mut label =
-            |uf: &mut UnionFind, comp: &mut Vec<u32>, comp_max: &mut Vec<u64>, slot: u32| -> u32 {
-                let root = uf.find(slot);
-                let c = *label_of_root.entry(root).or_insert_with(|| {
-                    comp_max.push(0);
-                    (comp_max.len() - 1) as u32
-                });
-                comp[slot as usize] = c;
-                c
-            };
-        // Member contributions: their own output volumes.
+        let mut label_of_root = vec![u32::MAX; local.max.len()];
+        let mut label = |local: &mut BlockComponents, slot: u32| -> u32 {
+            let root = local.uf.find(slot) as usize;
+            if label_of_root[root] == u32::MAX {
+                label_of_root[root] = comp_max.len() as u32;
+                comp_max.push(local.max[root]);
+            }
+            label_of_root[root]
+        };
         let mut volumes = vec![(0u64, 0u64); n];
         let mut member = vec![false; n];
+        let mut scanned = vec![false; dag.edge_count()];
         for &v in members {
             member[v.index()] = true;
-            let i = g.input_volume(v).unwrap_or(0);
-            let o = g.output_volume(v).unwrap_or(0);
-            volumes[v.index()] = (i, o);
-            let c = label(&mut uf, &mut comp, &mut comp_max, v.0);
-            comp_max[c as usize] = comp_max[c as usize].max(o);
-        }
-        // Endpoint contributions: the edge volume (for shared source slots
-        // this is the source's output volume, contributed possibly multiple
-        // times with the same value).
-        for (eid, slot) in edge_slot.iter().enumerate() {
-            if let Some(slot) = *slot {
-                let vol = dag.edge(EdgeId(eid as u32)).weight;
-                let c = label(&mut uf, &mut comp, &mut comp_max, slot);
-                comp_max[c as usize] = comp_max[c as usize].max(vol);
+            volumes[v.index()] = (
+                g.input_volume(v).unwrap_or(0),
+                g.output_volume(v).unwrap_or(0),
+            );
+            let slot = local.slot_of[v.index()];
+            comp[v.index()] = label(&mut local, slot);
+            for &eid in dag.in_edge_ids(v) {
+                scanned[eid.index()] = true;
             }
+        }
+        let mut edge_slot: Vec<Option<u32>> = vec![None; dag.edge_count()];
+        for (eid, e) in dag.edges() {
+            if !scanned[eid.index()] {
+                continue;
+            }
+            let u = e.src;
+            let slot = if block_of[u.index()] == Some(bi) || g.kind(u) == NodeKind::Source {
+                u.0
+            } else {
+                (n + eid.index()) as u32
+            };
+            let local_slot = local.edge_slot[eid.index()];
+            comp[slot as usize] = label(&mut local, local_slot);
+            edge_slot[eid.index()] = Some(slot);
         }
 
         StreamingIntervals {

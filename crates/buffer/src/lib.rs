@@ -28,7 +28,7 @@
 #![warn(missing_docs)]
 
 use stg_analysis::Schedule;
-use stg_graph::{undirected_cycle_nodes, EdgeId, NodeId, Ratio};
+use stg_graph::{edge_set_cycle_nodes, CycleScratch, EdgeId, NodeId, Ratio};
 use stg_model::{CanonicalGraph, NodeKind};
 
 /// Which converging nodes receive Eq. (5) sizing.
@@ -81,6 +81,10 @@ impl BufferPlan {
 /// `default_capacity` (≥1) is used for channels that need no skew
 /// absorption; the paper leaves this constant open, and the DES validation
 /// works with 1.
+///
+/// One counting pass buckets the compute nodes and the streaming edges by
+/// block, so each block's cycle analysis and sizing walk only that block:
+/// `O(V + E)` in total, as Section 6 states.
 pub fn buffer_sizes(
     g: &CanonicalGraph,
     schedule: &Schedule,
@@ -101,43 +105,50 @@ pub fn buffer_sizes(
         }
     }
 
-    for bi in 0..n_blocks as u32 {
-        // The block's streaming subgraph: member compute nodes plus the
-        // source nodes multicasting into the block.
-        let in_block = |v: NodeId| -> bool {
-            schedule.block_of[v.index()] == Some(bi)
-                || (g.kind(v) == NodeKind::Source
-                    && dag.out_edge_ids(v).iter().any(|&e| {
-                        schedule.streaming_edge[e.index()]
-                            && schedule.block_of[dag.edge(e).dst.index()] == Some(bi)
-                    }))
-        };
-        let streaming_in_block = |e: EdgeId| -> bool {
-            schedule.streaming_edge[e.index()]
-                && schedule.block_of[dag.edge(e).dst.index()] == Some(bi)
-        };
+    let block_of = |v: NodeId| {
+        schedule.block_of[v.index()]
+            .map(|b| b as usize)
+            .filter(|&b| b < n_blocks)
+    };
+    // Each block's members, ascending by node id.
+    let members = by_block(n_blocks, || {
+        dag.node_ids().filter_map(|v| Some((block_of(v)?, v)))
+    });
+    // Each block's streaming subgraph, ascending by edge id: the streaming
+    // edges into the block from a member or from a source multicasting
+    // into it.
+    let streams = by_block(n_blocks, || {
+        dag.edges().filter_map(|(eid, e)| {
+            let b = block_of(e.dst)?;
+            let from_member = block_of(e.src) == Some(b) || g.kind(e.src) == NodeKind::Source;
+            (schedule.streaming_edge[eid.index()] && from_member).then_some((b, eid))
+        })
+    });
 
-        let cyc = undirected_cycle_nodes(dag, in_block, streaming_in_block);
-        cycle_nodes_per_block.push(
-            dag.node_ids()
-                .filter(|v| cyc.on_cycle[v.index()])
-                .collect::<Vec<_>>(),
-        );
+    let mut scratch = CycleScratch::default();
+    let mut on_cycle = vec![false; dag.node_count()];
+    let mut stream_in: Vec<EdgeId> = Vec::new();
+    for bi in 0..n_blocks {
+        let mut cyc = Vec::new();
+        edge_set_cycle_nodes(dag, streams.of(bi), &mut scratch, &mut cyc);
+        for v in &cyc {
+            on_cycle[v.index()] = true;
+        }
 
-        for v in dag.node_ids() {
-            if schedule.block_of[v.index()] != Some(bi) {
-                continue;
-            }
-            let stream_in: Vec<EdgeId> = dag
-                .in_edge_ids(v)
-                .iter()
-                .copied()
-                .filter(|&e| streaming_in_block(e))
-                .collect();
+        for &v in members.of(bi) {
+            // A member's in-edges all end in its block: the streaming
+            // ones are its in-block streaming inputs.
+            stream_in.clear();
+            stream_in.extend(
+                dag.in_edge_ids(v)
+                    .iter()
+                    .copied()
+                    .filter(|&e| schedule.streaming_edge[e.index()]),
+            );
             if stream_in.len() < 2 {
                 continue;
             }
-            let on_cycle = cyc.on_cycle[v.index()];
+            let on_cycle = on_cycle[v.index()];
             if policy == SizingPolicy::CyclesOnly && !on_cycle {
                 continue;
             }
@@ -176,6 +187,10 @@ pub fn buffer_sizes(
                 }
             }
         }
+        for v in &cyc {
+            on_cycle[v.index()] = false;
+        }
+        cycle_nodes_per_block.push(cyc);
     }
 
     let total_elements = capacity.iter().flatten().sum();
@@ -184,6 +199,51 @@ pub fn buffer_sizes(
         sized,
         cycle_nodes: cycle_nodes_per_block,
         total_elements,
+    }
+}
+
+/// Items grouped by block, each group in input order: a counting sort.
+struct ByBlock<T> {
+    start: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T> ByBlock<T> {
+    fn of(&self, b: usize) -> &[T] {
+        &self.items[self.start[b]..self.start[b + 1]]
+    }
+}
+
+/// Groups the items `items()` yields by block, keeping their order within
+/// each block: a counting sort over two passes of the iterator.
+fn by_block<T: Copy, I: Iterator<Item = (usize, T)>>(
+    n_blocks: usize,
+    items: impl Fn() -> I,
+) -> ByBlock<T> {
+    let mut start = vec![0usize; n_blocks + 1];
+    let mut any = None;
+    for (b, item) in items() {
+        start[b + 1] += 1;
+        any = Some(item);
+    }
+    for b in 0..n_blocks {
+        start[b + 1] += start[b];
+    }
+    let Some(filler) = any else {
+        return ByBlock {
+            start,
+            items: Vec::new(),
+        };
+    };
+    let mut fill = start.clone();
+    let mut grouped = vec![filler; start[n_blocks]];
+    for (b, item) in items() {
+        grouped[fill[b]] = item;
+        fill[b] += 1;
+    }
+    ByBlock {
+        start,
+        items: grouped,
     }
 }
 

@@ -10,6 +10,12 @@
 //! and return the weakly connected components of the nodes incident to
 //! non-bridge edges — exactly the per-cycle groups the paper's procedure
 //! produces.
+//!
+//! [`undirected_cycle_nodes`] filters the whole graph, so each call costs
+//! `O(V + E)` of the *graph*. [`edge_set_cycle_nodes`] takes the subgraph
+//! as an edge list and reuses a [`CycleScratch`], so it costs `O(V + E)`
+//! of the *subgraph*: buffer sizing calls it once per spatial block, for
+//! `O(V + E)` in total over a schedule, as Section 6 states.
 
 use crate::dag::{Dag, EdgeId, NodeId};
 use crate::wcc::UnionFind;
@@ -124,6 +130,156 @@ pub fn undirected_cycle_nodes<N, E>(
     CycleNodes { on_cycle, groups }
 }
 
+/// Reusable working storage for [`edge_set_cycle_nodes`]. Its per-node
+/// table grows to the graph once and is left all-clear after each call,
+/// so a call costs time proportional to its own edge set.
+#[derive(Clone, Debug, Default)]
+pub struct CycleScratch {
+    /// Per graph node: its local index in the current call, or `u32::MAX`.
+    local: Vec<u32>,
+    /// Local index → graph node.
+    nodes: Vec<NodeId>,
+    /// Local CSR adjacency: `adj[start[v]..start[v + 1]]` holds
+    /// `(neighbour, edge position)` pairs.
+    start: Vec<u32>,
+    adj: Vec<(u32, u32)>,
+    /// Per local node: the next free slot of its list while filling.
+    fill: Vec<u32>,
+    disc: Vec<u32>,
+    low: Vec<u32>,
+    bridge: Vec<bool>,
+    /// DFS frames: (node, entering edge position or `u32::MAX`, next
+    /// adjacency slot).
+    stack: Vec<(u32, u32, u32)>,
+}
+
+/// The nodes on an undirected cycle of the subgraph formed by `edges` and
+/// their endpoints, ascending by node id, written into `out` (cleared
+/// first). Equal to the marked nodes of [`undirected_cycle_nodes`] with
+/// the endpoints as node filter and membership in `edges` as edge filter,
+/// in `O(|edges|)` time plus sorting the result. `edges` must not repeat
+/// an edge.
+pub fn edge_set_cycle_nodes<N, E>(
+    g: &Dag<N, E>,
+    edges: &[EdgeId],
+    scratch: &mut CycleScratch,
+    out: &mut Vec<NodeId>,
+) {
+    out.clear();
+    let s = scratch;
+    if s.local.len() < g.node_count() {
+        s.local.resize(g.node_count(), u32::MAX);
+    }
+    s.nodes.clear();
+    let local_of = |v: NodeId, s: &mut CycleScratch| -> u32 {
+        let slot = &mut s.local[v.index()];
+        if *slot == u32::MAX {
+            *slot = s.nodes.len() as u32;
+            s.nodes.push(v);
+        }
+        *slot
+    };
+    // Degree count, then a prefix sum into CSR offsets.
+    s.start.clear();
+    for &eid in edges {
+        let e = g.edge(eid);
+        for v in [e.src, e.dst] {
+            let l = local_of(v, s) as usize;
+            if l >= s.start.len() {
+                s.start.resize(l + 1, 0);
+            }
+            s.start[l] += 1;
+        }
+    }
+    let n = s.nodes.len();
+    s.start.resize(n + 1, 0);
+    let mut sum = 0u32;
+    for d in &mut s.start {
+        let deg = *d;
+        *d = sum;
+        sum += deg;
+    }
+    s.adj.clear();
+    s.adj.resize(sum as usize, (0, 0));
+    s.fill.clear();
+    s.fill.extend_from_slice(&s.start[..n]);
+    for (pos, &eid) in edges.iter().enumerate() {
+        let e = g.edge(eid);
+        let (a, b) = (s.local[e.src.index()], s.local[e.dst.index()]);
+        for (from, to) in [(a, b), (b, a)] {
+            let slot = &mut s.fill[from as usize];
+            s.adj[*slot as usize] = (to, pos as u32);
+            *slot += 1;
+        }
+    }
+
+    const UNVISITED: u32 = u32::MAX;
+    s.disc.clear();
+    s.disc.resize(n, UNVISITED);
+    s.low.clear();
+    s.low.resize(n, 0);
+    s.bridge.clear();
+    s.bridge.resize(edges.len(), false);
+    let mut timer = 0u32;
+    for root in 0..n as u32 {
+        if s.disc[root as usize] != UNVISITED {
+            continue;
+        }
+        s.disc[root as usize] = timer;
+        s.low[root as usize] = timer;
+        timer += 1;
+        s.stack.push((root, u32::MAX, s.start[root as usize]));
+        while let Some(&mut (v, entering, ref mut next)) = s.stack.last_mut() {
+            if *next < s.start[v as usize + 1] {
+                let (to, pos) = s.adj[*next as usize];
+                *next += 1;
+                // Skip only the exact edge we came through; a parallel
+                // edge to the parent is a legitimate cycle.
+                if pos == entering {
+                    continue;
+                }
+                if s.disc[to as usize] == UNVISITED {
+                    s.disc[to as usize] = timer;
+                    s.low[to as usize] = timer;
+                    timer += 1;
+                    let first = s.start[to as usize];
+                    s.stack.push((to, pos, first));
+                } else {
+                    s.low[v as usize] = s.low[v as usize].min(s.disc[to as usize]);
+                }
+            } else {
+                s.stack.pop();
+                if let Some(&(parent, _, _)) = s.stack.last() {
+                    let low_v = s.low[v as usize];
+                    s.low[parent as usize] = s.low[parent as usize].min(low_v);
+                    if low_v > s.disc[parent as usize] {
+                        s.bridge[entering as usize] = true;
+                    }
+                }
+            }
+        }
+    }
+    // Nodes on cycles = endpoints of non-bridge edges. `disc` is spent:
+    // reuse it as the marked flag.
+    s.disc.fill(0);
+    for (pos, &eid) in edges.iter().enumerate() {
+        if !s.bridge[pos] {
+            let e = g.edge(eid);
+            for v in [e.src, e.dst] {
+                let l = s.local[v.index()] as usize;
+                if s.disc[l] == 0 {
+                    s.disc[l] = 1;
+                    out.push(v);
+                }
+            }
+        }
+    }
+    out.sort_unstable();
+    for v in &s.nodes {
+        s.local[v.index()] = u32::MAX;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,6 +390,31 @@ mod tests {
         g.add_edge(v[2], v[3], ());
         let res = undirected_cycle_nodes(&g, |n| n != v[2], |_| true);
         assert!(ids(&g, &res).is_empty());
+    }
+
+    /// `edge_set_cycle_nodes` over every edge equals the filtered
+    /// whole-graph analysis, scratch reused across graphs.
+    #[test]
+    fn edge_sets_match_the_whole_graph_analysis() {
+        let mut scratch = CycleScratch::default();
+        let mut out = Vec::new();
+        for edges in [
+            vec![(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)],
+            vec![(0, 1), (0, 1)],
+            vec![(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)],
+            vec![(0, 1), (0, 2), (1, 3)],
+        ] {
+            let mut g: Dag<(), ()> = Dag::new();
+            let v: Vec<NodeId> = (0..8).map(|_| g.add_node(())).collect();
+            let ids: Vec<EdgeId> = edges
+                .iter()
+                .map(|&(a, b)| g.add_edge(v[a], v[b], ()))
+                .collect();
+            edge_set_cycle_nodes(&g, &ids, &mut scratch, &mut out);
+            let whole = undirected_cycle_nodes(&g, |_| true, |_| true);
+            let marked: Vec<NodeId> = g.node_ids().filter(|u| whole.on_cycle[u.index()]).collect();
+            assert_eq!(out, marked, "{edges:?}");
+        }
     }
 
     #[test]

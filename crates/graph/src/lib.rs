@@ -22,7 +22,7 @@ pub use algo::{
     bottom_levels, condense, critical_path_length, reachable_from, strongly_connected_components,
     top_levels,
 };
-pub use cycles::{undirected_cycle_nodes, CycleNodes};
+pub use cycles::{edge_set_cycle_nodes, undirected_cycle_nodes, CycleNodes, CycleScratch};
 pub use dag::{Dag, Edge, EdgeId, NodeId};
 pub use ratio::Ratio;
 pub use topo::{is_acyclic, levels, topological_order, CycleError};

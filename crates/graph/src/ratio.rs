@@ -6,6 +6,12 @@
 //! (e.g. `⌈(R(v)−1)·S_o(v)⌉`). Floating point would reproduce the paper's
 //! worked examples only approximately, so we use exact rationals with `i128`
 //! intermediates, normalized by gcd after every operation.
+//!
+//! Data volumes fit in 64 bits, so nearly every operand does too. Those
+//! take exact 64-bit fast paths: a binary gcd, hardware division, and
+//! products widened into `i128` where two 64-bit factors cannot
+//! overflow. Larger operands take the general `i128` path with its
+//! checked arithmetic. Both paths return the same lowest-terms value.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -24,7 +30,8 @@ pub struct Ratio {
     den: i128,
 }
 
-const fn gcd(mut a: i128, mut b: i128) -> i128 {
+/// The general `i128` gcd (Euclid), non-negative.
+const fn gcd_wide(mut a: i128, mut b: i128) -> i128 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -34,6 +41,60 @@ const fn gcd(mut a: i128, mut b: i128) -> i128 {
         -a
     } else {
         a
+    }
+}
+
+/// Binary (Stein) gcd of two `u64`s: shifts and subtractions only, no
+/// division. `gcd(0, b) = b`.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// `x` as an `i64`, when it fits: the operand range of the fast paths.
+#[inline]
+fn small(x: i128) -> Option<i64> {
+    i64::try_from(x).ok()
+}
+
+/// The non-negative gcd, on the 64-bit path when both operands fit.
+fn gcd(a: i128, b: i128) -> i128 {
+    match (small(a), small(b)) {
+        (Some(a), Some(b)) => i128::from(gcd_u64(a.unsigned_abs(), b.unsigned_abs())),
+        _ => gcd_wide(a, b),
+    }
+}
+
+/// `x / g` for a positive divisor `g` of `x`, by hardware division when
+/// both fit in 64 bits.
+#[inline]
+fn div_exact(x: i128, g: i128) -> i128 {
+    match (small(x), u64::try_from(g)) {
+        (Some(x), Ok(g)) => {
+            let q = i128::from(x.unsigned_abs() / g);
+            if x < 0 {
+                -q
+            } else {
+                q
+            }
+        }
+        _ => x / g,
     }
 }
 
@@ -50,11 +111,18 @@ impl Ratio {
     pub fn new(num: i128, den: i128) -> Ratio {
         assert!(den != 0, "Ratio with zero denominator");
         let g = gcd(num, den);
-        let (mut num, mut den) = (num / g, den / g);
+        let (mut num, mut den) = (div_exact(num, g), div_exact(den, g));
         if den < 0 {
             num = -num;
             den = -den;
         }
+        Ratio { num, den }
+    }
+
+    /// `num/den` for a pair already in lowest terms with `den > 0`.
+    #[inline]
+    fn reduced(num: i128, den: i128) -> Ratio {
+        debug_assert!(den > 0 && gcd(num, den) == 1, "{num}/{den} is not reduced");
         Ratio { num, den }
     }
 
@@ -99,11 +167,24 @@ impl Ratio {
     /// Panics if the value is zero.
     pub fn recip(&self) -> Ratio {
         assert!(self.num != 0, "reciprocal of zero Ratio");
-        Ratio::new(self.den, self.num)
+        // Swapping a lowest-terms pair keeps it in lowest terms.
+        if self.num < 0 {
+            Ratio::reduced(-self.den, -self.num)
+        } else {
+            Ratio::reduced(self.den, self.num)
+        }
     }
 
     /// Exact ceiling as an integer.
     pub fn ceil(&self) -> i128 {
+        if let (Some(num), Some(den)) = (small(self.num), small(self.den)) {
+            // `den > 0`: truncation rounds a negative quotient up.
+            return i128::from(if num >= 0 {
+                (num as u64).div_ceil(den as u64) as i64
+            } else {
+                num / den
+            });
+        }
         if self.num >= 0 {
             (self.num + self.den - 1) / self.den
         } else {
@@ -113,6 +194,10 @@ impl Ratio {
 
     /// Exact floor as an integer.
     pub fn floor(&self) -> i128 {
+        if let (Some(num), Some(den)) = (small(self.num), small(self.den)) {
+            // `den > 0`: Euclidean division rounds toward negative infinity.
+            return i128::from(num.div_euclid(den));
+        }
         if self.num >= 0 {
             self.num / self.den
         } else {
@@ -165,13 +250,31 @@ impl From<i128> for Ratio {
 impl Add for Ratio {
     type Output = Ratio;
     fn add(self, rhs: Ratio) -> Ratio {
+        if let (Some(a), Some(b), Some(c), Some(d)) = (
+            small(self.num),
+            small(self.den),
+            small(rhs.num),
+            small(rhs.den),
+        ) {
+            // 64-bit operands: every product of two of them, and the sum
+            // of two such products, fits in `i128` unchecked.
+            let (b, d) = (b as u64, d as u64);
+            let g = gcd_u64(b, d);
+            let (bg, dg) = (b / g, d / g);
+            let num = i128::from(a) * i128::from(dg) + i128::from(c) * i128::from(bg);
+            let den = i128::from(bg) * i128::from(d);
+            return Ratio::new(num, den);
+        }
         // Reduce cross terms first to keep intermediates small.
         let g = gcd(self.den, rhs.den);
-        let lcm = self.den / g * rhs.den;
+        let lcm = (self.den / g)
+            .checked_mul(rhs.den)
+            .expect("Ratio add overflow");
         Ratio::new(
             self.num
                 .checked_mul(lcm / self.den)
-                .and_then(|a| a.checked_add(rhs.num * (lcm / rhs.den)))
+                .zip(rhs.num.checked_mul(lcm / rhs.den))
+                .and_then(|(a, b)| a.checked_add(b))
                 .expect("Ratio add overflow"),
             lcm,
         )
@@ -198,6 +301,21 @@ impl Neg for Ratio {
 impl Mul for Ratio {
     type Output = Ratio;
     fn mul(self, rhs: Ratio) -> Ratio {
+        if let (Some(a), Some(b), Some(c), Some(d)) = (
+            small(self.num),
+            small(self.den),
+            small(rhs.num),
+            small(rhs.den),
+        ) {
+            // Cross-reduced factors of lowest-terms operands leave a
+            // lowest-terms product, and two 64-bit factors cannot
+            // overflow `i128`.
+            let g1 = gcd_u64(a.unsigned_abs(), d as u64);
+            let g2 = gcd_u64(c.unsigned_abs(), b as u64);
+            let num = div_exact(a.into(), g1.into()) * div_exact(c.into(), g2.into());
+            let den = i128::from(b as u64 / g2) * i128::from(d as u64 / g1);
+            return Ratio::reduced(num, den);
+        }
         // Cross-reduce before multiplying to avoid overflow.
         let g1 = gcd(self.num, rhs.den);
         let g2 = gcd(rhs.num, self.den);
@@ -230,6 +348,14 @@ impl PartialOrd for Ratio {
 impl Ord for Ratio {
     fn cmp(&self, other: &Ratio) -> Ordering {
         // a/b vs c/d (b,d > 0)  <=>  a*d vs c*b
+        if let (Some(a), Some(b), Some(c), Some(d)) = (
+            small(self.num),
+            small(self.den),
+            small(other.num),
+            small(other.den),
+        ) {
+            return (i128::from(a) * i128::from(d)).cmp(&(i128::from(c) * i128::from(b)));
+        }
         let lhs = self.num.checked_mul(other.den).expect("Ratio cmp overflow");
         let rhs = other.num.checked_mul(self.den).expect("Ratio cmp overflow");
         lhs.cmp(&rhs)

@@ -24,6 +24,20 @@ impl UnionFind {
         }
     }
 
+    /// Resets to zero sets, keeping the allocation for reuse.
+    pub fn clear(&mut self) {
+        self.parent.clear();
+        self.size.clear();
+    }
+
+    /// Adds a singleton set and returns its element.
+    pub fn push(&mut self) -> u32 {
+        let x = self.parent.len() as u32;
+        self.parent.push(x);
+        self.size.push(1);
+        x
+    }
+
     /// Finds the representative of `x`'s set (with path halving).
     pub fn find(&mut self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {

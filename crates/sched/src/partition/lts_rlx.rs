@@ -16,7 +16,8 @@
 //! fills every block to `P` tasks. Ties break by produced volume, then node
 //! level, then node id, so partitions are deterministic.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use stg_analysis::{GraphFacts, Partition};
 use stg_graph::NodeId;
 use stg_model::CanonicalGraph;
@@ -97,12 +98,18 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
         (class, out_vol(v), level[v.index()], v.0)
     };
 
-    let mut ready: BTreeSet<Key> = BTreeSet::new();
+    // The ready set: a min-heap of keys with lazy deletion. A task's
+    // entry is live while the task is ready and the entry holds its
+    // current key; a key change pushes a new entry and leaves the old one
+    // to be skipped when it surfaces.
+    let mut ready = ReadySet::default();
+    let mut key: Vec<Key> = vec![(0, 0, 0, 0); n];
     let mut in_ready: Vec<bool> = vec![false; n];
     for t in prec.dag.node_ids() {
         let orig = prec.original(t);
         if unassigned_preds[orig.index()] == 0 {
-            ready.insert(key_of(orig, &bound, current_block));
+            key[orig.index()] = key_of(orig, &bound, current_block);
+            ready.push(key[orig.index()]);
             in_ready[orig.index()] = true;
         }
     }
@@ -112,19 +119,22 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
     let mut done = 0usize;
 
     while done < tasks {
-        let &(class, vol, lvl, id) = ready.iter().next().expect("acyclic graph has ready tasks");
-        let _ = (vol, lvl);
+        let (class, _, _, id) = ready
+            .peek_live(&key, &in_ready)
+            .expect("acyclic graph has ready tasks");
         if class == 3 && variant == SbVariant::Lts {
             // No admissible candidate: open a new block. All ready keys
             // change class (everything becomes a block source).
             debug_assert!(!block.is_empty(), "class-3 candidate in an empty block");
             blocks.push(std::mem::take(&mut block));
             current_block += 1;
-            rebuild_ready(&mut ready, &in_ready, n, &bound, current_block, &key_of);
+            ready.rekey(&mut key, &mut in_ready, |v| {
+                key_of(v, &bound, current_block)
+            });
             continue;
         }
         let v = NodeId(id);
-        ready.remove(&(class, vol, lvl, id));
+        ready.pop();
         in_ready[v.index()] = false;
         assigned[v.index()] = true;
         done += 1;
@@ -142,16 +152,15 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
             if !is_compute[s.index()] || assigned[s.index()] {
                 continue;
             }
-            let old_key = key_of(s, &bound, current_block);
             let (b, stamp) = bound[s.index()];
             let eff = if stamp == current_block { b } else { u64::MAX };
             let nb = eff.min(msrc[v.index()]);
             bound[s.index()] = (nb, current_block);
             if in_ready[s.index()] {
                 let new_key = key_of(s, &bound, current_block);
-                if new_key != old_key {
-                    ready.remove(&old_key);
-                    ready.insert(new_key);
+                if new_key != key[s.index()] {
+                    key[s.index()] = new_key;
+                    ready.push(new_key);
                 }
             }
         }
@@ -161,7 +170,8 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
             let s = prec.original(ts);
             unassigned_preds[s.index()] -= 1;
             if unassigned_preds[s.index()] == 0 {
-                ready.insert(key_of(s, &bound, current_block));
+                key[s.index()] = key_of(s, &bound, current_block);
+                ready.push(key[s.index()]);
                 in_ready[s.index()] = true;
             }
         }
@@ -169,7 +179,9 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
         if block.len() >= p {
             blocks.push(std::mem::take(&mut block));
             current_block += 1;
-            rebuild_ready(&mut ready, &in_ready, n, &bound, current_block, &key_of);
+            ready.rekey(&mut key, &mut in_ready, |v| {
+                key_of(v, &bound, current_block)
+            });
         }
     }
     if !block.is_empty() {
@@ -178,22 +190,56 @@ pub fn spatial_blocks(facts: &GraphFacts<'_>, p: usize, variant: SbVariant) -> P
     Partition { blocks }
 }
 
-/// Rebuilds the ready set after a block change (every key's class resets).
-fn rebuild_ready(
-    ready: &mut BTreeSet<Key>,
-    in_ready: &[bool],
-    n: usize,
-    bound: &[(u64, u32)],
-    current_block: u32,
-    key_of: &impl Fn(NodeId, &[(u64, u32)], u32) -> Key,
-) {
-    let members: Vec<NodeId> = (0..n as u32)
-        .map(NodeId)
-        .filter(|v| in_ready[v.index()])
-        .collect();
-    ready.clear();
-    for v in members {
-        ready.insert(key_of(v, bound, current_block));
+/// Algorithm 1's ready set: a binary min-heap of candidate keys with lazy
+/// deletion. Keys end in the node id, so no two tasks share one and the
+/// minimum is the one a sorted set would yield first.
+#[derive(Default)]
+struct ReadySet {
+    heap: BinaryHeap<Reverse<Key>>,
+}
+
+impl ReadySet {
+    fn push(&mut self, key: Key) {
+        self.heap.push(Reverse(key));
+    }
+
+    /// Drops dead entries off the top and returns the smallest live key.
+    fn peek_live(&mut self, key: &[Key], in_ready: &[bool]) -> Option<Key> {
+        while let Some(&Reverse(top)) = self.heap.peek() {
+            let v = top.3 as usize;
+            if in_ready[v] && key[v] == top {
+                return Some(top);
+            }
+            self.heap.pop();
+        }
+        None
+    }
+
+    /// Removes the top entry (the one [`Self::peek_live`] returned).
+    fn pop(&mut self) {
+        self.heap.pop();
+    }
+
+    /// Recomputes every ready task's key after a block change (each key's
+    /// class resets) and rebuilds the heap from the live entries.
+    fn rekey(&mut self, key: &mut [Key], in_ready: &mut [bool], key_of: impl Fn(NodeId) -> Key) {
+        let mut live = std::mem::take(&mut self.heap).into_vec();
+        live.retain_mut(|Reverse(k)| {
+            let v = k.3 as usize;
+            // Clearing `in_ready` while collecting drops duplicates of a
+            // task whose key returned to an earlier value.
+            if !in_ready[v] || key[v] != *k {
+                return false;
+            }
+            in_ready[v] = false;
+            key[v] = key_of(NodeId(k.3));
+            *k = key[v];
+            true
+        });
+        for Reverse(k) in &live {
+            in_ready[k.3 as usize] = true;
+        }
+        self.heap = BinaryHeap::from(live);
     }
 }
 

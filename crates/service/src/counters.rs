@@ -316,7 +316,10 @@ mod tests {
             }
         );
         assert_eq!(
-            stats.frame(9).matches("\"leap_process_steps\":1300").count(),
+            stats
+                .frame(9)
+                .matches("\"leap_process_steps\":1300")
+                .count(),
             1
         );
         let v = stg_experiments::json::parse(&stats.frame(9)).unwrap();

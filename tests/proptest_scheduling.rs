@@ -3,7 +3,8 @@
 //! heuristic, every schedule must satisfy the model's structural laws.
 
 use proptest::prelude::*;
-use stg_workloads::{generate, Topology};
+use stg_graph::undirected_cycle_nodes;
+use stg_workloads::{generate, Topology, WorkloadFamily, WorkloadKind};
 use streaming_sched::prelude::*;
 
 fn arbitrary_workload() -> impl Strategy<Value = (Topology, u64)> {
@@ -166,5 +167,60 @@ proptest! {
         let t1 = g.sequential_time();
         prop_assert!(n.makespan >= t1.div_ceil(p as u64));
         prop_assert!(n.makespan >= non_streaming_depth(&g).expect("acyclic"));
+    }
+
+    /// Buffer sizing finds each block's cycle nodes over that block's own
+    /// streaming edges. They must equal the whole-graph oracle
+    /// `undirected_cycle_nodes` under the block filters: the block's
+    /// members plus the sources multicasting into it, and the streaming
+    /// edges into the block. The channel kinds follow the oracle too.
+    #[test]
+    fn per_block_cycle_nodes_match_the_whole_graph_oracle(
+        (topo, seed) in arbitrary_workload(),
+        family in 0usize..5,
+        p in 1usize..24,
+        rlx in any::<bool>(),
+        cycles_only in any::<bool>(),
+    ) {
+        let g = match family {
+            0 => generate(topo, seed),
+            f => {
+                let name = ["stencil2d", "spmv", "forkjoin", "attention:seq64"][f - 1];
+                let kind: WorkloadKind = name.parse().expect("registered family");
+                (*kind.instantiate(seed % 64)).clone()
+            }
+        };
+        let variant = if rlx { SbVariant::Rlx } else { SbVariant::Lts };
+        let partition = spatial_block_partition(&g, p, variant);
+        let s = schedule(&g, &partition).expect("Algorithm 1 partitions are schedulable");
+        let policy = if cycles_only { SizingPolicy::CyclesOnly } else { SizingPolicy::Converging };
+        let plan = buffer_sizes(&g, &s, policy, 1);
+        let dag = g.dag();
+        prop_assert_eq!(plan.cycle_nodes.len(), partition.len());
+        let mut on_cycle = vec![false; dag.node_count()];
+        for (bi, found) in plan.cycle_nodes.iter().enumerate() {
+            let bi = bi as u32;
+            let streaming_in_block = |e: EdgeId| {
+                s.streaming_edge[e.index()] && s.block_of[dag.edge(e).dst.index()] == Some(bi)
+            };
+            let in_block = |v: NodeId| {
+                s.block_of[v.index()] == Some(bi)
+                    || (g.kind(v) == NodeKind::Source
+                        && dag.out_edge_ids(v).iter().any(|&e| streaming_in_block(e)))
+            };
+            let oracle = undirected_cycle_nodes(dag, in_block, streaming_in_block);
+            let expected: Vec<NodeId> =
+                dag.node_ids().filter(|v| oracle.on_cycle[v.index()]).collect();
+            prop_assert_eq!(found, &expected, "block {}", bi);
+            for v in expected {
+                if s.block_of[v.index()] == Some(bi) {
+                    on_cycle[v.index()] = true;
+                }
+            }
+        }
+        for &(e, _, kind) in &plan.sized {
+            let critical = on_cycle[dag.edge(e).dst.index()];
+            prop_assert_eq!(kind == ChannelKind::DeadlockCritical, critical);
+        }
     }
 }
