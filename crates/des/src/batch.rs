@@ -286,15 +286,21 @@ const SE_STRIDE: usize = 3;
 /// The verification-window snapshot as flat struct-of-arrays storage,
 /// reused across windows and simulations. One snapshot is live at a
 /// time (the open [`PendingVerify`] window owns it), so taking a new
-/// one simply overwrites the arena.
+/// one simply overwrites the arena. It covers one window group of the
+/// state (see [`SimState::window_group`]): the processes and edges that
+/// can change before the window closes.
 struct SnapArena {
     t: u64,
     beats: u64,
-    /// Monotone process counters, [`SP_STRIDE`] words per process.
+    /// The window group the snapshot covers.
+    group: usize,
+    /// Monotone process counters, [`SP_STRIDE`] words per process of the
+    /// group, in group order.
     proc: Vec<u64>,
     /// Each process's pending batches.
     pending: Vec<Pending>,
-    /// Edge occupancy/counter words, [`SE_STRIDE`] words per edge.
+    /// Edge occupancy/counter words, [`SE_STRIDE`] words per edge of the
+    /// group, in group order.
     edge: Vec<u64>,
 }
 
@@ -303,20 +309,24 @@ impl SnapArena {
         SnapArena {
             t: 0,
             beats: 0,
+            group: 0,
             proc: Vec::new(),
             pending: Vec::new(),
             edge: Vec::new(),
         }
     }
 
-    /// Overwrites the arena with the current state at cycle `t`.
-    fn take(&mut self, state: &SimState<'_>, t: u64) {
+    /// Overwrites the arena with window group `group` of the current
+    /// state at cycle `t`.
+    fn take(&mut self, state: &SimState<'_>, group: usize, t: u64) {
         self.t = t;
         self.beats = state.beats;
+        self.group = group;
         self.proc.clear();
         self.pending.clear();
         self.edge.clear();
-        for p in &state.procs {
+        for &pid in state.window_procs(group) {
+            let p = &state.procs[pid as usize];
             self.proc.extend_from_slice(&[
                 p.to_consume,
                 p.to_emit,
@@ -327,8 +337,10 @@ impl SnapArena {
             ]);
             self.pending.push(p.pending);
         }
-        for e in &state.edges {
-            self.edge.extend_from_slice(&[e.len, e.popped, e.pushed]);
+        for &e in state.window_edges(group) {
+            let es = &state.edges[e as usize];
+            self.edge
+                .extend_from_slice(&[state.level[e as usize].len, es.popped, es.pushed]);
         }
     }
 
@@ -670,7 +682,8 @@ fn run(
                         opened: cycles,
                         target: cycles + p,
                     });
-                    snap.take(&state, buckets.t);
+                    let group = state.window_group();
+                    snap.take(&state, group, buckets.t);
                     work.windows_opened += 1;
                     break;
                 }
@@ -722,8 +735,11 @@ fn try_leap(
     // time limit (the per-cycle path must report it).
     let mut n: u64 = (state.config.max_time - t) / period;
 
-    // Per-process shift verification and margin bounds.
-    for (i, pr) in state.procs.iter().enumerate() {
+    // Per-process shift verification and margin bounds, over the
+    // window's group: nothing outside it moved.
+    let pids = state.window_procs(snap.group);
+    for (i, &pid) in pids.iter().enumerate() {
+        let pr = &state.procs[pid as usize];
         let f = snap.proc_fields(i);
         let sp = snap.proc_pending(i);
         if pr.in_batch != f[SP_IN_BATCH] {
@@ -780,17 +796,19 @@ fn try_leap(
     }
 
     // Per-edge shift verification and margin bounds.
-    for (i, es) in state.edges.iter().enumerate() {
+    let eids = state.window_edges(snap.group);
+    for (i, &e) in eids.iter().enumerate() {
+        let es = &state.edges[e as usize];
         let f = snap.edge_fields(i);
         // Steady state means zero FIFO drift: any accumulation or
         // drain-down is a transient that must run per-beat.
-        if es.len != f[SE_LEN] {
+        if state.level[e as usize].len != f[SE_LEN] {
             return false;
         }
         let dpop = es.popped - f[SE_POPPED];
         let dpush = es.pushed - f[SE_PUSHED];
         match es.kind {
-            Chan::Fifo { .. } => {}
+            Chan::Fifo => {}
             Chan::Gated => {
                 // Replay reads stay within the gated volume; writes into
                 // the gate stay strictly below delivery.
@@ -814,9 +832,11 @@ fn try_leap(
         return false;
     }
 
-    // Apply `n` whole periods in O(processes + edges).
+    // Apply `n` whole periods in O(group processes + edges).
     let period_beats = state.beats - snap.beats;
-    for (i, pr) in state.procs.iter_mut().enumerate() {
+    for i in 0..state.window_procs(snap.group).len() {
+        let pid = state.window_procs(snap.group)[i];
+        let pr = &mut state.procs[pid as usize];
         let f = snap.proc_fields(i);
         let sp = snap.proc_pending(i);
         let dc = f[SP_TO_CONSUME] - pr.to_consume;
@@ -843,7 +863,9 @@ fn try_leap(
             }
         }
     }
-    for (i, es) in state.edges.iter_mut().enumerate() {
+    for i in 0..state.window_edges(snap.group).len() {
+        let e = state.window_edges(snap.group)[i] as usize;
+        let es = &mut state.edges[e];
         let f = snap.edge_fields(i);
         es.popped += n * (es.popped - f[SE_POPPED]);
         es.pushed += n * (es.pushed - f[SE_PUSHED]);

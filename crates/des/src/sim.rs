@@ -295,10 +295,11 @@ pub struct Event {
     pub pid: u32,
 }
 
+/// A channel's role in the simulation.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Chan {
     /// Streaming FIFO with bounded capacity.
-    Fifo { cap: u64 },
+    Fifo,
     /// Read side gated on a memory fill; replays `volume` elements.
     Gated,
     /// Non-blocking write into memory (buffer fill, sink, later block).
@@ -308,46 +309,59 @@ pub(crate) enum Chan {
     Inert,
 }
 
+/// A channel's occupancy and capacity: the two words the beat loop's
+/// FIFO-full and FIFO-empty tests read, kept apart from the rest of the
+/// channel so that those tests walk a dense array.
+#[derive(Clone, Copy)]
+pub(crate) struct Level {
+    /// FIFO occupancy; always 0 on memory channels.
+    pub len: u64,
+    /// FIFO capacity; `u64::MAX` on memory channels, which never block a
+    /// producer.
+    pub cap: u64,
+}
+
+/// The gate time of a gated read whose memory fill has not completed.
+pub(crate) const NO_GATE: u64 = u64::MAX;
+
+/// The rest of a channel's run state.
 #[derive(Clone)]
 pub(crate) struct EdgeState {
-    pub kind: Chan,
-    /// FIFO occupancy.
-    pub len: u64,
     /// Elements popped from a gated replay.
     pub popped: u64,
     /// Elements pushed by the producer (for buffer fills).
     pub pushed: u64,
     pub volume: u64,
-    /// Gate open time for gated reads.
-    pub gate: Option<u64>,
+    /// Gate open time for gated reads ([`NO_GATE`] while closed).
+    pub gate: u64,
     /// Producer / consumer process ids (u32::MAX = none).
     pub producer: u32,
     pub consumer: u32,
-    /// Peak end-of-cycle occupancy (FIFO edges).
-    pub peak: u64,
+    pub kind: Chan,
     /// Occupancy changed in the current cycle (pending peak sample).
     pub dirty: bool,
 }
 
+/// The per-process state the beat loop reads and writes, packed into two
+/// cache lines. What only the result needs — the node id and the
+/// first-out time — lives in [`SimState`]'s cold arrays.
 pub(crate) struct Proc {
-    /// Original node (compute) or source node (for source instances).
-    pub node: NodeId,
-    pub block: u32,
+    pub to_consume: u64,
+    pub to_emit: u64,
+    pub in_batch: u64,
+    pub last_in: u64,
+    pub last_out: u64,
+    /// Cycles with at least one committed beat.
+    pub busy: u64,
     /// Batch shape: consume `q`, produce `p` (q=0: pure producer,
     /// p=0: pure consumer).
     pub q: u64,
     pub p: u64,
-    pub in_edges: Vec<EdgeId>,
-    pub out_edges: Vec<EdgeId>,
-    pub to_consume: u64,
-    pub in_batch: u64,
     pub pending: Pending,
-    pub to_emit: u64,
-    pub last_in: u64,
-    pub last_out: u64,
-    pub fo: Option<u64>,
-    /// Cycles with at least one committed beat.
-    pub busy: u64,
+    /// This process's edges in [`SimState::links`]: in-edges at
+    /// `links[0]..links[1]`, out-edges at `links[1]..links[2]`.
+    pub links: [u32; 3],
+    pub block: u32,
     pub done: bool,
     /// Whether completion counts toward block barriers / makespan.
     pub is_task: bool,
@@ -356,12 +370,14 @@ pub(crate) struct Proc {
 impl Proc {
     /// Whether an input beat at `t` is still possible: none yet this
     /// cycle, and elements left to consume.
+    #[inline(always)]
     fn can_input(&self, t: u64) -> bool {
         self.last_in < t && self.to_consume > 0
     }
 
     /// Whether an output beat at `t` is still possible: none yet this
     /// cycle, and elements left to emit.
+    #[inline(always)]
     fn can_output(&self, t: u64) -> bool {
         self.last_out < t && self.to_emit > 0
     }
@@ -376,22 +392,22 @@ impl Proc {
 #[derive(Clone, Copy, Default)]
 pub(crate) struct Pending {
     batches: [(u64, u64); 2],
-    len: usize,
+    len: u8,
 }
 
 impl Pending {
     pub fn as_slice(&self) -> &[(u64, u64)] {
-        &self.batches[..self.len]
+        &self.batches[..usize::from(self.len)]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [(u64, u64)] {
-        &mut self.batches[..self.len]
+        &mut self.batches[..usize::from(self.len)]
     }
 
     /// Appends a batch. Panics on a third one, which the backlog rule
     /// above rules out.
     fn push_back(&mut self, batch: (u64, u64)) {
-        self.batches[self.len] = batch;
+        self.batches[usize::from(self.len)] = batch;
         self.len += 1;
     }
 
@@ -434,20 +450,56 @@ pub(crate) trait Waker {
     fn wake(&mut self, pid: u32, time: u64);
 }
 
+/// Process and edge lists grouped by block: group `b < blocks` holds
+/// block `b`'s, the last group holds all of them.
+struct Groups {
+    start: Vec<u32>,
+    items: Vec<u32>,
+}
+
+impl Groups {
+    fn of(&self, group: usize) -> &[u32] {
+        &self.items[self.start[group] as usize..self.start[group + 1] as usize]
+    }
+}
+
 /// The complete mutable simulation state plus the beat/cascade rules,
 /// shared by both simulator drivers.
+///
+/// The layout serves the beat loop: every process's in- and out-edges
+/// sit in one flat array ([`Self::links`]), the per-process and
+/// per-channel words a beat touches are packed apart from the words only
+/// the result reads, and the FIFO-full/empty tests read their own dense
+/// array ([`Self::level`]).
 pub(crate) struct SimState<'a> {
     pub g: &'a CanonicalGraph,
     pub procs: Vec<Proc>,
+    /// Every process's in-edges then out-edges, process after process.
+    pub links: Vec<u32>,
+    pub level: Vec<Level>,
     pub edges: Vec<EdgeState>,
+    /// Per process: its node (compute) or source node (source instances).
+    node: Vec<NodeId>,
+    /// Per process: its first output beat's cycle.
+    fo: Vec<Option<u64>>,
+    /// Per edge: peak end-of-cycle occupancy (FIFO edges).
+    peak: Vec<u64>,
     /// Per block: activation time (None = not yet) and remaining tasks.
     pub act: Vec<Option<u64>>,
     pub remaining: Vec<u64>,
     /// Per block: the latest completion time of its finished tasks. The
     /// next block activates at this time once `remaining` reaches zero.
     block_end: Vec<u64>,
-    /// Per block: list of process ids to wake on activation.
-    pub block_procs: Vec<Vec<u32>>,
+    /// Per block: the processes to wake on activation (ascending id).
+    block_procs: Groups,
+    /// Per block: the edges its processes read or write, each once.
+    block_edges: Groups,
+    /// Per block: processes not yet done.
+    live: Vec<u32>,
+    /// The latest activated block.
+    active: usize,
+    /// The first block that may still hold a live process.
+    first_live: usize,
     /// Buffers: per node, (undelivered in-edges, gate time when 0).
     pub buf_missing: Vec<u64>,
     pub buf_gate: Vec<Option<u64>>,
@@ -495,13 +547,33 @@ impl<'a> SimState<'a> {
         let n = dag.node_count();
         let n_blocks = schedule.block_spans.len().max(1);
 
-        let mut procs: Vec<Proc> = Vec::new();
-        let mut block_procs: Vec<Vec<u32>> = vec![Vec::new(); n_blocks];
+        let mut procs: Vec<Proc> = Vec::with_capacity(g.compute_count());
+        let mut node: Vec<NodeId> = Vec::with_capacity(g.compute_count());
+        let mut links: Vec<u32> = Vec::with_capacity(2 * dag.edge_count());
         let mut remaining = vec![0u64; n_blocks];
+        let proc_of = |procs: &mut Vec<Proc>, links: &[u32], mid: usize, block: u32| Proc {
+            to_consume: 0,
+            to_emit: 0,
+            in_batch: 0,
+            last_in: 0,
+            last_out: 0,
+            busy: 0,
+            q: 0,
+            p: 0,
+            pending: Pending::default(),
+            links: [
+                procs.last().map_or(0, |p: &Proc| p.links[2]),
+                mid as u32,
+                links.len() as u32,
+            ],
+            block,
+            done: false,
+            is_task: false,
+        };
 
         // Compute-task processes.
         for v in g.compute_nodes() {
-            let block = schedule.block_of[v.index()].expect("scheduled compute node") as usize;
+            let block = schedule.block_of[v.index()].expect("scheduled compute node");
             let i_vol = g.input_volume(v).unwrap_or(0);
             let o_vol = g.output_volume(v).unwrap_or(0);
             let (p, q) = match (i_vol, o_vol) {
@@ -520,108 +592,134 @@ impl<'a> SimState<'a> {
                     (o / gcd, i / gcd)
                 }
             };
-            let id = procs.len() as u32;
-            procs.push(Proc {
-                node: v,
-                block: block as u32,
-                q,
-                p,
-                in_edges: dag.in_edge_ids(v).to_vec(),
-                out_edges: dag.out_edge_ids(v).to_vec(),
-                to_consume: i_vol,
-                in_batch: 0,
-                pending: Pending::default(),
-                to_emit: o_vol,
-                last_in: 0,
-                last_out: 0,
-                fo: None,
-                busy: 0,
-                done: false,
-                is_task: true,
-            });
-            block_procs[block].push(id);
-            remaining[block] += 1;
+            links.extend(dag.in_edge_ids(v).iter().map(|e| e.0));
+            let mid = links.len();
+            links.extend(dag.out_edge_ids(v).iter().map(|e| e.0));
+            let mut pr = proc_of(&mut procs, &links, mid, block);
+            pr.q = q;
+            pr.p = p;
+            pr.to_consume = i_vol;
+            pr.to_emit = o_vol;
+            pr.is_task = true;
+            procs.push(pr);
+            node.push(v);
+            remaining[block as usize] += 1;
         }
 
         // Source-instance processes: one per (source, consuming block), over
-        // the streaming edges into that block.
+        // the streaming edges into that block, blocks ascending.
+        let mut per_block: Vec<(u32, EdgeId)> = Vec::new();
         for s in dag.node_ids().filter(|&s| g.kind(s) == NodeKind::Source) {
-            let mut per_block: std::collections::BTreeMap<u32, Vec<EdgeId>> =
-                std::collections::BTreeMap::new();
+            per_block.clear();
             for &e in dag.out_edge_ids(s) {
                 let dst = dag.edge(e).dst;
                 if schedule.streaming_edge[e.index()] {
                     if let Some(b) = schedule.block_of[dst.index()] {
-                        per_block.entry(b).or_default().push(e);
+                        per_block.push((b, e));
                     }
                 }
             }
-            for (b, edges) in per_block {
-                let vol = g.output_volume(s).unwrap_or(0);
-                let id = procs.len() as u32;
-                procs.push(Proc {
-                    node: s,
-                    block: b,
-                    q: 0,
-                    p: 1,
-                    in_edges: Vec::new(),
-                    out_edges: edges,
-                    to_consume: 0,
-                    in_batch: 0,
-                    pending: Pending::default(),
-                    to_emit: vol,
-                    last_in: 0,
-                    last_out: 0,
-                    fo: None,
-                    busy: 0,
-                    done: false,
-                    is_task: false,
-                });
-                block_procs[b as usize].push(id);
+            per_block.sort_by_key(|&(b, _)| b);
+            let vol = g.output_volume(s).unwrap_or(0);
+            for group in per_block.chunk_by(|a, b| a.0 == b.0) {
+                let mid = links.len();
+                links.extend(group.iter().map(|&(_, e)| e.0));
+                let mut pr = proc_of(&mut procs, &links, mid, group[0].0);
+                pr.p = 1;
+                pr.to_emit = vol;
+                procs.push(pr);
+                node.push(s);
             }
         }
 
         // Channel states.
+        let mut level: Vec<Level> = Vec::with_capacity(dag.edge_count());
         let mut edges: Vec<EdgeState> = Vec::with_capacity(dag.edge_count());
         for (eid, e) in dag.edges() {
             let src_kind = g.kind(e.src);
             let dst_kind = g.kind(e.dst);
-            let kind = if schedule.streaming_edge[eid.index()] && dst_kind == NodeKind::Compute {
-                Chan::Fifo {
-                    cap: capacity_of(eid).unwrap_or(config.default_capacity).max(1),
-                }
-            } else if dst_kind == NodeKind::Compute {
-                // Memory-gated read: from a buffer, or an earlier block's
-                // output, (or a non-streaming source edge, which cannot
-                // occur by construction).
-                Chan::Gated
-            } else if src_kind == NodeKind::Compute {
-                Chan::Write
-            } else {
-                Chan::Inert
-            };
+            let (kind, cap) =
+                if schedule.streaming_edge[eid.index()] && dst_kind == NodeKind::Compute {
+                    let cap = capacity_of(eid).unwrap_or(config.default_capacity).max(1);
+                    (Chan::Fifo, cap)
+                } else if dst_kind == NodeKind::Compute {
+                    // Memory-gated read: from a buffer, or an earlier block's
+                    // output, (or a non-streaming source edge, which cannot
+                    // occur by construction).
+                    (Chan::Gated, u64::MAX)
+                } else if src_kind == NodeKind::Compute {
+                    (Chan::Write, u64::MAX)
+                } else {
+                    (Chan::Inert, u64::MAX)
+                };
+            level.push(Level { len: 0, cap });
             edges.push(EdgeState {
-                kind,
-                len: 0,
                 popped: 0,
                 pushed: 0,
                 volume: e.weight,
-                gate: None,
+                gate: NO_GATE,
                 producer: u32::MAX,
                 consumer: u32::MAX,
-                peak: 0,
+                kind,
                 dirty: false,
             });
         }
         // Wire producers/consumers.
-        for (pid, p) in procs.iter().enumerate() {
-            for &e in &p.out_edges {
-                edges[e.index()].producer = pid as u32;
+        for (pid, pr) in procs.iter().enumerate() {
+            let [start, mid, end] = pr.links.map(|i| i as usize);
+            for &e in &links[start..mid] {
+                edges[e as usize].consumer = pid as u32;
             }
-            for &e in &p.in_edges {
-                edges[e.index()].consumer = pid as u32;
+            for &e in &links[mid..end] {
+                edges[e as usize].producer = pid as u32;
             }
         }
+
+        // Each block's processes (ascending id) and the edges they touch
+        // (each once), then everything as the last group.
+        let mut procs_start = vec![0u32; n_blocks + 2];
+        for pr in &procs {
+            procs_start[pr.block as usize + 1] += 1;
+        }
+        for b in 0..n_blocks {
+            procs_start[b + 1] += procs_start[b];
+        }
+        procs_start[n_blocks + 1] = procs_start[n_blocks] + procs.len() as u32;
+        let mut fill = procs_start.clone();
+        let mut proc_items = vec![0u32; 2 * procs.len()];
+        for (pid, pr) in procs.iter().enumerate() {
+            proc_items[fill[pr.block as usize] as usize] = pid as u32;
+            fill[pr.block as usize] += 1;
+            proc_items[procs.len() + pid] = pid as u32;
+        }
+        let block_procs = Groups {
+            start: procs_start,
+            items: proc_items,
+        };
+        let mut edge_start = vec![0u32];
+        let mut edge_items: Vec<u32> = Vec::new();
+        let mut seen = vec![u32::MAX; dag.edge_count()];
+        for b in 0..n_blocks {
+            for &pid in block_procs.of(b) {
+                let [start, _, end] = procs[pid as usize].links;
+                for &e in &links[start as usize..end as usize] {
+                    if seen[e as usize] != b as u32 {
+                        seen[e as usize] = b as u32;
+                        edge_items.push(e);
+                    }
+                }
+            }
+            edge_start.push(edge_items.len() as u32);
+        }
+        edge_items.extend(0..dag.edge_count() as u32);
+        edge_start.push(edge_items.len() as u32);
+        let block_edges = Groups {
+            start: edge_start,
+            items: edge_items,
+        };
+        let live = (0..n_blocks)
+            .map(|b| block_procs.of(b).len() as u32)
+            .collect();
 
         // Buffer fill dependencies: count in-edges that must deliver.
         let mut buf_missing = vec![0u64; n];
@@ -640,14 +738,25 @@ impl<'a> SimState<'a> {
             }
         }
 
+        let n_procs = procs.len();
+        let n_edges = edges.len();
         let mut sim = SimState {
             g,
             procs,
+            links,
+            level,
             edges,
+            node,
+            fo: vec![None; n_procs],
+            peak: vec![0; n_edges],
             act: vec![None; n_blocks],
             remaining,
             block_end: vec![0; n_blocks],
             block_procs,
+            block_edges,
+            live,
+            active: 0,
+            first_live: 0,
             buf_missing,
             buf_gate,
             config,
@@ -674,9 +783,10 @@ impl<'a> SimState<'a> {
         }
         self.boundaries += 1;
         self.act[b] = Some(t);
+        self.active = b;
         // Producer-only processes seed their pending batch at activation.
-        for i in 0..self.block_procs[b].len() {
-            let pid = self.block_procs[b][i];
+        let group = self.block_procs.start[b] as usize..self.block_procs.start[b + 1] as usize;
+        for &pid in &self.block_procs.items[group] {
             let pr = &mut self.procs[pid as usize];
             if pr.q == 0 && pr.to_emit > 0 {
                 pr.pending.push_back((t + 1, pr.to_emit));
@@ -690,24 +800,46 @@ impl<'a> SimState<'a> {
         }
     }
 
+    /// The processes and edges a verification window opened now must
+    /// snapshot, as a group of [`Self::window_procs`] and
+    /// [`Self::window_edges`]. Inside a window without structural
+    /// boundaries only the latest activated block's processes can beat,
+    /// and they touch only that block's edges: a block activation is a
+    /// boundary, and the block barrier leaves every earlier block's
+    /// processes done. Should an earlier process still run, the window
+    /// covers every process and edge.
+    pub fn window_group(&mut self) -> usize {
+        while self.first_live < self.active && self.live[self.first_live] == 0 {
+            self.first_live += 1;
+        }
+        if self.first_live < self.active {
+            self.live.len()
+        } else {
+            self.active
+        }
+    }
+
+    /// The processes of a [`Self::window_group`], ascending.
+    pub fn window_procs(&self, group: usize) -> &[u32] {
+        self.block_procs.of(group)
+    }
+
+    /// The edges of a [`Self::window_group`].
+    pub fn window_edges(&self, group: usize) -> &[u32] {
+        self.block_edges.of(group)
+    }
+
     /// A buffer's fill completed at `t`: open its out-edges and propagate to
     /// downstream buffers.
     pub fn propagate_buffer_gate<W: Waker>(&mut self, b: NodeId, t: u64, waker: &mut W) {
         self.boundaries += 1;
         self.buf_gate[b.index()] = Some(t);
-        let outs: Vec<EdgeId> = self.g.dag().out_edge_ids(b).to_vec();
-        for e in outs {
-            let dst = self.g.dag().edge(e).dst;
+        let dag = self.g.dag();
+        for &e in dag.out_edge_ids(b) {
+            let dst = dag.edge(e).dst;
             match self.g.kind(dst) {
                 NodeKind::Compute => {
-                    self.edges[e.index()].gate = Some(t);
-                    let consumer = self.edges[e.index()].consumer;
-                    if consumer != u32::MAX {
-                        let block = self.procs[consumer as usize].block as usize;
-                        if let Some(act) = self.act[block] {
-                            waker.wake(consumer, t.max(act) + 1);
-                        }
-                    }
+                    self.open_gate(e, t, waker);
                 }
                 NodeKind::Buffer => {
                     self.buf_missing[dst.index()] -= 1;
@@ -720,7 +852,21 @@ impl<'a> SimState<'a> {
         }
     }
 
+    /// Opens gated edge `e` at `t` and wakes its consumer if its block is
+    /// active.
+    fn open_gate<W: Waker>(&mut self, e: EdgeId, t: u64, waker: &mut W) {
+        self.edges[e.index()].gate = t;
+        let consumer = self.edges[e.index()].consumer;
+        if consumer != u32::MAX {
+            let block = self.procs[consumer as usize].block as usize;
+            if let Some(act) = self.act[block] {
+                waker.wake(consumer, t.max(act) + 1);
+            }
+        }
+    }
+
     /// Producer finished delivering on a write edge at time `t`.
+    #[cold]
     pub fn write_edge_delivered<W: Waker>(&mut self, e: EdgeId, t: u64, waker: &mut W) {
         let dst = self.g.dag().edge(e).dst;
         match self.g.kind(dst) {
@@ -733,20 +879,14 @@ impl<'a> SimState<'a> {
             NodeKind::Compute => {
                 // Cross-block memory read: gate on full delivery.
                 self.boundaries += 1;
-                self.edges[e.index()].gate = Some(t);
-                let consumer = self.edges[e.index()].consumer;
-                if consumer != u32::MAX {
-                    let block = self.procs[consumer as usize].block as usize;
-                    if let Some(act) = self.act[block] {
-                        waker.wake(consumer, t.max(act) + 1);
-                    }
-                }
+                self.open_gate(e, t, waker);
             }
             _ => {}
         }
     }
 
     /// Attempts beats for `pid` at time `t`; returns true if progressed.
+    #[inline(always)]
     pub fn step<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) -> bool {
         let mut progressed = false;
         // Output beat first: drains pending so the input beat of the same
@@ -756,6 +896,7 @@ impl<'a> SimState<'a> {
         progressed
     }
 
+    #[inline(always)]
     fn try_output_beat<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) -> bool {
         let pr = &self.procs[pid as usize];
         if !pr.can_output(t) {
@@ -765,25 +906,25 @@ impl<'a> SimState<'a> {
             Some(&(ready, _)) if ready <= t => {}
             _ => return false,
         }
-        // All streaming out-edges need space.
-        for &e in &pr.out_edges {
-            if let Chan::Fifo { cap } = self.edges[e.index()].kind {
-                if self.edges[e.index()].len >= cap {
-                    return false;
-                }
+        let outs = pr.links[1] as usize..pr.links[2] as usize;
+        // All streaming out-edges need space (memory channels never fill).
+        for &e in &self.links[outs.clone()] {
+            let level = &self.level[e as usize];
+            if level.len >= level.cap {
+                return false;
             }
         }
         // Commit the beat.
-        for i in 0..self.procs[pid as usize].out_edges.len() {
-            let e = self.procs[pid as usize].out_edges[i];
-            let es = &mut self.edges[e.index()];
+        for i in outs {
+            let e = self.links[i] as usize;
+            let es = &mut self.edges[e];
             es.pushed += 1;
             match es.kind {
-                Chan::Fifo { .. } => {
-                    es.len += 1;
+                Chan::Fifo => {
+                    self.level[e].len += 1;
                     if !es.dirty {
                         es.dirty = true;
-                        self.touched.push(e.index() as u32);
+                        self.touched.push(e as u32);
                     }
                     let consumer = es.consumer;
                     if consumer != u32::MAX
@@ -797,7 +938,7 @@ impl<'a> SimState<'a> {
                 // opens for the consumer once fully delivered.
                 Chan::Write | Chan::Gated => {
                     if es.pushed == es.volume {
-                        self.write_edge_delivered(e, t, waker);
+                        self.write_edge_delivered(EdgeId(e as u32), t, waker);
                     }
                 }
                 Chan::Inert => {}
@@ -807,8 +948,12 @@ impl<'a> SimState<'a> {
         if pr.last_in != t {
             pr.busy += 1;
         }
+        // No output beat before this one left `last_out` at 0: beats
+        // start at cycle 1.
+        if pr.last_out == 0 {
+            self.fo[pid as usize] = Some(t);
+        }
         pr.last_out = t;
-        pr.fo = pr.fo.or(Some(t));
         pr.to_emit -= 1;
         let left = pr.pending.take_one();
         self.beats += 1;
@@ -824,6 +969,7 @@ impl<'a> SimState<'a> {
         true
     }
 
+    #[inline(always)]
     fn try_input_beat<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) -> bool {
         let pr = &self.procs[pid as usize];
         if !pr.can_input(t) {
@@ -834,33 +980,35 @@ impl<'a> SimState<'a> {
         if pr.p > 0 && pr.pending.backlog() >= pr.p {
             return false;
         }
-        let act = self.act[pr.block as usize].expect("process woken implies active block");
-        // All in-edges must be poppable.
-        for &e in &pr.in_edges {
-            let es = &self.edges[e.index()];
-            match es.kind {
-                Chan::Fifo { .. } => {
-                    if es.len == 0 {
-                        return false;
+        let ins = pr.links[0] as usize..pr.links[1] as usize;
+        // All in-edges must be poppable. A gated read has no occupancy:
+        // only an empty level sends the test to the channel itself.
+        for &e in &self.links[ins.clone()] {
+            if self.level[e as usize].len == 0 {
+                let es = &self.edges[e as usize];
+                match es.kind {
+                    Chan::Fifo => return false,
+                    Chan::Gated => {
+                        let act = self.act[pr.block as usize]
+                            .expect("process woken implies active block");
+                        if es.gate == NO_GATE || es.popped >= es.volume || t <= es.gate.max(act) {
+                            return false;
+                        }
                     }
+                    _ => unreachable!("input edges are FIFO or gated"),
                 }
-                Chan::Gated => match es.gate {
-                    Some(gate) if es.popped < es.volume && t > gate.max(act) => {}
-                    _ => return false,
-                },
-                _ => unreachable!("input edges are FIFO or gated"),
             }
         }
         // Commit the beat.
-        for i in 0..self.procs[pid as usize].in_edges.len() {
-            let e = self.procs[pid as usize].in_edges[i];
-            let es = &mut self.edges[e.index()];
+        for i in ins {
+            let e = self.links[i] as usize;
+            let es = &mut self.edges[e];
             match es.kind {
-                Chan::Fifo { .. } => {
-                    es.len -= 1;
+                Chan::Fifo => {
+                    self.level[e].len -= 1;
                     if !es.dirty {
                         es.dirty = true;
-                        self.touched.push(e.index() as u32);
+                        self.touched.push(e as u32);
                     }
                     let producer = es.producer;
                     if producer != u32::MAX
@@ -899,6 +1047,7 @@ impl<'a> SimState<'a> {
         true
     }
 
+    #[cold]
     fn complete<W: Waker>(&mut self, pid: u32, t: u64, waker: &mut W) {
         self.boundaries += 1;
         let pr = &mut self.procs[pid as usize];
@@ -906,6 +1055,7 @@ impl<'a> SimState<'a> {
         pr.done = true;
         pr.last_out = pr.last_out.max(t);
         let (block, is_task) = (pr.block as usize, pr.is_task);
+        self.live[block] -= 1;
         if is_task {
             // The barrier waits for the block's latest completion, not the
             // last one the driver happens to step: a pure consumer stepped
@@ -923,9 +1073,9 @@ impl<'a> SimState<'a> {
     /// signature.
     pub fn end_cycle(&mut self) -> u64 {
         for i in self.touched.drain(..) {
-            let es = &mut self.edges[i as usize];
-            es.dirty = false;
-            es.peak = es.peak.max(es.len);
+            let i = i as usize;
+            self.edges[i].dirty = false;
+            self.peak[i] = self.peak[i].max(self.level[i].len);
         }
         std::mem::take(&mut self.cycle_sig)
     }
@@ -935,8 +1085,9 @@ impl<'a> SimState<'a> {
         let unfinished: Vec<NodeId> = self
             .procs
             .iter()
-            .filter(|p| p.is_task && !p.done)
-            .map(|p| p.node)
+            .zip(&self.node)
+            .filter(|(p, _)| p.is_task && !p.done)
+            .map(|(_, &v)| v)
             .collect();
         let failure = if unfinished.is_empty() {
             None
@@ -958,23 +1109,22 @@ impl<'a> SimState<'a> {
         let mut fo = vec![None; n];
         let mut lo = vec![None; n];
         let mut busy = vec![None; n];
-        for p in &self.procs {
+        for ((p, v), &first_out) in self.procs.iter().zip(&self.node).zip(&self.fo) {
             if p.is_task {
-                fo[p.node.index()] = p.fo;
-                busy[p.node.index()] = Some(p.busy);
+                fo[v.index()] = first_out;
+                busy[v.index()] = Some(p.busy);
                 if p.done {
-                    lo[p.node.index()] = Some(completion_time(p));
+                    lo[v.index()] = Some(completion_time(p));
                 }
             }
         }
-        let fifo_peak = self.edges.iter().map(|e| e.peak).collect();
         SimResult {
             makespan,
             fo,
             lo,
             busy,
             beats: self.beats,
-            fifo_peak,
+            fifo_peak: self.peak,
             failure,
         }
     }
