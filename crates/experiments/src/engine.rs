@@ -650,7 +650,7 @@ impl SweepSpec {
             let facts = GraphFacts::new(&g);
             let fingerprint = OnceCell::new();
             let share = share_sims && cells.len() > 1;
-            let run = |out: &mut [Option<(Outcome, bool, bool)>]| {
+            let run = |out: &mut [Option<EvaluatedCell>]| {
                 let mut shared = SharedSims::new();
                 for (k, (&i, slot)) in cells.iter().zip(out).enumerate() {
                     let case = &cases[i];
@@ -658,7 +658,7 @@ impl SweepSpec {
                         let shared = share.then_some(&mut shared);
                         evaluate(case, &facts, validate, sim, shared)
                     };
-                    let (outcome, repaired) = if self.cacheable(case) {
+                    let (outcome, repaired, semantic) = if self.cacheable(case) {
                         let key = SemanticKey {
                             fingerprint: *fingerprint.get_or_init(|| g.fingerprint()),
                             pes: case.pes,
@@ -667,11 +667,16 @@ impl SweepSpec {
                         };
                         flight.evaluate_once(key, &sim_mode, eval)
                     } else {
-                        (eval(), false)
+                        (eval(), false, None)
                     };
                     // The job's first cell instantiated the graph; the rest
                     // find it in the cache.
-                    *slot = Some((outcome, repaired, hit || k > 0));
+                    *slot = Some(EvaluatedCell {
+                        outcome,
+                        repaired,
+                        graph_hit: hit || k > 0,
+                        semantic,
+                    });
                 }
             };
             if wait_for_structures && self.cacheable(first) {
@@ -699,16 +704,37 @@ impl SweepSpec {
         // Stage persist + merge: outcomes land at their case index, and
         // persisting walks the cells in case order through the batched
         // segment path — one fsync per FLUSH_THRESHOLD cells instead of
-        // one per cell. Only nominal keys persist here: the semantic entry
-        // was inserted by the evaluation that produced it.
+        // one per cell. A semantic entry this pass evaluated is already in
+        // the store's memory (evaluation inserted it); it joins the disk
+        // queue here, once, at the first cell in case order that carries
+        // its key, so the segments a pass writes do not depend on which
+        // thread evaluated what.
         let mut cache = CacheStats::default();
-        for (&i, (outcome, repaired, hit)) in todo.iter().zip(evaluated) {
-            cache.record(hit);
-            cell_cache.repaired += u64::from(repaired);
-            slots[i] = Some(outcome);
+        // Per semantic key: the first case carrying it; and the entries
+        // this pass evaluated.
+        let mut first_case: HashMap<u64, usize> = HashMap::new();
+        let mut fresh: Vec<(u64, Arc<[u8]>)> = Vec::new();
+        for (&i, cell) in todo.iter().zip(evaluated) {
+            cache.record(cell.graph_hit);
+            cell_cache.repaired += u64::from(cell.repaired);
+            slots[i] = Some(cell.outcome);
+            if let Some((hash, entry)) = cell.semantic {
+                let first = first_case.entry(hash).or_insert(i);
+                *first = (*first).min(i);
+                fresh.extend(entry.map(|entry| (hash, entry)));
+            }
         }
         if let Some(store) = store {
-            for (key, outcome) in keys.iter().zip(&slots) {
+            let mut fresh: Vec<(usize, Arc<[u8]>)> = fresh
+                .into_iter()
+                .map(|(hash, entry)| (first_case[&hash], entry))
+                .collect();
+            fresh.sort_unstable_by_key(|&(i, _)| i);
+            let mut fresh = fresh.into_iter().peekable();
+            for (i, (key, outcome)) in keys.iter().zip(&slots).enumerate() {
+                if let Some((_, entry)) = fresh.next_if(|&(first, _)| first == i) {
+                    store.persist_entry(entry);
+                }
                 if let (Some(key), Some(outcome)) = (key, outcome) {
                     store.insert_batched(key, outcome);
                 }
@@ -950,16 +976,33 @@ pub enum SingleFlight<'a> {
     Table(&'a SemanticTable),
 }
 
+/// One evaluated cell of [`SweepSpec::run_cases_on`]'s evaluate stage.
+struct EvaluatedCell {
+    outcome: Outcome,
+    /// Another cell's evaluation supplied the outcome.
+    repaired: bool,
+    /// The graph came from the memo cache (or an earlier cell of the job).
+    graph_hit: bool,
+    /// Through a store: the cell's semantic key and fresh entry.
+    semantic: Option<SemanticEntry>,
+}
+
+/// A store cell's semantic key hash, and the entry its evaluation
+/// inserted into memory when this cell evaluated it: queued for disk at
+/// the persist stage.
+type SemanticEntry = (u64, Option<Arc<[u8]>>);
+
 impl SingleFlight<'_> {
     /// Evaluates `key` at most once across this table's callers;
     /// `sim_mode` is its [`SweepSpec::sim_mode`] rendering. Returns the
-    /// outcome and whether another evaluation supplied it.
+    /// outcome, whether another evaluation supplied it, and, for a store,
+    /// the cell's [`SemanticEntry`].
     fn evaluate_once(
         self,
         key: SemanticKey,
         sim_mode: &str,
         eval: impl FnOnce() -> Outcome,
-    ) -> (Outcome, bool) {
+    ) -> (Outcome, bool, Option<SemanticEntry>) {
         match self {
             SingleFlight::Store(store) => {
                 let sem = CELL_SCRATCH.with(|cell| {
@@ -972,9 +1015,13 @@ impl SingleFlight<'_> {
                         sim_mode,
                     )
                 });
-                store.evaluate_once(&sem, eval)
+                let (outcome, fresh) = store.evaluate_flight(&sem, eval);
+                (outcome, fresh.is_none(), Some((sem.hash(), fresh)))
             }
-            SingleFlight::Table(table) => table.evaluate_once(key, eval),
+            SingleFlight::Table(table) => {
+                let (outcome, repaired) = table.evaluate_once(key, eval);
+                (outcome, repaired, None)
+            }
         }
     }
 }

@@ -341,15 +341,25 @@ pub(crate) struct SemanticKey {
 /// reuse spans the lease's chunks and the table stays bounded by the
 /// lease size.
 ///
-/// Entries are typed outcomes held inline: one slot per claimed key in a
-/// slot array allocated once, no encoding and no allocation per entry.
-/// The table never persists or forgets an entry; it lives as long as its
-/// owner keeps it.
+/// Entries are typed outcomes held inline, one slot per claimed key: no
+/// encoding and no allocation per entry. Slots come in chunks of
+/// [`SLOT_CHUNK`], each allocated when the first key claims a slot in
+/// it, so a table holds about as many slots as it has distinct keys, not
+/// as many as its capacity. The table never persists or forgets an
+/// entry; it lives as long as its owner keeps it.
 pub struct SemanticTable {
-    /// Each claimed key's position in `slots`, in claim order.
+    /// Each claimed key's slot number, in claim order.
     index: Mutex<HashMap<SemanticKey, usize>>,
-    slots: Box<[OnceLock<Outcome>]>,
+    /// Slot `i` is `chunks[i / SLOT_CHUNK][i % SLOT_CHUNK]`.
+    chunks: Box<[OnceLock<SlotChunk>]>,
+    capacity: usize,
 }
+
+/// One chunk of [`SemanticTable`] slots.
+type SlotChunk = Box<[OnceLock<Outcome>]>;
+
+/// Slots per [`SemanticTable`] chunk.
+const SLOT_CHUNK: usize = 256;
 
 impl SemanticTable {
     /// A table with room for `keys` distinct keys — the number of cells
@@ -358,8 +368,21 @@ impl SemanticTable {
     pub fn with_capacity(keys: usize) -> SemanticTable {
         SemanticTable {
             index: Mutex::new(HashMap::new()),
-            slots: (0..keys).map(|_| OnceLock::new()).collect(),
+            chunks: (0..keys.div_ceil(SLOT_CHUNK))
+                .map(|_| OnceLock::new())
+                .collect(),
+            capacity: keys,
         }
+    }
+
+    /// Slot `i`, allocating its chunk on first use.
+    fn slot(&self, i: usize) -> &OnceLock<Outcome> {
+        let chunk = i / SLOT_CHUNK;
+        let slots = self.chunks[chunk].get_or_init(|| {
+            let len = SLOT_CHUNK.min(self.capacity - chunk * SLOT_CHUNK);
+            (0..len).map(|_| OnceLock::new()).collect()
+        });
+        &slots[i % SLOT_CHUNK]
     }
 
     /// Single-flight evaluation of `key`: `eval` runs only if no caller
@@ -377,14 +400,14 @@ impl SemanticTable {
         let slot = {
             let mut index = self.index.lock().expect("semantic table lock");
             let next = index.len();
-            if next < self.slots.len() {
+            if next < self.capacity {
                 Some(*index.entry(key).or_insert(next))
             } else {
                 index.get(&key).copied()
             }
         };
         match slot {
-            Some(slot) => single_flight(&self.slots[slot], eval),
+            Some(slot) => single_flight(self.slot(slot), eval),
             None => (eval(), false),
         }
     }
@@ -394,6 +417,16 @@ impl SemanticTable {
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.index.lock().expect("semantic table lock").len()
+    }
+
+    /// Slots allocated so far.
+    #[cfg(test)]
+    fn allocated(&self) -> usize {
+        self.chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|c| c.len())
+            .sum()
     }
 }
 
@@ -593,27 +626,47 @@ impl ResultStore {
     /// Single-flight evaluation of the *semantic* key `sem`: `eval` runs
     /// only if no thread has stored the key's outcome or is producing it.
     /// Returns the outcome and whether another evaluation supplied it
-    /// (then it also counts in [`StoreStats::repaired`]):
+    /// (then it also counts in [`StoreStats::repaired`]). An outcome this
+    /// call evaluated is persisted with the next flush; see
+    /// [`ResultStore::evaluate_flight`] for the protocol.
+    pub fn evaluate_once(&self, sem: &CellKey, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+        let (outcome, fresh) = self.evaluate_flight(sem, eval);
+        let repaired = fresh.is_none();
+        if let Some(entry) = fresh {
+            self.persist_entry(entry);
+        }
+        (outcome, repaired)
+    }
+
+    /// The single-flight protocol behind [`ResultStore::evaluate_once`],
+    /// without the disk queue: returns the outcome and, when this call
+    /// evaluated it, the entry it inserted into memory, for the caller to
+    /// queue for disk ([`ResultStore::persist_entry`]) at a point of its
+    /// choosing. The engine queues them in case order, so the segments a
+    /// pass writes do not depend on which thread evaluated what.
     ///
     /// 1. a stored entry, probed as [`ResultStore::lookup_repaired`] does;
     /// 2. else the key's in-flight cell, joined or registered, filled
     ///    under the single-flight protocol [`SemanticTable`] shares: the
     ///    first caller probes again, then runs `eval` and inserts the
-    ///    semantic entry; callers that joined meanwhile take its outcome;
+    ///    semantic entry into memory; callers that joined meanwhile take
+    ///    its outcome;
     /// 3. the caller that filled the cell deregisters it.
     ///
     /// The filler inserts before it deregisters, and it probes again
-    /// after registering, so no second evaluation slips in between. A
-    /// segment flush the insert makes due runs after the hand-over, so
-    /// waiters never wait on an fsync. If `eval` unwinds, the cell stays
-    /// registered and empty, and a caller that joined it (or a later one)
-    /// evaluates. Fillers never wait on another key, so waits cannot form
-    /// a cycle. Schedulers and simulators are deterministic and blind to
-    /// workload names, so the shared outcome is the one each caller would
-    /// have computed.
-    pub fn evaluate_once(&self, sem: &CellKey, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
+    /// after registering, so no second evaluation slips in between. If
+    /// `eval` unwinds, the cell stays registered and empty, and a caller
+    /// that joined it (or a later one) evaluates. Fillers never wait on
+    /// another key, so waits cannot form a cycle. Schedulers and
+    /// simulators are deterministic and blind to workload names, so the
+    /// shared outcome is the one each caller would have computed.
+    pub(crate) fn evaluate_flight(
+        &self,
+        sem: &CellKey,
+        eval: impl FnOnce() -> Outcome,
+    ) -> (Outcome, Option<Arc<[u8]>>) {
         if let Some(outcome) = self.lookup_repaired(sem) {
-            return (outcome, true);
+            return (outcome, None);
         }
         let flight = Arc::clone(
             self.inflight
@@ -622,14 +675,13 @@ impl ResultStore {
                 .entry(sem.clone())
                 .or_default(),
         );
-        let (mut evaluated, mut flush_due) = (false, false);
+        let mut fresh = None;
         let (outcome, joined) = single_flight(&flight, || {
             // A filler that finished between step 1 and this registration
             // inserted its entry before deregistering: probe again.
             self.probe(sem).unwrap_or_else(|| {
-                evaluated = true;
                 let outcome = eval();
-                flush_due = self.insert_pending(sem, &outcome);
+                fresh = Some(self.insert_mem(sem, &outcome));
                 outcome
             })
         });
@@ -639,13 +691,10 @@ impl ResultStore {
                 .expect("in-flight table lock")
                 .remove(sem);
         }
-        if !evaluated {
+        if fresh.is_none() {
             self.counters.repaired.add(1);
         }
-        if flush_due {
-            self.flush();
-        }
-        (outcome, !evaluated)
+        (outcome, fresh)
     }
 
     /// The lookup mechanics without hit/miss accounting: memory, then the
@@ -714,18 +763,31 @@ impl ResultStore {
     /// per [`FLUSH_THRESHOLD`] accumulated cells (and on
     /// [`ResultStore::flush`]/drop).
     pub fn insert_batched(&self, key: &CellKey, outcome: &Outcome) {
-        if self.insert_pending(key, outcome) {
+        let entry = self.insert_mem(key, outcome);
+        self.persist_entry(entry);
+    }
+
+    /// Queues an entry already held in memory for the disk, flushing a
+    /// segment once [`FLUSH_THRESHOLD`] entries are queued. Without a
+    /// backing directory it does nothing.
+    pub(crate) fn persist_entry(&self, entry: Arc<[u8]>) {
+        if self.dir.is_none() {
+            return;
+        }
+        let due = {
+            let mut pending = self.pending.lock().expect("pending lock");
+            pending.push(entry);
+            pending.len() >= FLUSH_THRESHOLD
+        };
+        if due {
             self.flush();
         }
     }
 
-    /// [`ResultStore::insert_batched`] without the flush: true when the
-    /// pending queue reached [`FLUSH_THRESHOLD`] and the caller should
-    /// [`ResultStore::flush`].
-    fn insert_pending(&self, key: &CellKey, outcome: &Outcome) -> bool {
-        // One shared entry feeds both the in-memory map and the pending
-        // segment queue: its segment bytes, rendered into a per-thread
-        // buffer and copied into one exact-size allocation per insert.
+    /// Inserts `key`'s entry into the in-memory map and returns it: its
+    /// segment bytes, rendered into a per-thread buffer and copied into
+    /// one exact-size allocation, shared by the map and the disk queue.
+    fn insert_mem(&self, key: &CellKey, outcome: &Outcome) -> Arc<[u8]> {
         thread_local! {
             static ENTRY_BUF: std::cell::RefCell<Vec<u8>> = const {
                 std::cell::RefCell::new(Vec::new())
@@ -741,12 +803,7 @@ impl ResultStore {
             .lock()
             .expect("result store lock")
             .insert(key.hash, Arc::clone(&entry));
-        if self.dir.is_none() {
-            return false;
-        }
-        let mut pending = self.pending.lock().expect("pending lock");
-        pending.push(entry);
-        pending.len() >= FLUSH_THRESHOLD
+        entry
     }
 
     /// Persists all queued [`ResultStore::insert_batched`] entries into a
@@ -1597,6 +1654,29 @@ mod tests {
         let again = table.evaluate_once(table_key(1), || panic!("claimed, not evaluated"));
         assert_eq!(again, (Ok(sample_record(false)), true));
         assert_eq!(table.len(), 1);
+    }
+
+    #[test]
+    fn slots_are_allocated_for_claimed_keys_only() {
+        let table = SemanticTable::with_capacity(72_000);
+        assert_eq!(table.allocated(), 0);
+        for fingerprint in 0..300 {
+            let _ = table.evaluate_once(table_key(fingerprint), || Ok(sample_record(false)));
+        }
+        // 300 keys claim two chunks, not 72,000 slots.
+        assert_eq!(table.len(), 300);
+        assert_eq!(table.allocated(), 2 * SLOT_CHUNK);
+        for fingerprint in 0..300 {
+            let again = table.evaluate_once(table_key(fingerprint), || panic!("claimed"));
+            assert!(again.1, "key {fingerprint} is served from its slot");
+        }
+        // A short last chunk is sized to the capacity.
+        let small = SemanticTable::with_capacity(SLOT_CHUNK + 3);
+        for fingerprint in 0..SLOT_CHUNK as u64 + 5 {
+            let _ = small.evaluate_once(table_key(fingerprint), || Ok(sample_record(false)));
+        }
+        assert_eq!(small.len(), SLOT_CHUNK + 3);
+        assert_eq!(small.allocated(), SLOT_CHUNK + 3);
     }
 
     #[test]

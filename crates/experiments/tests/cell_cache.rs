@@ -362,3 +362,51 @@ fn v2_segments_are_evicted_and_the_rerun_is_byte_identical() {
     assert_eq!(spec.run_with(Some(&warm)).cell_cache.hits, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The segments a cold pass writes do not depend on thread timing: two
+/// cold two-thread runs of a grid with more than one `FLUSH_THRESHOLD`
+/// of entries write the same segment names with the same bytes. Segment
+/// names are content-derived, so writers persisting the same cells into
+/// one directory collapse onto the same files.
+#[test]
+fn cold_runs_write_identical_segments() {
+    let spec = SweepSpec {
+        workloads: vec![WorkloadSpec {
+            workload: "chain:8".parse().expect("registered spec"),
+            pes: vec![2, 4, 8],
+        }],
+        graphs: 1000,
+        seed: 1,
+        schedulers: vec![
+            SchedulerKind::StreamingLts,
+            SchedulerKind::StreamingRlx,
+            SchedulerKind::NonStreaming,
+        ],
+        validate: false,
+        sim: SimChoice::default(),
+        timing: false,
+        threads: Some(2),
+    };
+    let mut written = Vec::new();
+    for run in 0..2 {
+        let dir = cache_dir(&format!("order-{run}"));
+        let store = ResultStore::at_dir(&dir).expect("create cache dir");
+        spec.run_with(Some(&store));
+        drop(store);
+        let mut files: Vec<(std::ffi::OsString, Vec<u8>)> = segments(&dir)
+            .into_iter()
+            .map(|p| {
+                let bytes = std::fs::read(&p).expect("read segment");
+                (p.file_name().expect("file name").to_owned(), bytes)
+            })
+            .collect();
+        files.sort();
+        written.push(files);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    assert!(
+        written[0].len() > 1,
+        "the grid spans more than one segment flush"
+    );
+    assert_eq!(written[0], written[1], "segment names or bytes differ");
+}
