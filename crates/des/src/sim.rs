@@ -52,7 +52,12 @@
 //!
 //! Peak FIFO occupancy is defined at *cycle boundaries* (the occupancy after
 //! a cycle's cascade settles), which is the order-independent measure; the
-//! transient within-cycle maximum would depend on the attempt order.
+//! transient within-cycle maximum would depend on the attempt order. A
+//! FIFO sees at most one push and one pop per cycle (its producer and its
+//! consumer each beat at most once per direction), so the state samples
+//! the peak at each push and undoes that sample when a pop follows in the
+//! same cycle: the cycle then ends at its starting occupancy, which an
+//! earlier sample already covers.
 
 use std::collections::BinaryHeap;
 use std::str::FromStr;
@@ -334,12 +339,15 @@ pub(crate) struct EdgeState {
     pub volume: u64,
     /// Gate open time for gated reads ([`NO_GATE`] while closed).
     pub gate: u64,
+    /// Peak end-of-cycle occupancy (FIFO edges), sampled at each push.
+    pub peak: u64,
+    /// The peak before the latest push, restored when a pop follows the
+    /// push in its cycle.
+    pub peak_before_push: u64,
     /// Producer / consumer process ids (u32::MAX = none).
     pub producer: u32,
     pub consumer: u32,
     pub kind: Chan,
-    /// Occupancy changed in the current cycle (pending peak sample).
-    pub dirty: bool,
 }
 
 /// The per-process state the beat loop reads and writes, packed into two
@@ -482,8 +490,6 @@ pub(crate) struct SimState<'a> {
     node: Vec<NodeId>,
     /// Per process: its first output beat's cycle.
     fo: Vec<Option<u64>>,
-    /// Per edge: peak end-of-cycle occupancy (FIFO edges).
-    peak: Vec<u64>,
     /// Per block: activation time (None = not yet) and remaining tasks.
     pub act: Vec<Option<u64>>,
     pub remaining: Vec<u64>,
@@ -512,9 +518,6 @@ pub(crate) struct SimState<'a> {
     /// Commutative hash of the current cycle's committed beats (order
     /// independent; reset by [`Self::end_cycle`]).
     pub cycle_sig: u64,
-    /// Edges whose occupancy changed this cycle (for end-of-cycle peaks).
-    /// Cleared, not dropped, each cycle, so it allocates once per run.
-    touched: Vec<u32>,
 }
 
 /// SplitMix64 finalizer: decorrelates beat identifiers before they are
@@ -658,10 +661,11 @@ impl<'a> SimState<'a> {
                 pushed: 0,
                 volume: e.weight,
                 gate: NO_GATE,
+                peak: 0,
+                peak_before_push: 0,
                 producer: u32::MAX,
                 consumer: u32::MAX,
                 kind,
-                dirty: false,
             });
         }
         // Wire producers/consumers.
@@ -739,7 +743,6 @@ impl<'a> SimState<'a> {
         }
 
         let n_procs = procs.len();
-        let n_edges = edges.len();
         let mut sim = SimState {
             g,
             procs,
@@ -748,7 +751,6 @@ impl<'a> SimState<'a> {
             edges,
             node,
             fo: vec![None; n_procs],
-            peak: vec![0; n_edges],
             act: vec![None; n_blocks],
             remaining,
             block_end: vec![0; n_blocks],
@@ -763,7 +765,6 @@ impl<'a> SimState<'a> {
             beats: 0,
             boundaries: 0,
             cycle_sig: 0,
-            touched: Vec::new(),
         };
         // Propagate gates of prefilled buffers (chains of buffers).
         for b in dag.node_ids() {
@@ -921,11 +922,10 @@ impl<'a> SimState<'a> {
             es.pushed += 1;
             match es.kind {
                 Chan::Fifo => {
-                    self.level[e].len += 1;
-                    if !es.dirty {
-                        es.dirty = true;
-                        self.touched.push(e as u32);
-                    }
+                    let len = self.level[e].len + 1;
+                    self.level[e].len = len;
+                    es.peak_before_push = es.peak;
+                    es.peak = es.peak.max(len);
                     let consumer = es.consumer;
                     if consumer != u32::MAX
                         && (!W::SKIP_FRUITLESS || self.procs[consumer as usize].can_input(t))
@@ -1006,15 +1006,18 @@ impl<'a> SimState<'a> {
             match es.kind {
                 Chan::Fifo => {
                     self.level[e].len -= 1;
-                    if !es.dirty {
-                        es.dirty = true;
-                        self.touched.push(e as u32);
-                    }
                     let producer = es.producer;
-                    if producer != u32::MAX
-                        && (!W::SKIP_FRUITLESS || self.procs[producer as usize].can_output(t))
-                    {
-                        waker.wake(producer, t);
+                    if producer != u32::MAX {
+                        let pr = &self.procs[producer as usize];
+                        // The producer pushed this cycle: the cycle ends
+                        // at its starting occupancy, so undo the push's
+                        // peak sample.
+                        if pr.last_out == t {
+                            es.peak = es.peak_before_push;
+                        }
+                        if !W::SKIP_FRUITLESS || pr.can_output(t) {
+                            waker.wake(producer, t);
+                        }
                     }
                 }
                 Chan::Gated => es.popped += 1,
@@ -1068,15 +1071,10 @@ impl<'a> SimState<'a> {
         }
     }
 
-    /// Settles the current cycle: samples end-of-cycle FIFO occupancies
-    /// into the per-edge peaks and returns (and resets) the cycle's beat
-    /// signature.
+    /// Settles the current cycle: returns (and resets) the cycle's beat
+    /// signature. The FIFO peaks are already settled (see the module
+    /// docs).
     pub fn end_cycle(&mut self) -> u64 {
-        for i in self.touched.drain(..) {
-            let i = i as usize;
-            self.edges[i].dirty = false;
-            self.peak[i] = self.peak[i].max(self.level[i].len);
-        }
         std::mem::take(&mut self.cycle_sig)
     }
 
@@ -1124,7 +1122,7 @@ impl<'a> SimState<'a> {
             lo,
             busy,
             beats: self.beats,
-            fifo_peak: self.peak,
+            fifo_peak: self.edges.iter().map(|e| e.peak).collect(),
             failure,
         }
     }
