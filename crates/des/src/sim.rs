@@ -329,8 +329,12 @@ pub(crate) struct Level {
 /// The gate time of a gated read whose memory fill has not completed.
 pub(crate) const NO_GATE: u64 = u64::MAX;
 
-/// The rest of a channel's run state.
+const _: () = assert!(std::mem::size_of::<EdgeState>() == 64);
+const _: () = assert!(std::mem::size_of::<Proc>() == 128);
+
+/// The rest of a channel's run state: one cache line.
 #[derive(Clone)]
+#[repr(align(64))]
 pub(crate) struct EdgeState {
     /// Elements popped from a gated replay.
     pub popped: u64,
@@ -353,6 +357,7 @@ pub(crate) struct EdgeState {
 /// The per-process state the beat loop reads and writes, packed into two
 /// cache lines. What only the result needs — the node id and the
 /// first-out time — lives in [`SimState`]'s cold arrays.
+#[repr(align(64))]
 pub(crate) struct Proc {
     pub to_consume: u64,
     pub to_emit: u64,
