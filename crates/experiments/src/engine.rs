@@ -14,7 +14,7 @@
 //!    pool in one job per graph instance, whose cells share that graph's
 //!    [`GraphFacts`] and every simulation with identical inputs, and
 //!    each distinct graph structure at most once: through the store's
-//!    [`ResultStore::evaluate_once`] when there is a store, else through
+//!    single-flight evaluation when there is a store, else through
 //!    a [`SemanticTable`] that lives for the call (or, in a fabric
 //!    worker, for one lease). Only a store persists them;
 //! 4. **merge** — outcomes are assembled back into index order into a
@@ -1015,7 +1015,7 @@ impl SingleFlight<'_> {
                         sim_mode,
                     )
                 });
-                let (outcome, fresh) = store.evaluate_flight(&sem, eval);
+                let (outcome, fresh) = store.evaluate_once(&sem, eval);
                 (outcome, fresh.is_none(), Some((sem.hash(), fresh)))
             }
             SingleFlight::Table(table) => {

@@ -20,7 +20,7 @@
 //! indistinguishable on the byte-stable output path.
 //!
 //! Every nominal miss is evaluated through
-//! [`ResultStore::evaluate_once`] on the cell's semantic key
+//! `ResultStore::evaluate_once` on the cell's semantic key
 //! ([`CellKey::semantic`], the graph's structure rather than its spec):
 //! the first thread to miss on a semantic key evaluates it, and every
 //! other miss on that key — a structure repeated later in the same
@@ -231,7 +231,7 @@ crate::counter_set! {
     /// counts segment files *deleted* because they failed to parse as a whole
     /// (truncation, stale schema, foreign bytes). `repaired` counts cells
     /// answered from their semantic (fingerprint-keyed) key without
-    /// evaluating: by [`ResultStore::evaluate_once`] (or
+    /// evaluating: by the store's single-flight evaluation (or
     /// [`ResultStore::lookup_repaired`]) after a nominal miss, when the entry
     /// was already stored or another thread handed its outcome over; and, in
     /// a pass without a store, by its [`SemanticTable`], which hands over
@@ -342,8 +342,8 @@ pub(crate) struct SemanticKey {
 /// lease size.
 ///
 /// Entries are typed outcomes held inline, one slot per claimed key: no
-/// encoding and no allocation per entry. Slots come in chunks of
-/// [`SLOT_CHUNK`], each allocated when the first key claims a slot in
+/// encoding and no allocation per entry. Slots come in chunks of 256,
+/// each allocated when the first key claims a slot in
 /// it, so a table holds about as many slots as it has distinct keys, not
 /// as many as its capacity. The table never persists or forgets an
 /// entry; it lives as long as its owner keeps it.
@@ -611,10 +611,9 @@ impl ResultStore {
     /// [`StoreStats::repaired`] — not `hits` — and a probe that finds
     /// nothing counts nowhere: the nominal miss was already counted, and
     /// repaired cells must stay distinguishable from plain warm hits in
-    /// every stats surface. This is step 1 of
-    /// [`ResultStore::evaluate_once`], which the engine calls instead: a
-    /// probe alone cannot see an evaluation of the key that is still
-    /// running.
+    /// every stats surface. This is step 1 of the engine's single-flight
+    /// evaluation of a semantic key, which it calls instead: a probe alone
+    /// cannot see an evaluation of the key that is still running.
     pub fn lookup_repaired(&self, key: &CellKey) -> Option<Outcome> {
         let found = self.probe(key);
         if found.is_some() {
@@ -625,25 +624,13 @@ impl ResultStore {
 
     /// Single-flight evaluation of the *semantic* key `sem`: `eval` runs
     /// only if no thread has stored the key's outcome or is producing it.
-    /// Returns the outcome and whether another evaluation supplied it
-    /// (then it also counts in [`StoreStats::repaired`]). An outcome this
-    /// call evaluated is persisted with the next flush; see
-    /// [`ResultStore::evaluate_flight`] for the protocol.
-    pub fn evaluate_once(&self, sem: &CellKey, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
-        let (outcome, fresh) = self.evaluate_flight(sem, eval);
-        let repaired = fresh.is_none();
-        if let Some(entry) = fresh {
-            self.persist_entry(entry);
-        }
-        (outcome, repaired)
-    }
-
-    /// The single-flight protocol behind [`ResultStore::evaluate_once`],
-    /// without the disk queue: returns the outcome and, when this call
-    /// evaluated it, the entry it inserted into memory, for the caller to
-    /// queue for disk ([`ResultStore::persist_entry`]) at a point of its
-    /// choosing. The engine queues them in case order, so the segments a
-    /// pass writes do not depend on which thread evaluated what.
+    /// Returns the outcome and, when this call evaluated it, the entry it
+    /// inserted into memory; `None` means another evaluation supplied the
+    /// outcome (then it also counts in [`StoreStats::repaired`]). The
+    /// caller queues a returned entry for disk
+    /// ([`ResultStore::persist_entry`]): the engine does so in case
+    /// order, so the segments a pass writes do not depend on which thread
+    /// evaluated what.
     ///
     /// 1. a stored entry, probed as [`ResultStore::lookup_repaired`] does;
     /// 2. else the key's in-flight cell, joined or registered, filled
@@ -660,7 +647,7 @@ impl ResultStore {
     /// another key, so waits cannot form a cycle. Schedulers and
     /// simulators are deterministic and blind to workload names, so the
     /// shared outcome is the one each caller would have computed.
-    pub(crate) fn evaluate_flight(
+    pub(crate) fn evaluate_once(
         &self,
         sem: &CellKey,
         eval: impl FnOnce() -> Outcome,
@@ -1512,7 +1499,8 @@ mod tests {
 
     impl Flights for (&ResultStore, &CellKey) {
         fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
-            self.0.evaluate_once(self.1, eval)
+            let (outcome, fresh) = self.0.evaluate_once(self.1, eval);
+            (outcome, fresh.is_none())
         }
 
         /// The in-flight table, the owner and this probe hold one
