@@ -177,18 +177,24 @@ proptest! {
     #[test]
     fn per_block_cycle_nodes_match_the_whole_graph_oracle(
         (topo, seed) in arbitrary_workload(),
-        family in 0usize..5,
+        family in 0usize..8,
         p in 1usize..24,
         rlx in any::<bool>(),
         cycles_only in any::<bool>(),
     ) {
+        // The generated families have no source nodes; the canonical
+        // expansions multicast sources into converging paths.
+        let n = 4 + seed % 29;
         let g = match family {
             0 => generate(topo, seed),
-            f => {
-                let name = ["stencil2d", "spmv", "forkjoin", "attention:seq64"][f - 1];
+            1..=4 => {
+                let name = ["stencil2d", "spmv", "forkjoin", "attention:seq64"][family - 1];
                 let kind: WorkloadKind = name.parse().expect("registered family");
                 (*kind.instantiate(seed % 64)).clone()
             }
+            5 => stg_model::expansions::vector_norm_streamed(n).0,
+            6 => stg_model::expansions::softmax(n).0,
+            _ => stg_model::expansions::matmul_outer_product(n % 5 + 2, n % 3 + 2, n % 4 + 2).0,
         };
         let variant = if rlx { SbVariant::Rlx } else { SbVariant::Lts };
         let partition = spatial_block_partition(&g, p, variant);
