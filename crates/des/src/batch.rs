@@ -20,23 +20,25 @@
 //!    beats cycle after cycle, from proposing a 1- or 2-cycle period
 //!    that its pending batch counts would refute.
 //! 2. A proposal opens a verification window at once, unless its period
-//!    is cooling down after a refutation: it snapshots the state into a
-//!    reused struct-of-arrays arena and steps `P` further cycles
-//!    normally. No scan confirms the proposal first; the window is
-//!    verified when it closes. It must be clean of structural boundaries
-//!    (memory delivery, buffer-gate opening, task completion, block
-//!    activation), an O(P) ring scan must show its `P` cycles replaying
-//!    the `P` before them, and the resulting state must be a *uniform
-//!    shift* of the snapshot — identical FIFO occupancies and batch
-//!    phases, monotone counters advanced by fixed per-period deltas,
-//!    pending batches shifted by exactly `P` cycles. Then by determinism
-//!    and time-translation invariance the next periods replay the
-//!    recorded one exactly.
-//! 3. It advances the clock by `n · P` cycles in O(processes + edges),
-//!    where `n` is the largest period count for which every monotone
-//!    counter keeps a safety margin: consume/emit counts stay positive
-//!    (no completion fires inside the epoch), memory writes stay strictly
-//!    below their delivery volume, and gated replays stay within bounds.
+//!    is cooling down after a refutation: it snapshots the active
+//!    block's processes and edges (nothing else can move before a clean
+//!    window closes) into a reused struct-of-arrays arena and steps `P`
+//!    further cycles normally. No scan confirms the proposal first; the
+//!    window is verified when it closes. It must be clean of structural
+//!    boundaries (memory delivery, buffer-gate opening, task completion,
+//!    block activation), an O(P) ring scan must show its `P` cycles
+//!    replaying the `P` before them, and the resulting state must be a
+//!    *uniform shift* of the snapshot — identical FIFO occupancies and
+//!    batch phases, monotone counters advanced by fixed per-period
+//!    deltas, pending batches shifted by exactly `P` cycles. Then by
+//!    determinism and time-translation invariance the next periods
+//!    replay the recorded one exactly.
+//! 3. It advances the clock by `n · P` cycles in O(processes + edges) of
+//!    the active block, where `n` is the largest period count for which
+//!    every monotone counter keeps a safety margin: consume/emit counts
+//!    stay positive (no completion fires inside the epoch), memory writes
+//!    stay strictly below their delivery volume, and gated replays stay
+//!    within bounds.
 //!    Stalls, back-pressure boundaries, rate-change transients, and task
 //!    or block boundaries are therefore always executed by per-beat
 //!    stepping — only provably-replaying steady intervals are skipped.
@@ -554,25 +556,11 @@ impl Simulator for BatchedSim {
         // simulator), so the thread-local borrow spans the whole run.
         SCRATCH.with(|cell| {
             let mut scratch = cell.borrow_mut();
-            let Scratch {
-                buckets,
-                detector,
-                snap,
-            } = &mut *scratch;
             let mut work = LeapStats {
                 sims: 1,
                 ..LeapStats::default()
             };
-            let result = run(
-                g,
-                schedule,
-                capacity_of,
-                config,
-                buckets,
-                detector,
-                snap,
-                &mut work,
-            );
+            let result = run(g, schedule, capacity_of, config, &mut scratch, &mut work);
             TELEMETRY.with(|tl| {
                 let mut s = tl.get();
                 s.absorb(work);
@@ -584,17 +572,19 @@ impl Simulator for BatchedSim {
 }
 
 /// One batched simulation; its work and leaps are counted into `work`.
-#[allow(clippy::too_many_arguments)]
 fn run(
     g: &CanonicalGraph,
     schedule: &Schedule,
     capacity_of: &dyn Fn(EdgeId) -> Option<u64>,
     config: SimConfig,
-    buckets: &mut Buckets,
-    detector: &mut Detector,
-    snap: &mut SnapArena,
+    scratch: &mut Scratch,
     work: &mut LeapStats,
 ) -> SimResult {
+    let Scratch {
+        buckets,
+        detector,
+        snap,
+    } = scratch;
     // Build-time wakes (block-0 activation) all target cycle 1.
     struct Seed(Vec<(u32, u64)>);
     impl Waker for Seed {
