@@ -139,6 +139,24 @@ proptest! {
             if let Some(partition) = plan.partition() {
                 prop_assert!(partition.max_block_size() <= p, "{kind}");
             }
+            // The PE cap over time: task v runs over [ST(v), LO(v)), and
+            // no more than P of them run at once. A sweep over the start
+            // and end events, ends first where they tie.
+            if let Some(s) = plan.block_schedule() {
+                let mut events: Vec<(u64, i64)> = g
+                    .compute_nodes()
+                    .flat_map(|v| [(s.st[v.index()], 1), (s.lo[v.index()], -1)])
+                    .collect();
+                events.sort_unstable();
+                let mut running = 0i64;
+                for (t, delta) in events {
+                    running += delta;
+                    prop_assert!(
+                        running <= p as i64,
+                        "{kind}: {running} tasks run at t={t} on {p} PEs ({topo:?}, seed {seed})"
+                    );
+                }
+            }
         }
     }
 
