@@ -153,34 +153,23 @@ impl Schedule {
     }
 }
 
-/// When a spatial block's tasks may start (Section 5 leaves this implicit).
+/// When a spatial block's tasks may start. There is one rule, the barrier
+/// of the module docs: block `B_i` starts only after every task of
+/// `B_{i-1}` finished. The Theorem A.1 proof sums over it, and both
+/// simulators implement it. The type stays only because perfbench's
+/// layered timer names it (through `stg_sched::schedule_partition_with`);
+/// it goes when that caller does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum BlockStartRule {
-    /// Gang scheduling: block `B_i` starts only after every task of
-    /// `B_{i-1}` finished. This is what the Theorem A.1 proof sums over and
-    /// what the discrete event simulator implements. Default.
+    /// Gang scheduling: block `B_i` starts when `B_{i-1}` has finished.
     #[default]
     Barrier,
-    /// The literal Section 5.1 recurrences: a task starts as soon as its
-    /// actual predecessors allow, even if the previous block has stragglers
-    /// (optimistic — may transiently oversubscribe PEs; useful as a bound
-    /// and for ablation).
-    Dependency,
 }
 
 /// Computes the streaming schedule of `g` under the given spatial-block
-/// partition with gang-scheduled (barrier) block starts.
+/// partition.
 pub fn schedule(g: &CanonicalGraph, partition: &Partition) -> Result<Schedule, ScheduleError> {
-    schedule_with(g, partition, BlockStartRule::Barrier)
-}
-
-/// Computes the streaming schedule under an explicit block-start rule.
-pub fn schedule_with(
-    g: &CanonicalGraph,
-    partition: &Partition,
-    rule: BlockStartRule,
-) -> Result<Schedule, ScheduleError> {
-    GraphFacts::new(g).schedule(partition, rule)
+    GraphFacts::new(g).schedule(partition)
 }
 
 /// The schedule engine behind [`GraphFacts::schedule`]: the graph's
@@ -188,7 +177,6 @@ pub fn schedule_with(
 pub(crate) fn schedule_facts(
     facts: &GraphFacts<'_>,
     partition: &Partition,
-    rule: BlockStartRule,
 ) -> Result<Schedule, ScheduleError> {
     let g = facts.graph();
     let n = g.node_count();
@@ -255,6 +243,7 @@ pub(crate) fn schedule_facts(
     // Buffer fill times, memoized (computed when first consumed).
     let mut buffer_fill: Vec<Option<u64>> = vec![None; n];
 
+    // Nothing in a block runs before the previous block ends.
     let mut block_start = 0u64;
     let mut makespan = 0u64;
     let mut intervals = BlockComponents::new(g);
@@ -267,12 +256,6 @@ pub(crate) fn schedule_facts(
         let mut members = block.clone();
         members.sort_by_key(|v| topo_pos[v.index()]);
 
-        // Earliest time anything in this block may run.
-        let floor = match rule {
-            BlockStartRule::Barrier => block_start,
-            BlockStartRule::Dependency => 0,
-        };
-        let mut span_start = u64::MAX;
         let mut block_end = block_start;
         for &v in &members {
             so[v.index()] = intervals.so(g, v);
@@ -306,7 +289,7 @@ pub(crate) fn schedule_facts(
                     let e_so = intervals
                         .endpoint_so(eid, e.weight)
                         .expect("endpoint interval for non-member producer");
-                    let e_st = gate.max(floor);
+                    let e_st = gate.max(block_start);
                     let e_fo = e_st + 1;
                     let vol = e.weight;
                     let e_lo = e_st + ceil_mul(vol.saturating_sub(1), e_so) + 1;
@@ -324,11 +307,11 @@ pub(crate) fn schedule_facts(
                 // elements at its output interval, starting at block start.
                 let o = g.output_volume(v).unwrap_or(0);
                 let sov = so[v.index()].unwrap_or(Ratio::ONE);
-                st[v.index()] = floor;
-                fo[v.index()] = floor + 1;
-                lo[v.index()] = floor + ceil_mul(o.saturating_sub(1), sov) + 1;
+                st[v.index()] = block_start;
+                fo[v.index()] = block_start + 1;
+                lo[v.index()] = block_start + ceil_mul(o.saturating_sub(1), sov) + 1;
             } else {
-                let stv = max_fo.max(floor);
+                let stv = max_fo.max(block_start);
                 st[v.index()] = stv;
                 // First-out: down-samplers accumulate 1/R elements first.
                 let startup = match g.rate(v) {
@@ -347,20 +330,15 @@ pub(crate) fn schedule_facts(
                     }
                     _ => 1,
                 };
-                lo[v.index()] = max_lo.max(floor) + tail;
+                lo[v.index()] = max_lo.max(block_start) + tail;
                 // A task cannot finish before it has produced its first
                 // element (degenerate volumes).
                 lo[v.index()] = lo[v.index()].max(fo[v.index()]);
             }
-            span_start = span_start.min(st[v.index()]);
             block_end = block_end.max(lo[v.index()]);
         }
 
-        let span = match rule {
-            BlockStartRule::Barrier => (block_start, block_end),
-            BlockStartRule::Dependency => (span_start.min(block_end), block_end),
-        };
-        block_spans.push(span);
+        block_spans.push((block_start, block_end));
         makespan = makespan.max(block_end);
         block_start = block_end;
     }

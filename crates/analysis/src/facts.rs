@@ -17,7 +17,7 @@ use std::cell::OnceCell;
 use stg_graph::{bottom_levels, levels, topological_order, NodeId};
 use stg_model::CanonicalGraph;
 
-use crate::block::{schedule_facts, BlockStartRule, Partition, Schedule, ScheduleError};
+use crate::block::{schedule_facts, Partition, Schedule, ScheduleError};
 use crate::depth::non_streaming_depth;
 use crate::precedence::TaskPrecedence;
 
@@ -138,7 +138,7 @@ impl<'g> GraphFacts<'g> {
                     return Ok(0);
                 }
                 let block = Partition::single_block(self.graph);
-                Ok(self.schedule(&block, BlockStartRule::Barrier)?.makespan)
+                Ok(self.schedule(&block)?.makespan)
             })
             .clone()
     }
@@ -152,20 +152,16 @@ impl<'g> GraphFacts<'g> {
     }
 
     /// The `ST/FO/LO` schedule of the graph under `partition` (see
-    /// [`crate::schedule_with`]), reusing the shared topological order.
-    pub fn schedule(
-        &self,
-        partition: &Partition,
-        rule: BlockStartRule,
-    ) -> Result<Schedule, ScheduleError> {
-        schedule_facts(self, partition, rule)
+    /// [`crate::schedule`]), reusing the shared topological order.
+    pub fn schedule(&self, partition: &Partition) -> Result<Schedule, ScheduleError> {
+        schedule_facts(self, partition)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{schedule_with, streaming_depth};
+    use crate::{schedule, streaming_depth};
     use stg_model::Builder;
 
     /// A source feeding t0, whose output streams to `a` and is buffered
@@ -205,18 +201,16 @@ mod tests {
         let prec = TaskPrecedence::build(&g);
         assert_eq!(facts.precedence().dag.edge_count(), prec.dag.edge_count());
         assert_eq!(facts.precedence().task_of, prec.task_of);
-        for rule in [BlockStartRule::Barrier, BlockStartRule::Dependency] {
-            let part = Partition {
-                blocks: vec![
-                    g.compute_nodes().take(2).collect(),
-                    g.compute_nodes().skip(2).collect(),
-                ],
-            };
-            let via_facts = facts.schedule(&part, rule).unwrap();
-            let direct = schedule_with(&g, &part, rule).unwrap();
-            assert_eq!((via_facts.st, via_facts.lo), (direct.st, direct.lo));
-            assert_eq!(via_facts.makespan, direct.makespan);
-        }
+        let part = Partition {
+            blocks: vec![
+                g.compute_nodes().take(2).collect(),
+                g.compute_nodes().skip(2).collect(),
+            ],
+        };
+        let via_facts = facts.schedule(&part).unwrap();
+        let direct = schedule(&g, &part).unwrap();
+        assert_eq!((via_facts.st, via_facts.lo), (direct.st, direct.lo));
+        assert_eq!(via_facts.makespan, direct.makespan);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod intervals;
 pub mod level;
 pub mod precedence;
 
-pub use block::{schedule, schedule_with, BlockStartRule, Partition, Schedule, ScheduleError};
+pub use block::{schedule, BlockStartRule, Partition, Schedule, ScheduleError};
 pub use depth::{
     non_streaming_depth, streaming_depth, streaming_depth_bound, work_depth, WorkDepth,
 };
@@ -324,31 +324,6 @@ mod tests {
         // LO = 16 + ⌈15·1⌉ + 1 = 32, so t1 starts at 17 and finishes at 33.
         assert_eq!(s.st[t1.index()], 17);
         assert_eq!(s.lo[t1.index()], 33);
-    }
-
-    #[test]
-    fn dependency_rule_relaxes_cross_block_waits() {
-        // Two independent chains, one heavy one light, split across two
-        // blocks: under barriers the light continuation waits for the heavy
-        // block to drain; under dependency starts it begins right after its
-        // own predecessor.
-        let mut b = Builder::new();
-        let a0 = b.compute("a0");
-        let a1 = b.compute("a1");
-        b.edge(a0, a1, 512);
-        let c0 = b.compute("c0");
-        let c1 = b.compute("c1");
-        b.edge(c0, c1, 16);
-        let g = b.finish().unwrap();
-        let part = Partition {
-            blocks: vec![vec![a0, c0], vec![a1, c1]],
-        };
-        let barrier = schedule_with(&g, &part, block::BlockStartRule::Barrier).unwrap();
-        let dep = schedule_with(&g, &part, block::BlockStartRule::Dependency).unwrap();
-        assert!(dep.st[c1.index()] < barrier.st[c1.index()]);
-        assert!(dep.makespan <= barrier.makespan);
-        // The heavy chain's own dependency is unchanged.
-        assert_eq!(dep.lo[a1.index()], barrier.lo[a1.index()]);
     }
 
     #[test]

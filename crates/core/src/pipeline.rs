@@ -1,6 +1,6 @@
 //! End-to-end scheduling pipelines.
 
-use stg_analysis::{BlockStartRule, GraphFacts, Partition, Schedule, ScheduleError};
+use stg_analysis::{GraphFacts, Partition, Schedule, ScheduleError};
 use stg_buffer::{buffer_sizes, BufferPlan, SizingPolicy};
 use stg_des::{simulate_kind, SimConfig, SimKind, SimResult};
 use stg_model::CanonicalGraph;
@@ -33,22 +33,19 @@ pub struct StreamingScheduler {
     variant: SbVariant,
     partitioner: Partitioner,
     sizing: SizingPolicy,
-    default_capacity: u64,
-    rule: BlockStartRule,
 }
 
 impl StreamingScheduler {
     /// A scheduler for a device with `pes` processing elements, using the
-    /// SB-LTS partitioning variant, converging-node buffer sizing, and
-    /// gang-scheduled blocks.
+    /// SB-LTS partitioning variant and converging-node buffer sizing.
+    /// Blocks are gang-scheduled, and channels that Eq. (5) leaves unsized
+    /// get capacity 1.
     pub fn new(pes: usize) -> Self {
         StreamingScheduler {
             pes,
             variant: SbVariant::Lts,
             partitioner: Partitioner::SpatialBlock,
             sizing: SizingPolicy::Converging,
-            default_capacity: 1,
-            rule: BlockStartRule::Barrier,
         }
     }
 
@@ -64,22 +61,9 @@ impl StreamingScheduler {
         self
     }
 
-    /// Selects the block-start semantics (barrier gang scheduling vs. the
-    /// literal dependency-based recurrences; see [`BlockStartRule`]).
-    pub fn block_rule(mut self, rule: BlockStartRule) -> Self {
-        self.rule = rule;
-        self
-    }
-
     /// Selects the buffer sizing policy.
     pub fn sizing(mut self, sizing: SizingPolicy) -> Self {
         self.sizing = sizing;
-        self
-    }
-
-    /// Sets the FIFO capacity used where Eq. (5) requires none.
-    pub fn default_capacity(mut self, cap: u64) -> Self {
-        self.default_capacity = cap.max(1);
         self
     }
 
@@ -89,21 +73,18 @@ impl StreamingScheduler {
     }
 
     /// The display name of the configured preset ("STR-SCH-1" for SB-LTS,
-    /// "STR-SCH-2" for SB-RLX, `*` for dependency-based block starts,
-    /// `-CYC` for cycles-only buffer sizing, or the appendix-partitioner
-    /// names).
+    /// "STR-SCH-2" for SB-RLX, `-CYC` for cycles-only buffer sizing, or the
+    /// appendix-partitioner names).
     pub fn preset_name(&self) -> &'static str {
         match self.partitioner {
             Partitioner::Elementwise => "ELW-SCH",
             Partitioner::Downsampler => "DSW-SCH",
             Partitioner::Upsampler => "USW-SCH",
-            Partitioner::SpatialBlock => match (self.variant, self.rule, self.sizing) {
-                (SbVariant::Lts, BlockStartRule::Barrier, SizingPolicy::Converging) => "STR-SCH-1",
-                (SbVariant::Lts, BlockStartRule::Dependency, _) => "STR-SCH-1*",
-                (SbVariant::Lts, _, _) => "STR-SCH-1-CYC",
-                (SbVariant::Rlx, BlockStartRule::Barrier, SizingPolicy::Converging) => "STR-SCH-2",
-                (SbVariant::Rlx, BlockStartRule::Dependency, _) => "STR-SCH-2*",
-                (SbVariant::Rlx, _, _) => "STR-SCH-2-CYC",
+            Partitioner::SpatialBlock => match (self.variant, self.sizing) {
+                (SbVariant::Lts, SizingPolicy::Converging) => "STR-SCH-1",
+                (SbVariant::Lts, SizingPolicy::CyclesOnly) => "STR-SCH-1-CYC",
+                (SbVariant::Rlx, SizingPolicy::Converging) => "STR-SCH-2",
+                (SbVariant::Rlx, SizingPolicy::CyclesOnly) => "STR-SCH-2-CYC",
             },
         }
     }
@@ -140,8 +121,8 @@ impl StreamingScheduler {
         partition: Partition,
     ) -> Result<StreamingPlan, ScheduleError> {
         let g = facts.graph();
-        let result = schedule_blocks(facts, self.pes, partition, self.rule)?;
-        let buffers = buffer_sizes(g, &result.schedule, self.sizing, self.default_capacity);
+        let result = schedule_blocks(facts, self.pes, partition)?;
+        let buffers = buffer_sizes(g, &result.schedule, self.sizing, 1);
         Ok(StreamingPlan {
             pes: self.pes,
             result,
@@ -315,9 +296,9 @@ pub struct NonStreamingPlan {
 /// The temporal-multiplexing scheduler (MUX-SCH): packs several tenants'
 /// graphs — the weakly connected components of the compute-task
 /// precedence DAG — into time slots by LPT on total work, cuts each
-/// tenant into level-ordered spatial blocks, and charges a configurable
-/// transition cost per slot switch (device reconfiguration between
-/// tenant groups) on top of the streaming makespan.
+/// tenant into level-ordered spatial blocks, and charges
+/// [`DEFAULT_TRANSITION_COST`] per slot switch (device reconfiguration
+/// between tenant groups) on top of the streaming makespan.
 ///
 /// The transition cost inflates only the plan's *metrics*; the schedule
 /// and buffer sizes are exactly what the streaming pipeline produces for
@@ -327,7 +308,6 @@ pub struct NonStreamingPlan {
 pub struct MultiplexScheduler {
     pes: usize,
     slots: usize,
-    transition_cost: u64,
 }
 
 impl MultiplexScheduler {
@@ -338,14 +318,7 @@ impl MultiplexScheduler {
         MultiplexScheduler {
             pes,
             slots: slots.max(1),
-            transition_cost: DEFAULT_TRANSITION_COST,
         }
-    }
-
-    /// Sets the cycles charged per slot-to-slot transition.
-    pub fn transition_cost(mut self, cost: u64) -> Self {
-        self.transition_cost = cost;
-        self
     }
 
     /// The machine size this scheduler targets.
@@ -369,10 +342,9 @@ impl MultiplexScheduler {
         let g = facts.graph();
         let layout = multiplex_layout(facts, self.pes, self.slots);
         let transitions = layout.transitions();
-        let mut result =
-            schedule_blocks(facts, self.pes, layout.partition, BlockStartRule::Barrier)?;
+        let mut result = schedule_blocks(facts, self.pes, layout.partition)?;
         let buffers = buffer_sizes(g, &result.schedule, SizingPolicy::Converging, 1);
-        let extra = self.transition_cost * transitions;
+        let extra = DEFAULT_TRANSITION_COST * transitions;
         if extra > 0 {
             let old = result.metrics.makespan;
             let makespan = old + extra;
@@ -473,13 +445,15 @@ mod tests {
         let c: Vec<_> = (0..4).map(|i| b.compute(format!("b{i}"))).collect();
         b.chain(&c, 32);
         let g = b.finish().unwrap();
-        let sched = MultiplexScheduler::new(4, 2).transition_cost(100);
-        let plan = sched.run(&g).unwrap();
+        let plan = MultiplexScheduler::new(4, 2).run(&g).unwrap();
         // Two tenants, two slots → one transition charged on the metrics
         // but not on the simulated schedule.
         let sim = plan.validate(&g);
         assert!(sim.completed(), "{:?}", sim.failure);
-        assert_eq!(plan.metrics().makespan, sim.makespan + 100);
+        assert_eq!(
+            plan.metrics().makespan,
+            sim.makespan + DEFAULT_TRANSITION_COST
+        );
         // Single-tenant graphs pay nothing: metrics match the simulator.
         let single = chain_graph(6, 64);
         let plan = MultiplexScheduler::new(3, 4).run(&single).unwrap();

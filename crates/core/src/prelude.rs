@@ -7,9 +7,8 @@ pub use crate::pipeline::{
 };
 pub use crate::scheduler::{Plan, Scheduler, SchedulerKind};
 pub use stg_analysis::{
-    generalized_levels, non_streaming_depth, schedule, schedule_with, streaming_depth,
-    streaming_depth_bound, work_depth, BlockStartRule, GraphFacts, Partition, Schedule,
-    ScheduleError, StreamingIntervals, WorkDepth,
+    generalized_levels, non_streaming_depth, schedule, streaming_depth, streaming_depth_bound,
+    work_depth, GraphFacts, Partition, Schedule, ScheduleError, StreamingIntervals, WorkDepth,
 };
 pub use stg_buffer::{buffer_sizes, BufferPlan, ChannelKind, SizingPolicy};
 pub use stg_des::{

@@ -290,16 +290,10 @@ impl Scheduler for NonStreamingScheduler {
 /// the `--scheduler` CLI filter, and the property tests can instantiate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// STR-SCH-1: Algorithm 1 SB-LTS, barrier block starts, converging
-    /// buffer sizing.
+    /// STR-SCH-1: Algorithm 1 SB-LTS with converging buffer sizing.
     StreamingLts,
     /// STR-SCH-2: Algorithm 1 SB-RLX.
     StreamingRlx,
-    /// STR-SCH-1*: SB-LTS with dependency-based block starts (the literal
-    /// Section 5.1 recurrences).
-    StreamingLtsDep,
-    /// STR-SCH-2*: SB-RLX with dependency-based block starts.
-    StreamingRlxDep,
     /// STR-SCH-1-CYC: SB-LTS with the literal cycles-only buffer sizing.
     StreamingLtsCyclesOnly,
     /// ELW-SCH: Theorem A.1's level-order partitioner.
@@ -320,11 +314,9 @@ impl SchedulerKind {
     /// Every registered preset, in display order (the multiplex preset is
     /// represented by its two-slot default; other slot counts parse via
     /// `multiplex:<slots>`).
-    pub const ALL: [SchedulerKind; 10] = [
+    pub const ALL: [SchedulerKind; 8] = [
         SchedulerKind::StreamingLts,
         SchedulerKind::StreamingRlx,
-        SchedulerKind::StreamingLtsDep,
-        SchedulerKind::StreamingRlxDep,
         SchedulerKind::StreamingLtsCyclesOnly,
         SchedulerKind::Elementwise,
         SchedulerKind::Downsampler,
@@ -336,21 +328,12 @@ impl SchedulerKind {
     /// Instantiates the preset for a machine with `pes` processing
     /// elements.
     pub fn build(&self, pes: usize) -> Box<dyn Scheduler> {
-        use stg_analysis::BlockStartRule;
         use stg_buffer::SizingPolicy;
         match self {
             SchedulerKind::StreamingLts => Box::new(StreamingScheduler::new(pes)),
             SchedulerKind::StreamingRlx => {
                 Box::new(StreamingScheduler::new(pes).variant(SbVariant::Rlx))
             }
-            SchedulerKind::StreamingLtsDep => {
-                Box::new(StreamingScheduler::new(pes).block_rule(BlockStartRule::Dependency))
-            }
-            SchedulerKind::StreamingRlxDep => Box::new(
-                StreamingScheduler::new(pes)
-                    .variant(SbVariant::Rlx)
-                    .block_rule(BlockStartRule::Dependency),
-            ),
             SchedulerKind::StreamingLtsCyclesOnly => {
                 Box::new(StreamingScheduler::new(pes).sizing(SizingPolicy::CyclesOnly))
             }
@@ -380,8 +363,6 @@ impl SchedulerKind {
         match self {
             SchedulerKind::StreamingLts => "sb-lts",
             SchedulerKind::StreamingRlx => "sb-rlx",
-            SchedulerKind::StreamingLtsDep => "sb-lts-dep",
-            SchedulerKind::StreamingRlxDep => "sb-rlx-dep",
             SchedulerKind::StreamingLtsCyclesOnly => "sb-lts-cyc",
             SchedulerKind::Elementwise => "elementwise",
             SchedulerKind::Downsampler => "downsampler",
@@ -397,8 +378,6 @@ impl std::fmt::Display for SchedulerKind {
         let name = match self {
             SchedulerKind::StreamingLts => "STR-SCH-1",
             SchedulerKind::StreamingRlx => "STR-SCH-2",
-            SchedulerKind::StreamingLtsDep => "STR-SCH-1*",
-            SchedulerKind::StreamingRlxDep => "STR-SCH-2*",
             SchedulerKind::StreamingLtsCyclesOnly => "STR-SCH-1-CYC",
             SchedulerKind::Elementwise => "ELW-SCH",
             SchedulerKind::Downsampler => "DSW-SCH",
@@ -416,12 +395,18 @@ pub struct ParseSchedulerError(String);
 
 impl std::fmt::Display for ParseSchedulerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let known: Vec<&str> = SchedulerKind::ALL
+            .iter()
+            .map(|kind| match kind {
+                SchedulerKind::Multiplex(_) => "multiplex:<slots>",
+                _ => kind.alias(),
+            })
+            .collect();
         write!(
             f,
-            "unknown scheduler {:?}; known: sb-lts, sb-rlx, sb-lts-dep, sb-rlx-dep, \
-             sb-lts-cyc, elementwise, downsampler, upsampler, nonstreaming, \
-             multiplex:<slots>",
-            self.0
+            "unknown scheduler {:?}; known: {}",
+            self.0,
+            known.join(", ")
         )
     }
 }
@@ -450,8 +435,6 @@ impl FromStr for SchedulerKind {
             "multiplex" | "mux" | "mux-sch" => Ok(SchedulerKind::Multiplex(2)),
             "str-sch-1" | "sb-lts" | "lts" => Ok(SchedulerKind::StreamingLts),
             "str-sch-2" | "sb-rlx" | "rlx" => Ok(SchedulerKind::StreamingRlx),
-            "str-sch-1*" | "sb-lts-dep" | "lts-dep" => Ok(SchedulerKind::StreamingLtsDep),
-            "str-sch-2*" | "sb-rlx-dep" | "rlx-dep" => Ok(SchedulerKind::StreamingRlxDep),
             "str-sch-1-cyc" | "sb-lts-cyc" | "cycles-only" => {
                 Ok(SchedulerKind::StreamingLtsCyclesOnly)
             }
@@ -480,12 +463,18 @@ mod tests {
 
     #[test]
     fn every_kind_round_trips_through_from_str() {
+        // The unknown-preset message is rendered from the registry.
+        let message = "nope".parse::<SchedulerKind>().unwrap_err().to_string();
+        assert!(message.ends_with(", multiplex:<slots>"), "{message}");
         for kind in SchedulerKind::ALL {
             let display = kind.to_string();
             assert_eq!(display.parse::<SchedulerKind>().unwrap(), kind, "{display}");
             assert_eq!(kind.alias().parse::<SchedulerKind>().unwrap(), kind);
+            if !matches!(kind, SchedulerKind::Multiplex(_)) {
+                let listed = format!(" {},", kind.alias());
+                assert!(message.contains(&listed), "{message}");
+            }
         }
-        assert!("nope".parse::<SchedulerKind>().is_err());
     }
 
     #[test]

@@ -1,13 +1,9 @@
 //! Ablation: design choices the paper leaves implicit.
 //!
-//! 1. **Block-start semantics** — gang-scheduled barriers (our default, the
-//!    Theorem A.1 reading) vs. the literal dependency-based Section 5.1
-//!    recurrences (optimistic). Measured as the streaming speedup on the
-//!    synthetic suite and on the transformer encoder.
-//! 2. **Buffer sizing policy** — converging-node sizing (matches both
+//! 1. **Buffer sizing policy** — converging-node sizing (matches both
 //!    worked examples of Section 6) vs. the literal cycles-only policy,
 //!    measured as total FIFO space and DES schedule fidelity.
-//! 3. **Partitioner choice** — Algorithm 1 (SB-LTS/SB-RLX) vs. the
+//! 2. **Partitioner choice** — Algorithm 1 (SB-LTS/SB-RLX) vs. the
 //!    appendix partitioners on their home turf.
 //!
 //! Every comparison is an engine sweep over a pair (or triple) of
@@ -18,7 +14,7 @@
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
 use stg_experiments::{summary, Args, SweepSpec, WorkloadKind};
-use stg_workloads::{paper_suite, MlWorkload, Topology};
+use stg_workloads::{paper_suite, Topology};
 
 /// The suite with one mid-range PE count per topology.
 fn mid_pe_suite() -> Vec<WorkloadSpec> {
@@ -68,60 +64,7 @@ fn main() {
     let store = args.open_store();
     let graphs = args.graphs.min(50);
 
-    println!("== Ablation 1: block-start semantics (speedup, SB-LTS) ==\n");
-    let sweep = run_checked(
-        spec(
-            mid_pe_suite(),
-            vec![SchedulerKind::StreamingLts, SchedulerKind::StreamingLtsDep],
-            graphs,
-            &args,
-        ),
-        store.as_ref(),
-    );
-    for pair in sweep.cells().chunks(2) {
-        let [barrier, dep] = pair else { unreachable!() };
-        let topo = barrier.workload.topology().expect("synthetic suite");
-        let b = summary(&barrier.values(|r| r.metrics.speedup));
-        let d = summary(&dep.values(|r| r.metrics.speedup));
-        println!(
-            "  {:24} P={:4}  barrier median {:7.2}   dependency median {:7.2}",
-            topo.name(),
-            barrier.pes,
-            b.median,
-            d.median
-        );
-    }
-    let tf_sweep = run_checked(
-        spec(
-            vec![WorkloadSpec {
-                // The registry's lazy transformer recipe: shared (and lowered
-                // at most once per process) with Table 2's grid.
-                workload: WorkloadKind::Ml(MlWorkload::TransformerEncoder),
-                pes: vec![256, 1024],
-            }],
-            vec![SchedulerKind::StreamingLts, SchedulerKind::StreamingLtsDep],
-            1,
-            &args,
-        ),
-        store.as_ref(),
-    );
-    for pair in tf_sweep.cells().chunks(2) {
-        let [barrier, dep] = pair else { unreachable!() };
-        println!(
-            "  {:24} P={:4}  barrier        {:7.2}   dependency        {:7.2}",
-            "Transformer encoder",
-            barrier.pes,
-            barrier
-                .records()
-                .next()
-                .expect("schedulable")
-                .metrics
-                .speedup,
-            dep.records().next().expect("schedulable").metrics.speedup,
-        );
-    }
-
-    println!("\n== Ablation 2: buffer sizing policy (total FIFO elements / fidelity) ==\n");
+    println!("== Ablation 1: buffer sizing policy (total FIFO elements / fidelity) ==\n");
     let mut sizing = spec(
         mid_pe_suite(),
         vec![
@@ -168,7 +111,7 @@ fn main() {
         );
     }
 
-    println!("\n== Ablation 3: partitioners on structured graphs ==\n");
+    println!("\n== Ablation 2: partitioners on structured graphs ==\n");
     // Element-wise chain: Theorem A.1's level-order partitioner and the
     // Algorithm 2 work-ordered partitioner vs Algorithm 1.
     let sweep = run_checked(

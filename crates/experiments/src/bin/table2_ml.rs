@@ -4,7 +4,8 @@
 //!
 //! The paper reports the SB-LTS variant (the two variants did not differ
 //! noticeably on these graphs); we do the same. The grid runs through the
-//! sweep engine with the ML graphs as fixed workloads.
+//! sweep engine with the ML graphs as registry workloads. The cells are
+//! not simulated, so the speedups are the analytic ones.
 
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
@@ -15,13 +16,9 @@ fn main() {
     let args = Args::parse();
     args.reject_shard("table2_ml");
     if args.csv {
-        println!(
-            "model,nodes,buffer_nodes,pes,str_speedup,str_dep_speedup,nstr_speedup,gain,gain_dep"
-        );
+        println!("model,nodes,buffer_nodes,pes,str_speedup,nstr_speedup,gain");
     } else {
-        println!("== Table 2: ML inference workloads (STR-SCH = SB-LTS) ==");
-        println!("(STR* = dependency-based block starts, the literal Section 5.1 reading;");
-        println!(" STR  = gang-scheduled barriers, what the simulator validates)\n");
+        println!("== Table 2: ML inference workloads (STR-SCH = SB-LTS) ==\n");
     }
 
     // The ML workloads come from the registry as lazy recipes: a grid
@@ -39,21 +36,17 @@ fn main() {
         ],
         graphs: 1, // fixed graphs: one instantiation per scenario
         seed: args.seed,
-        schedulers: vec![
-            SchedulerKind::StreamingLts,
-            SchedulerKind::StreamingLtsDep,
-            SchedulerKind::NonStreaming,
-        ],
+        schedulers: vec![SchedulerKind::StreamingLts, SchedulerKind::NonStreaming],
         validate: false,
         sim: SimChoice::default(),
         timing: false,
         threads: args.threads,
     }
-    // Table 2 *is* the STR/STR*/NSTR comparison: the scheduler trio is
-    // pinned, only the grid filters pass through.
+    // Table 2 *is* the STR/NSTR comparison: the scheduler pair is pinned,
+    // only the grid filters pass through.
     .filter_grid(&args);
     if !args.schedulers.is_empty() {
-        eprintln!("note: table 2 compares a fixed STR/STR*/NSTR trio; --scheduler is ignored");
+        eprintln!("note: table 2 compares a fixed STR/NSTR pair; --scheduler is ignored");
     }
 
     // ML workloads are registry specs (not `Fixed` graphs), so their
@@ -63,9 +56,9 @@ fn main() {
     // Cells arrive workload → pes → scheduler; regroup per (workload, pes).
     let cells = sweep.cells();
     let mut current = String::new();
-    for trio in cells.chunks(3) {
-        let [s, sd, n] = trio else {
-            unreachable!("the scheduler trio is pinned above")
+    for pair in cells.chunks(2) {
+        let [s, n] = pair else {
+            unreachable!("the scheduler pair is pinned above")
         };
         let name = s.workload.label();
         let graph = s.workload.instantiate(0);
@@ -84,31 +77,28 @@ fn main() {
                 buffers,
                 graph.compute_count()
             );
-            println!("  #PEs   STR speedup   STR* speedup   NSTR speedup      G     G*");
+            println!("  #PEs   STR speedup   NSTR speedup      G");
         }
         let rec = |cell: &stg_experiments::engine::Cell| {
             cell.records().next().expect("schedulable").metrics
         };
-        let (sm, sdm, nm) = (rec(s), rec(sd), rec(n));
+        let (sm, nm) = (rec(s), rec(n));
         let gain = nm.makespan as f64 / sm.makespan as f64;
-        let gain_dep = nm.makespan as f64 / sdm.makespan as f64;
         if args.csv {
             println!(
-                "{},{},{},{},{:.1},{:.1},{:.1},{:.2},{:.2}",
+                "{},{},{},{},{:.1},{:.1},{:.2}",
                 name.replace(' ', "_"),
                 graph.node_count(),
                 buffers,
                 s.pes,
                 sm.speedup,
-                sdm.speedup,
                 nm.speedup,
-                gain,
-                gain_dep
+                gain
             );
         } else {
             println!(
-                "  {:5}    {:10.1}    {:11.1}    {:11.1}   {gain:5.2}  {gain_dep:5.2}",
-                s.pes, sm.speedup, sdm.speedup, nm.speedup,
+                "  {:5}    {:10.1}    {:11.1}   {gain:5.2}",
+                s.pes, sm.speedup, nm.speedup,
             );
         }
     }

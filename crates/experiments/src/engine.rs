@@ -2315,19 +2315,30 @@ mod tests {
     fn shared_simulations_match_direct_evaluation_of_every_preset() {
         // Every registered preset, validated, on graphs where presets and
         // machine sizes produce identical simulator inputs: those cells
-        // share one simulation, yet each keeps its own record. The `-dep`
-        // presets share a barrier preset's blocks but not its makespan,
-        // so their rel_err_pct is their own; `--sim both` shares both
-        // simulators' results and the diverged flag between them.
+        // share one simulation, yet each keeps its own record. On two
+        // disjoint chains MUX-SCH:2 puts one tenant in each slot and
+        // simulates like DSW-SCH, but its slot transition lengthens its
+        // makespan, so its rel_err_pct is its own; `--sim both` shares
+        // both simulators' results and the diverged flag between them.
         let workload = |spec: &str, pes: Vec<usize>| WorkloadSpec {
             workload: spec.parse().unwrap(),
             pes,
         };
+        let mut b = stg_model::Builder::new();
+        for (tenant, volume) in [("a", 64), ("b", 32)] {
+            let t: Vec<_> = (0..4).map(|i| b.compute(format!("{tenant}{i}"))).collect();
+            b.chain(&t, volume);
+        }
+        let tenants = WorkloadKind::fixed("two-tenants", b.finish().unwrap());
         for sim in [SimChoice::Batched, SimChoice::Both] {
             let spec = SweepSpec {
                 workloads: vec![
                     workload("fft:32", vec![4, 16]),
                     workload("chain:8", vec![2, 4]),
+                    WorkloadSpec {
+                        workload: tenants.clone(),
+                        pes: vec![2, 4],
+                    },
                 ],
                 graphs: 2,
                 seed: 1,
@@ -2349,33 +2360,29 @@ mod tests {
             for run in &pass.runs {
                 let want = direct_outcome(&run.case, sim);
                 assert_eq!(untimed(&run.outcome), want, "{sim} case {}", run.case.index);
-                let dep = matches!(
-                    run.case.scheduler,
-                    SchedulerKind::StreamingLtsDep | SchedulerKind::StreamingRlxDep
-                );
-                let barrier = pass.runs.iter().find(|b| {
-                    (b.case.workload.spec(), b.case.seed, b.case.pes)
+                if !matches!(run.case.scheduler, SchedulerKind::Multiplex(_)) {
+                    continue;
+                }
+                let g = run.case.graph();
+                let plan = run.case.build_scheduler().schedule(&g).unwrap();
+                let ms = run.record().unwrap().sim.unwrap();
+                for other in pass.runs.iter().filter(|o| {
+                    (o.case.workload.spec(), o.case.seed, o.case.pes)
                         == (run.case.workload.spec(), run.case.seed, run.case.pes)
-                        && b.case.scheduler
-                            == match run.case.scheduler {
-                                SchedulerKind::StreamingRlxDep => SchedulerKind::StreamingRlx,
-                                _ => SchedulerKind::StreamingLts,
-                            }
-                });
-                if let (true, Some(b)) = (dep, barrier) {
-                    let (d, b) = (run.record().unwrap(), b.record().unwrap());
-                    let (ds, bs) = (d.sim.unwrap(), b.sim.unwrap());
-                    if (ds.makespan, ds.beats) == (bs.makespan, bs.beats)
-                        && d.metrics.makespan != b.metrics.makespan
-                    {
-                        assert_ne!(ds.rel_err_pct, bs.rel_err_pct);
+                        && o.case.scheduler != run.case.scheduler
+                }) {
+                    let alike = other.case.build_scheduler().schedule(&g).unwrap();
+                    if plan.simulates_like(&alike) && plan.makespan() != alike.makespan() {
+                        let os = other.record().unwrap().sim.unwrap();
+                        assert_eq!((ms.makespan, ms.beats), (os.makespan, os.beats));
+                        assert_ne!(ms.rel_err_pct, os.rel_err_pct);
                         own_error += 1;
                     }
                 }
             }
             assert!(
                 own_error > 0,
-                "{sim}: no -dep cell shares a barrier simulation"
+                "{sim}: no MUX-SCH cell shares a simulation under another makespan"
             );
         }
     }
@@ -2397,7 +2404,7 @@ mod tests {
             schedulers: vec![
                 SchedulerKind::StreamingLts,
                 SchedulerKind::StreamingRlx,
-                SchedulerKind::StreamingLtsDep,
+                SchedulerKind::StreamingLtsCyclesOnly,
                 SchedulerKind::Elementwise,
             ],
             validate: true,

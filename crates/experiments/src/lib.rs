@@ -10,7 +10,7 @@
 //! | `fig12_csdf`      | Figure 12 — scheduling time & makespan vs CSDF |
 //! | `fig13_validation`| Figure 13 — DES relative-error distributions |
 //! | `table2_ml`       | Table 2 — ResNet-50 / transformer speedups |
-//! | `ablation_semantics` | design-choice ablations (block starts, sizing, partitioners) |
+//! | `ablation_semantics` | design-choice ablations (buffer sizing, partitioners) |
 //! | `sweep`           | the full grid as deterministic CSV/JSON (engine frontend) |
 //! | `all_experiments` | everything above, sequentially |
 //!

@@ -13,10 +13,9 @@
 //!
 //! Block order is slot-major: every block of slot 0's tenants precedes
 //! every block of slot 1's, modelling the device being *reconfigured*
-//! between slots. The scheduler charges [`DEFAULT_TRANSITION_COST`] (or a
-//! caller-chosen cost) per slot transition on top of the streaming
-//! makespan — the multi-mode transition-cost model of Jung, Oh & Ha
-//! applied to slot switches.
+//! between slots. The scheduler charges [`DEFAULT_TRANSITION_COST`] per
+//! slot transition on top of the streaming makespan — the multi-mode
+//! transition-cost model of Jung, Oh & Ha applied to slot switches.
 
 use stg_analysis::{GraphFacts, Partition};
 use stg_graph::{weakly_connected_components, NodeId};

@@ -25,28 +25,29 @@ pub fn streaming_schedule(
 ) -> Result<StreamingResult, ScheduleError> {
     let facts = GraphFacts::new(g);
     let partition = spatial_blocks(&facts, p, variant);
-    schedule_blocks(&facts, p, partition, BlockStartRule::Barrier)
+    schedule_blocks(&facts, p, partition)
 }
 
 /// Schedules a pre-computed partition and derives metrics (gang-scheduled
-/// blocks).
+/// blocks), on freshly analysed facts.
 pub fn schedule_partition(
     g: &CanonicalGraph,
     p: usize,
     partition: Partition,
 ) -> Result<StreamingResult, ScheduleError> {
-    schedule_partition_with(g, p, partition, BlockStartRule::Barrier)
+    schedule_blocks(&GraphFacts::new(g), p, partition)
 }
 
-/// Schedules a pre-computed partition under an explicit block-start rule
-/// ([`schedule_blocks`] on freshly analysed facts).
+/// [`schedule_partition`]: `BlockStartRule` has one value, the barrier.
+/// This form stays only for perfbench's layered timer, which calls it, and
+/// goes when that caller does.
 pub fn schedule_partition_with(
     g: &CanonicalGraph,
     p: usize,
     partition: Partition,
-    rule: BlockStartRule,
+    _rule: BlockStartRule,
 ) -> Result<StreamingResult, ScheduleError> {
-    schedule_blocks(&GraphFacts::new(g), p, partition, rule)
+    schedule_partition(g, p, partition)
 }
 
 /// Schedules a partition and derives metrics, reading the topological
@@ -55,10 +56,9 @@ pub fn schedule_blocks(
     facts: &GraphFacts<'_>,
     p: usize,
     partition: Partition,
-    rule: BlockStartRule,
 ) -> Result<StreamingResult, ScheduleError> {
     let g = facts.graph();
-    let sched = facts.schedule(&partition, rule)?;
+    let sched = facts.schedule(&partition)?;
     let t_inf = facts.streaming_depth()?;
     let t_nstr = facts.non_streaming_depth()?;
     let m = metrics(

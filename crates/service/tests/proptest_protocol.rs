@@ -21,7 +21,7 @@ fn sim_modes() -> [SimMode; 4] {
 }
 
 /// Exhaustive, not sampled: the full registry cross-product is only
-/// 10 workloads × 10 schedulers × 4 sim modes.
+/// 10 workloads × 8 schedulers × 4 sim modes.
 #[test]
 fn every_registered_combination_round_trips() {
     for workload in WorkloadKind::registered() {
@@ -111,8 +111,8 @@ proptest! {
         id in any::<u64>(),
         seed in any::<u64>(),
         pes in 1usize..4096,
-        w in 0usize..10,
-        s in 0usize..10,
+        w in 0..WorkloadKind::registered().len(),
+        s in 0..SchedulerKind::ALL.len(),
         m in 0usize..4,
         t in 0usize..3,
     ) {
@@ -139,8 +139,8 @@ proptest! {
         id in any::<u64>(),
         seed in any::<u64>(),
         pes in 1usize..4096,
-        w in 0usize..10,
-        s in 0usize..10,
+        w in 0..WorkloadKind::registered().len(),
+        s in 0..SchedulerKind::ALL.len(),
         err in any::<bool>(),
     ) {
         let resp = Response::Ok(PlanResponse {
@@ -187,8 +187,8 @@ proptest! {
     /// parses back.
     #[test]
     fn mutated_valid_frames_never_panic(
-        w in 0usize..10,
-        s in 0usize..10,
+        w in 0..WorkloadKind::registered().len(),
+        s in 0..SchedulerKind::ALL.len(),
         pos_seed in any::<u64>(),
         byte in any::<u8>(),
         truncate in any::<bool>(),
