@@ -58,7 +58,8 @@ use crate::harness::{default_threads, par_groups_with, par_map_with, Args};
 use crate::json::{self, Json};
 use crate::metrics::LeapCounters;
 use crate::store::{
-    CellKey, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats, SCHEMA_VERSION,
+    fnv1a_fold, CellKey, KeyEncoder, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats,
+    FNV_BASIS, SCHEMA_VERSION,
 };
 
 /// The error text of a PE count that is not a positive integer.
@@ -90,13 +91,21 @@ impl SimChoice {
     }
 }
 
-impl std::fmt::Display for SimChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
+impl SimChoice {
+    /// The choice's `--sim` name, as [`Display`](std::fmt::Display)
+    /// writes it.
+    pub fn name(&self) -> &'static str {
+        match self {
             SimChoice::Reference => "reference",
             SimChoice::Batched => "batched",
             SimChoice::Both => "both",
-        })
+        }
+    }
+}
+
+impl std::fmt::Display for SimChoice {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -445,36 +454,55 @@ impl SweepSpec {
     }
 
     /// A stable fingerprint of the whole expanded grid: the FNV-1a hash
-    /// over every cell's canonical key, in case order. Shard artifacts
-    /// embed it so [`Self::merge_shard_bytes`] rejects artifacts produced by
-    /// different specs (or engine schema versions).
+    /// over every cell's canonical key, each followed by `\n`, in case
+    /// order. Shard artifacts embed it so [`Self::merge_shard_bytes`]
+    /// rejects artifacts produced by different specs (or engine schema
+    /// versions).
     pub fn grid_fingerprint(&self) -> u64 {
-        // Folded incrementally (identical to hashing the concatenation of
-        // every canonical key + '\n'): the coordinator fingerprints
-        // million-cell grids without materializing O(grid) text.
-        use crate::store::{fnv1a_fold, FNV_BASIS};
+        // Streamed through the key encoder: the coordinator fingerprints
+        // million-cell grids without rendering a key per cell.
         let sim_mode = self.sim_mode();
+        let mut encoder = KeyEncoder::new();
         let mut h = FNV_BASIS;
         for w in &self.workloads {
-            let spec = w.workload.spec();
+            encoder.nominal(SCHEMA_VERSION, &w.workload.spec());
             for &pes in &w.pes {
                 for &scheduler in &self.schedulers {
+                    encoder.stripe(pes, scheduler.alias(), &sim_mode);
                     for i in 0..self.runs_per_cell(&w.workload) {
-                        let key = CellKey::new(
-                            SCHEMA_VERSION,
-                            &spec,
-                            self.seed + i,
-                            pes,
-                            scheduler.alias(),
-                            &sim_mode,
-                        );
-                        h = fnv1a_fold(h, key.canonical().as_bytes());
-                        h = fnv1a_fold(h, b"\n");
+                        h = fnv1a_fold(encoder.fold(h, self.seed + i), b"\n");
                     }
                 }
             }
         }
         h
+    }
+
+    /// Stage key: the nominal [`CellKey`] of every cacheable case
+    /// (`None` for the rest). The grid is workload-major, so each
+    /// workload's spec is rendered once per run of its cases and each
+    /// stripe's tail once per run of its seeds.
+    fn nominal_keys(&self, cases: &[Case]) -> Vec<Option<CellKey>> {
+        let sim_mode = self.sim_mode();
+        let mut encoder = KeyEncoder::new();
+        let mut at: Option<(&WorkloadKind, usize, SchedulerKind)> = None;
+        let mut keys = Vec::with_capacity(cases.len());
+        for c in cases {
+            if !self.cacheable(c) {
+                keys.push(None);
+                continue;
+            }
+            if at.is_none_or(|(w, ..)| w != &c.workload) {
+                encoder.nominal(SCHEMA_VERSION, &c.workload.spec());
+                at = None;
+            }
+            if at != Some((&c.workload, c.pes, c.scheduler)) {
+                encoder.stripe(c.pes, c.scheduler.alias(), &sim_mode);
+                at = Some((&c.workload, c.pes, c.scheduler));
+            }
+            keys.push(Some(encoder.key(c.seed)));
+        }
+        keys
     }
 
     /// [`Self::run`] through an optional result store: cells present in
@@ -541,7 +569,6 @@ impl SweepSpec {
     pub fn run_cases_on(&self, cases: Vec<Case>, flight: SingleFlight<'_>) -> CasesResult {
         let validate = self.validate;
         let sim = self.sim;
-        let sim_mode = self.sim_mode();
         let store = match flight {
             SingleFlight::Store(store) => Some(store),
             SingleFlight::Table(_) => None,
@@ -549,35 +576,11 @@ impl SweepSpec {
         // Stage key + prefetch, store only: expand every cacheable case
         // into its cell key and look the whole batch up in one parallel
         // pass (per-cell disk reads on a warm directory dominate
-        // otherwise). The grid is workload-major, so the spec string is
-        // rendered once per run of cases sharing a workload, not once per
-        // cell.
-        let mut keys: Vec<Option<CellKey>> = Vec::with_capacity(cases.len());
-        match store {
-            Some(_) => {
-                let mut spec = String::new();
-                let mut spec_for: Option<&WorkloadKind> = None;
-                for c in &cases {
-                    if !self.cacheable(c) {
-                        keys.push(None);
-                        continue;
-                    }
-                    if spec_for != Some(&c.workload) {
-                        spec = c.workload.spec();
-                        spec_for = Some(&c.workload);
-                    }
-                    keys.push(Some(CellKey::new(
-                        SCHEMA_VERSION,
-                        &spec,
-                        c.seed,
-                        c.pes,
-                        c.scheduler.alias(),
-                        &sim_mode,
-                    )));
-                }
-            }
-            None => keys.resize_with(cases.len(), || None),
-        }
+        // otherwise).
+        let mut keys = match store {
+            Some(_) => self.nominal_keys(&cases),
+            None => vec![None; cases.len()],
+        };
         let mut slots: Vec<Option<Outcome>> = match store {
             Some(store) => {
                 let threads = self
@@ -665,7 +668,7 @@ impl SweepSpec {
                             scheduler: case.scheduler,
                             sim: validate.then_some(sim),
                         };
-                        flight.evaluate_once(key, &sim_mode, eval)
+                        flight.evaluate_once(key, eval)
                     } else {
                         (eval(), false, None)
                     };
@@ -712,22 +715,22 @@ impl SweepSpec {
         let mut cache = CacheStats::default();
         // Per semantic key: the first case carrying it; and the entries
         // this pass evaluated.
-        let mut first_case: HashMap<u64, usize> = HashMap::new();
-        let mut fresh: Vec<(u64, Arc<[u8]>)> = Vec::new();
+        let mut first_case: HashMap<SemanticKey, usize> = HashMap::new();
+        let mut fresh: Vec<(SemanticKey, Arc<[u8]>)> = Vec::new();
         for (&i, cell) in todo.iter().zip(evaluated) {
             cache.record(cell.graph_hit);
             cell_cache.repaired += u64::from(cell.repaired);
             slots[i] = Some(cell.outcome);
-            if let Some((hash, entry)) = cell.semantic {
-                let first = first_case.entry(hash).or_insert(i);
+            if let Some((key, entry)) = cell.semantic {
+                let first = first_case.entry(key).or_insert(i);
                 *first = (*first).min(i);
-                fresh.extend(entry.map(|entry| (hash, entry)));
+                fresh.extend(entry.map(|entry| (key, entry)));
             }
         }
         if let Some(store) = store {
             let mut fresh: Vec<(usize, Arc<[u8]>)> = fresh
                 .into_iter()
-                .map(|(hash, entry)| (first_case[&hash], entry))
+                .map(|(key, entry)| (first_case[&key], entry))
                 .collect();
             fresh.sort_unstable_by_key(|&(i, _)| i);
             let mut fresh = fresh.into_iter().peekable();
@@ -987,36 +990,24 @@ struct EvaluatedCell {
     semantic: Option<SemanticEntry>,
 }
 
-/// A store cell's semantic key hash, and the entry its evaluation
-/// inserted into memory when this cell evaluated it: queued for disk at
-/// the persist stage.
-type SemanticEntry = (u64, Option<Arc<[u8]>>);
+/// A store cell's semantic key, and the entry its evaluation inserted
+/// into memory when this cell evaluated it: queued for disk at the
+/// persist stage.
+type SemanticEntry = (SemanticKey, Option<Arc<[u8]>>);
 
 impl SingleFlight<'_> {
-    /// Evaluates `key` at most once across this table's callers;
-    /// `sim_mode` is its [`SweepSpec::sim_mode`] rendering. Returns the
-    /// outcome, whether another evaluation supplied it, and, for a store,
-    /// the cell's [`SemanticEntry`].
+    /// Evaluates `key` at most once across this table's callers. Returns
+    /// the outcome, whether another evaluation supplied it, and, for a
+    /// store, the cell's [`SemanticEntry`].
     fn evaluate_once(
         self,
         key: SemanticKey,
-        sim_mode: &str,
         eval: impl FnOnce() -> Outcome,
     ) -> (Outcome, bool, Option<SemanticEntry>) {
         match self {
             SingleFlight::Store(store) => {
-                let sem = CELL_SCRATCH.with(|cell| {
-                    CellKey::semantic_with(
-                        &mut cell.borrow_mut().spec_buf,
-                        SCHEMA_VERSION,
-                        key.fingerprint,
-                        key.pes,
-                        key.scheduler.alias(),
-                        sim_mode,
-                    )
-                });
-                let (outcome, fresh) = store.evaluate_once(&sem, eval);
-                (outcome, fresh.is_none(), Some((sem.hash(), fresh)))
+                let (outcome, fresh) = store.evaluate_once(key, eval);
+                (outcome, fresh.is_none(), Some((key, fresh)))
             }
             SingleFlight::Table(table) => {
                 let (outcome, repaired) = table.evaluate_once(key, eval);
@@ -1379,13 +1370,12 @@ impl Run {
 
 /// Reusable per-worker evaluation storage: instantiated schedulers keyed
 /// by preset × machine size (the trait contract makes one instance safe
-/// to reuse across scenarios), the validation result pair, and the
-/// semantic-key spec buffer. One instance lives per thread, so
-/// steady-state cell evaluation allocates none of these per cell.
+/// to reuse across scenarios) and the validation result pair. One
+/// instance lives per thread, so steady-state cell evaluation allocates
+/// neither per cell.
 struct CellScratch {
     schedulers: std::collections::HashMap<(SchedulerKind, usize), Box<dyn Scheduler>>,
     sim_results: Vec<SimResult>,
-    spec_buf: String,
 }
 
 thread_local! {
@@ -1393,7 +1383,6 @@ thread_local! {
         std::cell::RefCell::new(CellScratch {
             schedulers: std::collections::HashMap::new(),
             sim_results: Vec::new(),
-            spec_buf: String::new(),
         });
 }
 
@@ -2740,6 +2729,64 @@ mod tests {
             .run_shard(Shard { index: 0, of: 1 }, None)
             .artifact_bytes()
             .is_err());
+    }
+
+    /// The key stage names every cacheable case by its formatted
+    /// canonical string, across workloads and stripes and past a fixed
+    /// graph between them; fixed graphs and timing passes get no key.
+    #[test]
+    fn the_key_stage_names_each_case_by_its_canonical_string() {
+        use crate::store::fnv1a;
+        use stg_model::Builder;
+        let mut b = Builder::new();
+        let t: Vec<_> = (0..3).map(|i| b.compute(format!("t{i}"))).collect();
+        b.chain(&t, 32);
+        let workload = |spec: &str, pes: Vec<usize>| WorkloadSpec {
+            workload: spec.parse().unwrap(),
+            pes,
+        };
+        let mut spec = SweepSpec {
+            workloads: vec![
+                workload("chain:4", vec![2, 16]),
+                WorkloadSpec {
+                    workload: WorkloadKind::fixed("tiny", b.finish().unwrap()),
+                    pes: vec![2],
+                },
+                workload("forkjoin:3x5", vec![8, 128]),
+            ],
+            graphs: 3,
+            seed: u64::MAX - 2,
+            schedulers: vec![
+                SchedulerKind::StreamingLts,
+                SchedulerKind::NonStreaming,
+                SchedulerKind::Multiplex(2),
+            ],
+            validate: true,
+            sim: SimChoice::Both,
+            timing: false,
+            threads: Some(1),
+        };
+        let cases = spec.cases();
+        let keys = spec.nominal_keys(&cases);
+        assert_eq!(keys.len(), cases.len());
+        for (c, key) in cases.iter().zip(&keys) {
+            if matches!(c.workload, WorkloadKind::Fixed(_)) {
+                assert!(key.is_none());
+                continue;
+            }
+            let text = format!(
+                "v{SCHEMA_VERSION}|{}|{}|{}|{}|both",
+                c.workload.spec(),
+                c.seed,
+                c.pes,
+                c.scheduler.alias()
+            );
+            let key = key.as_ref().expect("a registry case is cacheable");
+            assert_eq!(key.canonical(), text);
+            assert_eq!(key.hash(), fnv1a(text.as_bytes()));
+        }
+        spec.timing = true;
+        assert!(spec.nominal_keys(&cases).iter().all(Option::is_none));
     }
 
     #[test]

@@ -138,10 +138,29 @@ pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
 /// disabled, else the `--sim` choice), and engine schema version.
 /// Changing **any** component changes the canonical string and therefore
 /// the hash — the cache-correctness tests pin this.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A key holds its hash, its one varying field (the seed, or a semantic
+/// key's graph fingerprint) and the text around that field, which every
+/// key of one stripe (workload, PE count, scheduler, sim mode) shares.
+/// The canonical string is never built per key: it is written out where
+/// an entry is written, and compared piece by piece where one is
+/// verified.
+#[derive(Clone)]
 pub struct CellKey {
-    canonical: String,
     hash: u64,
+    field: u64,
+    frame: Frame,
+}
+
+/// The canonical text of a key around its field: `text[..head]` comes
+/// before the field and `text[head..]` after it.
+#[derive(Clone)]
+struct Frame {
+    text: Arc<[u8]>,
+    head: u32,
+    /// The field is a graph fingerprint in 16 hex digits, not a decimal
+    /// seed.
+    semantic: bool,
 }
 
 impl CellKey {
@@ -156,9 +175,12 @@ impl CellKey {
         scheduler: &str,
         sim_mode: &str,
     ) -> CellKey {
-        let canonical = format!("v{version}|{workload_spec}|{seed}|{pes}|{scheduler}|{sim_mode}");
-        let hash = fnv1a(canonical.as_bytes());
-        CellKey { canonical, hash }
+        NOMINAL_KEYS.with(|encoder| {
+            let mut encoder = encoder.borrow_mut();
+            encoder.nominal(version, workload_spec);
+            encoder.stripe(pes, scheduler, sim_mode);
+            encoder.key(seed)
+        })
     }
 
     /// The content hash (the entry's index key in memory and in
@@ -167,10 +189,13 @@ impl CellKey {
         self.hash
     }
 
-    /// The canonical key string the hash is computed over. Embedded in
+    /// The canonical key string the hash is computed over,
+    /// `v<version>|<spec>|<seed>|<pes>|<scheduler>|<sim>`. Embedded in
     /// every cache entry and verified on load.
-    pub fn canonical(&self) -> &str {
-        &self.canonical
+    pub fn canonical(&self) -> String {
+        let mut out = Vec::with_capacity(self.canonical_len());
+        self.write_canonical(&mut out);
+        String::from_utf8(out).expect("keys are built from strings and ASCII digits")
     }
 
     /// A *semantic* cell key: identifies a cell by the structural
@@ -180,7 +205,9 @@ impl CellKey {
     /// that instantiate structurally identical graphs (e.g. a
     /// seed-invariant workload under two different seeds) share one
     /// semantic key, which is what lets the engine *repair* a nominal
-    /// miss from a previously evaluated equivalent cell.
+    /// miss from a previously evaluated equivalent cell. Its canonical
+    /// string is a nominal one whose spec is `sem:` and the fingerprint
+    /// in 16 hex digits, and whose seed is `0`.
     ///
     /// The `sem:` spec prefix cannot collide with a nominal key: no
     /// registered workload family is named `sem`, and the seed slot is
@@ -192,34 +219,235 @@ impl CellKey {
         scheduler: &str,
         sim_mode: &str,
     ) -> CellKey {
-        Self::semantic_with(
-            &mut String::new(),
-            version,
-            graph_fingerprint,
-            pes,
-            scheduler,
-            sim_mode,
-        )
+        SEMANTIC_KEYS.with(|encoder| {
+            let mut encoder = encoder.borrow_mut();
+            encoder.semantic(version);
+            encoder.stripe(pes, scheduler, sim_mode);
+            encoder.key(graph_fingerprint)
+        })
     }
 
-    /// [`CellKey::semantic`] with a caller-provided scratch buffer for
-    /// the rendered spec component — the engine's hot path reuses one
-    /// buffer per worker thread instead of allocating a spec string per
-    /// evaluated cell. The produced key is identical to
-    /// [`CellKey::semantic`]'s.
-    pub fn semantic_with(
-        buf: &mut String,
-        version: u32,
-        graph_fingerprint: u64,
-        pes: usize,
-        scheduler: &str,
-        sim_mode: &str,
-    ) -> CellKey {
-        use std::fmt::Write as _;
-        buf.clear();
-        write!(buf, "sem:{graph_fingerprint:016x}").expect("write to String");
-        CellKey::new(version, buf, 0, pes, scheduler, sim_mode)
+    /// The frame text before and after the field, and the field's bytes.
+    fn parts(&self) -> (&[u8], Field, &[u8]) {
+        let (head, tail) = self.frame.text.split_at(self.frame.head as usize);
+        (head, Field::new(self.field, self.frame.semantic), tail)
     }
+
+    fn canonical_len(&self) -> usize {
+        let (head, field, tail) = self.parts();
+        head.len() + field.bytes().len() + tail.len()
+    }
+
+    /// Appends the canonical string's bytes to `out`.
+    fn write_canonical(&self, out: &mut Vec<u8>) {
+        let (head, field, tail) = self.parts();
+        out.extend_from_slice(head);
+        out.extend_from_slice(field.bytes());
+        out.extend_from_slice(tail);
+    }
+
+    /// True when `bytes` are this key's canonical string.
+    fn is_canonical(&self, bytes: &[u8]) -> bool {
+        let (head, field, tail) = self.parts();
+        is_concat(bytes, &[head, field.bytes(), tail])
+    }
+}
+
+/// Keys are equal when their canonical strings are.
+impl PartialEq for CellKey {
+    fn eq(&self, other: &CellKey) -> bool {
+        let mut theirs = Vec::with_capacity(other.canonical_len());
+        other.write_canonical(&mut theirs);
+        self.hash == other.hash && self.is_canonical(&theirs)
+    }
+}
+
+impl Eq for CellKey {}
+
+impl std::hash::Hash for CellKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.hash.hash(state);
+    }
+}
+
+impl std::fmt::Debug for CellKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("CellKey").field(&self.canonical()).finish()
+    }
+}
+
+/// True when `text` is the concatenation of `pieces`.
+fn is_concat(text: &[u8], pieces: &[&[u8]]) -> bool {
+    let mut rest = text;
+    for piece in pieces {
+        match rest.strip_prefix(*piece) {
+            Some(r) => rest = r,
+            None => return false,
+        }
+    }
+    rest.is_empty()
+}
+
+/// A number rendered for a cell key, on the stack: decimal, or 16
+/// lower-case hex digits for a graph fingerprint.
+struct Field {
+    buf: [u8; 20],
+    start: u8,
+}
+
+impl Field {
+    fn new(value: u64, hex: bool) -> Field {
+        let mut field = Field {
+            buf: [0; 20],
+            start: 20,
+        };
+        let mut v = value;
+        if hex {
+            for slot in field.buf[4..].iter_mut().rev() {
+                *slot = b"0123456789abcdef"[(v & 0xf) as usize];
+                v >>= 4;
+            }
+            field.start = 4;
+        } else {
+            loop {
+                field.start -= 1;
+                field.buf[field.start as usize] = b'0' + (v % 10) as u8;
+                v /= 10;
+                if v == 0 {
+                    break;
+                }
+            }
+        }
+        field
+    }
+
+    fn decimal(value: u64) -> Field {
+        Field::new(value, false)
+    }
+
+    fn bytes(&self) -> &[u8] {
+        &self.buf[self.start as usize..]
+    }
+}
+
+/// The one streamed encoder of cell identities: nominal keys (the
+/// engine's key stage and [`CellKey::new`]), semantic keys, and the grid
+/// fingerprint, which hashes the same bytes. A key's text is
+/// `head ∥ field ∥ tail`, and each part is rendered only when its input
+/// changes: the head `v<version>|<spec>|` (`v<version>|sem:` for a
+/// semantic key), with the FNV-1a state after it, once per workload; the
+/// tail `|<pes>|<scheduler>|<sim>` (after the pinned seed `|0` for a
+/// semantic key) once per stripe; and the field, a seed or a graph
+/// fingerprint, per cell, on the stack.
+pub(crate) struct KeyEncoder {
+    /// The current head, then the current tail.
+    text: Vec<u8>,
+    head: usize,
+    semantic: bool,
+    /// The FNV-1a state after the head.
+    head_state: u64,
+    /// `text` as the current frame's keys share it, made by the first.
+    shared: Option<Arc<[u8]>>,
+}
+
+impl KeyEncoder {
+    pub(crate) const fn new() -> KeyEncoder {
+        KeyEncoder {
+            text: Vec::new(),
+            head: 0,
+            semantic: false,
+            head_state: FNV_BASIS,
+            shared: None,
+        }
+    }
+
+    /// Starts nominal keys of workload `spec`; call [`Self::stripe`]
+    /// next.
+    pub(crate) fn nominal(&mut self, version: u32, spec: &str) {
+        let v = Field::decimal(version.into());
+        self.set_head(&[b"v", v.bytes(), b"|", spec.as_bytes(), b"|"], false);
+    }
+
+    /// Starts semantic keys; call [`Self::stripe`] next.
+    pub(crate) fn semantic(&mut self, version: u32) {
+        let v = Field::decimal(version.into());
+        self.set_head(&[b"v", v.bytes(), b"|sem:"], true);
+    }
+
+    /// Sets the stripe of the keys that follow.
+    pub(crate) fn stripe(&mut self, pes: usize, scheduler: &str, sim_mode: &str) {
+        let seed: &[u8] = if self.semantic { b"|0" } else { b"" };
+        let p = Field::decimal(pes as u64);
+        let pieces = [
+            seed,
+            b"|",
+            p.bytes(),
+            b"|",
+            scheduler.as_bytes(),
+            b"|",
+            sim_mode.as_bytes(),
+        ];
+        if is_concat(&self.text[self.head..], &pieces) {
+            return;
+        }
+        self.text.truncate(self.head);
+        for piece in pieces {
+            self.text.extend_from_slice(piece);
+        }
+        self.shared = None;
+    }
+
+    fn set_head(&mut self, pieces: &[&[u8]], semantic: bool) {
+        if self.semantic == semantic && is_concat(&self.text[..self.head], pieces) {
+            return;
+        }
+        self.text.clear();
+        for piece in pieces {
+            self.text.extend_from_slice(piece);
+        }
+        self.head = self.text.len();
+        self.semantic = semantic;
+        self.head_state = fnv1a(&self.text);
+        self.shared = None;
+    }
+
+    /// The key of field `value` (a seed, or a graph fingerprint) in the
+    /// current stripe.
+    pub(crate) fn key(&mut self, value: u64) -> CellKey {
+        let text = self.shared.get_or_insert_with(|| Arc::from(&self.text[..]));
+        let field = Field::new(value, self.semantic);
+        let hash = fnv1a_fold(
+            fnv1a_fold(self.head_state, field.bytes()),
+            &self.text[self.head..],
+        );
+        CellKey {
+            hash,
+            field: value,
+            frame: Frame {
+                text: Arc::clone(text),
+                head: self.head as u32,
+                semantic: self.semantic,
+            },
+        }
+    }
+
+    /// Folds the canonical string of `value`'s key in the current stripe
+    /// into the FNV-1a state `h`.
+    pub(crate) fn fold(&self, h: u64, value: u64) -> u64 {
+        let (head, tail) = self.text.split_at(self.head);
+        let field = Field::new(value, self.semantic);
+        fnv1a_fold(fnv1a_fold(fnv1a_fold(h, head), field.bytes()), tail)
+    }
+}
+
+thread_local! {
+    /// The encoders behind [`CellKey::new`] and [`CellKey::semantic`]:
+    /// consecutive keys of one stripe on a thread share its frame and
+    /// the hash state after its head.
+    static NOMINAL_KEYS: std::cell::RefCell<KeyEncoder> =
+        const { std::cell::RefCell::new(KeyEncoder::new()) };
+    static SEMANTIC_KEYS: std::cell::RefCell<KeyEncoder> =
+        const { std::cell::RefCell::new(KeyEncoder::new()) };
 }
 
 crate::counter_set! {
@@ -287,7 +515,7 @@ pub struct ResultStore {
     /// outcome is stored, so it never holds more than one key per
     /// evaluating thread (plus any whose evaluation unwound and that no
     /// caller has retried yet).
-    inflight: Mutex<HashMap<CellKey, Arc<OnceLock<Outcome>>>>,
+    inflight: Mutex<HashMap<SemanticKey, Arc<OnceLock<Outcome>>>>,
     counters: StoreCounters,
     warned_io: AtomicBool,
 }
@@ -330,6 +558,21 @@ pub(crate) struct SemanticKey {
     pub(crate) scheduler: SchedulerKind,
     /// The validating simulator choice, or `None` without validation.
     pub(crate) sim: Option<SimChoice>,
+}
+
+impl SemanticKey {
+    /// The key's entry name in a [`ResultStore`]: [`CellKey::semantic`]
+    /// at [`SCHEMA_VERSION`].
+    pub(crate) fn cell_key(&self) -> CellKey {
+        let sim_mode = self.sim.map_or("off", |c| c.name());
+        CellKey::semantic(
+            SCHEMA_VERSION,
+            self.fingerprint,
+            self.pes,
+            self.scheduler.alias(),
+            sim_mode,
+        )
+    }
 }
 
 /// An in-memory single-flight table on semantic cell keys (graph
@@ -622,7 +865,8 @@ impl ResultStore {
         found
     }
 
-    /// Single-flight evaluation of the *semantic* key `sem`: `eval` runs
+    /// Single-flight evaluation of the *semantic* key `key` (stored
+    /// under [`SemanticKey::cell_key`]): `eval` runs
     /// only if no thread has stored the key's outcome or is producing it.
     /// Returns the outcome and, when this call evaluated it, the entry it
     /// inserted into memory; `None` means another evaluation supplied the
@@ -649,26 +893,27 @@ impl ResultStore {
     /// shared outcome is the one each caller would have computed.
     pub(crate) fn evaluate_once(
         &self,
-        sem: &CellKey,
+        key: SemanticKey,
         eval: impl FnOnce() -> Outcome,
     ) -> (Outcome, Option<Arc<[u8]>>) {
-        if let Some(outcome) = self.lookup_repaired(sem) {
+        let sem = key.cell_key();
+        if let Some(outcome) = self.lookup_repaired(&sem) {
             return (outcome, None);
         }
         let flight = Arc::clone(
             self.inflight
                 .lock()
                 .expect("in-flight table lock")
-                .entry(sem.clone())
+                .entry(key)
                 .or_default(),
         );
         let mut fresh = None;
         let (outcome, joined) = single_flight(&flight, || {
             // A filler that finished between step 1 and this registration
             // inserted its entry before deregistering: probe again.
-            self.probe(sem).unwrap_or_else(|| {
+            self.probe(&sem).unwrap_or_else(|| {
                 let outcome = eval();
-                fresh = Some(self.insert_mem(sem, &outcome));
+                fresh = Some(self.insert_mem(&sem, &outcome));
                 outcome
             })
         });
@@ -676,7 +921,7 @@ impl ResultStore {
             self.inflight
                 .lock()
                 .expect("in-flight table lock")
-                .remove(sem);
+                .remove(&key);
         }
         if fresh.is_none() {
             self.counters.repaired.add(1);
@@ -986,9 +1231,9 @@ fn index_segment(bytes: &[u8], seg: u32) -> Option<Vec<(u64, SegRef)>> {
 fn put_entry(out: &mut Vec<u8>, key: &CellKey, outcome: &Outcome) {
     let start = out.len();
     put_u64(out, key.hash);
-    put_u32(out, key.canonical.len() as u32);
+    put_u32(out, key.canonical_len() as u32);
     put_u32(out, 0); // the record length
-    out.extend_from_slice(key.canonical.as_bytes());
+    key.write_canonical(out);
     put_sealed_record(out, start, start + 12, outcome);
 }
 
@@ -1013,7 +1258,7 @@ fn read_entry(entry: &[u8], key: &CellKey) -> Option<Outcome> {
     let (key_len, head) = take_u32(head)?;
     let (_, rest) = take_u32(head)?;
     let (canonical, record) = rest.split_at_checked(key_len as usize)?;
-    if canonical != key.canonical.as_bytes() || checksum(body) != take_u64(sum)?.0 {
+    if !key.is_canonical(canonical) || checksum(body) != take_u64(sum)?.0 {
         return None;
     }
     take_record(record)
@@ -1488,8 +1733,8 @@ mod tests {
     }
 
     /// One key of a single-flight table under test: a semantic key of a
-    /// store, or a typed key of a [`SemanticTable`]. The contract tests
-    /// below run against both.
+    /// store or of a [`SemanticTable`]. The contract tests below run
+    /// against both.
     trait Flights: Sync {
         fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool);
         /// Blocks until `waiter` has joined the key's flight, or has
@@ -1497,7 +1742,7 @@ mod tests {
         fn await_waiter<T>(&self, waiter: &ScopedJoinHandle<'_, T>);
     }
 
-    impl Flights for (&ResultStore, &CellKey) {
+    impl Flights for (&ResultStore, SemanticKey) {
         fn evaluate_once(&self, eval: impl FnOnce() -> Outcome) -> (Outcome, bool) {
             let (outcome, fresh) = self.0.evaluate_once(self.1, eval);
             (outcome, fresh.is_none())
@@ -1506,7 +1751,8 @@ mod tests {
         /// The in-flight table, the owner and this probe hold one
         /// reference to the flight each; the waiter holds the fourth.
         fn await_waiter<T>(&self, waiter: &ScopedJoinHandle<'_, T>) {
-            let flight = Arc::clone(&self.0.inflight.lock().expect("in-flight table lock")[self.1]);
+            let flight =
+                Arc::clone(&self.0.inflight.lock().expect("in-flight table lock")[&self.1]);
             while Arc::strong_count(&flight) < 4 && !waiter.is_finished() {
                 std::thread::yield_now();
             }
@@ -1589,8 +1835,7 @@ mod tests {
     #[test]
     fn concurrent_misses_on_one_semantic_key_evaluate_once() {
         let store = ResultStore::in_memory();
-        let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f117, 4, "sb-lts", "off");
-        concurrent_misses_evaluate_once(&(&store, &sem));
+        concurrent_misses_evaluate_once(&(&store, table_key(0x5eed_f117)));
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses, stats.repaired), (0, 0, 2));
         assert!(store
@@ -1606,8 +1851,7 @@ mod tests {
     #[test]
     fn a_waiter_evaluates_when_the_owner_unwinds() {
         let store = ResultStore::in_memory();
-        let sem = CellKey::semantic(SCHEMA_VERSION, 0x5eed_f118, 4, "sb-lts", "off");
-        waiter_evaluates_after_the_owner_unwinds(&(&store, &sem));
+        waiter_evaluates_after_the_owner_unwinds(&(&store, table_key(0x5eed_f118)));
         assert_eq!(store.stats().repaired, 1);
         assert!(store
             .inflight

@@ -129,6 +129,52 @@ fn warm_mapped_lookups_do_not_allocate_per_cell() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Naming cells allocates per stripe, not per cell: consecutive keys of
+/// one stripe share its frame, and the grid fingerprint streams every
+/// key's bytes without rendering one.
+#[test]
+fn naming_cells_does_not_allocate_per_cell() {
+    let cells = 512;
+    let mut keys = Vec::with_capacity(2 * cells as usize);
+    let name = |keys: &mut Vec<CellKey>, seed: u64| {
+        keys.push(CellKey::new(
+            SCHEMA_VERSION,
+            "chain:8",
+            seed,
+            4,
+            "sb-lts",
+            "off",
+        ));
+        keys.push(CellKey::semantic(SCHEMA_VERSION, seed, 4, "sb-lts", "off"));
+    };
+    // The first two keys render this thread's frames.
+    name(&mut keys, 0);
+    let ((), spent) = count_allocs(|| (1..cells).for_each(|seed| name(&mut keys, seed)));
+    assert_eq!(spent, 0, "{} keys of one stripe allocated", keys.len() - 2);
+    let spec = SweepSpec {
+        workloads: vec![WorkloadSpec {
+            workload: "chain:8".parse().expect("registered spec"),
+            pes: vec![2, 4, 8],
+        }],
+        graphs: 8_000,
+        seed: 1,
+        schedulers: vec![
+            SchedulerKind::StreamingLts,
+            SchedulerKind::StreamingRlx,
+            SchedulerKind::NonStreaming,
+        ],
+        validate: false,
+        sim: SimChoice::default(),
+        timing: false,
+        threads: Some(1),
+    };
+    let (_, spent) = count_allocs(|| spec.grid_fingerprint());
+    assert!(
+        spent < 16,
+        "fingerprinting 72,000 cells spent {spent} allocations"
+    );
+}
+
 /// A validated outcome with every field at an extreme.
 fn wide_outcome() -> Outcome {
     Ok(stg_experiments::engine::Record {
