@@ -8,6 +8,20 @@
 //! on-disk directory (`--cache-dir`), so repeated sweeps skip
 //! re-evaluating unchanged cells within a process *and* across processes.
 //!
+//! Keys are streamed, not formatted: one private key encoder renders a
+//! key's canonical string `v<version>|<spec>|<seed>|<pes>|<scheduler>|<sim>`
+//! in three parts, each only when its input changes — the FNV-1a state
+//! after `v<version>|<spec>|` once per workload, the
+//! `|<pes>|<scheduler>|<sim>` tail once per (PE count, scheduler) stripe,
+//! and the seed's digits per cell, on the stack. The engine's key stage,
+//! [`CellKey::new`], semantic keys and the grid fingerprint
+//! (`SweepSpec::grid_fingerprint`, which hashes the same bytes) all go
+//! through it. A key keeps its seed and the stripe's shared text, and its
+//! canonical bytes are written out only where an entry is written (into a
+//! reused buffer) and compared piece by piece where one is verified. Every
+//! hash and canonical byte is the formatted string's; the cell-key
+//! property tests and the cross-version fixtures pin that.
+//!
 //! Stored outcomes are the deterministic [`Record`]/`ScheduleError`
 //! outcome of a cell, written by [`put_record`] as one fixed-width
 //! little-endian record: floats travel as their `to_bits`, so they
@@ -157,7 +171,7 @@ pub struct CellKey {
 #[derive(Clone)]
 struct Frame {
     text: Arc<[u8]>,
-    head: u32,
+    head: usize,
     /// The field is a graph fingerprint in 16 hex digits, not a decimal
     /// seed.
     semantic: bool,
@@ -190,8 +204,8 @@ impl CellKey {
     }
 
     /// The canonical key string the hash is computed over,
-    /// `v<version>|<spec>|<seed>|<pes>|<scheduler>|<sim>`. Embedded in
-    /// every cache entry and verified on load.
+    /// `v<version>|<spec>|<seed>|<pes>|<scheduler>|<sim>`, rendered on
+    /// each call. Embedded in every cache entry and verified on load.
     pub fn canonical(&self) -> String {
         let mut out = Vec::with_capacity(self.canonical_len());
         self.write_canonical(&mut out);
@@ -229,7 +243,7 @@ impl CellKey {
 
     /// The frame text before and after the field, and the field's bytes.
     fn parts(&self) -> (&[u8], Field, &[u8]) {
-        let (head, tail) = self.frame.text.split_at(self.frame.head as usize);
+        let (head, tail) = self.frame.text.split_at(self.frame.head);
         (head, Field::new(self.field, self.frame.semantic), tail)
     }
 
@@ -292,7 +306,7 @@ fn is_concat(text: &[u8], pieces: &[&[u8]]) -> bool {
 /// lower-case hex digits for a graph fingerprint.
 struct Field {
     buf: [u8; 20],
-    start: u8,
+    start: usize,
 }
 
 impl Field {
@@ -311,7 +325,7 @@ impl Field {
         } else {
             loop {
                 field.start -= 1;
-                field.buf[field.start as usize] = b'0' + (v % 10) as u8;
+                field.buf[field.start] = b'0' + (v % 10) as u8;
                 v /= 10;
                 if v == 0 {
                     break;
@@ -326,7 +340,7 @@ impl Field {
     }
 
     fn bytes(&self) -> &[u8] {
-        &self.buf[self.start as usize..]
+        &self.buf[self.start..]
     }
 }
 
@@ -340,7 +354,8 @@ impl Field {
 /// semantic key) once per stripe; and the field, a seed or a graph
 /// fingerprint, per cell, on the stack.
 pub(crate) struct KeyEncoder {
-    /// The current head, then the current tail.
+    /// The current head, then the current tail (none right after a new
+    /// head).
     text: Vec<u8>,
     head: usize,
     semantic: bool,
@@ -348,6 +363,14 @@ pub(crate) struct KeyEncoder {
     head_state: u64,
     /// `text` as the current frame's keys share it, made by the first.
     shared: Option<Arc<[u8]>>,
+    /// The inputs `text` was rendered from, compared before rendering
+    /// again: the head's version and spec (empty for a semantic head),
+    /// the tail's PE count, scheduler and sim mode.
+    version: u32,
+    spec: String,
+    pes: usize,
+    scheduler: String,
+    sim_mode: String,
 }
 
 impl KeyEncoder {
@@ -358,49 +381,38 @@ impl KeyEncoder {
             semantic: false,
             head_state: FNV_BASIS,
             shared: None,
+            version: 0,
+            spec: String::new(),
+            pes: 0,
+            scheduler: String::new(),
+            sim_mode: String::new(),
         }
     }
 
     /// Starts nominal keys of workload `spec`; call [`Self::stripe`]
     /// next.
     pub(crate) fn nominal(&mut self, version: u32, spec: &str) {
+        if self.head > 0 && !self.semantic && self.version == version && self.spec == spec {
+            return;
+        }
         let v = Field::decimal(version.into());
         self.set_head(&[b"v", v.bytes(), b"|", spec.as_bytes(), b"|"], false);
+        self.version = version;
+        self.spec.clear();
+        self.spec.push_str(spec);
     }
 
     /// Starts semantic keys; call [`Self::stripe`] next.
     pub(crate) fn semantic(&mut self, version: u32) {
-        let v = Field::decimal(version.into());
-        self.set_head(&[b"v", v.bytes(), b"|sem:"], true);
-    }
-
-    /// Sets the stripe of the keys that follow.
-    pub(crate) fn stripe(&mut self, pes: usize, scheduler: &str, sim_mode: &str) {
-        let seed: &[u8] = if self.semantic { b"|0" } else { b"" };
-        let p = Field::decimal(pes as u64);
-        let pieces = [
-            seed,
-            b"|",
-            p.bytes(),
-            b"|",
-            scheduler.as_bytes(),
-            b"|",
-            sim_mode.as_bytes(),
-        ];
-        if is_concat(&self.text[self.head..], &pieces) {
+        if self.head > 0 && self.semantic && self.version == version {
             return;
         }
-        self.text.truncate(self.head);
-        for piece in pieces {
-            self.text.extend_from_slice(piece);
-        }
-        self.shared = None;
+        let v = Field::decimal(version.into());
+        self.set_head(&[b"v", v.bytes(), b"|sem:"], true);
+        self.version = version;
     }
 
     fn set_head(&mut self, pieces: &[&[u8]], semantic: bool) {
-        if self.semantic == semantic && is_concat(&self.text[..self.head], pieces) {
-            return;
-        }
         self.text.clear();
         for piece in pieces {
             self.text.extend_from_slice(piece);
@@ -409,6 +421,38 @@ impl KeyEncoder {
         self.semantic = semantic;
         self.head_state = fnv1a(&self.text);
         self.shared = None;
+    }
+
+    /// Sets the stripe of the keys that follow.
+    pub(crate) fn stripe(&mut self, pes: usize, scheduler: &str, sim_mode: &str) {
+        // A rendered tail is never empty; a new head drops the old one.
+        if self.text.len() > self.head
+            && self.pes == pes
+            && self.scheduler == scheduler
+            && self.sim_mode == sim_mode
+        {
+            return;
+        }
+        let seed: &[u8] = if self.semantic { b"|0" } else { b"" };
+        let p = Field::decimal(pes as u64);
+        self.text.truncate(self.head);
+        for piece in [
+            seed,
+            b"|",
+            p.bytes(),
+            b"|",
+            scheduler.as_bytes(),
+            b"|",
+            sim_mode.as_bytes(),
+        ] {
+            self.text.extend_from_slice(piece);
+        }
+        self.shared = None;
+        self.pes = pes;
+        self.scheduler.clear();
+        self.scheduler.push_str(scheduler);
+        self.sim_mode.clear();
+        self.sim_mode.push_str(sim_mode);
     }
 
     /// The key of field `value` (a seed, or a graph fingerprint) in the
@@ -425,7 +469,7 @@ impl KeyEncoder {
             field: value,
             frame: Frame {
                 text: Arc::clone(text),
-                head: self.head as u32,
+                head: self.head,
                 semantic: self.semantic,
             },
         }
