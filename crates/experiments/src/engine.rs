@@ -89,9 +89,7 @@ impl SimChoice {
             SimChoice::Both => &[SimKind::Reference, SimKind::Batched],
         }
     }
-}
 
-impl SimChoice {
     /// The choice's `--sim` name, as [`Display`](std::fmt::Display)
     /// writes it.
     pub fn name(&self) -> &'static str {

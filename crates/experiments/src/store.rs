@@ -263,7 +263,11 @@ impl CellKey {
     /// True when `bytes` are this key's canonical string.
     fn is_canonical(&self, bytes: &[u8]) -> bool {
         let (head, field, tail) = self.parts();
-        is_concat(bytes, &[head, field.bytes(), tail])
+        let field = field.bytes();
+        bytes.len() == head.len() + field.len() + tail.len()
+            && bytes.starts_with(head)
+            && bytes[head.len()..].starts_with(field)
+            && bytes.ends_with(tail)
     }
 }
 
@@ -288,18 +292,6 @@ impl std::fmt::Debug for CellKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_tuple("CellKey").field(&self.canonical()).finish()
     }
-}
-
-/// True when `text` is the concatenation of `pieces`.
-fn is_concat(text: &[u8], pieces: &[&[u8]]) -> bool {
-    let mut rest = text;
-    for piece in pieces {
-        match rest.strip_prefix(*piece) {
-            Some(r) => rest = r,
-            None => return false,
-        }
-    }
-    rest.is_empty()
 }
 
 /// A number rendered for a cell key, on the stack: decimal, or 16
