@@ -16,6 +16,14 @@
 //! between slots. The scheduler charges [`DEFAULT_TRANSITION_COST`] per
 //! slot transition on top of the streaming makespan — the multi-mode
 //! transition-cost model of Jung, Oh & Ha applied to slot switches.
+//!
+//! Every registered seeded workload family builds one tenant (a weakly
+//! connected precedence DAG; the workload registry test
+//! `every_seeded_family_is_one_tenant` pins it), so on registry workloads
+//! `multiplex:<slots>` is a one-slot, level-ordered schedule and charges
+//! no transition. Slot packing and the transition cost act only on graphs
+//! that hold several independent task graphs, such as a fixed graph built
+//! from several tenants' builders.
 
 use stg_analysis::{GraphFacts, Partition};
 use stg_graph::{weakly_connected_components, NodeId};

@@ -110,3 +110,33 @@ fn transformer_lowers_once_and_is_shared() {
     assert!(std::sync::Arc::ptr_eq(&a, &b));
     assert_eq!(a.compute_count(), kind.task_count());
 }
+
+/// Every registered seeded family builds one tenant: its compute-task
+/// precedence DAG is weakly connected at the registry sizes and at the CI
+/// registry grid's (the registry's, with `attention:seq512`), seeds 0–19.
+/// So on registry workloads `multiplex:<slots>` packs one slot and
+/// charges no transition. A family that starts building several
+/// components fails here, and with it this description of multiplexing
+/// in the README and in `stg_sched::multiplex`.
+#[test]
+fn every_seeded_family_is_one_tenant() {
+    let ci_attention: WorkloadKind = "attention:seq512".parse().expect("registered spec");
+    let kinds = WorkloadKind::registered()
+        .into_iter()
+        .filter(|k| k.seeded())
+        .chain([ci_attention]);
+    for kind in kinds {
+        for seed in 0..20 {
+            let layout = stg_sched::temporal_multiplex_partition(&kind.build(seed), 4, 3);
+            assert_eq!(
+                (
+                    layout.tenants.len(),
+                    layout.slots_used,
+                    layout.transitions()
+                ),
+                (1, 1, 0),
+                "{kind} seed {seed}"
+            );
+        }
+    }
+}
