@@ -163,13 +163,8 @@ pub fn fnv1a_fold(mut h: u64, bytes: &[u8]) -> u64 {
 pub struct CellKey {
     hash: u64,
     field: u64,
-    frame: Frame,
-}
-
-/// The canonical text of a key around its field: `text[..head]` comes
-/// before the field and `text[head..]` after it.
-#[derive(Clone)]
-struct Frame {
+    /// The canonical text around the field: `text[..head]` comes before
+    /// it and `text[head..]` after it.
     text: Arc<[u8]>,
     head: usize,
     /// The field is a graph fingerprint in 16 hex digits, not a decimal
@@ -241,10 +236,10 @@ impl CellKey {
         })
     }
 
-    /// The frame text before and after the field, and the field's bytes.
+    /// The text before and after the field, and the field's bytes.
     fn parts(&self) -> (&[u8], Field, &[u8]) {
-        let (head, tail) = self.frame.text.split_at(self.frame.head);
-        (head, Field::new(self.field, self.frame.semantic), tail)
+        let (head, tail) = self.text.split_at(self.head);
+        (head, Field::new(self.field, self.semantic), tail)
     }
 
     fn canonical_len(&self) -> usize {
@@ -274,9 +269,7 @@ impl CellKey {
 /// Keys are equal when their canonical strings are.
 impl PartialEq for CellKey {
     fn eq(&self, other: &CellKey) -> bool {
-        let mut theirs = Vec::with_capacity(other.canonical_len());
-        other.write_canonical(&mut theirs);
-        self.hash == other.hash && self.is_canonical(&theirs)
+        self.hash == other.hash && self.is_canonical(other.canonical().as_bytes())
     }
 }
 
@@ -353,7 +346,7 @@ pub(crate) struct KeyEncoder {
     semantic: bool,
     /// The FNV-1a state after the head.
     head_state: u64,
-    /// `text` as the current frame's keys share it, made by the first.
+    /// `text` as the current stripe's keys share it, made by the first.
     shared: Option<Arc<[u8]>>,
     /// The inputs `text` was rendered from, compared before rendering
     /// again: the head's version and spec (empty for a semantic head),
@@ -459,11 +452,9 @@ impl KeyEncoder {
         CellKey {
             hash,
             field: value,
-            frame: Frame {
-                text: Arc::clone(text),
-                head: self.head,
-                semantic: self.semantic,
-            },
+            text: Arc::clone(text),
+            head: self.head,
+            semantic: self.semantic,
         }
     }
 
@@ -478,7 +469,7 @@ impl KeyEncoder {
 
 thread_local! {
     /// The encoders behind [`CellKey::new`] and [`CellKey::semantic`]:
-    /// consecutive keys of one stripe on a thread share its frame and
+    /// consecutive keys of one stripe on a thread share its text and
     /// the hash state after its head.
     static NOMINAL_KEYS: std::cell::RefCell<KeyEncoder> =
         const { std::cell::RefCell::new(KeyEncoder::new()) };
