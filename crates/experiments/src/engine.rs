@@ -10,8 +10,8 @@
 //! 2. **key** — every case gets a content-addressed
 //!    [`CellKey`] ([`SweepSpec::run_cases`]);
 //! 3. **lookup / evaluate / persist** — cells found in an optional
-//!    [`ResultStore`] are reused; the rest are evaluated on the worker
-//!    pool in one job per graph instance, whose cells share that graph's
+//!    [`ResultStore`] are reused; the rest are evaluated on scoped
+//!    threads in one job per graph instance, whose cells share that graph's
 //!    [`GraphFacts`] and every simulation with identical inputs, and
 //!    each distinct graph structure at most once: through the store's
 //!    single-flight evaluation when there is a store, else through

@@ -1,8 +1,9 @@
-//! Shared experiment plumbing: argument parsing and a parallel map over
-//! a persistent worker pool for sweeping the 100-graph samples.
+//! Shared experiment plumbing: argument parsing, and the parallel map
+//! that sweeps the 100-graph samples on scoped threads.
 
 use std::ops::Range;
 use std::str::FromStr;
+use std::sync::{Mutex, OnceLock};
 
 use stg_core::SchedulerKind;
 use stg_des::SimKind;
@@ -271,35 +272,31 @@ where
     }
 }
 
-/// The worker count [`par_map`] uses for `n` jobs: available parallelism
+/// The machine's parallelism, read once per process. No parallel pass
+/// runs more threads than this, whatever thread count it asks for.
+pub fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|p| p.get())
+            .unwrap_or(4)
+    })
+}
+
+/// The thread count a pass of `n` jobs uses by default: [`cores`],
 /// capped at the job count.
 pub fn default_threads(n: u64) -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n.max(1) as usize)
+    cores().min(n.max(1) as usize)
 }
 
-/// Applies `f` to `0..n` in parallel on the persistent worker pool,
-/// returning results in index order. The closure receives the job index.
-pub fn par_map<T: Send>(n: u64, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
-    par_map_with(n, default_threads(n), f)
-}
-
-/// [`par_map`] with an explicit worker count. The output is a pure
-/// function of `n` and `f` — the thread count only affects wall-clock
-/// time, never results or their order.
-///
-/// Work runs on a process-wide persistent pool (see [`pool_threads`]):
-/// the calling thread drains chunks alongside at most `threads - 1` pool
-/// workers, so per-call concurrency never exceeds `threads` and no call
-/// ever spawns a fresh OS thread. The sweep engine's prefetch and
-/// evaluate stages — and the fabric worker's 32-cell chunk loop, which
-/// used to pay a thread-spawn per chunk — all route through here.
+/// Applies `f` to `0..n` on up to `threads` threads, returning results
+/// in index order. The closure receives the job index. The output is a
+/// pure function of `n` and `f`: the thread count only affects
+/// wall-clock time, never results or their order.
 pub fn par_map_with<T: Send>(n: u64, threads: usize, f: impl Fn(u64) -> T + Sync) -> Vec<T> {
     let threads = threads.max(1).min(n.max(1) as usize);
-    // Contiguous chunks handed to workers whole; several chunks per worker
-    // keep dynamic load balancing for skewed job costs.
+    // Contiguous chunks handed to threads whole; several chunks per
+    // thread keep dynamic load balancing for skewed job costs.
     let chunk_size = (n as usize).div_ceil(threads * 4).max(1);
     let ends: Vec<usize> = (1..=(n as usize).div_ceil(chunk_size))
         .map(|k| (k * chunk_size).min(n as usize))
@@ -318,32 +315,48 @@ pub fn par_map_with<T: Send>(n: u64, threads: usize, f: impl Fn(u64) -> T + Sync
 /// `range.start + k`). Results come back in job order, and since a group
 /// never splits across threads, neither they nor anything a group shares
 /// internally depend on the thread count.
+///
+/// The calling thread drains the groups in index order together with
+/// [`helper_count`] scoped helper threads; with none, the pass runs
+/// inline and spawns nothing. A panic in any group reaches the caller
+/// only after every helper has stopped.
 pub(crate) fn par_groups_with<T: Send>(
     ends: &[usize],
     threads: usize,
     f: impl Fn(Range<usize>, &mut [Option<T>]) + Sync,
 ) -> Vec<T> {
     let n = ends.last().copied().unwrap_or(0);
-    let threads = threads.max(1).min(ends.len().max(1));
     let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
     // Disjoint `&mut` slices, one per group: no per-slot locking.
-    let mut chunks: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(ends.len());
+    let mut groups: Vec<(usize, &mut [Option<T>])> = Vec::with_capacity(ends.len());
     let mut rest: &mut [Option<T>] = &mut results;
     let mut base = 0usize;
     for &end in ends {
         let (head, tail) = rest.split_at_mut(end - base);
-        chunks.push((base, head));
+        groups.push((base, head));
         base = end;
         rest = tail;
     }
-    let run = |start: usize, out: &mut [Option<T>]| f(start..start + out.len(), out);
-    if threads <= 1 {
-        for (start, out) in chunks {
-            run(start, out);
-        }
+    let helpers = helper_count(threads, groups.len(), cores());
+    let queue = Mutex::new(groups.into_iter());
+    let drain = || loop {
+        let Some((start, out)) = queue.lock().expect("group queue").next() else {
+            break;
+        };
+        f(start..start + out.len(), out);
+    };
+    if helpers == 0 {
+        drain();
     } else {
-        chunks.reverse(); // pop() hands out low indices first
-        pool::run_chunked(chunks, threads - 1, &run);
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..helpers).map(|_| s.spawn(drain)).collect();
+            drain();
+            for handle in handles {
+                if let Err(panic) = handle.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+        });
     }
     results
         .into_iter()
@@ -351,210 +364,25 @@ pub(crate) fn par_groups_with<T: Send>(
         .collect()
 }
 
-/// The persistent worker-pool size (available parallelism, fixed at first
-/// use). [`par_map_with`] borrows at most `threads - 1` of these per call;
-/// the pool is shared by every concurrent caller in the process.
-pub fn pool_threads() -> usize {
-    pool::global().workers
-}
-
-/// Total worker OS threads the pool has ever spawned — stays at
-/// [`pool_threads`] for the process lifetime; tests pin that repeated
-/// [`par_map_with`] calls do not spawn fresh threads.
-pub fn pool_threads_spawned() -> usize {
-    pool::threads_spawned()
-}
-
-/// The persistent worker pool behind [`par_map_with`].
-///
-/// Spawning `threads` scoped OS threads per call was fine for one sweep
-/// per process, but the fabric worker calls the engine once per 32-cell
-/// chunk and `lookup_many` prefetches once per sweep stage — thousands of
-/// short-lived thread spawns per run. The pool spawns `available_parallelism`
-/// detached workers once, and each `par_map_with` call enqueues a helper
-/// job per borrowed worker; the calling thread always participates, so a
-/// busy pool degrades to inline execution instead of deadlocking.
-mod pool {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, Once, OnceLock};
-
-    /// A type-erased "help drain this call's chunk queue" handle. `run`
-    /// returns once the queue is empty; several workers may run the same
-    /// task concurrently.
-    trait TaskRun: Send + Sync {
-        fn run(&self);
-    }
-
-    struct PoolState {
-        /// Queued helper jobs, tagged by task id so an owner can cancel
-        /// its not-yet-started helpers when it finishes draining first.
-        queue: VecDeque<(u64, Arc<dyn TaskRun>)>,
-        next_task: u64,
-    }
-
-    pub(super) struct WorkerPool {
-        state: Mutex<PoolState>,
-        work_ready: Condvar,
-        pub(super) workers: usize,
-    }
-
-    static SPAWNED: AtomicUsize = AtomicUsize::new(0);
-
-    pub(super) fn threads_spawned() -> usize {
-        SPAWNED.load(Ordering::Relaxed)
-    }
-
-    pub(super) fn global() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        static START: Once = Once::new();
-        let pool = POOL.get_or_init(|| WorkerPool {
-            state: Mutex::new(PoolState {
-                queue: VecDeque::new(),
-                next_task: 0,
-            }),
-            work_ready: Condvar::new(),
-            workers: std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4),
-        });
-        START.call_once(|| {
-            for i in 0..pool.workers {
-                SPAWNED.fetch_add(1, Ordering::Relaxed);
-                std::thread::Builder::new()
-                    .name(format!("stg-pool-{i}"))
-                    .spawn(move || pool.worker_loop())
-                    .expect("spawn pool worker");
-            }
-        });
-        pool
-    }
-
-    impl WorkerPool {
-        fn worker_loop(&self) {
-            loop {
-                let job = {
-                    let mut st = self.state.lock().expect("pool state");
-                    loop {
-                        if let Some((_, task)) = st.queue.pop_front() {
-                            break task;
-                        }
-                        st = self.work_ready.wait(st).expect("pool state");
-                    }
-                };
-                job.run();
-            }
-        }
-
-        /// Enqueues `copies` helper jobs for `task`; returns the task id
-        /// for [`WorkerPool::cancel`].
-        fn submit(&self, task: Arc<dyn TaskRun>, copies: usize) -> u64 {
-            let id = {
-                let mut st = self.state.lock().expect("pool state");
-                let id = st.next_task;
-                st.next_task += 1;
-                for _ in 0..copies {
-                    st.queue.push_back((id, Arc::clone(&task)));
-                }
-                id
-            };
-            if copies == 1 {
-                self.work_ready.notify_one();
-            } else {
-                self.work_ready.notify_all();
-            }
-            id
-        }
-
-        /// Removes every not-yet-started helper job of `id`, returning how
-        /// many were cancelled. A job a worker already popped is committed
-        /// and will report completion itself.
-        fn cancel(&self, id: u64) -> usize {
-            let mut st = self.state.lock().expect("pool state");
-            let before = st.queue.len();
-            st.queue.retain(|(tid, _)| *tid != id);
-            before - st.queue.len()
-        }
-    }
-
-    /// A queue of (start index, output slice) chunks awaiting a worker.
-    type ChunkQueue<'a, T> = Vec<(usize, &'a mut [Option<T>])>;
-
-    /// One `par_groups_with` call's shared state: the chunk queue, the
-    /// chunk closure, and a completion latch for the helper jobs.
-    struct MapTask<'a, T: Send, F: Fn(usize, &mut [Option<T>]) + Sync> {
-        chunks: Mutex<ChunkQueue<'a, T>>,
-        f: &'a F,
-        done: Mutex<usize>,
-        all_done: Condvar,
-    }
-
-    impl<T: Send, F: Fn(usize, &mut [Option<T>]) + Sync> TaskRun for MapTask<'_, T, F> {
-        fn run(&self) {
-            loop {
-                let Some((start, slice)) = self.chunks.lock().expect("chunk queue").pop() else {
-                    break;
-                };
-                (self.f)(start, slice);
-            }
-            let mut done = self.done.lock().expect("done latch");
-            *done += 1;
-            self.all_done.notify_all();
-        }
-    }
-
-    /// Drains `chunks` with the calling thread plus up to `helpers` pool
-    /// workers. Returns only after every chunk ran and every helper job
-    /// that started has finished — the borrows inside `chunks`/`f` stay
-    /// valid for as long as any worker can touch them.
-    pub(super) fn run_chunked<T: Send, F: Fn(usize, &mut [Option<T>]) + Sync>(
-        chunks: Vec<(usize, &mut [Option<T>])>,
-        helpers: usize,
-        f: &F,
-    ) {
-        let task = Arc::new(MapTask {
-            chunks: Mutex::new(chunks),
-            f,
-            done: Mutex::new(0),
-            all_done: Condvar::new(),
-        });
-        let pool = global();
-        let helpers = helpers.min(pool.workers);
-        let erased: Arc<dyn TaskRun + '_> = task.clone();
-        // SAFETY: the erased handle borrows `chunks` and `f` for the
-        // caller's lifetime, not 'static. Before this function returns we
-        // (a) cancel every helper job no worker has started, (b) wait for
-        // every started helper to report completion, and (c) spin until
-        // the last worker drops its Arc clone — so no borrow is ever
-        // touched (or even held) past this call.
-        let erased: Arc<dyn TaskRun + 'static> = unsafe { std::mem::transmute(erased) };
-        let id = pool.submit(erased, helpers);
-        // The caller is always one of the drainers: if the pool is busy
-        // with other callers' work, this call still makes progress.
-        task.run();
-        let cancelled = pool.cancel(id);
-        let expect = 1 + helpers - cancelled;
-        let mut done = task.done.lock().expect("done latch");
-        while *done < expect {
-            done = task.all_done.wait(done).expect("done latch");
-        }
-        drop(done);
-        // A worker that just reported may still hold its Arc clone for an
-        // instant; wait it out so the allocation (whose type carries the
-        // caller's lifetimes) is dropped strictly inside this scope.
-        while Arc::strong_count(&task) != 1 {
-            std::thread::yield_now();
-        }
-    }
+/// Helper threads a pass of `groups` groups starts beside its calling
+/// thread when asked for `threads` threads on a machine of `cores`:
+/// `min(threads, groups, cores) - 1`, so a pass never runs more threads
+/// than it has groups or the machine has cores.
+fn helper_count(threads: usize, groups: usize, cores: usize) -> usize {
+    threads.min(groups).min(cores).saturating_sub(1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn par_map_preserves_order() {
-        let out = par_map(64, |i| i * i);
+        let out = par_map_with(64, default_threads(64), |i| i * i);
         assert_eq!(out.len(), 64);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as u64);
@@ -563,7 +391,7 @@ mod tests {
 
     #[test]
     fn par_map_handles_zero_jobs() {
-        let out: Vec<u64> = par_map(0, |i| i);
+        let out: Vec<u64> = par_map_with(0, default_threads(0), |i| i);
         assert!(out.is_empty());
     }
 
@@ -577,33 +405,108 @@ mod tests {
     }
 
     #[test]
-    fn repeated_calls_reuse_the_persistent_pool() {
-        // Warm the pool, snapshot the spawn counter, then hammer it: no
-        // call may spawn a fresh OS thread (the old implementation
-        // spawned `threads` scoped threads per call).
-        let _ = par_map_with(16, 4, |i| i);
-        let spawned = pool_threads_spawned();
-        assert_eq!(spawned, pool_threads());
-        for round in 0..32 {
-            let out = par_map_with(64, 4, |i| i + round);
-            assert_eq!(out.len(), 64);
-            assert_eq!(out[0], round);
-        }
-        assert_eq!(pool_threads_spawned(), spawned, "no fresh threads");
-    }
-
-    #[test]
     fn nested_and_concurrent_par_maps_complete() {
-        // Concurrent callers share the pool; each caller drains its own
-        // chunks, so a saturated pool cannot deadlock a call.
+        // Concurrent callers each drain their own groups with their own
+        // helpers, and a job may start a pass of its own.
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 s.spawn(move || {
                     let out = par_map_with(200, 8, |i| i * t);
                     assert_eq!(out[199], 199 * t);
+                    let nested = par_map_with(4, 4, |i| par_map_with(8, 2, |j| i + j)[7]);
+                    assert_eq!(nested, [7, 8, 9, 10]);
                 });
             }
         });
+    }
+
+    #[test]
+    fn helper_count_is_capped_by_groups_and_cores() {
+        // Pure arithmetic: no thread is started, however many are asked.
+        assert_eq!(
+            helper_count(1_000_000, 10, cores()),
+            9.min(cores() - 1),
+            "cores={}",
+            cores()
+        );
+        assert_eq!(helper_count(1_000_000, 10, 64), 9);
+        assert_eq!(helper_count(1_000_000, 1_000_000, 2), 1);
+        assert_eq!(helper_count(4, 10, 64), 3);
+        // One thread, one group or one core: the pass runs inline.
+        assert_eq!(helper_count(1, 10, 64), 0);
+        assert_eq!(helper_count(8, 1, 64), 0);
+        assert_eq!(helper_count(8, 10, 1), 0);
+        assert_eq!(helper_count(8, 0, 64), 0);
+        assert_eq!(helper_count(0, 10, 64), 0);
+    }
+
+    /// Sleeps until `flag` is set, for at most 10 s.
+    fn wait_for(flag: &AtomicBool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn a_panic_on_a_helper_reaches_the_caller() {
+        // The caller holds its group until a helper has taken the other
+        // one and panicked there. The call must panic, not hang: it runs
+        // on a watchdog thread, and the test waits for it with a bound.
+        let helpers = helper_count(2, 2, cores());
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let caller = std::thread::current().id();
+            let helper_ran = AtomicBool::new(false);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                par_map_with(2, 2, |i| {
+                    if std::thread::current().id() != caller {
+                        helper_ran.store(true, Ordering::SeqCst);
+                        panic!("job {i} panics on a helper");
+                    }
+                    if helpers > 0 {
+                        wait_for(&helper_ran);
+                    }
+                    i
+                })
+            }));
+            let _ = tx.send(result.is_err());
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the call returns or panics within 30 s");
+        // With one core the pass runs inline: no helper, no panic.
+        assert_eq!(panicked, helpers > 0, "helpers={helpers}");
+    }
+
+    #[test]
+    fn a_panic_on_the_caller_waits_for_running_helpers() {
+        // The caller panics on its group while a helper's job still runs:
+        // the call may unwind only after that job has finished and
+        // written its result.
+        let helpers = helper_count(2, 2, cores());
+        let caller_panicked = AtomicBool::new(false);
+        let finished = AtomicBool::new(false);
+        let caller = std::thread::current().id();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            par_map_with(2, 2, |i| {
+                if std::thread::current().id() == caller {
+                    caller_panicked.store(true, Ordering::SeqCst);
+                    panic!("job {i} panics on the caller");
+                }
+                wait_for(&caller_panicked);
+                std::thread::sleep(Duration::from_millis(300));
+                finished.store(true, Ordering::SeqCst);
+                i
+            })
+        }));
+        assert!(result.is_err());
+        // With one core the caller runs the groups and stops at its first.
+        assert_eq!(
+            finished.load(Ordering::SeqCst),
+            helpers > 0,
+            "helpers={helpers}"
+        );
     }
 
     #[test]

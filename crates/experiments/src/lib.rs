@@ -15,9 +15,11 @@
 //! | `all_experiments` | everything above, sequentially |
 //!
 //! Every binary runs its grid through the [`engine`]: a declarative
-//! [`engine::SweepSpec`] expanded over the scoped-thread pool, with all
-//! schedulers behind the `stg_core::Scheduler` trait and all workloads
-//! behind `stg_workloads::WorkloadKind`. Every CSV/JSON artifact — of an
+//! [`engine::SweepSpec`] evaluated on scoped threads (the calling thread
+//! plus helpers, at most one thread per core in all and no helper for a
+//! one-thread pass; see [`harness::par_map_with`]), with all schedulers
+//! behind the `stg_core::Scheduler` trait and all workloads behind
+//! `stg_workloads::WorkloadKind`. Every CSV/JSON artifact — of an
 //! in-process sweep, a merged shard set or a fabric run — is written by
 //! the one [`emit::StreamMerger`]. All binaries accept
 //! `--graphs N --seed S --timeout-ms T --csv --json --validate
@@ -41,7 +43,7 @@ pub use engine::{
     SimRecord, SingleFlight, Sweep, SweepSpec, WorkloadSpec,
 };
 pub use harness::{
-    default_threads, par_map, par_map_with, print_scheduler_registry, print_workload_registry, Args,
+    cores, default_threads, par_map_with, print_scheduler_registry, print_workload_registry, Args,
 };
 pub use stats::{summary, Summary};
 pub use stg_workloads::{WorkloadFamily, WorkloadKind};

@@ -1001,9 +1001,9 @@ impl ResultStore {
         None
     }
 
-    /// Looks up a batch of keys with `threads` workers, in a single
-    /// parallel pass (`None` key slots pass through as `None`) over the
-    /// persistent worker pool. This is the sweep engine's prefetch path:
+    /// Looks up a batch of keys on up to `threads` threads, in a single
+    /// parallel pass (`None` key slots pass through as `None`). This is
+    /// the sweep engine's prefetch path:
     /// verifying and decoding entries dominates a warm start, and it
     /// parallelizes perfectly. The result vector is index-aligned with
     /// `keys` and independent of `threads`.
