@@ -11,9 +11,13 @@
 //!   bound address prints to stderr), `--workers N` (in-process worker
 //!   threads), `--spawn N` (child `fabric work` processes),
 //!   `--lease-cells N`, `--lease-timeout-ms T`, `--eval-delay-ms D`
-//!   (forwarded to workers; fault-test hook).
+//!   (forwarded to workers; fault-test hook). Each of the `--workers`
+//!   plus `--spawn` workers gets `--threads` evaluation threads, by
+//!   default an equal share of the cores (at least one).
 //! - `fabric work --connect ADDR [--cache-dir DIR] [--threads N]
-//!   [--eval-delay-ms D] [--name S]` — one worker, runs to drain.
+//!   [--eval-delay-ms D] [--name S]` — one worker, runs to drain. It
+//!   holds N connections (default: one per core), each leasing and
+//!   evaluating on its own thread, sharing one result store.
 //! - `fabric stats --connect ADDR` — print a live coordinator's counters
 //!   as the `fabric:` line of `name=value` tokens `fabric coordinate`
 //!   prints on stderr at exit.
@@ -31,10 +35,10 @@ use std::process::{Child, Command};
 use std::time::Duration;
 
 use stg_experiments::metrics::CounterSet;
-use stg_experiments::{Args, SweepSpec};
+use stg_experiments::{cores, Args, SweepSpec};
 use stg_fabric::{
-    run_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse, FabricSnapshot,
-    OutputKind, WorkerConfig, MAX_FRAME_BYTES,
+    run_worker, threads_per_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse,
+    FabricSnapshot, OutputKind, WorkerConfig, MAX_FRAME_BYTES,
 };
 use stg_service::read_frame;
 
@@ -49,7 +53,9 @@ fn main() {
                 "usage: fabric coordinate [FABRIC FLAGS] [SWEEP FLAGS]\n\
                  \x20      fabric work --connect ADDR [--cache-dir DIR] [--threads N] \
                  [--eval-delay-ms D] [--name S]\n\
-                 \x20      fabric stats --connect ADDR"
+                 \x20      fabric stats --connect ADDR\n\
+                 fabric work --threads N holds N connections to the coordinator, each \
+                 evaluating on its own thread (default: one per core)"
             );
             std::process::exit(2);
         }
@@ -119,6 +125,10 @@ fn coordinate_main(argv: &[String]) {
     eprintln!("fabric: listening on {bound}");
 
     let eval_delay = Duration::from_millis(eval_delay_ms);
+    // About one evaluating thread per core across the whole fabric.
+    let threads = args
+        .threads
+        .unwrap_or_else(|| threads_per_worker(cores(), workers + spawn));
     let mut children: Vec<Child> = Vec::new();
     for n in 0..spawn {
         let exe = std::env::current_exe().unwrap_or_else(|e| {
@@ -130,10 +140,9 @@ fn coordinate_main(argv: &[String]) {
             .arg("--connect")
             .arg(bound.to_string())
             .arg("--name")
-            .arg(format!("spawned-{n}"));
-        if let Some(t) = args.threads {
-            cmd.arg("--threads").arg(t.to_string());
-        }
+            .arg(format!("spawned-{n}"))
+            .arg("--threads")
+            .arg(threads.to_string());
         if eval_delay_ms > 0 {
             cmd.arg("--eval-delay-ms").arg(eval_delay_ms.to_string());
         }
@@ -145,16 +154,16 @@ fn coordinate_main(argv: &[String]) {
             }
         }
     }
-    let mut threads = Vec::new();
+    let mut handles = Vec::new();
     for n in 0..workers {
         let config = WorkerConfig {
             addr: bound.to_string(),
             cache_dir: None, // the coordinator advertises --cache-dir
-            threads: args.threads,
+            threads: Some(threads),
             eval_delay,
             name: format!("inproc-{n}"),
         };
-        threads.push(std::thread::spawn(move || {
+        handles.push(std::thread::spawn(move || {
             if let Err(e) = run_worker(config) {
                 eprintln!("fabric: worker {}: {e}", config_name(n));
             }
@@ -166,8 +175,8 @@ fn coordinate_main(argv: &[String]) {
         eprintln!("ERROR: {e}");
         std::process::exit(2);
     });
-    for t in threads {
-        let _ = t.join();
+    for handle in handles {
+        let _ = handle.join();
     }
     for mut child in children {
         let _ = child.wait(); // workers exit on drain; killed ones reap here

@@ -40,4 +40,4 @@ pub use coordinator::{Coordinator, FabricConfig, FabricRunReport, LeaseTuner};
 pub use counters::{FabricCounters, FabricSnapshot};
 pub use protocol::{FabricRequest, FabricResponse, MAX_FRAME_BYTES, MAX_ROWS_PER_FRAME};
 pub use stg_experiments::{OutputKind, StreamMerger};
-pub use worker::{run_worker, WorkerConfig, WorkerReport};
+pub use worker::{run_worker, threads_per_worker, WorkerConfig, WorkerReport};

@@ -124,6 +124,42 @@ fn worker_counts_are_byte_identical() {
     }
 }
 
+/// A worker with `threads` 3 holds three connections, each leasing and
+/// evaluating on its own thread. One-cell leases are never stolen, so
+/// every reported row merges exactly once, and the worker's report must
+/// sum the rows of all three connections.
+#[test]
+fn one_worker_with_three_connections_merges_byte_identically() {
+    let config = FabricConfig {
+        lease_cells: 1,
+        ..FabricConfig::default()
+    };
+    let coordinator = Coordinator::bind(spec(), config).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let worker = std::thread::spawn(move || {
+        run_worker(WorkerConfig {
+            threads: Some(3),
+            // Keeps every connection busy long enough to take leases.
+            eval_delay: Duration::from_millis(2),
+            ..worker_config(addr)
+        })
+    });
+    let out = SharedBuf::default();
+    let report = coordinator.run(out.clone()).expect("fabric run");
+    let worker = worker
+        .join()
+        .expect("worker thread")
+        .expect("worker drains");
+    assert_eq!(out.take(), expected().0);
+    let counters = &report.counters;
+    assert_eq!(
+        worker.rows_reported,
+        counters.rows_merged + counters.rows_duplicate,
+        "{counters:?}"
+    );
+    assert_eq!(worker.leases, counters.leases_issued, "{counters:?}");
+}
+
 /// Drives a raw protocol client to the point of holding one lease.
 fn grab_lease(addr: &str) -> (TcpStream, BufReader<TcpStream>, u64) {
     let mut stream = TcpStream::connect(addr).expect("connect");
