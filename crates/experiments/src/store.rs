@@ -1512,17 +1512,8 @@ pub fn take_record(bytes: &[u8]) -> Option<Outcome> {
 /// `"outcome"` member of the service's plan responses (floats in their
 /// shortest round-trip form). No store or row format uses it.
 pub fn encode_outcome(outcome: &Outcome) -> String {
-    let mut out = String::new();
-    encode_outcome_into(&mut out, outcome);
-    out
-}
-
-/// [`encode_outcome`] appending into a caller-provided buffer (not
-/// cleared first) — batch encoders reuse one buffer across rows instead
-/// of allocating a line per cell. The appended bytes are identical to
-/// [`encode_outcome`]'s.
-pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
     use std::fmt::Write as _;
+    let mut out = String::new();
     match outcome {
         Ok(r) => {
             let m = &r.metrics;
@@ -1546,6 +1537,7 @@ pub fn encode_outcome_into(out: &mut String, outcome: &Outcome) {
             write!(out, "err {}", error_code(e)).expect("write to String");
         }
     }
+    out
 }
 
 /// A short, comma- and space-free code for a scheduling error (CSV-safe,

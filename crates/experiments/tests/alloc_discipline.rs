@@ -16,9 +16,7 @@ use std::cell::Cell;
 
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
-use stg_experiments::store::{
-    encode_outcome_into, put_record, put_rows, CellKey, Outcome, SCHEMA_VERSION,
-};
+use stg_experiments::store::{put_record, put_rows, CellKey, Outcome, SCHEMA_VERSION};
 use stg_experiments::{OutputKind, ResultStore, StreamMerger, SweepSpec};
 
 struct Counting;
@@ -198,9 +196,9 @@ fn wide_outcome() -> Outcome {
     })
 }
 
-/// Encoding outcomes into a reused buffer — records, the fabric worker's
-/// per-row hot loop (a whole row section), and the service's text
-/// outcome — allocates nothing once the buffer has grown to size.
+/// Encoding outcomes into a reused buffer — records, and the fabric
+/// worker's per-row hot loop (a whole row section) — allocates nothing
+/// once the buffer has grown to size.
 #[test]
 fn row_encoding_into_a_reused_buffer_does_not_allocate() {
     let outcome = wide_outcome();
@@ -223,15 +221,6 @@ fn row_encoding_into_a_reused_buffer_does_not_allocate() {
         }
     });
     assert_eq!(spent, 0, "100 row sections into a warmed buffer");
-    let mut text = String::with_capacity(256);
-    encode_outcome_into(&mut text, &outcome);
-    let ((), spent) = count_allocs(|| {
-        for _ in 0..1_000 {
-            text.clear();
-            encode_outcome_into(&mut text, &outcome);
-        }
-    });
-    assert_eq!(spent, 0, "1000 text encodes into a warmed buffer");
 }
 
 /// A warmed [`StreamMerger`] renders CSV rows into its one reused buffer:
