@@ -20,27 +20,29 @@ use crate::pipeline::{
     StreamingScheduler,
 };
 
-/// Interns a dynamically formatted preset name so parameterised presets
-/// (like `multiplex:<slots>`) can hand out `&'static str` names exactly
-/// like the fixed presets. The pool is bounded by the number of distinct
-/// slot counts a process ever names, so the leak is finite and
-/// deliberate.
-pub(crate) fn intern_preset(name: String) -> &'static str {
-    use std::collections::HashSet;
-    use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
-    let mut pool = POOL
-        .get_or_init(|| Mutex::new(HashSet::new()))
+/// The names of the multiplex preset at `slots` slots, its alias
+/// `multiplex:<slots>` and its display name `MUX-SCH:<slots>`, as
+/// `&'static str` like the fixed presets' names. The pool is keyed by
+/// slot count, so both are formatted on the first call for a slot count
+/// only, and every later call hands out the same pointers. It is bounded
+/// by the number of distinct slot counts a process ever names, so the
+/// leak is finite and deliberate.
+fn multiplex_names(slots: usize) -> (&'static str, &'static str) {
+    use std::collections::BTreeMap;
+    use std::sync::Mutex;
+    type Names = (&'static str, &'static str);
+    static POOL: Mutex<BTreeMap<usize, Names>> = Mutex::new(BTreeMap::new());
+    let leak = |name: String| -> &'static str { Box::leak(name.into_boxed_str()) };
+    *POOL
         .lock()
-        .expect("preset intern pool");
-    match pool.get(name.as_str()) {
-        Some(&interned) => interned,
-        None => {
-            let leaked: &'static str = Box::leak(name.into_boxed_str());
-            pool.insert(leaked);
-            leaked
-        }
-    }
+        .expect("preset intern pool")
+        .entry(slots)
+        .or_insert_with(|| {
+            (
+                leak(format!("multiplex:{slots}")),
+                leak(format!("MUX-SCH:{slots}")),
+            )
+        })
 }
 
 /// A scheduling algorithm for canonical task graphs on a fixed machine
@@ -255,7 +257,7 @@ impl Scheduler for StreamingScheduler {
 
 impl Scheduler for MultiplexScheduler {
     fn name(&self) -> &'static str {
-        intern_preset(format!("MUX-SCH:{}", self.slots()))
+        multiplex_names(self.slots()).1
     }
 
     fn pes(&self) -> usize {
@@ -368,7 +370,7 @@ impl SchedulerKind {
             SchedulerKind::Downsampler => "downsampler",
             SchedulerKind::Upsampler => "upsampler",
             SchedulerKind::NonStreaming => "nonstreaming",
-            SchedulerKind::Multiplex(slots) => intern_preset(format!("multiplex:{slots}")),
+            SchedulerKind::Multiplex(slots) => multiplex_names(*slots).0,
         }
     }
 }
@@ -519,12 +521,16 @@ mod tests {
         assert!("multiplex:0".parse::<SchedulerKind>().is_err());
         assert!("multiplex:x".parse::<SchedulerKind>().is_err());
         // Interned names are stable pointers: the same slot count always
-        // hands out the same &'static str.
+        // hands out the same &'static str, alias and display name alike,
+        // formatted once.
         let a = SchedulerKind::Multiplex(3).build(2).name();
         let b = SchedulerKind::Multiplex(3).build(5).name();
         assert!(std::ptr::eq(a, b));
         assert_eq!(a, "MUX-SCH:3");
-        assert_eq!(SchedulerKind::Multiplex(3).alias(), "multiplex:3");
+        let alias = SchedulerKind::Multiplex(3).alias();
+        assert!(std::ptr::eq(alias, SchedulerKind::Multiplex(3).alias()));
+        assert_eq!(alias, "multiplex:3");
+        assert_eq!(SchedulerKind::Multiplex(4).alias(), "multiplex:4");
     }
 
     #[test]

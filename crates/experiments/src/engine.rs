@@ -543,10 +543,16 @@ impl SweepSpec {
     /// grid or one shard slice): [`Self::run_cases_on`] through the
     /// caller's store, or, without one, through a [`SemanticTable`] that
     /// lives for this call — so every pass evaluates each distinct
-    /// (structure, PEs, scheduler, sim mode) once.
+    /// (structure, PEs, scheduler, sim mode) once. A whole pass ends with
+    /// its entries on disk: this call commits the store before it
+    /// returns.
     pub fn run_cases(&self, cases: Vec<Case>, store: Option<&ResultStore>) -> CasesResult {
         match store {
-            Some(store) => self.run_cases_on(cases, SingleFlight::Store(store)),
+            Some(store) => {
+                let result = self.run_cases_on(cases, SingleFlight::Store(store));
+                store.flush();
+                result
+            }
             None => {
                 let keys = cases.iter().filter(|c| self.cacheable(c)).count();
                 let table = SemanticTable::with_capacity(keys);
@@ -558,12 +564,19 @@ impl SweepSpec {
     /// [`Self::run_cases`] through a caller-chosen single-flight table:
     /// with a store, look every cacheable case up, evaluate the misses in
     /// parallel — each semantic key at most once, shared with concurrent
-    /// callers of the same store — persist them, and merge the outcomes
-    /// back into the input order. With a [`SemanticTable`], every
-    /// cacheable case evaluates through the table, and nothing is looked
-    /// up or persisted. Fabric workers call this with a
+    /// callers of the same store — queue them for disk, and merge the
+    /// outcomes back into the input order. With a [`SemanticTable`],
+    /// every cacheable case evaluates through the table, and nothing is
+    /// looked up or persisted. Fabric workers call this with a
     /// [`Self::cases_slice`] of each chunk of their lease, all chunks of
-    /// one lease sharing one table.
+    /// one lease sharing one table; the service calls it once per
+    /// request.
+    ///
+    /// The store's owner decides when queued entries are committed: this
+    /// call writes a segment only when
+    /// [`FLUSH_THRESHOLD`](crate::store::FLUSH_THRESHOLD) entries are
+    /// queued, and never calls [`ResultStore::flush`]. An entry that is
+    /// lost before its commit is a later miss, never a wrong answer.
     pub fn run_cases_on(&self, cases: Vec<Case>, flight: SingleFlight<'_>) -> CasesResult {
         let validate = self.validate;
         let sim = self.sim;
@@ -705,7 +718,8 @@ impl SweepSpec {
         // Stage persist + merge: outcomes land at their case index, and
         // persisting walks the cells in case order through the batched
         // segment path — one fsync per FLUSH_THRESHOLD cells instead of
-        // one per cell. A semantic entry this pass evaluated is already in
+        // one per cell, the rest left queued for the store's owner to
+        // commit. A semantic entry this pass evaluated is already in
         // the store's memory (evaluation inserted it); it joins the disk
         // queue here, once, at the first cell in case order that carries
         // its key, so the segments a pass writes do not depend on which
@@ -740,7 +754,6 @@ impl SweepSpec {
                     store.insert_batched(key, outcome);
                 }
             }
-            store.flush();
             let lifetime = store.stats();
             cell_cache.invalidations = lifetime.invalidations;
             cell_cache.evicted = lifetime.evicted;

@@ -69,7 +69,11 @@
 //! A `--cache-dir` holds one artifact kind: `seg-{hash:016x}.cells`, a
 //! binary segment of many entries, written by
 //! [`ResultStore::insert_batched`] + [`ResultStore::flush`]. One `fsync`
-//! per [`FLUSH_THRESHOLD`] cells (or per flush). A segment is the
+//! per [`FLUSH_THRESHOLD`] cells (or per flush). The store's owner picks
+//! the commit points: whole engine passes flush before they return, the
+//! service daemon flushes on a short timer and at shutdown, and a fabric
+//! worker at drain. An entry lost before its flush (a killed process) is
+//! a later miss, never a wrong answer. A segment is the
 //! `STGCELLS` magic, the `u32` schema version and the `u32` entry count,
 //! then per entry: the `u64` key hash, the `u32` lengths of the canonical
 //! key and of the record, the canonical key, the [`put_record`] record,
@@ -228,10 +232,9 @@ impl CellKey {
         scheduler: &str,
         sim_mode: &str,
     ) -> CellKey {
-        SEMANTIC_KEYS.with(|encoder| {
-            let mut encoder = encoder.borrow_mut();
-            encoder.semantic(version);
-            encoder.stripe(pes, scheduler, sim_mode);
+        SEMANTIC_KEYS.with(|encoders| {
+            let mut encoders = encoders.borrow_mut();
+            let encoder = encoders.stripe(version, pes, scheduler, sim_mode);
             encoder.key(graph_fingerprint)
         })
     }
@@ -440,6 +443,23 @@ impl KeyEncoder {
         self.sim_mode.push_str(sim_mode);
     }
 
+    /// True when this encoder's current stripe is the semantic stripe
+    /// of these inputs.
+    fn is_semantic_stripe(
+        &self,
+        version: u32,
+        pes: usize,
+        scheduler: &str,
+        sim_mode: &str,
+    ) -> bool {
+        self.semantic
+            && self.text.len() > self.head
+            && self.version == version
+            && self.pes == pes
+            && self.scheduler == scheduler
+            && self.sim_mode == sim_mode
+    }
+
     /// The key of field `value` (a seed, or a graph fingerprint) in the
     /// current stripe.
     pub(crate) fn key(&mut self, value: u64) -> CellKey {
@@ -467,14 +487,77 @@ impl KeyEncoder {
     }
 }
 
+/// Stripes a thread keeps a semantic-key encoder for: more than the
+/// (PE count, scheduler) stripes of one graph's cells on any registered
+/// grid's usual filters.
+const SEMANTIC_STRIPES: usize = 16;
+
+/// A thread's semantic-key encoders, one per recently used stripe. A
+/// graph-major job keys one graph's cells stripe after stripe, so a
+/// single encoder would re-render its tail and share a new frame for
+/// every key; one encoder per stripe renders each tail once. When all
+/// are taken, a new stripe takes the encoder taken longest ago.
+struct SemanticEncoders {
+    encoders: Vec<KeyEncoder>,
+    /// The encoder used last: the search starts there, so a run of one
+    /// stripe's keys, or a job's cycle through its stripes in the order
+    /// they were first seen, finds its encoder at the first or second
+    /// probe.
+    last: usize,
+    /// The encoder the next new stripe takes once all are in use.
+    next: usize,
+}
+
+impl SemanticEncoders {
+    const fn new() -> SemanticEncoders {
+        SemanticEncoders {
+            encoders: Vec::new(),
+            last: 0,
+            next: 0,
+        }
+    }
+
+    /// The encoder set to the semantic stripe of these inputs.
+    fn stripe(
+        &mut self,
+        version: u32,
+        pes: usize,
+        scheduler: &str,
+        sim_mode: &str,
+    ) -> &mut KeyEncoder {
+        let n = self.encoders.len();
+        if let Some(at) = (self.last..n)
+            .chain(0..self.last)
+            .find(|&at| self.encoders[at].is_semantic_stripe(version, pes, scheduler, sim_mode))
+        {
+            self.last = at;
+            return &mut self.encoders[at];
+        }
+        let at = if self.encoders.len() < SEMANTIC_STRIPES {
+            self.encoders.push(KeyEncoder::new());
+            self.encoders.len() - 1
+        } else {
+            let at = self.next;
+            self.next = (at + 1) % SEMANTIC_STRIPES;
+            at
+        };
+        self.last = at;
+        let encoder = &mut self.encoders[at];
+        encoder.semantic(version);
+        encoder.stripe(pes, scheduler, sim_mode);
+        encoder
+    }
+}
+
 thread_local! {
     /// The encoders behind [`CellKey::new`] and [`CellKey::semantic`]:
-    /// consecutive keys of one stripe on a thread share its text and
-    /// the hash state after its head.
+    /// consecutive nominal keys of one stripe on a thread, and semantic
+    /// keys of one of its recent stripes, share its text and the hash
+    /// state after its head.
     static NOMINAL_KEYS: std::cell::RefCell<KeyEncoder> =
         const { std::cell::RefCell::new(KeyEncoder::new()) };
-    static SEMANTIC_KEYS: std::cell::RefCell<KeyEncoder> =
-        const { std::cell::RefCell::new(KeyEncoder::new()) };
+    static SEMANTIC_KEYS: std::cell::RefCell<SemanticEncoders> =
+        const { std::cell::RefCell::new(SemanticEncoders::new()) };
 }
 
 crate::counter_set! {
@@ -1066,7 +1149,8 @@ impl ResultStore {
     }
 
     /// Persists all queued [`ResultStore::insert_batched`] entries into a
-    /// segment file now. Idempotent; called automatically on drop.
+    /// segment file now: the store owner's commit point. Idempotent;
+    /// called automatically on drop.
     pub fn flush(&self) {
         let entries = {
             let mut pending = self.pending.lock().expect("pending lock");

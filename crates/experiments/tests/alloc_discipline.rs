@@ -173,6 +173,40 @@ fn naming_cells_does_not_allocate_per_cell() {
     );
 }
 
+/// A graph-major job names its graph's semantic keys stripe after
+/// stripe. Each stripe keeps its own encoder on the thread, so only the
+/// first key of a stripe renders its frame.
+#[test]
+fn semantic_keys_cycling_through_stripes_do_not_allocate_per_cell() {
+    let stripes: Vec<(usize, &str)> = [2, 4, 8]
+        .into_iter()
+        .flat_map(|pes| ["sb-lts", "sb-rlx", "nonstreaming"].map(|s| (pes, s)))
+        .collect();
+    let graphs = 512;
+    let mut keys = Vec::with_capacity(graphs as usize * stripes.len());
+    let job = |keys: &mut Vec<CellKey>, fingerprint: u64| {
+        for &(pes, scheduler) in &stripes {
+            keys.push(CellKey::semantic(
+                SCHEMA_VERSION,
+                fingerprint,
+                pes,
+                scheduler,
+                "off",
+            ));
+        }
+    };
+    // The first job renders this thread's frames.
+    job(&mut keys, 0);
+    let ((), spent) = count_allocs(|| (1..graphs).for_each(|fp| job(&mut keys, fp)));
+    assert_eq!(
+        spent,
+        0,
+        "{} keys cycling through {} stripes allocated",
+        keys.len() - stripes.len(),
+        stripes.len()
+    );
+}
+
 /// A validated outcome with every field at an extreme.
 fn wide_outcome() -> Outcome {
     Ok(stg_experiments::engine::Record {

@@ -13,6 +13,13 @@
 //! span the lease's chunks, and the lease size cap bounds it on any grid,
 //! where a table kept for the worker's lifetime would grow with the grid.
 //!
+//! A worker with a store commits it at two points: a segment file each
+//! time [`FLUSH_THRESHOLD`](stg_experiments::store::FLUSH_THRESHOLD)
+//! entries are queued, and one more at drain, after every connection has
+//! stopped. A chunk's rows are reported before its entries reach the
+//! disk. A killed worker loses only its uncommitted entries, which a
+//! later run evaluates again as misses, never as wrong answers.
+//!
 //! Workers are expendable by design: any post-handshake I/O failure is a
 //! graceful drain (the coordinator re-queues whatever the connection
 //! held), and a `gone` ack makes a connection abandon the lease
@@ -124,7 +131,7 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, String> {
         other => return Err(format!("unexpected handshake reply: {}", other.frame())),
     };
     spec.threads = Some(1);
-    // One store for every connection, flushed when it drops.
+    // One store for every connection, committed at drain.
     let store = match config.cache_dir.clone().or(cache_dir.map(PathBuf::from)) {
         Some(dir) => Some(
             ResultStore::at_dir(&dir)
@@ -160,6 +167,9 @@ pub fn run_worker(config: WorkerConfig) -> Result<WorkerReport, String> {
         }
         results
     });
+    if let Some(store) = store {
+        store.flush();
+    }
     let mut report = WorkerReport::default();
     for r in results {
         let r = r?;

@@ -10,6 +10,7 @@ use std::time::{Duration, Instant};
 
 use stg_core::SchedulerKind;
 use stg_experiments::engine::{SimChoice, WorkloadSpec};
+use stg_experiments::store::FLUSH_THRESHOLD;
 use stg_experiments::SweepSpec;
 use stg_fabric::{
     run_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse, FabricRunReport,
@@ -392,6 +393,25 @@ fn shared_cache_dir_serves_warm_reruns() {
         cold_report.counters.cell_cache.misses > 0,
         "{:?}",
         cold_report.counters
+    );
+    // The 42-cell grid (a nominal and a semantic entry per cell) stays
+    // under FLUSH_THRESHOLD, so each worker commits its store once, at
+    // drain, not once per reported chunk.
+    assert!(2 * spec().total_cases() < FLUSH_THRESHOLD);
+    let segments: Vec<String> = std::fs::read_dir(&dir)
+        .expect("cache dir exists")
+        .flatten()
+        .map(|d| d.file_name().to_string_lossy().into_owned())
+        .collect();
+    assert!(
+        !segments.is_empty() && segments.len() <= 2,
+        "2 workers left {segments:?}"
+    );
+    assert!(
+        segments
+            .iter()
+            .all(|n| n.starts_with("seg-") && n.ends_with(".cells")),
+        "{segments:?}"
     );
 
     let (warm, warm_report) = run_fabric(config(), 2);

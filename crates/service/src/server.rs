@@ -15,11 +15,21 @@
 //! and the accept loop exit, and [`Daemon::wait`] returns once every frame
 //! already handed to a connection's writer — the shutdown ack included —
 //! is written or counted in `frames_dropped`.
+//!
+//! Group commit: a request's new store entries are queued, not written,
+//! before its reply goes out. A committer thread, started by the first
+//! dispatched request, flushes the service store every
+//! [`COMMIT_INTERVAL`], and [`Daemon::wait`] commits once more after the
+//! drain. So a reply may precede its entry's fsync by up to
+//! [`COMMIT_INTERVAL`], a clean shutdown leaves every answered miss on
+//! disk, and a killed daemon loses only its uncommitted entries, which a
+//! later daemon answers as misses, never wrongly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex, Once};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,6 +44,11 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// How long [`Daemon::wait`] waits for frames still in flight after the
 /// drain: only a client that stopped reading holds a writer that long.
 const FLUSH_BOUND: Duration = Duration::from_secs(5);
+
+/// How often the daemon commits the service store's queued entries to a
+/// segment file: the longest a reply may precede its entry's fsync, and
+/// so the window of answered misses a killed daemon can lose.
+pub const COMMIT_INTERVAL: Duration = Duration::from_millis(10);
 
 /// One admitted unit of work: the request plus the connection's writer.
 struct Job {
@@ -50,6 +65,52 @@ struct Writer {
     in_flight: Arc<AtomicU64>,
 }
 
+/// The daemon's group commit: one thread that flushes the service store
+/// every [`COMMIT_INTERVAL`] until stopped. It starts with the first
+/// dispatched request, so a daemon that serves none never starts it.
+struct Committer {
+    start: Once,
+    /// The running thread, and the sender whose drop stops it.
+    running: Mutex<Option<(mpsc::Sender<()>, JoinHandle<()>)>>,
+}
+
+impl Committer {
+    fn new() -> Committer {
+        Committer {
+            start: Once::new(),
+            running: Mutex::new(None),
+        }
+    }
+
+    /// Starts the commit thread on the first call; later calls return at
+    /// once. Should the thread fail to start, entries are committed at
+    /// [`FLUSH_THRESHOLD`](stg_experiments::store::FLUSH_THRESHOLD) and
+    /// by [`Daemon::wait`] only.
+    fn start(&self, service: &Arc<Service>) {
+        self.start.call_once(|| {
+            let (stop, stopped) = mpsc::channel::<()>();
+            let service = Arc::clone(service);
+            let thread = std::thread::Builder::new()
+                .name("commit".into())
+                .spawn(move || {
+                    while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(COMMIT_INTERVAL)
+                    {
+                        service.store().flush();
+                    }
+                });
+            *self.running.lock().expect("committer lock") = thread.ok().map(|t| (stop, t));
+        });
+    }
+
+    /// Stops and joins the commit thread, if it ever started.
+    fn stop(&self) {
+        if let Some((stop, thread)) = self.running.lock().expect("committer lock").take() {
+            drop(stop);
+            let _ = thread.join();
+        }
+    }
+}
+
 /// The running daemon: listener address plus the handles needed to stop
 /// and join it.
 pub struct Daemon {
@@ -60,12 +121,14 @@ pub struct Daemon {
     in_flight: Arc<AtomicU64>,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
+    committer: Arc<Committer>,
 }
 
 impl Daemon {
     /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
     /// the accept loop and `workers` pool threads over the bounded
-    /// admission queue.
+    /// admission queue. The store's committer starts later, with the
+    /// first dispatched request.
     pub fn bind(
         addr: impl ToSocketAddrs,
         service: Arc<Service>,
@@ -94,11 +157,13 @@ impl Daemon {
         };
         let stopping = Arc::new(AtomicBool::new(false));
         let in_flight = Arc::new(AtomicU64::new(0));
+        let committer = Arc::new(Committer::new());
 
         let mut pool = Vec::with_capacity(workers);
         for _ in 0..workers {
             let queue = Arc::clone(&queue);
             let service = Arc::clone(&service);
+            let committer = Arc::clone(&committer);
             pool.push(std::thread::spawn(move || {
                 while let Some(job) = queue.pop() {
                     for frame in service.dispatch(job.client, &job.request) {
@@ -106,6 +171,9 @@ impl Daemon {
                         // the client hung up.
                         send(&service, &job.out, frame);
                     }
+                    // After the reply: starting the committer is no part
+                    // of a request's latency.
+                    committer.start(&service);
                 }
             }));
         }
@@ -142,6 +210,7 @@ impl Daemon {
             in_flight,
             accept: Some(accept),
             workers: pool,
+            committer,
         })
     }
 
@@ -166,14 +235,21 @@ impl Daemon {
     }
 
     /// Waits for the drain to complete: all queued work served, workers
-    /// and accept loop exited, and every frame handed to a writer written
-    /// or counted in `frames_dropped` (for at most five seconds). Open
-    /// connections are not waited for — their reader threads die with
-    /// their sockets — so an idle client cannot hold the drain up.
+    /// and accept loop exited, the store committed, and every frame handed
+    /// to a writer written or counted in `frames_dropped` (for at most
+    /// five seconds). Open connections are not waited for — their reader
+    /// threads die with their sockets — so an idle client cannot hold the
+    /// drain up.
+    ///
+    /// The committer stops after the workers, and the store is flushed
+    /// once more after it, so every miss the daemon answered is on disk
+    /// when this returns.
     pub fn wait(mut self) {
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        self.committer.stop();
+        self.service.store().flush();
         if let Some(a) = self.accept.take() {
             let _ = a.join();
         }

@@ -10,7 +10,7 @@
 //! sockets.
 //!
 //! Warm requests never re-schedule: a plan request runs as a one-cell
-//! engine sweep over the shared store, keyed by the same
+//! engine pass over the shared store, keyed by the same
 //! content-addressed `CellKey` the sweep engine uses. On a nominal miss
 //! the engine evaluates through the semantic (graph-fingerprint) key, so
 //! a spec delta that leaves the graph unchanged — e.g. a seed change on a
@@ -20,11 +20,20 @@
 //! (`cell_cache_repaired` in the stats frame counts both kinds).
 //! Responses are byte-identical either way — the `outcome` payload is the
 //! engine's canonical serialization, which stores no wall-clocks.
+//!
+//! A request queues its misses for disk but does not commit them: the
+//! store's owner does. The daemon ([`crate::server::Daemon`]) flushes the
+//! store on a short timer and once more when it shuts down, so a reply
+//! may precede its entry's fsync; a caller that drives [`Service::handle`]
+//! itself commits with `store().flush()`. An entry lost before its commit
+//! is a later miss, never a wrong answer.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use stg_experiments::{ResultStore, StoreStats, Sweep, SweepSpec};
+use stg_experiments::{
+    CasesResult, MergeTallies, ResultStore, SingleFlight, StoreStats, SweepSpec,
+};
 use stg_workloads::WorkloadFamily;
 
 use crate::counters::Counters;
@@ -172,13 +181,13 @@ impl Service {
         self.dispatch(client, &request)
     }
 
-    /// Evaluates one plan request as a one-cell engine run over the
+    /// Evaluates one plan request as a one-cell engine pass over the
     /// shared store: the engine does the cache lookup, falls back to the
     /// semantic (fingerprint-keyed) entry on a nominal miss, evaluates
     /// only when both miss and no other worker is evaluating the same
-    /// semantic key (else it takes that worker's outcome), and persists
-    /// through the store's batched insert + flush path (one segment file
-    /// per request that missed). Returns (frames, eval_micros,
+    /// semantic key (else it takes that worker's outcome), and queues
+    /// the new entries on the store's batched insert path for the
+    /// store's owner to commit. Returns (frames, eval_micros,
     /// sched_errors).
     fn plan(&self, req: &PlanRequest) -> (Vec<String>, u64, u64) {
         if !self.config.eval_delay.is_zero() {
@@ -192,8 +201,8 @@ impl Service {
             .cases()
             .pop()
             .expect("a plan request expands to exactly one case");
-        let (sweep, eval_micros) = self.run(&spec);
-        let outcome = sweep
+        let (result, eval_micros) = self.run(&spec);
+        let outcome = result
             .runs
             .into_iter()
             .next()
@@ -223,10 +232,10 @@ impl Service {
         if let Err(frame) = self.check_size(req.id, &req.spec) {
             return (vec![frame], 0, 0);
         }
-        let (sweep, eval_micros) = self.run(&req.spec);
-        let errors = sweep.errors() as u64;
-        let mut frames = Vec::with_capacity(sweep.runs.len() + 1);
-        for run in &sweep.runs {
+        let (result, eval_micros) = self.run(&req.spec);
+        let errors = MergeTallies::of(&result.runs).errors as u64;
+        let mut frames = Vec::with_capacity(result.runs.len() + 1);
+        for run in &result.runs {
             frames.push(
                 RecordResponse {
                     id: req.id,
@@ -243,7 +252,7 @@ impl Service {
         frames.push(
             DoneResponse {
                 id: req.id,
-                cases: sweep.runs.len(),
+                cases: result.runs.len(),
                 errors: errors as usize,
             }
             .frame(),
@@ -251,21 +260,21 @@ impl Service {
         (frames, eval_micros, errors)
     }
 
-    /// Runs `spec` as one engine sweep over the shared store and folds its
-    /// leap telemetry into the totals. Also returns the evaluation
-    /// wall-clock in microseconds, 0 unless a cell was evaluated: warm
-    /// cells (nominal hits and semantic repairs alike, including an
-    /// outcome taken over from another worker's evaluation) never
-    /// re-schedule. The counts are this request's own, not the shared
-    /// store's.
-    fn run(&self, spec: &SweepSpec) -> (Sweep, u64) {
+    /// Runs `spec` as one engine pass over the shared store, without
+    /// committing it, and folds its leap telemetry into the totals. Also
+    /// returns the evaluation wall-clock in microseconds, 0 unless a cell
+    /// was evaluated: warm cells (nominal hits and semantic repairs
+    /// alike, including an outcome taken over from another worker's
+    /// evaluation) never re-schedule. The counts are this request's own,
+    /// not the shared store's.
+    fn run(&self, spec: &SweepSpec) -> (CasesResult, u64) {
         let t0 = Instant::now();
-        let sweep = spec.run_with(Some(&self.store));
+        let result = spec.run_cases_on(spec.cases(), SingleFlight::Store(&self.store));
         let micros = t0.elapsed().as_micros() as u64;
-        self.counters.totals().leap.absorb(&sweep.leap);
-        let warm = sweep.cell_cache.hits + sweep.cell_cache.repaired;
-        let evaluated = warm < sweep.runs.len() as u64;
-        (sweep, if evaluated { micros } else { 0 })
+        self.counters.totals().leap.absorb(&result.leap);
+        let warm = result.cell_cache.hits + result.cell_cache.repaired;
+        let evaluated = warm < result.runs.len() as u64;
+        (result, if evaluated { micros } else { 0 })
     }
 
     /// Rejects a spec before anything expands it when its whole grid
@@ -496,27 +505,42 @@ mod tests {
             ..ServiceConfig::default()
         })
         .unwrap();
-        for seed in 0..3 {
-            let line =
-                format!(r#"{{"workload":"chain:8","seed":{seed},"pes":2,"scheduler":"sb-lts"}}"#);
-            s.handle(1, &line);
+        let lines: Vec<String> = (0..3)
+            .map(|seed| {
+                format!(r#"{{"workload":"chain:8","seed":{seed},"pes":2,"scheduler":"sb-lts"}}"#)
+            })
+            .collect();
+        for line in &lines {
+            s.handle(1, line);
         }
         assert_eq!(s.store_stats().misses, 3);
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .expect("cache dir exists")
-            .flatten()
-            .map(|d| d.file_name().to_string_lossy().into_owned())
-            .collect();
-        // The plan path persists through the engine's batched insert +
-        // flush: one segment file per missed request, and no temp file
-        // left behind.
-        assert_eq!(names.len(), 3, "{names:?}");
+        // A request queues its entries and commits nothing: the store's
+        // owner picks the commit point.
+        let names = || -> Vec<String> {
+            std::fs::read_dir(&dir)
+                .expect("cache dir exists")
+                .flatten()
+                .map(|d| d.file_name().to_string_lossy().into_owned())
+                .collect()
+        };
+        assert_eq!(names(), Vec::<String>::new(), "nothing committed yet");
+        s.store().flush();
+        // One commit, one segment holding all three misses, and no temp
+        // file left behind.
+        let names = names();
+        assert_eq!(names.len(), 1, "{names:?}");
         assert!(
             names
                 .iter()
                 .all(|n| n.starts_with("seg-") && n.ends_with(".cells")),
             "only segment files written: {names:?}"
         );
+        let reopened = Service::new(s.config().clone()).unwrap();
+        for line in &lines {
+            reopened.handle(1, line);
+        }
+        let stats = reopened.store_stats();
+        assert_eq!((stats.hits, stats.misses), (3, 0), "{stats:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

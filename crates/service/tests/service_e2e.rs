@@ -322,6 +322,16 @@ fn warm_path_survives_daemon_restart_with_cache_dir() {
     let dir = temp_cache_dir("warm");
     let request =
         r#"{"id":1,"workload":"fft:32","seed":2,"pes":16,"scheduler":"sb-lts","sim":"batched"}"#;
+    // Distinct cells answered back to back right before the shutdown, so
+    // the commit timer has most likely not written the last of them.
+    let misses: Vec<String> = (0..4)
+        .map(|seed| {
+            format!(
+                r#"{{"id":{},"workload":"chain:8","seed":{seed},"pes":4,"scheduler":"sb-rlx","sim":"batched"}}"#,
+                10 + seed
+            )
+        })
+        .collect();
     let config = || ServiceConfig {
         cache_dir: Some(dir.clone()),
         ..ServiceConfig::default()
@@ -339,8 +349,18 @@ fn warm_path_survives_daemon_restart_with_cache_dir() {
     assert_eq!(cold, warm, "cache hits must be byte-identical");
     let store = stats(daemon.addr()).cell_cache;
     assert_eq!((store.hits, store.misses), (1, 1));
+    let answers: Vec<String> = misses
+        .iter()
+        .map(|line| {
+            c.send(line);
+            c.recv()
+        })
+        .collect();
+    let store = stats(daemon.addr()).cell_cache;
+    assert_eq!(store.misses, 1 + misses.len() as u64);
 
-    // Graceful shutdown through the protocol.
+    // Graceful shutdown through the protocol: `wait` commits whatever
+    // the timer has not.
     c.send(r#"{"cmd":"shutdown","id":9}"#);
     match parse_response(&c.recv()).expect("ack parses") {
         Response::Done(d) => assert_eq!(d.id, 9),
@@ -348,16 +368,21 @@ fn warm_path_survives_daemon_restart_with_cache_dir() {
     }
     daemon.wait();
 
-    // Restarted daemon, same cache dir: the very first request is warm —
-    // no re-scheduling (zero evaluation time recorded), identical bytes.
+    // Restarted daemon, same cache dir: every cell the first daemon
+    // answered is warm — no re-scheduling (zero evaluation time
+    // recorded), identical bytes.
     let daemon = start(config(), 2, 16);
     let mut c = Client::connect(daemon.addr());
     c.send(request);
     let restarted = c.recv();
     assert_eq!(restarted, cold, "disk cache must reproduce the bytes");
+    for (line, answer) in misses.iter().zip(&answers) {
+        c.send(line);
+        assert_eq!(&c.recv(), answer, "{line}");
+    }
     let stats = stats(daemon.addr());
     let store = stats.cell_cache;
-    assert_eq!((store.hits, store.misses), (1, 0));
+    assert_eq!((store.hits, store.misses), (1 + misses.len() as u64, 0));
     assert_eq!(
         stats.service.eval_micros, 0,
         "warm requests never re-schedule"
