@@ -463,7 +463,46 @@ fn serve_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::ServiceConfig;
     use std::io::Cursor;
+
+    /// The committer starts with the first dispatched request: binding
+    /// and control frames leave it stopped, so a daemon's set-up does not
+    /// pay for a thread it may never need.
+    #[test]
+    fn the_committer_starts_with_the_first_dispatched_request() {
+        let service = Arc::new(Service::new(ServiceConfig::default()).expect("in-memory service"));
+        let daemon = Daemon::bind("127.0.0.1:0", service, 1, 4).expect("daemon binds");
+        let started = || {
+            daemon
+                .committer
+                .running
+                .lock()
+                .expect("committer lock")
+                .is_some()
+        };
+        let stream = TcpStream::connect(daemon.addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+        let mut exchange = |line: &str| {
+            (&stream)
+                .write_all(format!("{line}\n").as_bytes())
+                .expect("send");
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("recv");
+            reply
+        };
+        exchange(r#"{"cmd":"stats"}"#);
+        assert!(!started(), "a control frame starts no committer");
+        exchange(r#"{"workload":"chain:8","seed":1,"pes":2,"scheduler":"sb-lts"}"#);
+        // The worker starts it right after handing the reply over.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !started() {
+            assert!(Instant::now() < deadline, "no committer after a dispatch");
+            std::thread::yield_now();
+        }
+        daemon.shutdown();
+        daemon.wait();
+    }
 
     #[test]
     fn read_frame_splits_lines_and_handles_eof() {
