@@ -32,20 +32,25 @@ impl TaskPrecedence {
         // Frontier of nearest compute ancestors for each non-compute node.
         let order = topological_order(dag).expect("canonical graphs are acyclic");
         let mut frontier: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut edge_seen = std::collections::HashSet::new();
+        // Every edge into task `tv` is added while `tv` is visited, so a
+        // source task whose last added edge already ends at `tv` would
+        // repeat that edge: `last_target[tu]` removes duplicates exactly.
+        // (`u32::MAX` is no task's id: that would take 2^32 tasks.)
+        let mut last_target: Vec<u32> = vec![u32::MAX; out.node_count()];
         for &v in &order {
             if let Some(tv) = task_of[v.index()] {
+                let mut add = |tu: NodeId| {
+                    if last_target[tu.index()] != tv.0 {
+                        last_target[tu.index()] = tv.0;
+                        out.add_edge(tu, tv, ());
+                    }
+                };
                 for u in dag.predecessors(v) {
                     if let Some(tu) = task_of[u.index()] {
-                        if edge_seen.insert((tu, tv)) {
-                            out.add_edge(tu, tv, ());
-                        }
+                        add(tu);
                     } else {
                         for &a in &frontier[u.index()] {
-                            let ta = task_of[a.index()].expect("frontier holds compute nodes");
-                            if edge_seen.insert((ta, tv)) {
-                                out.add_edge(ta, tv, ());
-                            }
+                            add(task_of[a.index()].expect("frontier holds compute nodes"));
                         }
                     }
                 }
@@ -80,7 +85,115 @@ impl TaskPrecedence {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use stg_model::Builder;
+    use stg_workloads::{WorkloadFamily, WorkloadKind};
+
+    /// The edge list of the precedence DAG as it was built before the
+    /// per-source stamps: duplicates removed through a set of every edge
+    /// added so far.
+    fn oracle_edges(g: &CanonicalGraph) -> Vec<(NodeId, NodeId)> {
+        let dag = g.dag();
+        let n = dag.node_count();
+        let mut task_of: Vec<Option<NodeId>> = vec![None; n];
+        for (i, v) in g.compute_nodes().enumerate() {
+            task_of[v.index()] = Some(NodeId(i as u32));
+        }
+        let order = topological_order(dag).expect("canonical graphs are acyclic");
+        let mut frontier: Vec<Vec<NodeId>> = vec![Vec::new(); n];
+        let mut edge_seen = std::collections::HashSet::new();
+        let mut edges = Vec::new();
+        for &v in &order {
+            if let Some(tv) = task_of[v.index()] {
+                for u in dag.predecessors(v) {
+                    if let Some(tu) = task_of[u.index()] {
+                        if edge_seen.insert((tu, tv)) {
+                            edges.push((tu, tv));
+                        }
+                    } else {
+                        for &a in &frontier[u.index()] {
+                            let ta = task_of[a.index()].expect("frontier holds compute nodes");
+                            if edge_seen.insert((ta, tv)) {
+                                edges.push((ta, tv));
+                            }
+                        }
+                    }
+                }
+            } else {
+                let mut f: Vec<NodeId> = Vec::new();
+                for u in dag.predecessors(v) {
+                    if task_of[u.index()].is_some() {
+                        f.push(u);
+                    } else {
+                        f.extend_from_slice(&frontier[u.index()]);
+                    }
+                }
+                f.sort_unstable();
+                f.dedup();
+                frontier[v.index()] = f;
+            }
+        }
+        edges
+    }
+
+    /// The edges of `TaskPrecedence::build(g)`, in insertion order.
+    fn built_edges(g: &CanonicalGraph) -> Vec<(NodeId, NodeId)> {
+        let p = TaskPrecedence::build(g);
+        p.dag.edges().map(|(_, e)| (e.src, e.dst)).collect()
+    }
+
+    #[test]
+    fn every_registered_family_builds_the_oracle_edges() {
+        for kind in WorkloadKind::registered() {
+            for seed in 0..3 {
+                let g = kind.build(seed);
+                assert_eq!(
+                    built_edges(&g),
+                    oracle_edges(&g),
+                    "{} seed {seed}",
+                    kind.spec()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random DAGs whose nodes are half buffers: buffer chains, fans
+        /// through buffers and parallel edges all reach the deduplication.
+        #[test]
+        fn random_graphs_with_buffer_chains_build_the_oracle_edges(
+            seed in any::<u64>(),
+            n in 2usize..40,
+            m in 0usize..120,
+        ) {
+            // SplitMix64 over the seed draws node kinds and edges.
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) as usize
+            };
+            let mut b = Builder::new();
+            let ids: Vec<NodeId> = (0..n)
+                .map(|i| match next() % 2 {
+                    0 => b.buffer(format!("b{i}")),
+                    _ => b.compute(format!("t{i}")),
+                })
+                .collect();
+            for _ in 0..m {
+                let (x, y) = (next() % n, next() % n);
+                if x != y {
+                    b.edge(ids[x.min(y)], ids[x.max(y)], 1);
+                }
+            }
+            let g = b.finish_unchecked();
+            prop_assert_eq!(built_edges(&g), oracle_edges(&g));
+        }
+    }
 
     #[test]
     fn direct_edges_preserved() {

@@ -11,7 +11,7 @@ use std::str::FromStr;
 
 use stg_analysis::{GraphFacts, Partition, Schedule, ScheduleError};
 use stg_buffer::BufferPlan;
-use stg_des::{same_sim_inputs, SimKind, SimResult};
+use stg_des::{SimInputs, SimKind, SimResult};
 use stg_model::CanonicalGraph;
 use stg_sched::{assign_pes, Metrics, Placement, SbVariant};
 
@@ -159,16 +159,24 @@ impl Plan {
         }
     }
 
-    /// True when validating this plan and `other` (plans of one graph)
-    /// runs the simulator on identical inputs (see
-    /// [`same_sim_inputs`]), so both validations return the same
-    /// [`SimResult`]. Always false for buffered baseline plans: their
+    /// What validating this plan feeds the simulator, for streaming
+    /// plans: two plans of one graph with equal inputs validate to the
+    /// same [`SimResult`]. `None` for buffered baseline plans: their
     /// validation runs no simulator.
+    pub fn sim_inputs(&self) -> Option<SimInputs<'_>> {
+        match &self.detail {
+            PlanDetail::Streaming(p) => Some(SimInputs::of(p.schedule(), &p.buffers)),
+            PlanDetail::NonStreaming(_) => None,
+        }
+    }
+
+    /// True when validating this plan and `other` (plans of one graph)
+    /// runs the simulator on identical inputs ([`Self::sim_inputs`]), so
+    /// both validations return the same [`SimResult`]. Always false for
+    /// buffered baseline plans.
     pub fn simulates_like(&self, other: &Plan) -> bool {
-        match (&self.detail, &other.detail) {
-            (PlanDetail::Streaming(a), PlanDetail::Streaming(b)) => {
-                same_sim_inputs((a.schedule(), &a.buffers), (b.schedule(), &b.buffers))
-            }
+        match (self.sim_inputs(), other.sim_inputs()) {
+            (Some(a), Some(b)) => a == b,
             _ => false,
         }
     }

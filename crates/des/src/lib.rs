@@ -31,8 +31,8 @@ mod sim;
 
 pub use batch::{take_leap_telemetry, BatchedSim, LeapStats};
 pub use sim::{
-    same_sim_inputs, simulate, simulate_kind, simulate_with, simulate_with_kind, Event,
-    ParseSimKindError, ReferenceSim, SimConfig, SimFailure, SimKind, SimResult, Simulator,
+    simulate, simulate_kind, simulate_with, simulate_with_kind, Event, ParseSimKindError,
+    ReferenceSim, SimConfig, SimFailure, SimInputs, SimKind, SimResult, Simulator,
 };
 
 /// The Figure 13 error metric: `(simulated − analytic) / analytic`.

@@ -246,17 +246,34 @@ pub fn simulate_with(
     ReferenceSim.simulate_with(g, schedule, &capacity_of, config)
 }
 
-/// True when [`simulate_kind`] gets identical inputs from the two
-/// schedule/buffer-plan pairs of one graph, so both runs return the same
-/// [`SimResult`] (with the same [`SimConfig`]). The simulators read only
-/// each compute node's block ([`Schedule::block_of`]), the block count,
-/// the streaming-edge flags and the plan's FIFO capacities; start and
-/// completion times never reach them.
-pub fn same_sim_inputs(a: (&Schedule, &BufferPlan), b: (&Schedule, &BufferPlan)) -> bool {
-    a.0.block_spans.len() == b.0.block_spans.len()
-        && a.0.block_of == b.0.block_of
-        && a.0.streaming_edge == b.0.streaming_edge
-        && a.1.capacity == b.1.capacity
+/// Everything [`simulate_kind`] reads from a schedule and its buffer
+/// plan: each compute node's block ([`Schedule::block_of`]), the block
+/// count, the streaming-edge flags and the plan's FIFO capacities. Start
+/// and completion times never reach the simulators, so two pairs of one
+/// graph with equal inputs return the same [`SimResult`] (with the same
+/// [`SimConfig`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SimInputs<'a> {
+    /// Number of spatial blocks.
+    pub blocks: usize,
+    /// Block index per node (`None` for non-compute nodes).
+    pub block_of: &'a [Option<u32>],
+    /// Streaming flag per edge.
+    pub streaming_edge: &'a [bool],
+    /// FIFO capacity per edge (`None` for non-streaming edges).
+    pub capacity: &'a [Option<u64>],
+}
+
+impl<'a> SimInputs<'a> {
+    /// The inputs a simulation of `schedule` under `plan` reads.
+    pub fn of(schedule: &'a Schedule, plan: &'a BufferPlan) -> SimInputs<'a> {
+        SimInputs {
+            blocks: schedule.block_spans.len(),
+            block_of: &schedule.block_of,
+            streaming_edge: &schedule.streaming_edge,
+            capacity: &plan.capacity,
+        }
+    }
 }
 
 /// Runs the chosen simulator with the capacities of a computed buffer plan.

@@ -11,12 +11,14 @@
 //!    [`CellKey`] ([`SweepSpec::run_cases`]);
 //! 3. **lookup / evaluate / persist** — cells found in an optional
 //!    [`ResultStore`] are reused; the rest are evaluated on scoped
-//!    threads in one job per graph instance, whose cells share that graph's
-//!    [`GraphFacts`] and every simulation with identical inputs, and
-//!    each distinct graph structure at most once: through the store's
-//!    single-flight evaluation when there is a store, else through
-//!    a [`SemanticTable`] that lives for the call (or, in a fabric
-//!    worker, for one lease). Only a store persists them;
+//!    threads in one job per graph instance, whose cells share that
+//!    graph's [`GraphFacts`] and every simulation with identical inputs
+//!    (a job of one cell shares through the store's simulation memo,
+//!    across passes), and each distinct graph structure at most once:
+//!    through the store's single-flight evaluation when there is a
+//!    store, else through a [`SemanticTable`] that lives for the call
+//!    (or, in a fabric worker, for one lease). Only a store persists
+//!    them;
 //! 4. **merge** — outcomes are assembled back into index order into a
 //!    [`Sweep`], whose [`Sweep::emit`] pushes them through the one
 //!    [`StreamMerger`]: byte-stable CSV/JSON regardless of which cells
@@ -57,6 +59,7 @@ use crate::emit::{MergeReport, MergeTallies, OutputKind, StreamMerger};
 use crate::harness::{default_threads, par_groups_with, par_map_with, Args};
 use crate::json::{self, Json};
 use crate::metrics::LeapCounters;
+use crate::sim_memo::{SimMemo, Simulated};
 use crate::store::{
     fnv1a_fold, CellKey, KeyEncoder, Outcome, ResultStore, SemanticKey, SemanticTable, StoreStats,
     FNV_BASIS, SCHEMA_VERSION,
@@ -625,8 +628,14 @@ impl SweepSpec {
         // precedence, levels, list priority) run once per graph, on first
         // use. Cells whose plans give the simulator identical inputs share
         // one simulation (`SharedSims`); each still computes its own
-        // partition, schedule, buffers and `rel_err_pct`. `--sim-timing`
-        // passes share no simulation: every cell reports its own clocks.
+        // partition, schedule, buffers and `rel_err_pct`. A one-cell job
+        // (every service plan request, every cell of a stripe-major fabric
+        // chunk) has no cell to share with: through a store, it looks its
+        // plan up in the store's simulation memo instead and offers the
+        // simulation it runs, sharing it with later passes through the
+        // store. Jobs of several cells leave the memo alone, so a one-pass
+        // sweep keeps nothing extra. `--sim-timing` passes share no
+        // simulation: every cell reports its own clocks.
         //
         // Every cacheable miss evaluates through its *semantic* key, built
         // from the graph's structural fingerprint (see `SemanticKey`): the
@@ -663,18 +672,28 @@ impl SweepSpec {
             let (g, hit) = first.workload.instantiate_traced(first.seed);
             let facts = GraphFacts::new(&g);
             let fingerprint = OnceCell::new();
-            let share = share_sims && cells.len() > 1;
+            let fingerprint = || *fingerprint.get_or_init(|| g.fingerprint());
+            // A job of several cells shares simulations among them; a
+            // one-cell job, through a store, with earlier passes through
+            // the store's memo.
+            let memo = store
+                .filter(|_| share_sims && cells.len() == 1)
+                .map(ResultStore::sim_memo);
             let run = |out: &mut [Option<EvaluatedCell>]| {
                 let mut shared = SharedSims::new();
                 for (k, (&i, slot)) in cells.iter().zip(out).enumerate() {
                     let case = &cases[i];
                     let mut eval = || {
-                        let shared = share.then_some(&mut shared);
-                        evaluate(case, &facts, validate, sim, shared)
+                        let share = match memo {
+                            Some(memo) => SimShare::Memo(memo, fingerprint()),
+                            None if share_sims && cells.len() > 1 => SimShare::Job(&mut shared),
+                            None => SimShare::Nothing,
+                        };
+                        evaluate(case, &facts, validate, sim, share)
                     };
                     let (outcome, repaired, semantic) = if self.cacheable(case) {
                         let key = SemanticKey {
-                            fingerprint: *fingerprint.get_or_init(|| g.fingerprint()),
+                            fingerprint: fingerprint(),
                             pes: case.pes,
                             scheduler: case.scheduler,
                             sim: validate.then_some(sim),
@@ -694,7 +713,7 @@ impl SweepSpec {
                 }
             };
             if wait_for_structures && self.cacheable(first) {
-                let fp = *fingerprint.get_or_init(|| g.fingerprint());
+                let fp = fingerprint();
                 let latch = Arc::clone(
                     structures
                         .lock()
@@ -1486,29 +1505,30 @@ fn graph_major(cases: &[Case], todo: &mut Vec<usize>) -> Vec<usize> {
 /// again. Dropped with the job.
 type SharedSims = Vec<(Plan, Simulated)>;
 
-/// The plan-independent part of a [`SimRecord`]: what one validation
-/// contributes to every cell that shares it.
-#[derive(Clone, Copy)]
-struct Simulated {
-    completed: bool,
-    makespan: u64,
-    beats: u64,
-    diverged: bool,
+/// Where a cell's validation looks for a simulation of identical inputs
+/// before it simulates, and offers the one it runs.
+enum SimShare<'a> {
+    /// Nowhere: the cell simulates for itself.
+    Nothing,
+    /// The earlier cells of its graph job.
+    Job(&'a mut SharedSims),
+    /// The result store's memo, under the graph's fingerprint.
+    Memo(&'a SimMemo, u64),
 }
 
-/// Evaluates one cell of the graph behind `facts`; `shared`, when given,
-/// lets its validation reuse (and offer) a simulation within the job.
+/// Evaluates one cell of the graph behind `facts`; `share` says where its
+/// validation may reuse (and offers) a simulation.
 fn evaluate(
     case: &Case,
     facts: &GraphFacts<'_>,
     validate: bool,
     choice: SimChoice,
-    shared: Option<&mut SharedSims>,
+    share: SimShare<'_>,
 ) -> Result<Record, stg_analysis::ScheduleError> {
     // Evaluations never nest, so the thread-local borrow spans the call.
     CELL_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
-        evaluate_with(case, facts, validate, choice, shared, &mut scratch)
+        evaluate_with(case, facts, validate, choice, share, &mut scratch)
     })
 }
 
@@ -1517,7 +1537,7 @@ fn evaluate_with(
     facts: &GraphFacts<'_>,
     validate: bool,
     choice: SimChoice,
-    shared: Option<&mut SharedSims>,
+    share: SimShare<'_>,
     scratch: &mut CellScratch,
 ) -> Result<Record, stg_analysis::ScheduleError> {
     let CellScratch {
@@ -1532,11 +1552,18 @@ fn evaluate_with(
     let metrics = *plan.metrics();
     let buffer_elements = plan.buffers().map_or(0, |b| b.total_elements);
     let sim = validate.then(|| {
-        let reused = shared
-            .as_deref()
-            .and_then(|s| s.iter().find(|(p, _)| p.simulates_like(&plan)));
+        let reused = match (&share, plan.sim_inputs()) {
+            (SimShare::Job(shared), _) => shared
+                .iter()
+                .find(|(p, _)| p.simulates_like(&plan))
+                .map(|&(_, run)| run),
+            (SimShare::Memo(memo, fingerprint), Some(inputs)) => {
+                memo.find(*fingerprint, choice, inputs)
+            }
+            _ => None,
+        };
         let (run, micros) = match reused {
-            Some(&(_, run)) => (run, SimMicros::default()),
+            Some(run) => (run, SimMicros::default()),
             None => {
                 let mut micros = SimMicros::default();
                 sim_results.clear();
@@ -1556,10 +1583,16 @@ fn evaluate_with(
                     beats: s.beats,
                     diverged: sim_results.windows(2).any(|w| w[0] != w[1]),
                 };
-                if let Some(shared) = shared {
-                    if plan.buffers().is_some() {
+                match share {
+                    SimShare::Memo(memo, fingerprint) => {
+                        if let Some(inputs) = plan.sim_inputs() {
+                            memo.offer(fingerprint, choice, inputs, run);
+                        }
+                    }
+                    SimShare::Job(shared) if plan.buffers().is_some() => {
                         shared.push((plan, run));
                     }
+                    _ => {}
                 }
                 (run, micros)
             }
@@ -2442,6 +2475,96 @@ mod tests {
         assert_eq!(timed.leap.sims, streaming.len() as u64);
         spec.timing = false;
         assert!(spec.run().leap.sims < timed.leap.sims);
+    }
+
+    /// A validated one-cell spec: `fft:32` at 32 PEs under `scheduler`.
+    fn fft_cell(seed: u64, scheduler: SchedulerKind) -> SweepSpec {
+        SweepSpec {
+            workloads: vec![WorkloadSpec {
+                workload: "fft:32".parse().unwrap(),
+                pes: vec![32],
+            }],
+            graphs: 1,
+            seed,
+            schedulers: vec![scheduler],
+            validate: true,
+            sim: SimChoice::Batched,
+            timing: false,
+            threads: Some(1),
+        }
+    }
+
+    #[test]
+    fn only_untimed_one_cell_passes_through_a_store_share_its_memo() {
+        // On fft:32 seed 1 at 32 PEs, SB-LTS and SB-RLX give the
+        // simulator identical inputs.
+        let (lts, rlx) = (SchedulerKind::StreamingLts, SchedulerKind::StreamingRlx);
+        let store = ResultStore::in_memory();
+        let mut timed = fft_cell(1, lts);
+        timed.timing = true;
+        assert_eq!(timed.run_with(Some(&store)).leap.sims, 1);
+        // A graph job of two cells shares within the job only.
+        let mut both = fft_cell(1, lts);
+        both.schedulers.push(rlx);
+        assert_eq!(both.run_with(Some(&store)).leap.sims, 1);
+        assert_eq!(store.sim_memo_bytes(), 0, "timed and multi-cell passes");
+        // Without a store, a one-cell pass has nowhere to share.
+        assert_eq!(fft_cell(1, lts).run().leap.sims, 1);
+        assert_eq!(fft_cell(1, rlx).run().leap.sims, 1);
+        let store = ResultStore::in_memory();
+        for scheduler in [lts, rlx] {
+            let spec = fft_cell(1, scheduler);
+            let pass = spec.run_with(Some(&store));
+            assert_eq!(pass.leap.sims, u64::from(scheduler == lts), "{scheduler}");
+            let want = direct_outcome(&pass.runs[0].case, spec.sim);
+            assert_eq!(untimed(&pass.runs[0].outcome), want, "{scheduler}");
+        }
+        assert!(store.sim_memo_bytes() > 0);
+        // A --sim-timing pass neither reads the memo nor adds to it.
+        let bytes = store.sim_memo_bytes();
+        let mut timed = fft_cell(1, rlx);
+        timed.timing = true;
+        assert_eq!(timed.run_with(Some(&store)).leap.sims, 1);
+        timed.seed = 2;
+        assert_eq!(timed.run_with(Some(&store)).leap.sims, 1);
+        assert_eq!(store.sim_memo_bytes(), bytes);
+    }
+
+    #[test]
+    fn the_memo_budget_evicts_the_oldest_graph_and_answers_stay_identical() {
+        // SB-LTS and SB-RLX simulate alike on fft:32 seeds 1–3 at 32
+        // PEs, and every fft:32 plan stores the same number of bytes.
+        let (lts, rlx) = (SchedulerKind::StreamingLts, SchedulerKind::StreamingRlx);
+        let probe = ResultStore::in_memory();
+        fft_cell(1, lts).run_with(Some(&probe));
+        let one = probe.sim_memo_bytes();
+        assert!(one > 0);
+        // Room for two graphs' entries: the third evicts the first.
+        let store = ResultStore::in_memory().with_sim_memo_budget(2 * one + one / 2);
+        let mut sims = Vec::new();
+        for (seed, scheduler) in [(1, lts), (2, lts), (3, lts), (3, rlx), (2, rlx), (1, rlx)] {
+            let spec = fft_cell(seed, scheduler);
+            let pass = spec.run_with(Some(&store));
+            let want = direct_outcome(&pass.runs[0].case, spec.sim);
+            assert_eq!(
+                untimed(&pass.runs[0].outcome),
+                want,
+                "seed {seed} {scheduler}"
+            );
+            sims.push(pass.leap.sims);
+        }
+        assert_eq!(sims, [1, 1, 1, 0, 0, 1]);
+        assert_eq!(store.sim_memo_bytes(), 2 * one);
+        let fingerprint = |seed| fft_cell(seed, lts).cases()[0].graph().fingerprint();
+        let memo = store.sim_memo();
+        let held: Vec<bool> = (1..=3)
+            .map(|seed| memo.holds(fingerprint(seed), SimChoice::Batched))
+            .collect();
+        assert_eq!(
+            held,
+            [true, false, true],
+            "seed 1 came back and evicted seed 2"
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@ pub mod engine;
 pub mod harness;
 pub mod json;
 pub mod metrics;
+mod sim_memo;
 pub mod stats;
 pub mod store;
 

@@ -46,6 +46,13 @@
 //! one pass or one fabric lease; both run the one protocol of
 //! `OnceLock::get_or_init`.
 //!
+//! The store also holds the in-memory simulation memo that one-cell
+//! engine passes through it share (each `serve` plan request, say): a
+//! bounded map from a graph's fingerprint and simulator choice to the
+//! simulations run on it, each entry holding the exact simulator inputs.
+//! It is never persisted, and [`ResultStore::sim_memo_bytes`] reports
+//! its size.
+//!
 //! Invalidation is structural, not temporal: every cache entry embeds its
 //! canonical key string and ends in a 64-bit [`checksum`] of its bytes,
 //! and both are verified on every load. So a hash collision, a corrupt
@@ -103,6 +110,7 @@ use stg_core::SchedulerKind;
 use stg_graph::NodeId;
 
 use crate::engine::{Record, SimChoice, SimMicros, SimRecord};
+use crate::sim_memo::{SimMemo, SIM_MEMO_BYTES};
 
 /// The engine result-schema version, embedded in every [`CellKey`].
 /// Bumping it invalidates every previously cached cell (the canonical key
@@ -626,6 +634,9 @@ pub struct ResultStore {
     /// evaluating thread (plus any whose evaluation unwound and that no
     /// caller has retried yet).
     inflight: Mutex<HashMap<SemanticKey, Arc<OnceLock<Outcome>>>>,
+    /// Validation simulations shared across the engine passes of this
+    /// store, in memory only.
+    sims: SimMemo,
     counters: StoreCounters,
     warned_io: AtomicBool,
 }
@@ -923,9 +934,31 @@ impl ResultStore {
             pending: Mutex::new(Vec::new()),
             segments: OnceLock::new(),
             inflight: Mutex::new(HashMap::new()),
+            sims: SimMemo::with_budget(SIM_MEMO_BYTES),
             counters: StoreCounters::default(),
             warned_io: AtomicBool::new(false),
         }
+    }
+
+    /// This store with a simulation memo of `budget` bytes.
+    #[cfg(test)]
+    pub(crate) fn with_sim_memo_budget(mut self, budget: usize) -> ResultStore {
+        self.sims = SimMemo::with_budget(budget);
+        self
+    }
+
+    /// The simulation memo that one-cell engine passes through this
+    /// store share.
+    pub(crate) fn sim_memo(&self) -> &SimMemo {
+        &self.sims
+    }
+
+    /// Bytes of simulator inputs the store's simulation memo holds: the
+    /// one-cell engine passes through this store (each `serve` plan
+    /// request, say) share their validation simulations through it,
+    /// within a fixed budget. Nothing of it is persisted.
+    pub fn sim_memo_bytes(&self) -> usize {
+        self.sims.stored_bytes()
     }
 
     /// A store persisting segment files under `dir` (created if absent),

@@ -29,7 +29,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use stg_experiments::{MergeReport, OutputKind, StreamMerger, SweepSpec};
-use stg_service::read_frame;
+use stg_service::{read_frame, ACCEPT_BACKOFF};
 
 use crate::counters::{FabricCounters, FabricSnapshot};
 use crate::protocol::{FabricRequest, FabricResponse, MAX_FRAME_BYTES};
@@ -290,7 +290,11 @@ impl Coordinator {
                     if stop.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(stream) = stream else {
+                        shared.counters.accept_errors.add(1);
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
                     conn_id += 1;
                     let shared = Arc::clone(&shared);
                     let id = conn_id;

@@ -31,6 +31,10 @@ stg_experiments::counter_set! {
         /// unparseable frames (a `rows` row failing its checksum
         /// included) and rows the merge refused.
         frames_refused: Sum,
+        /// Failed `accept` calls on the coordinator's listener (`EMFILE`
+        /// when the process is out of file descriptors), each followed
+        /// by [`ACCEPT_BACKOFF`](stg_service::ACCEPT_BACKOFF).
+        accept_errors: Sum,
         /// The lease auto-tuner's current lease size in cells (the fixed
         /// `--lease-cells` / pre-cut size when auto-tuning is off).
         lease_cells: Gauge,
@@ -62,6 +66,7 @@ mod tests {
         c.rows_merged.add(96);
         c.rows_duplicate.add(8);
         c.frames_refused.add(2);
+        c.accept_errors.add(6);
         c.cell_cache.hits.add(40);
         c.cell_cache.misses.add(56);
         c.leap.absorb(&LeapStats {
@@ -114,6 +119,7 @@ mod tests {
         assert!(line.contains("re_queued=2"), "{line}");
         assert!(line.contains("leases_stolen=1"), "{line}");
         assert!(line.contains("frames_refused=2"), "{line}");
+        assert!(line.contains("accept_errors=6"), "{line}");
         assert!(line.contains(" lease_cells=128 "), "{line}");
         assert!(line.contains("leap_leaped_cycles=1240"), "{line}");
         assert!(line.contains("leap_sims=4"), "{line}");

@@ -41,6 +41,10 @@ stg_experiments::counter_set! {
         /// failed send to the connection's writer, the write that failed,
         /// and every frame queued behind it.
         frames_dropped: Sum,
+        /// Failed `accept` calls on the listener (`EMFILE` when the
+        /// process is out of file descriptors), each followed by
+        /// [`ACCEPT_BACKOFF`](crate::ACCEPT_BACKOFF).
+        accept_errors: Sum,
     }
     sets {
         /// Batched-simulator epoch-leap telemetry of every request
@@ -270,6 +274,7 @@ mod tests {
         c.record_completed(7, "tenant-a", 55, 1);
         c.totals().malformed.add(1);
         c.totals().frames_dropped.add(3);
+        c.totals().accept_errors.add(5);
         c.totals().leap.absorb(&LeapStats {
             sims: 2,
             leaps: 5,
@@ -326,6 +331,7 @@ mod tests {
         assert_unique_members(&v);
         assert_eq!(v.get("cell_cache_evicted").and_then(Json::as_u64), Some(4));
         assert_eq!(v.get("frames_dropped").and_then(Json::as_u64), Some(3));
+        assert_eq!(v.get("accept_errors").and_then(Json::as_u64), Some(5));
         assert_eq!(Stats::from_json(&v), Some(stats));
     }
 

@@ -43,5 +43,5 @@ pub use protocol::{
     SimMode, SweepRequest, CODE_BAD_REQUEST, CODE_OVERLOADED,
 };
 pub use queue::{Admission, Reject};
-pub use server::{read_frame, Daemon, COMMIT_INTERVAL, MAX_FRAME_BYTES};
+pub use server::{read_frame, Daemon, ACCEPT_BACKOFF, COMMIT_INTERVAL, MAX_FRAME_BYTES};
 pub use service::{Service, ServiceConfig};

@@ -335,18 +335,11 @@ pub fn run(config: &LoadgenConfig) -> Result<Report, String> {
     Ok(Report { passes })
 }
 
-/// Sends one plan request to the daemon and byte-compares the response
-/// frame against the frame a direct engine evaluation of the identical
-/// spec produces. `line` is the raw request frame (the CI smoke step
-/// passes it verbatim).
-pub fn check_against_engine(addr: &str, line: &str) -> Result<(), String> {
-    let req = match parse_request(line).map_err(|e| format!("bad --check request: {}", e.error))? {
-        Request::Plan(p) => p,
-        _ => return Err("--check takes a plan request".into()),
-    };
-    // Direct engine evaluation, bypassing the daemon entirely.
+/// The response frame a direct engine evaluation of `req` produces: a
+/// one-cell pass with no store, bypassing the service entirely.
+pub fn engine_frame(req: &PlanRequest) -> String {
     let direct = req.spec().run();
-    let expected = crate::protocol::PlanResponse {
+    crate::protocol::PlanResponse {
         id: req.id,
         workload: stg_workloads::WorkloadFamily::spec(&req.workload),
         seed: req.seed,
@@ -355,7 +348,18 @@ pub fn check_against_engine(addr: &str, line: &str) -> Result<(), String> {
         sim: req.sim.to_string(),
         outcome: stg_experiments::store::encode_outcome(&direct.runs[0].outcome),
     }
-    .frame();
+    .frame()
+}
+
+/// Sends one plan request to the daemon and byte-compares the response
+/// frame against [`engine_frame`]. `line` is the raw request frame (the
+/// CI smoke step passes it verbatim).
+pub fn check_against_engine(addr: &str, line: &str) -> Result<(), String> {
+    let req = match parse_request(line).map_err(|e| format!("bad --check request: {}", e.error))? {
+        Request::Plan(p) => p,
+        _ => return Err("--check takes a plan request".into()),
+    };
+    let expected = engine_frame(&req);
     let mut stream = connect(addr)?;
     send_line(&mut stream, &req.encode())?;
     let mut reader = BufReader::new(stream);
@@ -383,6 +387,39 @@ pub fn shutdown(addr: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Service, ServiceConfig};
+
+    /// Every distinct cell of the mix, answered one request at a time by
+    /// a fresh service: SB-LTS and SB-RLX give the simulator identical
+    /// inputs on 12 of the mix's 24 graphs, so the 48 streaming cells
+    /// take 36 batched simulations, and every frame is the engine's.
+    #[test]
+    fn the_mix_simulates_each_distinct_input_once() {
+        let s = Service::new(ServiceConfig::default()).expect("in-memory service");
+        let mut cells = 0;
+        for &(workload, pes) in MIX_WORKLOADS {
+            for seed in 0..4 {
+                for scheduler in MIX_SCHEDULERS {
+                    let req = PlanRequest {
+                        id: cells,
+                        workload: workload.parse().expect("mix workloads are registered"),
+                        seed,
+                        pes,
+                        scheduler: scheduler.parse().expect("mix schedulers are registered"),
+                        sim: "batched".parse().expect("batched is a simulator"),
+                        tenant: String::new(),
+                    };
+                    let frames = s.handle(1, &req.encode());
+                    assert_eq!(frames, [engine_frame(&req)], "{}", req.encode());
+                    cells += 1;
+                }
+            }
+        }
+        assert_eq!(cells, 72);
+        assert_eq!(s.store_stats().misses, 72);
+        assert_eq!(s.counters().snapshot().leap.sims, 36);
+        assert!(s.store().sim_memo_bytes() > 0);
+    }
 
     #[test]
     fn request_lists_are_deterministic_and_client_distinct() {

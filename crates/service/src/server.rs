@@ -45,6 +45,12 @@ pub const MAX_FRAME_BYTES: usize = 64 * 1024;
 /// drain: only a client that stopped reading holds a writer that long.
 const FLUSH_BOUND: Duration = Duration::from_secs(5);
 
+/// How long an accept loop sleeps after a failed `accept` before it
+/// tries again. A listener out of file descriptors (`EMFILE`) fails every
+/// call at once while a connection waits in its backlog, so retrying at
+/// once would spin a core until descriptors free up.
+pub const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
+
 /// How often the daemon commits the service store's queued entries to a
 /// segment file: the longest a reply may precede its entry's fsync, and
 /// so the window of answered misses a killed daemon can lose.
@@ -189,7 +195,11 @@ impl Daemon {
                     if stopping.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else { continue };
+                    let Ok(stream) = stream else {
+                        service.counters().totals().accept_errors.add(1);
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                        continue;
+                    };
                     let client = clients.fetch_add(1, Ordering::Relaxed) + 1;
                     let queue = Arc::clone(&queue);
                     let service = Arc::clone(&service);

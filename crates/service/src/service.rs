@@ -21,6 +21,15 @@
 //! Responses are byte-identical either way — the `outcome` payload is the
 //! engine's canonical serialization, which stores no wall-clocks.
 //!
+//! A plan request is a one-cell pass, so it has no other cell of its
+//! graph to share a simulation with; it shares with earlier requests
+//! instead, through the store's simulation memo: a validated miss whose
+//! plan gives the simulator the same inputs as a plan of the same graph
+//! that an earlier request simulated under the same `"sim"` choice
+//! takes that simulation (SB-LTS and SB-RLX on `spmv:1024:0.01`, say).
+//! The memo is bounded and kept in memory only; `leap_sims` in the stats
+//! frame counts the simulations that did run.
+//!
 //! A request queues its misses for disk but does not commit them: the
 //! store's owner does. The daemon ([`crate::server::Daemon`]) flushes the
 //! store on a short timer and once more when it shuts down, so a reply
@@ -333,6 +342,52 @@ mod tests {
         assert_eq!(resp.outcome, expected);
         assert_eq!(resp.id, 5);
         assert_eq!(resp.sim, "batched");
+    }
+
+    /// `line`'s plan request as the engine answers it without a store.
+    fn engine_frame(line: &str) -> String {
+        let Ok(Request::Plan(req)) = protocol::parse_request(line) else {
+            panic!("not a plan request: {line}")
+        };
+        crate::loadgen::engine_frame(&req)
+    }
+
+    #[test]
+    fn sb_rlx_reuses_the_simulation_of_an_earlier_sb_lts_request() {
+        // On this graph SB-LTS and SB-RLX give the simulator identical
+        // inputs: the second request takes the first one's simulation
+        // from the store's memo.
+        let s = service();
+        for scheduler in ["sb-lts", "sb-rlx"] {
+            let line = format!(
+                r#"{{"workload":"spmv:1024:0.01","seed":0,"pes":64,"scheduler":"{scheduler}","sim":"batched"}}"#
+            );
+            assert_eq!(s.handle(1, &line), [engine_frame(&line)], "{scheduler}");
+        }
+        assert_eq!(s.store_stats().misses, 2);
+        assert_eq!(s.counters().snapshot().leap.sims, 1);
+    }
+
+    #[test]
+    fn a_batched_simulation_never_answers_a_both_request() {
+        let s = service();
+        let line = |scheduler: &str, sim: &str| {
+            format!(
+                r#"{{"workload":"fft:32","seed":1,"pes":32,"scheduler":"{scheduler}","sim":"{sim}"}}"#
+            )
+        };
+        // The inputs are equal in all three requests. The `both` request
+        // runs both simulators (the batched one counts in `leap_sims`);
+        // the next `both` request takes its simulation.
+        for (scheduler, sim, sims) in [
+            ("sb-lts", "batched", 1),
+            ("sb-lts", "both", 2),
+            ("sb-rlx", "both", 2),
+        ] {
+            let line = line(scheduler, sim);
+            assert_eq!(s.handle(1, &line), [engine_frame(&line)], "{line}");
+            assert_eq!(s.counters().snapshot().leap.sims, sims, "{line}");
+        }
     }
 
     #[test]

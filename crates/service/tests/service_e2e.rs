@@ -1,6 +1,7 @@
 //! End-to-end daemon tests over loopback TCP: byte-identity against the
 //! engine, bounded overload with per-client fairness, the warm path
-//! across a daemon restart, and malformed-frame resilience.
+//! across a daemon restart, malformed-frame resilience, and an accept
+//! loop that runs out of file descriptors.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -10,11 +11,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stg_core::SchedulerKind;
+use stg_service::loadgen::engine_frame;
 use stg_service::{
-    parse_request, parse_response, Daemon, PlanRequest, PlanResponse, Request, Response, Service,
-    ServiceConfig, CODE_BAD_REQUEST, CODE_OVERLOADED,
+    parse_request, parse_response, Daemon, PlanRequest, Request, Response, Service, ServiceConfig,
+    CODE_BAD_REQUEST, CODE_OVERLOADED,
 };
-use stg_workloads::WorkloadFamily;
 
 fn start(config: ServiceConfig, workers: usize, queue_bound: usize) -> Daemon {
     let service = Arc::new(Service::new(config).expect("service opens"));
@@ -80,22 +81,6 @@ fn wait_until(what: &str, deadline: Duration, mut ok: impl FnMut() -> bool) {
     }
 }
 
-/// The frame a direct engine evaluation of `req` produces — the
-/// byte-identity oracle for daemon responses.
-fn direct_engine_frame(req: &PlanRequest) -> String {
-    let sweep = req.spec().run();
-    PlanResponse {
-        id: req.id,
-        workload: req.workload.spec(),
-        seed: req.seed,
-        pes: req.pes,
-        scheduler: req.scheduler.alias().to_string(),
-        sim: req.sim.to_string(),
-        outcome: stg_experiments::store::encode_outcome(&sweep.runs[0].outcome),
-    }
-    .frame()
-}
-
 #[test]
 fn concurrent_clients_get_byte_identical_engine_output() {
     let daemon = start(ServiceConfig::default(), 4, 64);
@@ -149,7 +134,7 @@ fn concurrent_clients_get_byte_identical_engine_output() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
     for (req, line) in results.into_iter().flatten() {
-        assert_eq!(line, direct_engine_frame(&req), "request {}", req.encode());
+        assert_eq!(line, engine_frame(&req), "request {}", req.encode());
     }
     daemon.shutdown();
     daemon.wait();
@@ -434,7 +419,7 @@ fn malformed_frames_answer_400_and_keep_the_connection() {
         tenant: String::new(),
     };
     c.send(&req.encode());
-    assert_eq!(c.recv(), direct_engine_frame(&req));
+    assert_eq!(c.recv(), engine_frame(&req));
     assert_eq!(stats(daemon.addr()).service.malformed, 5);
     daemon.shutdown();
     daemon.wait();
@@ -528,4 +513,129 @@ fn shutdown_ack_is_written_before_wait_returns() {
         }
         drop(idle);
     }
+}
+
+/// A spawned daemon process, killed if the test ends before it exits.
+#[cfg(target_os = "linux")]
+struct ServeProcess(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for ServeProcess {
+    fn drop(&mut self) {
+        // Both fail harmlessly once the daemon has exited and been reaped.
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// Spawns `serve` allowed at most `limit` open file descriptors and
+/// returns it with its address and the descriptors it holds once it
+/// listens.
+#[cfg(target_os = "linux")]
+fn serve_with_fd_limit(limit: usize) -> (ServeProcess, std::net::SocketAddr, usize) {
+    let mut child = std::process::Command::new("sh")
+        .arg("-c")
+        .arg(format!(
+            r#"ulimit -n {limit} && exec "$0" --addr 127.0.0.1:0 --workers 1"#
+        ))
+        .arg(env!("CARGO_BIN_EXE_serve"))
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn serve under a lowered descriptor limit");
+    let mut banner = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut banner)
+        .expect("read the listening line");
+    let addr = banner
+        .split_whitespace()
+        .nth(2)
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    let open = std::fs::read_dir(format!("/proc/{}/fd", child.id()))
+        .expect("list the daemon's descriptors")
+        .count();
+    (ServeProcess(child), addr, open)
+}
+
+/// User plus system CPU time of process `pid`, in clock ticks
+/// (`/proc/<pid>/stat` fields 14 and 15).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read /proc stat");
+    // The command name may hold spaces: the fields after it start past
+    // its closing parenthesis, at field 3.
+    let rest = &stat[stat.rfind(')').expect("stat has a command name") + 2..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime")
+}
+
+/// A `serve` allowed about 24 file descriptors and sent 30 idle
+/// connections runs out of descriptors: every `accept` then fails at
+/// once (`EMFILE`) while connections wait in the listen backlog. The
+/// daemon counts each failure and backs off, so it stays idle instead of
+/// spinning a core, and it answers again once the clients close.
+#[cfg(target_os = "linux")]
+#[test]
+fn an_accept_loop_out_of_descriptors_backs_off_and_recovers() {
+    // A connection holds two descriptors: its stream and the clone its
+    // writer thread uses. With an odd number left free, the last accept
+    // takes the last descriptor, its clone fails and the connection is
+    // dropped, over and over, until the backlog is empty. With an even
+    // number the daemon ends with a full table and a waiting backlog.
+    let (mut serve, addr) = (24..26)
+        .map(serve_with_fd_limit)
+        .zip(24..26)
+        .find_map(|((serve, addr, open), limit)| ((limit - open) % 2 == 0).then_some((serve, addr)))
+        .expect("one of two consecutive limits leaves an even number free");
+    let pid = serve.0.id();
+    let idle: Vec<TcpStream> = (0..30)
+        .map(|_| TcpStream::connect(addr).expect("the backlog takes the connection"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(2));
+    let ticks = cpu_ticks(pid) - before;
+    // A core is 200 ticks over 2 s at the usual 100 ticks per second; a
+    // spinning accept loop used 199 of them.
+    assert!(
+        ticks < 40,
+        "serve used {ticks} CPU ticks in 2 s while out of descriptors"
+    );
+    drop(idle);
+    // While the backlog drains, a connection can still lose the race for
+    // a descriptor and be dropped: retry until a stats frame arrives.
+    let try_stats = || -> Option<stg_service::Stats> {
+        let mut stream = TcpStream::connect(addr).ok()?;
+        stream.write_all(b"{\"cmd\":\"stats\"}\n").ok()?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).ok()?;
+        match parse_response(line.trim_end()).ok()? {
+            Response::Stats(v) => stg_service::Stats::from_json(&v),
+            _ => None,
+        }
+    };
+    let mut errors = 0;
+    wait_until("a stats frame", Duration::from_secs(20), || {
+        try_stats()
+            .map(|s| errors = s.service.accept_errors)
+            .is_some()
+    });
+    assert!(errors > 0, "no failed accept was counted");
+    let req = PlanRequest {
+        id: 3,
+        workload: "chain:8".parse().expect("registered spec"),
+        seed: 1,
+        pes: 4,
+        scheduler: SchedulerKind::StreamingLts,
+        sim: "batched".parse().expect("batched simulator"),
+        tenant: String::new(),
+    };
+    let mut c = Client::connect(addr);
+    c.send(&req.encode());
+    assert_eq!(c.recv(), engine_frame(&req));
+    c.send(r#"{"cmd":"shutdown"}"#);
+    assert!(matches!(parse_response(&c.recv()), Ok(Response::Done(_))));
+    let status = serve.0.wait().expect("serve exits");
+    assert!(status.success(), "{status:?} after {errors} failed accepts");
 }
