@@ -15,10 +15,13 @@
 //!
 //! So the three artifacts are byte-identical by construction.
 //! A row pushed at the next emission index is written at once;
-//! out-of-order arrivals buffer in a [`BTreeMap`] until the next emission
-//! index arrives. A fabric coordinator issues leases in index order, so
-//! the buffer is bounded by the outstanding-lease spread, not the grid
-//! size. The merger also keeps the one failure tally ([`MergeTallies`])
+//! out-of-order arrivals wait in a compact buffer, each as its v3 record
+//! ([`put_record`]), until the next emission index arrives. A fabric
+//! coordinator that leases in grid order holds about the outstanding-lease
+//! spread; one that leases whole graphs (`stg_fabric`) holds up to
+//! (stripes − 1)/stripes of a workload's rows, where stripes = PE counts ×
+//! schedulers, because each graph reports one row into every stripe of
+//! the block. The merger also keeps the one failure tally ([`MergeTallies`])
 //! behind every binary's exit code, and names the first rows on which the
 //! simulators diverged ([`MergeReport::diverged`]).
 //!
@@ -28,15 +31,15 @@
 //! digit by digit, and the six-decimal float columns go through an exact
 //! fixed-point renderer that writes the bytes `format!("{:.6}")` writes.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::io::Write;
 use std::ops::Range;
 
 use stg_workloads::WorkloadFamily;
 
-use crate::engine::{Record, Run, SweepSpec};
+use crate::engine::{Record, Run, SimMicros, SweepSpec};
 use crate::json::quote;
-use crate::store::{error_code, Outcome};
+use crate::store::{error_code, put_record, take_record, Outcome};
 
 /// How many diverged rows a [`MergeReport`] names.
 const NAMED_DIVERGED: usize = 10;
@@ -152,7 +155,7 @@ pub struct StreamMerger<W: Write> {
     out: W,
     total: usize,
     next_emit: usize,
-    buffered: BTreeMap<usize, Outcome>,
+    held: Held,
     merged: Vec<bool>,
     merged_count: usize,
     peak_buffered: usize,
@@ -183,7 +186,7 @@ impl<W: Write> StreamMerger<W> {
             out,
             total,
             next_emit: 0,
-            buffered: BTreeMap::new(),
+            held: Held::default(),
             merged: vec![false; total],
             merged_count: 0,
             peak_buffered: 0,
@@ -230,14 +233,16 @@ impl<W: Write> StreamMerger<W> {
         self.merged[index] = true;
         self.merged_count += 1;
         self.tallies.add(&outcome);
-        self.peak_buffered = self.peak_buffered.max(self.buffered.len() + 1);
+        self.peak_buffered = self.peak_buffered.max(self.held.rows + 1);
         if index != self.next_emit {
-            self.buffered.insert(index, outcome);
+            self.held
+                .hold(index - self.next_emit, &outcome, self.spec.timing);
             return Ok(true);
         }
         let io = |e: std::io::Error| format!("merge output: {e}");
+        self.held.skip();
         self.emit(&outcome).map_err(io)?;
-        while let Some(outcome) = self.buffered.remove(&self.next_emit) {
+        while let Some(outcome) = self.held.take_next() {
             self.emit(&outcome).map_err(io)?;
         }
         Ok(true)
@@ -303,6 +308,85 @@ impl<W: Write> StreamMerger<W> {
             tallies: self.tallies,
             diverged: self.diverged,
         })
+    }
+}
+
+/// The rows a [`StreamMerger`] holds for in-order emission, each as its
+/// v3 record ([`put_record`]) behind a length byte: about half the size
+/// of an [`Outcome`], in one allocation for all of them.
+#[derive(Default)]
+struct Held {
+    /// `slots[k]` locates the row at `next_emit + k`: its entry's offset
+    /// in `bytes` plus one, or 0 while the row has not arrived.
+    slots: VecDeque<usize>,
+    /// Under `--sim-timing`, `micros[k]` holds the wall-clocks of the row
+    /// at `next_emit + k`, which its record does not carry; else empty.
+    micros: VecDeque<SimMicros>,
+    /// The entries, in arrival order.
+    bytes: Vec<u8>,
+    /// Rows held.
+    rows: usize,
+    /// Bytes of `bytes` whose rows were emitted already.
+    dead: usize,
+}
+
+impl Held {
+    /// Holds `outcome` as the row `ahead` places past `next_emit`.
+    fn hold(&mut self, ahead: usize, outcome: &Outcome, timing: bool) {
+        if self.slots.len() <= ahead {
+            self.slots.resize(ahead + 1, 0);
+        }
+        let at = self.bytes.len();
+        self.slots[ahead] = at + 1;
+        self.bytes.push(0);
+        put_record(&mut self.bytes, outcome);
+        self.bytes[at] = u8::try_from(self.bytes.len() - at - 1).expect("records are short");
+        if let (true, Ok(Record { sim: Some(s), .. })) = (timing, outcome) {
+            self.micros.resize(self.slots.len(), SimMicros::default());
+            self.micros[ahead] = s.micros;
+        }
+        self.rows += 1;
+    }
+
+    /// Advances the slots past the row at `next_emit`, which was not held.
+    fn skip(&mut self) {
+        self.slots.pop_front();
+        self.micros.pop_front();
+    }
+
+    /// Takes the row at `next_emit` and advances the slots past it, if
+    /// the row is held.
+    fn take_next(&mut self) -> Option<Outcome> {
+        let at = self.slots.front().copied().filter(|&slot| slot > 0)? - 1;
+        self.slots.pop_front();
+        let micros = self.micros.pop_front();
+        let end = at + 1 + usize::from(self.bytes[at]);
+        let mut outcome =
+            take_record(&self.bytes[at + 1..end]).expect("held records are well formed");
+        if let (Some(micros), Ok(Record { sim: Some(s), .. })) = (micros, &mut outcome) {
+            s.micros = micros;
+        }
+        self.rows -= 1;
+        self.dead += end - at;
+        if self.rows == 0 {
+            self.bytes.clear();
+            self.dead = 0;
+        } else if self.dead > self.bytes.len() / 2 && self.bytes.len() > 1 << 16 {
+            self.compact();
+        }
+        Some(outcome)
+    }
+
+    /// Drops the entries of emitted rows.
+    fn compact(&mut self) {
+        let mut bytes = Vec::with_capacity(2 * (self.bytes.len() - self.dead));
+        for slot in self.slots.iter_mut().filter(|s| **s > 0) {
+            let at = *slot - 1;
+            *slot = bytes.len() + 1;
+            bytes.extend_from_slice(&self.bytes[at..at + 1 + usize::from(self.bytes[at])]);
+        }
+        self.bytes = bytes;
+        self.dead = 0;
     }
 }
 
@@ -586,6 +670,7 @@ fn push_fixed6(out: &mut Vec<u8>, x: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GraphOrder;
 
     fn spec() -> SweepSpec {
         let mut spec = SweepSpec::paper(2, 0xFAB_0001);
@@ -639,6 +724,76 @@ mod tests {
             assert_eq!(report.tallies.errors, 0);
             assert_eq!(out.take(), expected, "{kind:?}");
         }
+    }
+
+    /// Held rows keep every byte, the `--sim-timing` wall-clocks their
+    /// records do not carry included.
+    #[test]
+    fn held_rows_keep_their_wall_clocks() {
+        let mut spec = spec();
+        spec.timing = true;
+        let sweep = spec.run();
+        assert!(sweep.runs.iter().any(|r| r
+            .record()
+            .and_then(|r| r.sim)
+            .is_some_and(|s| s.micros != SimMicros::default())));
+        let mut out = Vec::new();
+        let mut m = StreamMerger::new(spec, OutputKind::Csv, &mut out).unwrap();
+        for run in sweep.runs.iter().rev() {
+            m.push(run.case.index, run.outcome.clone()).unwrap();
+        }
+        m.finish().unwrap();
+        assert_eq!(String::from_utf8(out).unwrap(), sweep.to_csv());
+    }
+
+    /// Graph-order arrivals hold (stripes − 1)/stripes of a block's rows,
+    /// in records of several lengths, and the buffer compacts the
+    /// entries of emitted rows while others are still held.
+    #[test]
+    fn graph_order_arrivals_compact_and_stay_byte_identical() {
+        use stg_analysis::ScheduleError;
+        let mut spec = spec();
+        spec.workloads.truncate(1);
+        spec.workloads[0].pes.truncate(1);
+        spec.validate = false;
+        spec.graphs = 8_000;
+        let total = spec.total_cases();
+        let stripes = spec.schedulers.len();
+        assert_eq!(total, 3 * 8_000);
+        let ok = spec.run_cases(spec.cases_slice(0..1), None).runs[0]
+            .outcome
+            .clone();
+        let outcome = |i: usize| match i % 7 {
+            0 => Err(ScheduleError::EmptyBlock(i)),
+            _ => ok.clone(),
+        };
+        let render = |order: &mut dyn Iterator<Item = usize>| {
+            let mut out = Vec::new();
+            let mut m = StreamMerger::new(spec.clone(), OutputKind::Csv, &mut out).unwrap();
+            for i in order {
+                assert!(m.push(i, outcome(i)).unwrap());
+            }
+            let report = m.finish().unwrap();
+            (out, report.peak_buffered)
+        };
+        let (want, _) = render(&mut (0..total));
+        // Emit every other graph's rows first: the graph-major walk of
+        // the even seeds, then of the odd ones.
+        let order = GraphOrder::of(&spec);
+        let graphs = |parity| {
+            (0..total)
+                .filter(move |p| p / stripes % 2 == parity)
+                .map(|p| order.index(p))
+        };
+        let (got, peak) = render(&mut graphs(0).chain(graphs(1)));
+        assert_eq!(got, want);
+        assert!(peak > total / 2, "{peak}");
+        let (got, peak) = render(&mut (0..total).map(|p| order.index(p)));
+        assert_eq!(got, want);
+        // Stripe 0 emits as it arrives; the other stripes wait for the
+        // last graph's stripe-0 row.
+        let runs = total / stripes;
+        assert_eq!(peak, (stripes - 1) * (runs - 1) + 1);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!    across passes), and each distinct graph structure at most once:
 //!    through the store's single-flight evaluation when there is a
 //!    store, else through a [`SemanticTable`] that lives for the call
-//!    (or, in a fabric worker, for one lease). Only a store persists
-//!    them;
+//!    (or, in a fabric worker, for the worker's lifetime). Only a store
+//!    persists them;
 //! 4. **merge** — outcomes are assembled back into index order into a
 //!    [`Sweep`], whose [`Sweep::emit`] pushes them through the one
 //!    [`StreamMerger`]: byte-stable CSV/JSON regardless of which cells
@@ -359,24 +359,30 @@ impl SweepSpec {
 
     /// Materializes only the cases of one contiguous index range of the
     /// grid — identical (index for index) to `self.cases()[range]`, but
-    /// O(range length + workloads) instead of O(grid). This is what
-    /// fabric workers use to expand a lease without paying for the whole
-    /// grid on every lease.
+    /// O(range length + workloads) instead of O(grid). Shards and
+    /// grid-order fabric leases expand their slices with it;
+    /// [`Self::graph_cases`] is its twin for graph-order leases.
     pub fn cases_slice(&self, range: Range<usize>) -> Vec<Case> {
         let mut out = Vec::with_capacity(range.len());
         for (w, block) in self.blocks() {
             for index in range.start.max(block.start)..range.end.min(block.end) {
-                let (pes, seed, scheduler) = self.case_in_block(w, index - block.start);
-                out.push(Case {
-                    index,
-                    workload: w.workload.clone(),
-                    pes,
-                    seed,
-                    scheduler: self.schedulers[scheduler],
-                });
+                out.push(self.case_at(w, block.start, index));
             }
         }
         out
+    }
+
+    /// The case at grid index `index` of workload `w`, whose block starts
+    /// at index `block_start`.
+    pub(crate) fn case_at(&self, w: &WorkloadSpec, block_start: usize, index: usize) -> Case {
+        let (pes, seed, scheduler) = self.case_in_block(w, index - block_start);
+        Case {
+            index,
+            workload: w.workload.clone(),
+            pes,
+            seed,
+            scheduler: self.schedulers[scheduler],
+        }
     }
 
     /// Each workload with the contiguous range of case indices its cases
@@ -570,10 +576,9 @@ impl SweepSpec {
     /// callers of the same store — queue them for disk, and merge the
     /// outcomes back into the input order. With a [`SemanticTable`],
     /// every cacheable case evaluates through the table, and nothing is
-    /// looked up or persisted. Fabric workers call this with a
-    /// [`Self::cases_slice`] of each chunk of their lease, all chunks of
-    /// one lease sharing one table; the service calls it once per
-    /// request.
+    /// looked up or persisted. Fabric workers call this once per chunk of
+    /// whole graphs ([`Self::graph_cases`]), every chunk of a worker
+    /// sharing one store or table; the service calls it once per request.
     ///
     /// The store's owner decides when queued entries are committed: this
     /// call writes a segment only when
@@ -629,13 +634,12 @@ impl SweepSpec {
         // use. Cells whose plans give the simulator identical inputs share
         // one simulation (`SharedSims`); each still computes its own
         // partition, schedule, buffers and `rel_err_pct`. A one-cell job
-        // (every service plan request, every cell of a stripe-major fabric
-        // chunk) has no cell to share with: through a store, it looks its
-        // plan up in the store's simulation memo instead and offers the
-        // simulation it runs, sharing it with later passes through the
-        // store. Jobs of several cells leave the memo alone, so a one-pass
-        // sweep keeps nothing extra. `--sim-timing` passes share no
-        // simulation: every cell reports its own clocks.
+        // (every service plan request) has no cell to share with: through
+        // a store, it looks its plan up in the store's simulation memo
+        // instead and offers the simulation it runs, sharing it with later
+        // passes through the store. Jobs of several cells leave the memo
+        // alone, so a one-pass sweep keeps nothing extra. `--sim-timing`
+        // passes share no simulation: every cell reports its own clocks.
         //
         // Every cacheable miss evaluates through its *semantic* key, built
         // from the graph's structural fingerprint (see `SemanticKey`): the
@@ -669,7 +673,20 @@ impl SweepSpec {
             take_leap_telemetry();
             let cells = &todo[range];
             let first = &cases[cells[0]];
-            let (g, hit) = first.workload.instantiate_traced(first.seed);
+            // A job of several cells is its graph's one user in this pass
+            // and builds it for itself, dropped when the job ends; a
+            // one-cell job (a service plan request) shares graphs with
+            // later passes through the process-wide memo cache, and so do
+            // unseeded graphs, which are built once per process.
+            let (g, hit) = if cells.len() > 1 && first.workload.seeded() {
+                // Compacted as the memo cache compacts what it keeps: the
+                // job's cells traverse the graph many times over.
+                let mut g = first.workload.build(first.seed);
+                g.dag_mut().compact();
+                (Arc::new(g), false)
+            } else {
+                first.workload.instantiate_traced(first.seed)
+            };
             let facts = GraphFacts::new(&g);
             let fingerprint = OnceCell::new();
             let fingerprint = || *fingerprint.get_or_init(|| g.fingerprint());
@@ -703,7 +720,7 @@ impl SweepSpec {
                         (eval(), false, None)
                     };
                     // The job's first cell instantiated the graph; the rest
-                    // find it in the cache.
+                    // reuse it.
                     *slot = Some(EvaluatedCell {
                         outcome,
                         repaired,
@@ -1004,8 +1021,8 @@ pub enum SingleFlight<'a> {
     /// The caller's result store: semantic entries persist with it, and
     /// concurrent callers of the store share its evaluations.
     Store(&'a ResultStore),
-    /// An in-memory table the caller owns and sizes: one pass, or one
-    /// fabric lease.
+    /// An in-memory table the caller owns and sizes: one pass, or every
+    /// lease of a fabric worker.
     Table(&'a SemanticTable),
 }
 
@@ -1014,7 +1031,7 @@ struct EvaluatedCell {
     outcome: Outcome,
     /// Another cell's evaluation supplied the outcome.
     repaired: bool,
-    /// The graph came from the memo cache (or an earlier cell of the job).
+    /// The graph came from the memo cache or an earlier cell of the job.
     graph_hit: bool,
     /// Through a store: the cell's semantic key and fresh entry.
     semantic: Option<SemanticEntry>,
@@ -1682,9 +1699,12 @@ pub struct Sweep {
     pub spec: SweepSpec,
     /// All runs, index-ordered (`runs[i].case.index == i`).
     pub runs: Vec<Run>,
-    /// Graph-cache hit/miss counts for this sweep: with a cold cache,
-    /// `misses` equals the number of distinct `(spec, seed)` graphs and
-    /// every further scheduler/PE cell over the same graph is a hit.
+    /// Graph-cache hit/miss counts for this sweep: `misses` equals the
+    /// number of distinct `(spec, seed)` graphs the pass built, and every
+    /// further scheduler/PE cell over the same graph is a hit. A graph
+    /// with several cells to evaluate is built for its pass alone, so a
+    /// rerun in the same process builds it again; only one-cell graphs
+    /// and unseeded graphs come from the process-wide memo cache.
     /// Cell-cache hits skip graph instantiation entirely, so a fully warm
     /// rerun reports zero traffic here.
     pub cache: CacheStats,
@@ -1940,10 +1960,19 @@ mod tests {
             sweep.cache.hits > 0,
             "multi-scheduler sweeps must share graphs"
         );
-        // Rerunning the same spec hits for every case.
+        // A graph job of several cells builds its graph for its pass
+        // alone, so a rerun builds each graph once more, and no more.
         let again = spec.run();
-        assert_eq!(again.cache.misses, 0);
-        assert_eq!(again.cache.hits as usize, cases);
+        assert_eq!(again.cache.misses as usize, distinct);
+        assert_eq!(again.cache.hits as usize, cases - distinct);
+        assert_eq!(again.to_csv(), sweep.to_csv());
+        // One-cell passes share graphs through the memo cache: the first
+        // pass over a cell builds its graph, and a rerun finds it there.
+        let one = spec.cases_slice(0..1);
+        let first = spec.run_cases(one.clone(), None);
+        let rerun = spec.run_cases(one, None);
+        assert_eq!((first.cache.hits, first.cache.misses), (0, 1));
+        assert_eq!((rerun.cache.hits, rerun.cache.misses), (1, 0));
     }
 
     #[test]
@@ -2324,20 +2353,31 @@ mod tests {
         // distinct streaming key.
         let evaluated_streaming = (distinct - distinct / 3) as u64;
         assert!(pass.leap.sims < evaluated_streaming, "{:?}", pass.leap);
-        // 32-cell chunks sharing one table, as a fabric worker runs a
-        // lease: the table evaluates exactly the distinct keys.
-        let table = SemanticTable::with_capacity(cases.len());
-        let mut chunked = Vec::new();
-        let mut repaired = 0;
-        for start in (0..cases.len()).step_by(32) {
-            let chunk = spec.cases_slice(start..(start + 32).min(cases.len()));
-            let result = spec.run_cases_on(chunk, SingleFlight::Table(&table));
-            repaired += result.cell_cache.repaired;
-            chunked.extend(result.runs);
-        }
-        assert_eq!((table.len(), repaired), (distinct, 330));
+        // Chunks sharing one table, as a fabric worker runs its leases:
+        // 32-cell index ranges, or 21 whole graphs (126 cells) of the
+        // graph order. The table evaluates exactly the distinct keys.
+        let chunks = |expand: &dyn Fn(Range<usize>) -> Vec<Case>, len: usize| {
+            let table = SemanticTable::with_capacity(cases.len());
+            let mut runs = Vec::new();
+            let mut repaired = 0;
+            for start in (0..cases.len()).step_by(len) {
+                let chunk = expand(start..(start + len).min(cases.len()));
+                let result = spec.run_cases_on(chunk, SingleFlight::Table(&table));
+                repaired += result.cell_cache.repaired;
+                runs.extend(result.runs);
+            }
+            assert_eq!((table.len(), repaired), (distinct, 330));
+            runs.sort_by_key(|run| run.case.index);
+            runs
+        };
+        let chunked = chunks(&|range| spec.cases_slice(range), 32);
+        let graphs = chunks(&|range| spec.graph_cases(range), 126);
         for (i, want) in direct.iter().enumerate() {
-            for (path, runs) in [("pass", &pass.runs), ("chunked", &chunked)] {
+            for (path, runs) in [
+                ("pass", &pass.runs),
+                ("chunked", &chunked),
+                ("graphs", &graphs),
+            ] {
                 let got = crate::store::encode_outcome(&runs[i].outcome);
                 assert_eq!(&got, want, "{path} case {i}");
             }

@@ -34,6 +34,7 @@ pub mod engine;
 pub mod harness;
 pub mod json;
 pub mod metrics;
+pub mod order;
 mod sim_memo;
 pub mod stats;
 pub mod store;
@@ -46,6 +47,7 @@ pub use engine::{
 pub use harness::{
     cores, default_threads, par_map_with, print_scheduler_registry, print_workload_registry, Args,
 };
+pub use order::GraphOrder;
 pub use stats::{summary, Summary};
 pub use stg_workloads::{WorkloadFamily, WorkloadKind};
 pub use store::{CellKey, ResultStore, SemanticTable, StoreStats, SCHEMA_VERSION};

@@ -219,8 +219,8 @@ fn work_main(argv: &[String]) {
     }
     match run_worker(config) {
         Ok(report) => eprintln!(
-            "fabric: drained after {} leases, {} rows reported",
-            report.leases, report.rows_reported
+            "fabric: drained after {} leases, {} rows reported, {} repaired",
+            report.leases, report.rows_reported, report.repaired
         ),
         Err(e) => {
             eprintln!("ERROR: {e}");

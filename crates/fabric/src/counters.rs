@@ -32,12 +32,20 @@ stg_experiments::counter_set! {
         /// included) and rows the merge refused.
         frames_refused: Sum,
         /// Failed `accept` calls on the coordinator's listener (`EMFILE`
-        /// when the process is out of file descriptors), each followed
-        /// by [`ACCEPT_BACKOFF`](stg_service::ACCEPT_BACKOFF).
+        /// when the process is out of file descriptors), and accepted
+        /// connections dropped because the descriptor for their reader
+        /// could not be had, each followed by
+        /// [`ACCEPT_BACKOFF`](stg_service::ACCEPT_BACKOFF).
         accept_errors: Sum,
         /// The lease auto-tuner's current lease size in cells (the fixed
         /// `--lease-cells` / pre-cut size when auto-tuning is off).
         lease_cells: Gauge,
+        /// High-water mark of the rows the stream merger held for
+        /// in-order emission ([`StreamMerger::peak_buffered`]): graph-order
+        /// leases report each graph's row into every stripe of its block.
+        ///
+        /// [`StreamMerger::peak_buffered`]: stg_experiments::StreamMerger::peak_buffered
+        merge_peak_rows: Max,
     }
     sets {
         /// Worker-side result-store traffic, summed across lease reports.
@@ -93,7 +101,10 @@ mod tests {
         });
         c.lease_cells.set(96);
         c.lease_cells.set(128);
+        c.merge_peak_rows.absorb(70);
+        c.merge_peak_rows.absorb(12);
         let snap = c.snapshot();
+        assert_eq!(snap.merge_peak_rows, 70, "the high-water mark holds");
         assert_eq!(snap.leap.max_period, 9, "max_period takes the maximum");
         assert_eq!(snap.lease_cells, 128, "gauge keeps the last value");
         let frame = crate::FabricResponse::Stats(snap).frame();
@@ -121,6 +132,8 @@ mod tests {
         assert!(line.contains("frames_refused=2"), "{line}");
         assert!(line.contains("accept_errors=6"), "{line}");
         assert!(line.contains(" lease_cells=128 "), "{line}");
+        assert!(line.contains(" merge_peak_rows=70 "), "{line}");
+        assert_eq!(v.get("merge_peak_rows").and_then(Json::as_u64), Some(70));
         assert!(line.contains("leap_leaped_cycles=1240"), "{line}");
         assert!(line.contains("leap_sims=4"), "{line}");
         assert!(line.contains("leap_stepped_cycles=540"), "{line}");

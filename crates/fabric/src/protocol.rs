@@ -7,10 +7,19 @@
 //! | request | response |
 //! |---------|----------|
 //! | `{"op":"hello","name":..}` | `{"ok":"spec","spec":..,"fingerprint":..,"total":..,"cache_dir":..}` |
-//! | `{"op":"next","name":..}` | `{"ok":"lease",..}` \| `{"ok":"wait","ms":..}` \| `{"ok":"drain"}` |
+//! | `{"op":"lease","name":..}` | `{"ok":"lease",..,"order":..}` \| `{"ok":"wait","ms":..}` \| `{"ok":"drain"}` |
+//! | `{"op":"next","name":..}` | as `lease`, grid order only |
 //! | `{"op":"rows","lease":..,"rows":..,..}` | `{"ok":"ack","end":..}` \| `{"ok":"gone"}` |
 //! | `{"op":"ping","lease":..}` | `{"ok":"ack","end":..}` \| `{"ok":"gone"}` |
 //! | `{"op":"stats"}` | `{"ok":"stats",..}` |
+//!
+//! A lease names the order its `start..end` range walks: `"graph"`
+//! positions of the grid's [`GraphOrder`](stg_experiments::GraphOrder),
+//! whole graph instances at a time, or `"grid"` case indices. The first
+//! lease request of a run fixes the run's order: `lease` asks for graph
+//! order and `next` for grid order, and a `lease` on a grid-order run is
+//! served in grid order, while a `next` on a graph-order run is refused.
+//! `next` serves clients that evaluate contiguous index ranges only.
 //!
 //! The handshake's `spec` member holds the
 //! [`SweepSpec::encode_spec`](stg_experiments::SweepSpec::encode_spec)
@@ -47,7 +56,13 @@ pub enum FabricRequest {
         /// Worker name (for logs only).
         name: String,
     },
-    /// Lease request.
+    /// Lease request, in the run's order (graph order, unless a `next`
+    /// fixed grid order first).
+    Lease {
+        /// Worker name (for logs only).
+        name: String,
+    },
+    /// Lease request of a client that evaluates grid order only.
     Next {
         /// Worker name (for logs only).
         name: String,
@@ -81,6 +96,10 @@ impl FabricRequest {
         match self {
             FabricRequest::Hello { name } => Json::Obj(vec![
                 ("op".into(), Json::Str("hello".into())),
+                ("name".into(), Json::Str(name.clone())),
+            ]),
+            FabricRequest::Lease { name } => Json::Obj(vec![
+                ("op".into(), Json::Str("lease".into())),
                 ("name".into(), Json::Str(name.clone())),
             ]),
             FabricRequest::Next { name } => Json::Obj(vec![
@@ -118,7 +137,7 @@ impl FabricRequest {
         let v = json::parse(line).map_err(|e| format!("bad frame: {e}"))?;
         let op = v.str_field("op")?;
         v.check_fields(match op {
-            "hello" | "next" => &["op", "name"],
+            "hello" | "lease" | "next" => &["op", "name"],
             "rows" => rows_fields(),
             "ping" => &["op", "lease"],
             _ => &["op"],
@@ -126,6 +145,7 @@ impl FabricRequest {
         let name = || Ok::<_, String>(v.opt_str("name")?.unwrap_or("worker").to_string());
         match op {
             "hello" => Ok(FabricRequest::Hello { name: name()? }),
+            "lease" => Ok(FabricRequest::Lease { name: name()? }),
             "next" => Ok(FabricRequest::Next { name: name()? }),
             "rows" => Ok(FabricRequest::Rows {
                 lease: v.u64_field("lease")?,
@@ -156,6 +176,36 @@ fn rows_fields() -> &'static [&'static str] {
     })
 }
 
+/// The order in which a lease's `start..end` range walks the grid.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LeaseOrder {
+    /// Case indices of the grid order
+    /// ([`SweepSpec::cases_slice`](stg_experiments::SweepSpec::cases_slice)).
+    Grid,
+    /// Positions of the graph order
+    /// ([`SweepSpec::graph_cases`](stg_experiments::SweepSpec::graph_cases)),
+    /// whose leases hold whole graph instances.
+    Graph,
+}
+
+impl LeaseOrder {
+    /// The order's name in lease frames.
+    pub fn name(self) -> &'static str {
+        match self {
+            LeaseOrder::Grid => "grid",
+            LeaseOrder::Graph => "graph",
+        }
+    }
+
+    fn parse(name: &str) -> Result<LeaseOrder, String> {
+        match name {
+            "grid" => Ok(LeaseOrder::Grid),
+            "graph" => Ok(LeaseOrder::Graph),
+            other => Err(format!("unknown lease order {other:?}")),
+        }
+    }
+}
+
 /// A parsed fabric response.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FabricResponse {
@@ -170,17 +220,19 @@ pub enum FabricResponse {
         /// Shared `--cache-dir`, when the coordinator has one.
         cache_dir: Option<String>,
     },
-    /// A leased case range.
+    /// A leased range of the grid.
     Lease {
         /// Lease id (quote it back in `rows`/`ping`).
         lease: u64,
-        /// First case index of the lease.
+        /// First position of the lease, in `order`.
         start: usize,
-        /// One past the last case index.
+        /// One past the last position.
         end: usize,
         /// Deadline budget; the coordinator re-queues the lease this long
         /// after issue (each accepted `rows`/`ping` frame refreshes it).
         deadline_ms: u64,
+        /// The order `start..end` walks (and every `ack`'s `end` with it).
+        order: LeaseOrder,
     },
     /// No lease available right now; retry after `ms`.
     Wait {
@@ -236,12 +288,14 @@ impl FabricResponse {
                 start,
                 end,
                 deadline_ms,
+                order,
             } => Json::Obj(vec![
                 ("ok".into(), Json::Str("lease".into())),
                 ("lease".into(), Json::num(*lease)),
                 ("start".into(), Json::num(*start)),
                 ("end".into(), Json::num(*end)),
                 ("deadline_ms".into(), Json::num(*deadline_ms)),
+                ("order".into(), Json::Str(order.name().into())),
             ]),
             FabricResponse::Wait { ms } => Json::Obj(vec![
                 ("ok".into(), Json::Str("wait".into())),
@@ -285,6 +339,7 @@ impl FabricResponse {
                 start: v.usize_field("start")?,
                 end: v.usize_field("end")?,
                 deadline_ms: v.u64_field("deadline_ms")?,
+                order: LeaseOrder::parse(v.str_field("order")?)?,
             }),
             "wait" => Ok(FabricResponse::Wait {
                 ms: v.u64_field("ms")?,
@@ -396,6 +451,7 @@ mod tests {
         let rows = sample_rows();
         for req in [
             FabricRequest::Hello { name: "w1".into() },
+            FabricRequest::Lease { name: "w1".into() },
             FabricRequest::Next { name: "w1".into() },
             FabricRequest::Rows {
                 lease: 9,
@@ -487,6 +543,14 @@ mod tests {
                 start: 10,
                 end: 20,
                 deadline_ms: 30_000,
+                order: LeaseOrder::Graph,
+            },
+            FabricResponse::Lease {
+                lease: 4,
+                start: 0,
+                end: 1,
+                deadline_ms: 1,
+                order: LeaseOrder::Grid,
             },
             FabricResponse::Wait { ms: 50 },
             FabricResponse::Drain,
@@ -504,5 +568,8 @@ mod tests {
             assert_eq!(FabricResponse::parse(&line).unwrap(), resp, "{line}");
         }
         assert!(FabricResponse::parse("{\"ok\":\"mystery\"}").is_err());
+        let lease = r#"{"ok":"lease","lease":1,"start":0,"end":2,"deadline_ms":5,"order":"seed"}"#;
+        let err = FabricResponse::parse(lease).unwrap_err();
+        assert!(err.contains("unknown lease order"), "{err}");
     }
 }

@@ -14,7 +14,7 @@ use stg_experiments::store::FLUSH_THRESHOLD;
 use stg_experiments::SweepSpec;
 use stg_fabric::{
     run_worker, Coordinator, FabricConfig, FabricRequest, FabricResponse, FabricRunReport,
-    FabricSnapshot, OutputKind, WorkerConfig, MAX_FRAME_BYTES,
+    FabricSnapshot, LeaseOrder, OutputKind, WorkerConfig, MAX_FRAME_BYTES,
 };
 use stg_service::read_frame;
 
@@ -126,9 +126,10 @@ fn worker_counts_are_byte_identical() {
 }
 
 /// A worker with `threads` 3 holds three connections, each leasing and
-/// evaluating on its own thread. One-cell leases are never stolen, so
-/// every reported row merges exactly once, and the worker's report must
-/// sum the rows of all three connections.
+/// evaluating on its own thread. `lease_cells` 1 rounds up to one graph
+/// per lease, and a one-graph lease is never stolen, so every reported
+/// row merges exactly once, and the worker's report must sum the rows of
+/// all three connections.
 #[test]
 fn one_worker_with_three_connections_merges_byte_identically() {
     let config = FabricConfig {
@@ -633,4 +634,208 @@ fn coordinate_refuses_a_grid_the_spec_encoding_cannot_carry() {
         stderr.contains("\"graphs\" must be a positive integer"),
         "{stderr}"
     );
+}
+
+/// Graph-order leases whose size is no multiple of any block's stripe
+/// count (6 and 3 here) round up to whole graphs; one and two workers of
+/// two connections each merge the same bytes as the unsharded sweep.
+#[test]
+fn graph_leases_of_any_size_merge_byte_identically() {
+    let (expected_csv, expected_json) = expected();
+    for lease_cells in [5, 7] {
+        for n in [1, 2] {
+            for (kind, want) in [
+                (OutputKind::Csv, expected_csv),
+                (OutputKind::Json, expected_json),
+            ] {
+                let config = FabricConfig {
+                    lease_cells,
+                    kind,
+                    ..FabricConfig::default()
+                };
+                let (got, report) = run_fabric(config, n);
+                assert_eq!(&got, want, "{lease_cells} cells, {n} workers, {kind:?}");
+                let counters = &report.counters;
+                assert_eq!(counters.rows_merged, spec().total_cases() as u64);
+                assert_eq!(counters.frames_refused, 0, "{counters:?}");
+                // Each graph reports a row into every stripe of its block.
+                assert!(counters.merge_peak_rows > 1, "{counters:?}");
+                assert_eq!(counters.merge_peak_rows, report.merge.peak_buffered as u64);
+            }
+        }
+    }
+}
+
+/// A raw protocol connection past its handshake.
+fn raw_client(addr: &str) -> (TcpStream, BufReader<TcpStream>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let hello = FabricRequest::Hello { name: "raw".into() };
+    let reply = exchange_raw(&mut stream, &mut reader, &hello);
+    assert!(
+        matches!(reply, FabricResponse::Spec { .. }),
+        "{}",
+        reply.frame()
+    );
+    (stream, reader)
+}
+
+/// The first `lease` request takes the whole grid as one lease; later
+/// ones steal the upper part of the largest lease, cut at a graph
+/// boundary. Once the raw clients hang up, a worker finishes the run.
+#[test]
+fn graph_leases_are_stolen_at_graph_boundaries() {
+    let config = FabricConfig {
+        lease_cells: 1_000,
+        ..FabricConfig::default()
+    };
+    let total = spec().total_cases();
+    let graphs = stg_experiments::GraphOrder::of(&spec());
+    let coordinator = Coordinator::bind(spec(), config).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let counters = coordinator.counters();
+    let out = SharedBuf::default();
+    let run = std::thread::spawn(move || coordinator.run(out.clone()).map(|r| (out.take(), r)));
+
+    let mut clients = Vec::new();
+    let mut ranges = Vec::new();
+    for _ in 0..3 {
+        let (mut stream, mut reader) = raw_client(&addr);
+        let lease = FabricRequest::Lease { name: "raw".into() };
+        match exchange_raw(&mut stream, &mut reader, &lease) {
+            FabricResponse::Lease {
+                start, end, order, ..
+            } => {
+                assert_eq!(order, LeaseOrder::Graph);
+                ranges.push(start..end);
+            }
+            other => panic!("expected a lease, got {}", other.frame()),
+        }
+        clients.push((stream, reader));
+    }
+    assert_eq!(ranges[0], 0..total, "one lease holds the whole grid");
+    for stolen in &ranges[1..] {
+        assert!(stolen.start > 0 && stolen.end <= total, "{ranges:?}");
+        assert_eq!(graphs.graph_start(stolen.start), stolen.start, "{ranges:?}");
+        assert_eq!(graphs.graph_end(stolen.end), stolen.end, "{ranges:?}");
+    }
+    assert_eq!(counters.snapshot().leases_stolen, 2);
+    drop(clients);
+
+    let worker = std::thread::spawn({
+        let config = worker_config(addr);
+        move || run_worker(config)
+    });
+    let (got, report) = run.join().expect("run thread").expect("fabric run");
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker drains");
+    assert_eq!(got, expected().0);
+    assert!(report.counters.re_queued >= 1, "{:?}", report.counters);
+}
+
+/// A client that leases with `next`, as perfbench's traced worker does,
+/// fixes the run's order to grid order, and completes the run alone by
+/// evaluating contiguous index ranges.
+#[test]
+fn a_next_client_completes_a_grid_order_run() {
+    let spec = spec();
+    let coordinator = Coordinator::bind(spec.clone(), FabricConfig::default()).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let out = SharedBuf::default();
+    let run = std::thread::spawn(move || coordinator.run(out.clone()).map(|r| (out.take(), r)));
+
+    let (mut stream, mut reader) = raw_client(&addr);
+    let next = FabricRequest::Next { name: "raw".into() };
+    let mut leases = 0;
+    loop {
+        let (lease, start, mut end) = match exchange_raw(&mut stream, &mut reader, &next) {
+            FabricResponse::Lease {
+                lease,
+                start,
+                end,
+                order,
+                ..
+            } => {
+                assert_eq!(order, LeaseOrder::Grid);
+                (lease, start, end)
+            }
+            FabricResponse::Drain => break,
+            other => panic!("unexpected next reply: {}", other.frame()),
+        };
+        leases += 1;
+        let mut pos = start;
+        while pos < end {
+            let chunk_end = (pos + 4).min(end);
+            let result = spec.run_cases(spec.cases_slice(pos..chunk_end), None);
+            let rows = FabricRequest::Rows {
+                lease,
+                rows: result
+                    .runs
+                    .into_iter()
+                    .map(|run| (run.case.index, run.outcome))
+                    .collect(),
+                hits: 0,
+                misses: 0,
+                leap: result.leap,
+            };
+            match exchange_raw(&mut stream, &mut reader, &rows) {
+                FabricResponse::Ack { end: new_end } => end = new_end,
+                // The lease's last rows completed it.
+                FabricResponse::Gone => break,
+                other => panic!("unexpected rows reply: {}", other.frame()),
+            }
+            pos = chunk_end;
+        }
+    }
+    let (got, report) = run.join().expect("run thread").expect("fabric run");
+    assert_eq!(got, expected().0);
+    assert_eq!(report.counters.leases_issued, leases);
+    assert_eq!(report.counters.frames_refused, 0, "{:?}", report.counters);
+}
+
+/// Once a run leases whole graphs, a `next` request is refused with an
+/// error frame and counted; the run still completes byte-identically.
+#[test]
+fn next_on_a_graph_order_run_is_refused_and_counted() {
+    let coordinator = Coordinator::bind(spec(), FabricConfig::default()).expect("bind");
+    let addr = coordinator.addr().to_string();
+    let counters = coordinator.counters();
+    let out = SharedBuf::default();
+    let run = std::thread::spawn(move || coordinator.run(out.clone()).map(|r| (out.take(), r)));
+
+    let (mut stream, mut reader) = raw_client(&addr);
+    let lease = FabricRequest::Lease { name: "raw".into() };
+    let reply = exchange_raw(&mut stream, &mut reader, &lease);
+    assert!(
+        matches!(
+            reply,
+            FabricResponse::Lease {
+                order: LeaseOrder::Graph,
+                ..
+            }
+        ),
+        "{}",
+        reply.frame()
+    );
+    let next = FabricRequest::Next { name: "raw".into() };
+    match exchange_raw(&mut stream, &mut reader, &next) {
+        FabricResponse::Error { error } => assert!(error.contains("lease op"), "{error}"),
+        other => panic!("next served on a graph-order run: {}", other.frame()),
+    }
+    assert_eq!(counters.snapshot().frames_refused, 1);
+    drop((stream, reader));
+
+    let worker = std::thread::spawn({
+        let config = worker_config(addr);
+        move || run_worker(config)
+    });
+    let (got, report) = run.join().expect("run thread").expect("fabric run");
+    worker
+        .join()
+        .expect("worker thread")
+        .expect("worker drains");
+    assert_eq!(got, expected().0);
+    assert_eq!(report.counters.frames_refused, 1, "{:?}", report.counters);
 }

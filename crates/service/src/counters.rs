@@ -42,8 +42,9 @@ stg_experiments::counter_set! {
         /// and every frame queued behind it.
         frames_dropped: Sum,
         /// Failed `accept` calls on the listener (`EMFILE` when the
-        /// process is out of file descriptors), each followed by
-        /// [`ACCEPT_BACKOFF`](crate::ACCEPT_BACKOFF).
+        /// process is out of file descriptors), and accepted connections
+        /// dropped because the descriptor for their writer could not be
+        /// had, each followed by [`ACCEPT_BACKOFF`](crate::ACCEPT_BACKOFF).
         accept_errors: Sum,
     }
     sets {

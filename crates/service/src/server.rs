@@ -195,7 +195,11 @@ impl Daemon {
                     if stopping.load(Ordering::SeqCst) {
                         break;
                     }
-                    let Ok(stream) = stream else {
+                    // A connection needs a second descriptor for its
+                    // writer; without one it is dropped and counted like
+                    // a failed accept, and the loop backs off.
+                    let halves = stream.and_then(|s| Ok((s.try_clone()?, s)));
+                    let Ok((write_half, stream)) = halves else {
                         service.counters().totals().accept_errors.add(1);
                         std::thread::sleep(ACCEPT_BACKOFF);
                         continue;
@@ -206,7 +210,8 @@ impl Daemon {
                     let stopping = Arc::clone(&stopping);
                     let in_flight = Arc::clone(&in_flight);
                     std::thread::spawn(move || {
-                        serve_connection(stream, client, &service, &queue, &stopping, in_flight);
+                        let halves = (stream, write_half);
+                        serve_connection(halves, client, &service, &queue, &stopping, in_flight);
                     });
                 }
             })
@@ -359,11 +364,12 @@ fn write_frames(
     }
 }
 
-/// One connection's reader loop: frames in, responses out through the
-/// writer channel. Malformed frames answer with a 400 and keep the
-/// connection open; only EOF or an I/O error ends it.
+/// One connection's reader loop over the stream and its writer's clone:
+/// frames in, responses out through the writer channel. Malformed frames
+/// answer with a 400 and keep the connection open; only EOF or an I/O
+/// error ends it.
 fn serve_connection(
-    stream: TcpStream,
+    (stream, write_half): (TcpStream, TcpStream),
     client: u64,
     service: &Arc<Service>,
     queue: &Arc<Admission<Job>>,
@@ -374,9 +380,6 @@ fn serve_connection(
     // TCP_NODELAY a frame can sit behind Nagle waiting on a delayed ACK,
     // putting a ~40ms floor under every warm (cache-hit) request.
     let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
     let (tx, rx) = mpsc::channel();
     let writer = {
         let service = Arc::clone(service);

@@ -581,8 +581,8 @@ fn an_accept_loop_out_of_descriptors_backs_off_and_recovers() {
     // A connection holds two descriptors: its stream and the clone its
     // writer thread uses. With an odd number left free, the last accept
     // takes the last descriptor, its clone fails and the connection is
-    // dropped, over and over, until the backlog is empty. With an even
-    // number the daemon ends with a full table and a waiting backlog.
+    // dropped (the sibling test below). With an even number the daemon
+    // ends with a full table and a waiting backlog.
     let (mut serve, addr) = (24..26)
         .map(serve_with_fd_limit)
         .zip(24..26)
@@ -638,4 +638,58 @@ fn an_accept_loop_out_of_descriptors_backs_off_and_recovers() {
     assert!(matches!(parse_response(&c.recv()), Ok(Response::Done(_))));
     let status = serve.0.wait().expect("serve exits");
     assert!(status.success(), "{status:?} after {errors} failed accepts");
+}
+
+/// With an odd number of descriptors free, each connection accepted into
+/// the last one cannot clone its stream for the writer: the daemon drops
+/// it, counts it in `accept_errors` and backs off, and it answers again
+/// once the clients close. A handful of connections shows it: a limit of
+/// five descriptors over what the idle daemon holds serves two
+/// connections and drops the rest.
+#[cfg(target_os = "linux")]
+#[test]
+fn a_connection_without_a_descriptor_for_its_writer_is_counted() {
+    let open = serve_with_fd_limit(24).2;
+    let limit = open + 5;
+    let (serve, addr, held) = serve_with_fd_limit(limit);
+    assert_eq!(limit - held, 5, "the daemon's idle descriptors changed");
+    let pid = serve.0.id();
+    let idle: Vec<TcpStream> = (0..6)
+        .map(|_| TcpStream::connect(addr).expect("the backlog takes the connection"))
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    let before = cpu_ticks(pid);
+    std::thread::sleep(Duration::from_secs(1));
+    let ticks = cpu_ticks(pid) - before;
+    assert!(ticks < 20, "serve used {ticks} CPU ticks in 1 s");
+    let stats = |stream: &TcpStream| -> Option<stg_service::Stats> {
+        stream.set_read_timeout(Some(Duration::from_secs(5))).ok()?;
+        let mut w = stream;
+        w.write_all(b"{\"cmd\":\"stats\"}\n").ok()?;
+        let mut line = String::new();
+        BufReader::new(stream).read_line(&mut line).ok()?;
+        match parse_response(line.trim_end()).ok()? {
+            Response::Stats(v) => stg_service::Stats::from_json(&v),
+            _ => None,
+        }
+    };
+    // The first two connections were served; the other four each took
+    // the last descriptor, lost their writer's clone and were counted.
+    let served = stats(&idle[0]).expect("the first connection is served");
+    assert_eq!(served.service.accept_errors, 4);
+    drop(idle);
+    // A new connection may lose the race for the descriptors the served
+    // clients free: retry until a stats frame arrives.
+    wait_until("a stats frame", Duration::from_secs(20), || {
+        TcpStream::connect(addr)
+            .ok()
+            .and_then(|s| stats(&s))
+            .is_some()
+    });
+    // No shutdown: a blocked `accept` holds a descriptor for the
+    // connection it waits for, so with this few free, the shutdown's
+    // wake-up connection can find none while closed clients' descriptors
+    // are still being released, and the daemon would not exit. Dropping
+    // `serve` kills it.
+    drop(serve);
 }

@@ -1,18 +1,24 @@
 //! Process-wide memoization of instantiated workload graphs.
 //!
-//! Sweep grids evaluate the same `(workload spec, seed)` graph once per
-//! scheduler × PE cell; regenerating it each time was the engine's
-//! standing hotspot. This cache keys graphs by `(spec, seed)` and hands
-//! out shared `Arc`s, guaranteeing **exactly one** construction per key
-//! even under concurrent instantiation: the map lock only guards slot
+//! The sweep engine evaluates a graph's scheduler × PE cells together, as
+//! one job that builds the graph for itself and drops it when the job
+//! ends, so a sweep does not need this cache to build each graph once.
+//! What still shares graphs through it: one-cell evaluations (every
+//! `serve` plan request, and a sweep cell whose graph has no other cell
+//! left to evaluate), unseeded graphs such as the ML models, which are
+//! built once per process, and `SweepSpec::run_map`, which hands each
+//! case its graph separately. The cache keys graphs by `(spec, seed)` and
+//! hands out shared `Arc`s, guaranteeing **exactly one** construction per
+//! key even under concurrent instantiation: the map lock only guards slot
 //! lookup, while a per-slot [`OnceLock`] serializes (and deduplicates)
 //! the build itself.
 //!
 //! The cache never evicts on its own — resident memory is
 //! O(distinct `(spec, seed)` keys) until the process exits. Experiment
-//! binaries are short-lived grids where that is the working set anyway;
-//! long-lived processes (services, benchmark harnesses) should call
-//! [`clear`] between work items they don't want to share graphs across.
+//! binaries are short-lived, and the service's requests repeat a small
+//! set of graphs; long-lived processes that draw new graphs without end
+//! (benchmark harnesses) should call [`clear`] between work items they
+//! don't want to share graphs across.
 //!
 //! Retained graphs are **arena-compacted** before they are published:
 //! the builder finishes, the graph's adjacency moves into contiguous CSR

@@ -41,8 +41,9 @@ pub trait WorkloadFamily: Send + Sync {
     /// it).
     fn task_count(&self) -> usize;
 
-    /// Builds one graph for `seed`, bypassing the cache. Prefer
-    /// [`WorkloadFamily::instantiate`] unless a fresh copy is required.
+    /// Builds one graph for `seed`, bypassing the cache: for a caller
+    /// that is the graph's one user, as a sweep's graph job is. Prefer
+    /// [`WorkloadFamily::instantiate`] for a graph that is asked for again.
     fn build(&self, seed: u64) -> CanonicalGraph;
 
     /// False for fixed graphs whose structure and volumes ignore the seed
